@@ -7,28 +7,52 @@ counter decrement): any task with two or more predecessors is scheduled
 as soon as its **first** predecessor finishes, instead of its last.
 Each task still runs exactly once (the pass accounting stays intact),
 so the bug is invisible to result-less smoke tests; only a
-happens-before check over the trace can see it.
+happens-before check over the trace can see it.  The bug sits in the
+topology's slot-join step, which both executor routes (inline and
+_Attempt) release successors through.
 
 :func:`run_mutant_selftest` runs a graph engineered to expose the bug
 deterministically — a diamond whose second predecessor sleeps, so the
 join task provably begins while that predecessor is still running —
-under both the mutant and the reference executor, and reports whether
-the validator caught the mutant (it must) while passing the reference
-run (it must, too).
+frozen, under both the mutant and the reference executor, once per
+route (``replay.fast_path`` shows which route ran), and
+reports whether the validator caught the mutant (it must) while
+passing the reference run (it must, too).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 from repro.core.executor import Executor
 from repro.core.heteroflow import Heteroflow
-from repro.core.node import Node
 from repro.core.observer import TraceObserver
-from repro.core.topology import Topology
+from repro.core.topology import PASS_DONE, Topology
 from repro.check.validate import ScheduleReport, validate_schedule
+from repro.resilience.policy import RetryPolicy
+
+#: the executor routes the self-test covers, with the run policy that
+#: selects each one (a retry policy forces the _Attempt route)
+ROUTES = {"inline": None, "attempt": RetryPolicy(max_attempts=2)}
+
+
+class _PrematureReleaseTopology(Topology):
+    def release(self, slot: int) -> Optional[Sequence[int]]:
+        ready = None
+        join_init = self.lowering.join_init
+        with self._lock:
+            joins = self.joins
+            for t in self.lowering.succ_slots[slot]:
+                joins[t] -= 1
+                # BUG (deliberate): multi-dependency successors are
+                # released one decrement early — after their first
+                # finished predecessor instead of their last
+                if joins[t] == (1 if join_init[t] >= 2 else 0):
+                    ready = (ready or []) + [t]
+            self.pending -= 1
+            return PASS_DONE if self.pending == 0 else ready
 
 
 class MutantExecutor(Executor):
@@ -37,24 +61,8 @@ class MutantExecutor(Executor):
     Do not use outside the checker self-test.
     """
 
-    def _finish_node(
-        self, topology: Topology, node: Node, gen: Optional[int] = None
-    ) -> None:
-        for succ in node.successors:
-            with succ._lock:
-                succ.join_counter -= 1
-                remaining = succ.join_counter
-            # BUG (deliberate): multi-dependency successors are released
-            # one decrement early — after their first finished
-            # predecessor instead of their last
-            threshold = 1 if len(succ.dependents) >= 2 else 0
-            if remaining == threshold:
-                self._schedule(topology, succ, gen)
-        if topology.node_finished():
-            if topology.pass_completed():
-                self._finalize_topology(topology)
-            else:
-                self._dispatch_pass(topology)
+    def _make_topology(self, graph, **kwargs) -> Topology:
+        return _PrematureReleaseTopology(graph, **kwargs)
 
 
 def _diamond_graph(delay: float) -> Heteroflow:
@@ -72,19 +80,28 @@ def _diamond_graph(delay: float) -> Heteroflow:
 
 @dataclass
 class SelftestResult:
-    """Validator verdicts for the mutant and the reference executor."""
+    """Validator verdicts keyed ``"<executor>/<route>"``: executor is
+    ``mutant`` or ``reference``, route one of :data:`ROUTES`.
+    *fast_path* holds each run's ``replay.fast_path`` count (1 when
+    the frozen diamond took the inline route, 0 otherwise)."""
 
     reports: Dict[str, ScheduleReport]
+    fast_path: Dict[str, float]
 
     @property
     def caught(self) -> bool:
-        """True iff the validator flagged the mutant and not the
-        correct executor — the checker demonstrably has teeth."""
-        return (not self.reports["mutant"].ok) and self.reports["reference"].ok
+        """True iff, on every route, the validator flagged the mutant
+        and not the correct executor — the checker demonstrably has
+        teeth."""
+        return all(
+            not self.reports[f"mutant/{r}"].ok and self.reports[f"reference/{r}"].ok
+            for r in ROUTES
+        )
 
 
 def run_mutant_selftest(delay: float = 0.25) -> SelftestResult:
-    """Run the seeded-bug graph under both executors and validate.
+    """Run the seeded-bug graph under both executors on both routes
+    and validate.
 
     *delay* is the slow predecessor's sleep; the mutant schedules the
     join task immediately after the fast predecessor, so the join's
@@ -92,10 +109,17 @@ def run_mutant_selftest(delay: float = 0.25) -> SelftestResult:
     happens-before check must fire.
     """
     reports: Dict[str, ScheduleReport] = {}
-    for label, cls in (("mutant", MutantExecutor), ("reference", Executor)):
-        hf = _diamond_graph(delay)
-        obs = TraceObserver()
-        with cls(num_workers=2, num_gpus=0, observers=[obs]) as ex:
-            ex.run(hf).result(timeout=60)
-        reports[label] = validate_schedule(hf, obs.records, passes=1, num_gpus=0)
-    return SelftestResult(reports=reports)
+    fast_path: Dict[str, float] = {}
+    for route, policy in ROUTES.items():
+        for label, cls in (("mutant", MutantExecutor), ("reference", Executor)):
+            hf = _diamond_graph(delay)
+            obs = TraceObserver()
+            with cls(num_workers=2, num_gpus=0, observers=[obs]) as ex:
+                ex.run(hf.freeze(), policy=policy).result(timeout=60)
+                fast_path[f"{label}/{route}"] = ex.metrics.snapshot()[
+                    "replay.fast_path"
+                ]
+            reports[f"{label}/{route}"] = validate_schedule(
+                hf, obs.records, passes=1, num_gpus=0
+            )
+    return SelftestResult(reports=reports, fast_path=fast_path)

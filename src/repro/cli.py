@@ -218,24 +218,26 @@ def _parse_configs(spec: str):
 
 def _cmd_check(args: argparse.Namespace) -> int:
     from repro.check import run_mutant_selftest, run_stress
+    from repro.check.mutants import ROUTES
 
     failures = 0
 
     print("mutant self-test: validating a deliberately-buggy scheduler ...")
     selftest = run_mutant_selftest()
-    mutant = selftest.reports["mutant"]
-    reference = selftest.reports["reference"]
     if selftest.caught:
-        print(f"  caught: {len(mutant.violations)} violation(s) flagged on the "
-              f"mutant, 0 on the reference executor")
-        for v in mutant.violations[:4]:
-            print(f"    {v}")
+        print("  caught on every route")
     else:
         failures += 1
         print("  FAILED: the validator did not distinguish the buggy "
-              "scheduler from the correct one")
-        print(f"    mutant: {len(mutant.violations)} violation(s), "
-              f"reference: {len(reference.violations)}")
+              "scheduler from the correct one on every route")
+    for route in ROUTES:
+        mutant = selftest.reports[f"mutant/{route}"]
+        reference = selftest.reports[f"reference/{route}"]
+        print(f"  {route} route: {len(mutant.violations)} violation(s) "
+              f"flagged on the mutant, {len(reference.violations)} on the "
+              f"reference executor")
+        for v in mutant.violations[:2]:
+            print(f"    {v}")
         for v in reference.violations[:4]:
             print(f"    [reference] {v}")
 

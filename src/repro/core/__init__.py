@@ -26,7 +26,7 @@ from repro.core.patterns import gpu_map, parallel_for, pipeline, reduce_tree
 from repro.core.placement import DevicePlacement, PlacementResult
 from repro.core.serialize import graph_to_dict, graph_to_json, skeleton_from_dict
 from repro.core.task import HostTask, KernelTask, PullTask, PushTask, Task
-from repro.core.topology import FrozenTopology, ReplayTopology
+from repro.core.topology import FrozenTopology
 
 __all__ = [
     "DevicePlacement",
@@ -39,7 +39,6 @@ __all__ = [
     "PlacementResult",
     "PullTask",
     "PushTask",
-    "ReplayTopology",
     "Task",
     "TaskType",
     "TraceObserver",

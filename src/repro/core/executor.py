@@ -6,9 +6,15 @@ Reproduces the runtime of paper §III-B/C:
   threads — no worker is dedicated to a GPU ("we do not dedicate a
   worker to manage a target GPU"); GPU work is dispatched by whichever
   worker picks up the task;
-- submitted graphs go through **device placement** (Algorithm 1), then
-  enter a **work-stealing** loop: each worker drains its local queue
-  and turns thief when empty, stealing from a random victim;
+- every submission is **lowered** to slots (a fresh graph once per
+  submission, a frozen graph once at ``freeze()``), goes through
+  **device placement** (Algorithm 1; cached for frozen graphs), then
+  enters one **work-stealing** loop over chunks of ready slots: each
+  worker drains its local queue and turns thief when empty, stealing
+  from a random victim.  Host-only, unpolicied slots run inline;
+  every other slot takes the ``_Attempt`` route (GPU visitors,
+  retries, watchdogs, recovery).  Readiness lives on the topology,
+  whose slot-join step releases successors on both routes;
 - GPU tasks are invoked under an RAII :class:`ScopedDeviceContext`, on a
   **per-(worker, device) stream**, and complete asynchronously — the
   dispatching worker moves on immediately, and the stream callback
@@ -37,8 +43,8 @@ topology is invalidated (a generation counter), the last in-flight task
 to drain runs the recovery pass, which retracts committed executions
 whose data lived on the dead device, re-packs their placement groups
 onto surviving GPUs (or degrades every GPU task to its registered
-``.host_fallback`` when none survive), rebuilds join counters over the
-remaining nodes, and re-dispatches.
+``.host_fallback`` when none survive), rebuilds the slot joins over the
+remaining slots, and re-dispatches.
 
 **Overload protection** (docs/runtime.md, "Submission lifecycle").
 An :class:`~repro.service.AdmissionController` attached at
@@ -81,7 +87,7 @@ from repro.core.placement import (
     snapshot_assignment,
 )
 from repro.core.task import PullTask
-from repro.core.topology import FrozenTopology, ReplayTopology, Topology
+from repro.core.topology import PASS_DONE, FrozenTopology, Lowering, Topology
 from repro.core.wsq import PriorityOverflowQueue, WorkStealingQueue
 from repro.errors import (
     AdmissionRejectedError,
@@ -107,18 +113,18 @@ from repro.service.admission import (
     predicted_footprint_bytes,
 )
 
-#: queue items are (topology, node, generation) triples; stale
+#: queue items are (topology, slot chunk, generation) triples; stale
 #: generations are dropped by workers after a recovery pass
-WorkItem = Tuple[Topology, Node, int]
+WorkItem = Tuple[Topology, Tuple[int, ...], int]
 
 #: how long a committed sleeper waits before re-polling the queues;
 #: bounds the cost of any lost-wakeup bug without busy spinning
 _SLEEP_TIMEOUT = 0.02
 
-#: slots per fast-path work item: large enough to amortize queue and
-#: notifier traffic over many empty host tasks, small enough that
-#: thieves still find stealable chunks on wide graphs
-_FAST_CHUNK = 32
+#: slots per work item: large enough to amortize queue and notifier
+#: traffic over many empty host tasks, small enough that thieves still
+#: find stealable chunks on wide graphs
+_CHUNK = 32
 
 
 class _CompiledPlan:
@@ -221,7 +227,7 @@ class _Attempt:
 
     __slots__ = (
         "topology",
-        "node",
+        "slot",
         "wid",
         "gen",
         "timeout_s",
@@ -236,13 +242,13 @@ class _Attempt:
     def __init__(
         self,
         topology: Topology,
-        node: Node,
+        slot: int,
         wid: int,
         gen: int,
         timeout_s: Optional[float],
     ) -> None:
         self.topology = topology
-        self.node = node
+        self.slot = slot
         self.wid = wid
         self.gen = gen
         self.timeout_s = timeout_s
@@ -252,6 +258,10 @@ class _Attempt:
         self.fallback = False
         self._resolved = False
         self._lock = threading.Lock()
+
+    @property
+    def node(self):
+        return self.topology.lowering.nodes[self.slot]
 
     def resolve(self) -> bool:
         with self._lock:
@@ -401,7 +411,8 @@ class Executor:
             )
 
         # per-graph topology FIFO: serializes repeated submissions of
-        # the same graph (join counters live on shared nodes)
+        # the same graph (device buffers and placement live on the
+        # shared nodes)
         self._graph_queues: Dict[int, deque] = {}
         self._graph_lock = threading.Lock()
         # outstanding future -> topology (for cancel)
@@ -534,16 +545,17 @@ class Executor:
     ) -> Future:
         """Run *graph* once; non-blocking, returns a future.
 
-        *graph* may be a :class:`~repro.core.topology.FrozenTopology`
-        (from ``Heteroflow.freeze()``): the submission then replays the
-        compiled plan — no validation, no placement pass, admission
-        footprint from the frozen cache — and host-only graphs take a
-        slot-based fast path with no per-node allocation.  *bindings*
-        (frozen submissions only) maps host-task names to replacement
-        callables for this submission; the graph itself stays immutable
-        (docs/runtime.md, "Freeze and replay").  Deadlines, priorities,
-        admission, retries, and cancellation behave exactly as for a
-        fresh graph.
+        A fresh graph is validated and lowered to slots at submission:
+        the run sees the graph as it was then.  *graph* may instead be
+        a :class:`~repro.core.topology.FrozenTopology` (from
+        ``Heteroflow.freeze()``): the submission then replays the
+        stored lowering and the cached plan — no validation, no
+        placement pass, admission footprint from the frozen cache.
+        *bindings* (frozen submissions only) maps host-task names to
+        replacement callables for this submission; the graph itself
+        stays immutable (docs/runtime.md, "Freeze and replay").
+        Deadlines, priorities, admission, retries, and cancellation
+        behave exactly as for a fresh graph.
 
         With ``lint=True`` the graph first passes through the hflint
         static analyzer (:mod:`repro.analysis`) and submission raises
@@ -595,20 +607,9 @@ class Executor:
         )
 
     def _make_topology(
-        self,
-        graph: Union[Heteroflow, FrozenTopology],
-        bindings: Optional[Dict[str, Callable]],
-        **kwargs: Any,
+        self, graph: Union[Heteroflow, FrozenTopology], **kwargs: Any
     ) -> Topology:
-        """Build the submission topology: a slot-replay
-        :class:`ReplayTopology` for frozen graphs, a plain
-        :class:`Topology` otherwise."""
-        if isinstance(graph, FrozenTopology):
-            return ReplayTopology(graph, bindings=bindings, **kwargs)
-        if bindings:
-            raise ExecutorError(
-                "bindings= requires a FrozenTopology (Heteroflow.freeze())"
-            )
+        """Build the per-submission :class:`Topology`."""
         return Topology(graph, **kwargs)
 
     def run_n(
@@ -633,7 +634,7 @@ class Executor:
             self._lint_gate(graph)
         topology = self._make_topology(
             graph,
-            bindings,
+            bindings=bindings,
             repeats=n,
             policy=policy,
             priority=priority,
@@ -671,7 +672,7 @@ class Executor:
             self._lint_gate(graph)
         topology = self._make_topology(
             graph,
-            bindings,
+            bindings=bindings,
             repeats=None,
             predicate=predicate,
             policy=policy,
@@ -935,8 +936,8 @@ class Executor:
         The session must be built *before* submission — effect
         inference has to see the original captured objects, and the
         recording proxies must already sit in the host closures when
-        the first pass dispatches.  The fast replay path is disabled
-        for the run (it invokes host slots without the per-task
+        the first pass dispatches.  The run takes the _Attempt route
+        (the inline route invokes host slots without the per-task
         attribution hook); everything else — admission, deadlines,
         retries, metrics profiling — composes unchanged.
         """
@@ -944,7 +945,6 @@ class Executor:
 
         session = SanitizerSession(topology.graph)
         topology.sanitizer = session
-        topology.fast = False
         outer: Future = Future()
         outer.sanitize_report = None  # type: ignore[attr-defined]
         try:
@@ -1001,9 +1001,10 @@ class Executor:
             topology.future.set_result(0)
             return topology.future
         if topology.frozen is None:
-            # frozen graphs validated at freeze() and cannot have
-            # changed since; fresh graphs re-validate every submission
-            graph.validate()
+            # frozen graphs were lowered at freeze() and cannot have
+            # changed since; fresh graphs are validated and lowered
+            # every submission
+            topology.lower()
         else:
             topology.t_submit = time.perf_counter()
         self._admit(topology)
@@ -1208,65 +1209,29 @@ class Executor:
             self._notifier.notify_all()
 
     def _start_topology(self, topology: Topology) -> None:
-        if topology.frozen is not None:
-            self._start_frozen(topology)
-            return
-        graph = topology.graph
-        for obs in self._observers:
-            obs.on_topology_begin(graph.name, len(graph.nodes))
-        try:
-            alive = self.alive_gpus
-            has_gpu_tasks = any(n.type.is_gpu for n in graph.nodes)
-            if has_gpu_tasks and self.num_gpus > 0 and not alive:
-                # every configured device already failed: degrade from
-                # the start if every kernel can run on the host
-                missing = kernels_without_fallback(graph.nodes)
-                if missing:
-                    raise ExecutorError(
-                        f"no GPUs survive and kernel task "
-                        f"{missing[0].name!r} has no host fallback"
-                    )
-                topology.degraded = True
-                self._m_degraded.inc()
-                topology.event("degraded", at="start", alive=[])
-            else:
-                topology.placement = self._placement.place(
-                    graph.nodes, self.num_gpus
-                )
-                if has_gpu_tasks and len(alive) < self.num_gpus:
-                    # some devices died before this submission: re-pack
-                    # their groups onto the survivors
-                    replan(
-                        graph.nodes,
-                        topology.placement,
-                        alive,
-                        self._placement.cost_metric,
-                    )
-        except Exception as exc:  # placement failure fails the run
-            topology.fail(exc)
-            self._finalize_topology(topology)
-            return
-        self._dispatch_pass(topology)
-
-    # ------------------------------------------------------------------
-    # freeze and replay (docs/runtime.md, "Freeze and replay")
-    # ------------------------------------------------------------------
-    def _start_frozen(self, topology: Topology) -> None:
-        """Start a replay: reuse (or compile) the cached plan instead of
-        re-running Algorithm-1 placement per submission."""
+        """Place the submission and seed its first pass.  A frozen
+        submission reuses (or compiles) its cached plan instead of
+        re-running Algorithm-1 placement."""
+        lowering = topology.lowering
+        assert lowering is not None
         frozen = topology.frozen
-        assert frozen is not None
-        graph = topology.graph
+        nodes = lowering.nodes
         for obs in self._observers:
-            obs.on_topology_begin(graph.name, len(graph.nodes))
-        if topology.fast:
+            obs.on_topology_begin(topology.graph.name, len(nodes))
+        topology.inline = (
+            lowering.fast_capable
+            and topology.retry_policy is None
+            and topology.timeout_s is None
+            and topology.sanitizer is None
+        )
+        if frozen is not None and topology.inline:
             self._m_fast_path.inc()
         try:
             alive = frozenset(self._alive_gpus)
-            if frozen.has_gpu and self.num_gpus > 0 and not alive:
+            if lowering.has_gpu and self.num_gpus > 0 and not alive:
                 # every configured device already failed: degrade from
-                # the start, exactly as the fresh path does
-                missing = kernels_without_fallback(graph.nodes)
+                # the start if every kernel can run on the host
+                missing = kernels_without_fallback(nodes)
                 if missing:
                     raise ExecutorError(
                         f"no GPUs survive and kernel task "
@@ -1275,7 +1240,7 @@ class Executor:
                 topology.degraded = True
                 self._m_degraded.inc()
                 topology.event("degraded", at="start", alive=[])
-            else:
+            elif frozen is not None:
                 plan = self._plan_cache.get(frozen.fid)
                 if plan is not None and plan.alive == alive:
                     self._m_replay_hits.inc()
@@ -1284,18 +1249,10 @@ class Executor:
                     # (which also invalidates a plan whose placement
                     # was replanned in place during recovery)
                     self._m_replay_misses.inc()
-                    placement = self._placement.place(
-                        graph.nodes, self.num_gpus
-                    )
-                    if frozen.has_gpu and len(alive) < self.num_gpus:
-                        replan(
-                            graph.nodes,
-                            placement,
-                            sorted(alive),
-                            self._placement.cost_metric,
-                        )
                     plan = _CompiledPlan(
-                        placement, snapshot_assignment(graph.nodes), alive
+                        self._place(lowering, alive),
+                        snapshot_assignment(nodes),
+                        alive,
                     )
                     self._plan_cache[frozen.fid] = plan
                 # re-apply the assignment: device ordinals live on the
@@ -1303,61 +1260,47 @@ class Executor:
                 # pass may have moved them since the plan was compiled
                 apply_assignment(plan.pairs)
                 topology.placement = plan.placement
+            elif lowering.has_gpu:
+                topology.placement = self._place(lowering, alive)
         except Exception as exc:  # placement failure fails the run
             topology.fail(exc)
             self._finalize_topology(topology)
             return
         self._dispatch_pass(topology)
 
+    def _place(self, lowering: Lowering, alive: frozenset):
+        """Algorithm-1 placement; groups of devices that died before
+        this submission are re-packed onto the survivors."""
+        placement = self._placement.place(lowering.nodes, self.num_gpus)
+        if lowering.has_gpu and len(alive) < self.num_gpus:
+            replan(
+                lowering.nodes,
+                placement,
+                sorted(alive),
+                self._placement.cost_metric,
+            )
+        return placement
+
     def _dispatch_pass(self, topology: Topology) -> None:
+        """Seed one pass: reset the slot joins and enqueue the source
+        slots in chunks."""
         if topology.frozen is not None:
             self._m_plan_reuses.inc()
-            if topology.fast:
-                self._dispatch_pass_fast(topology)
-                return
-        graph = topology.graph
         topology.begin_pass()
-        for node in graph.nodes:
-            node.reset_join_counter()
-        sources = [n for n in graph.nodes if n.is_source]
-        for node in sources:
-            self._schedule(topology, node)
-
-    def _dispatch_pass_fast(self, rtop: ReplayTopology) -> None:
-        """Seed one fast-path pass: reset the preallocated slot joins
-        and enqueue the frozen source slots in chunks.  Chunking
-        amortizes queue and notifier traffic across many small tasks;
-        :meth:`_invoke_fast` runs chains inline and spills excess
-        ready slots back as stealable chunks."""
-        rtop.begin_pass()
-        rtop.reset_joins()
-        sources = rtop.frozen.source_slots
-        gen = rtop.gen
-        wid = getattr(self._tls, "wid", None)
-        notify = self._notifier.notify_one
-        if wid is not None:
-            queue = self._queues[wid]
-            for i in range(0, len(sources), _FAST_CHUNK):
-                queue.push((rtop, sources[i : i + _FAST_CHUNK], gen))
-                notify()
-        else:
-            shared = self._shared
-            priority = rtop.priority
-            for i in range(0, len(sources), _FAST_CHUNK):
-                shared.push((rtop, sources[i : i + _FAST_CHUNK], gen), priority)
-                notify()
+        self._schedule(topology, topology.lowering.source_slots, topology.gen)
 
     def _finalize_topology(self, topology: Topology) -> None:
         graph = topology.graph
-        # release pooled pull buffers and degraded-mode shadows
-        for node in graph.nodes:
-            if node.buffer is not None:
-                node.buffer.free()
-                node.buffer = None
-            node.pull_snapshot = None
-            node.host_shadow = None
+        if topology.lowering.has_gpu:
+            # release pooled pull buffers and degraded-mode shadows
+            for node in topology.lowering.nodes:
+                if node.buffer is not None:
+                    node.buffer.free()
+                    node.buffer = None
+                node.pull_snapshot = None
+                node.host_shadow = None
         for obs in self._observers:
-            obs.on_topology_end(graph.name, len(graph.nodes))
+            obs.on_topology_end(graph.name, len(topology.lowering.nodes))
         if topology.frozen is not None:
             self._m_replay_latency.observe(
                 time.perf_counter() - topology.t_submit
@@ -1393,25 +1336,40 @@ class Executor:
     # scheduling plumbing
     # ------------------------------------------------------------------
     def _schedule(
-        self, topology: Topology, node: Node, gen: Optional[int] = None
+        self, topology: Topology, slots: Sequence[int], gen: Optional[int] = None
     ) -> None:
-        """Enqueue a ready node: local queue when on a worker thread
+        """Enqueue ready slots: local queue when on a worker thread
         (cache-friendly LIFO), shared queue otherwise (submitter or
-        stream-callback threads).  The item carries *gen* — the
+        stream-callback threads).  Inline-route slots go in chunks of
+        :data:`_CHUNK`; _Attempt-route slots one per item, so thieves
+        can spread them over the workers.  Items carry *gen* — the
         generation the scheduling decision was made under (current when
         omitted); recovery bumps the topology generation so stale items
         are dropped.  Callers reacting to a task that ran under an
         older generation MUST pass that generation: stamping the
         current one would let the item survive a concurrent
         ``request_recovery`` bump while the recovery pass independently
-        reschedules the same node — a double execution."""
-        item = (topology, node, topology.gen if gen is None else gen)
+        reschedules the same slot — a double execution."""
+        if gen is None:
+            gen = topology.gen
+        if topology.inline:
+            chunks = [
+                tuple(slots[i : i + _CHUNK]) for i in range(0, len(slots), _CHUNK)
+            ]
+        else:
+            chunks = [(s,) for s in slots]
+        notify = self._notifier.notify_one
         wid = getattr(self._tls, "wid", None)
         if wid is not None:
-            self._queues[wid].push(item)
+            push = self._queues[wid].push
+            for chunk in chunks:
+                push((topology, chunk, gen))
+                notify()
         else:
-            self._shared.push(item, topology.priority)
-        self._notifier.notify_one()
+            shared, priority = self._shared, topology.priority
+            for chunk in chunks:
+                shared.push((topology, chunk, gen), priority)
+                notify()
 
     def _next_item(self, wid: int, rng: random.Random) -> Optional[WorkItem]:
         item = self._queues[wid].pop()
@@ -1464,14 +1422,74 @@ class Executor:
     # ------------------------------------------------------------------
     # task invocation (visitor pattern over task types)
     # ------------------------------------------------------------------
-    def _invoke(self, wid: int, topology: Topology, node: Node, gen: int = 0) -> None:
-        if node.__class__ is tuple:
-            # fast-path work item: a chunk of frozen slot indices
-            self._invoke_fast(wid, topology, node, gen)  # type: ignore[arg-type]
-            return
+    def _invoke(
+        self, wid: int, topology: Topology, slots: Tuple[int, ...], gen: int
+    ) -> None:
+        """Run one work item: a chunk of ready slots.
+
+        On the inline route (host-only, no retry/timeout policy, no
+        sanitizer) a slot costs its callable, one :meth:`Topology.release`
+        and a lane counter store; a completed slot's ready successors
+        continue in this loop with no queue or notifier round trip
+        (one chunk stays local, the excess spills as stealable chunk
+        items).  Every other slot takes the _Attempt route: GPU
+        visitors, retries, watchdogs and quiescence recovery, with its
+        successors released by :meth:`_finish_node`.  A failed or
+        cancelled topology flushes its remaining slots unrun.
+        """
         if gen != topology.gen:
-            # recovery invalidated this item and rescheduled the node
+            # recovery invalidated this item and rescheduled its slots
             return
+        inline = topology.inline
+        nodes = topology.lowering.nodes
+        callables = topology.callables
+        release = topology.release
+        observers = self._observers
+        m_tasks = self._m_tasks
+        todo = list(slots)
+        while todo:
+            s = todo.pop()
+            if not inline:
+                self._invoke_attempt(wid, topology, s, gen)
+                continue
+            if topology.error is not None:
+                # fast-cancel: count the slot without running it
+                self._m_flushed.inc(wid)
+            elif observers:
+                node = nodes[s]
+                m_tasks.inc(wid)
+                for obs in observers:
+                    obs.on_task_begin(wid, node)
+                try:
+                    callables[s]()
+                except BaseException as exc:  # noqa: BLE001
+                    self._fail_task(topology, node, exc)
+                for obs in observers:
+                    obs.on_task_end(wid, node)
+            else:
+                m_tasks.inc(wid)
+                try:
+                    callables[s]()
+                except BaseException as exc:  # noqa: BLE001
+                    self._fail_task(topology, nodes[s], exc)
+            ready = release(s)
+            if ready is None:
+                continue
+            if ready is PASS_DONE:
+                self._pass_done(topology)
+                return
+            todo.extend(ready)
+            extra = len(todo) - _CHUNK
+            if extra > 0:
+                # keep one chunk for inline continuation; spill the
+                # rest so idle workers can steal the fan-out
+                self._schedule(topology, todo[:extra], gen)
+                del todo[:extra]
+
+    def _invoke_attempt(
+        self, wid: int, topology: Topology, slot: int, gen: int
+    ) -> None:
+        """The _Attempt route for one slot (visitor over task types)."""
         if not topology.enter():
             # a device failure awaits quiescence; recovery reschedules
             return
@@ -1480,27 +1498,24 @@ class Executor:
             self._leave(topology)
             return
         if topology.failed:
-            # fast-cancel: flush remaining nodes without running them
+            # fast-cancel: flush remaining slots without running them
             self._m_flushed.inc(wid)
-            self._finish_node(topology, node, gen)
+            self._finish_node(topology, slot, gen)
             self._leave(topology)
             return
+        node = topology.lowering.nodes[slot]
         self._m_tasks.inc(wid)
         for obs in self._observers:
             obs.on_task_begin(wid, node)
         timeout_s = node.timeout_s if node.timeout_s is not None else topology.timeout_s
-        attempt = _Attempt(topology, node, wid, gen, timeout_s)
+        attempt = _Attempt(topology, slot, wid, gen, timeout_s)
         try:
             if topology.degraded and node.type.is_gpu:
                 self._invoke_degraded(attempt)
             elif node.type is TaskType.HOST:
-                fn = node.callable
-                if topology.bound is not None:
-                    # frozen general path with run(..., bindings=...):
-                    # the override lives on the submission, never on
-                    # the shared (immutable) node
-                    fn = topology.bound.get(node.nid, fn)
-                assert fn is not None
+                # the submission's callable table: the graph as lowered
+                # at submission, plus any run(..., bindings=...) patch
+                fn = topology.callables[slot]
                 if topology.sanitizer is not None:
                     # attribute proxy accesses to this task for the
                     # duration of the call (docs/analysis.md)
@@ -1520,111 +1535,6 @@ class Executor:
                 raise ExecutorError(f"cannot execute task of type {node.type}")
         except BaseException as exc:  # noqa: BLE001 - routed to policy
             self._attempt_finished(attempt, exc)
-
-    def _invoke_fast(
-        self, wid: int, rtop: ReplayTopology, slots: Tuple[int, ...], gen: int
-    ) -> None:
-        """Slot-based replay fast path (host-only frozen graphs).
-
-        Processes a chunk of ready slots with *inline continuation*:
-        when a completed slot readies exactly one successor (the chain
-        case) it runs in the same loop iteration with no queue or
-        notifier round trip; wider fan-out keeps up to one chunk local
-        and spills the rest as stealable chunk items.  Per task this
-        costs one lock acquisition (successor release + pass
-        accounting under ``replay_lock``), the callable, and a lane
-        counter store — no per-node ``_Attempt`` allocation, no
-        enter/leave traffic (host-only graphs cannot see device
-        failures), no per-task dict churn.  Cancellation and deadlines
-        still apply: a failed/cancelled topology flushes remaining
-        slots unrun, exactly like the general path.
-        """
-        if gen != rtop.gen:  # pragma: no cover - host-only: never bumps
-            return
-        frozen = rtop.frozen
-        nodes = frozen.nodes
-        callables = rtop.callables
-        succ_slots = frozen.succ_slots
-        joins = rtop.joins
-        lock = rtop.replay_lock
-        observers = self._observers
-        queue = self._queues[wid]
-        notify = self._notifier.notify_one
-        m_tasks = self._m_tasks
-        m_flushed = self._m_flushed
-        todo = list(slots)
-        while todo:
-            s = todo.pop()
-            if rtop.failed:
-                # fast-cancel: count the slot without running it
-                m_flushed.inc(wid)
-            else:
-                m_tasks.inc(wid)
-                if observers:
-                    node = nodes[s]
-                    for obs in observers:
-                        obs.on_task_begin(wid, node)
-                    try:
-                        callables[s]()
-                    except BaseException as exc:  # noqa: BLE001
-                        self._fast_task_failed(rtop, s, exc)
-                    for obs in observers:
-                        obs.on_task_end(wid, node)
-                else:
-                    try:
-                        callables[s]()
-                    except BaseException as exc:  # noqa: BLE001
-                        self._fast_task_failed(rtop, s, exc)
-            ready: Optional[List[int]] = None
-            with lock:
-                for t in succ_slots[s]:
-                    nt = joins[t] - 1
-                    joins[t] = nt
-                    if nt == 0:
-                        if ready is None:
-                            ready = [t]
-                        else:
-                            ready.append(t)
-                rtop.pending -= 1
-                done = rtop.pending == 0
-            if ready is not None:
-                todo.extend(ready)
-                extra = len(todo) - _FAST_CHUNK
-                if extra > 0:
-                    # keep one chunk for inline continuation; spill the
-                    # rest so idle workers can steal the fan-out
-                    spill = todo[:extra]
-                    del todo[:extra]
-                    for i in range(0, extra, _FAST_CHUNK):
-                        queue.push(
-                            (rtop, tuple(spill[i : i + _FAST_CHUNK]), gen)
-                        )
-                        notify()
-            if done:
-                if rtop.pass_completed():
-                    self._finalize_topology(rtop)
-                else:
-                    self._dispatch_pass(rtop)
-                return
-
-    def _fast_task_failed(
-        self, rtop: ReplayTopology, slot: int, exc: BaseException
-    ) -> None:
-        """Record a fast-path task failure (rare path, kept cold).
-
-        Fast-path eligibility guarantees no retry policy is in play, so
-        the raw exception fails the topology — the same terminal
-        behavior the general path has without resilience."""
-        node = rtop.frozen.nodes[slot]
-        rtop.record_attempt(node.nid, exc)
-        rtop.event(
-            "task_failed",
-            task=node.name,
-            nid=node.nid,
-            attempts=1,
-            error=type(exc).__name__,
-        )
-        rtop.fail(exc)
 
     def _invoke_degraded(self, attempt: _Attempt) -> None:
         """Run a GPU task on the host (zero survivors; docs/resilience.md)."""
@@ -1672,7 +1582,7 @@ class Executor:
             self._task_done(
                 attempt.wid,
                 attempt.topology,
-                attempt.node,
+                attempt.slot,
                 stream=attempt.stream,
                 fallback=attempt.fallback,
                 gen=attempt.gen,
@@ -1744,15 +1654,37 @@ class Executor:
             elif gen != topology.gen:
                 pass  # superseded by a recovery pass; ditto
             elif delay <= 0:
-                self._schedule(topology, node, gen)
+                self._schedule(topology, (attempt.slot,), gen)
             else:
                 self._timer.schedule(
-                    delay, lambda: self._retry_fire(topology, node, gen)
+                    delay, lambda: self._retry_fire(topology, attempt.slot, gen)
                 )
             return
 
-        # terminal: wrap in TaskFailedError when resilience was in play,
-        # keep the raw exception otherwise (backward compatible)
+        self._fail_task(topology, node, err, history, policy)
+        # a timed-out op never completed on its stream: committing its
+        # ops_executed as a stream_seq would collide with a real op
+        stream = None if isinstance(err, TaskTimeoutError) else attempt.stream
+        self._task_done(wid, topology, attempt.slot, stream=stream, gen=attempt.gen)
+        if self._leave(topology):
+            self._recover(topology)
+
+    def _fail_task(
+        self,
+        topology: Topology,
+        node: Node,
+        err: BaseException,
+        history: Optional[List[BaseException]] = None,
+        policy: Optional[object] = None,
+    ) -> None:
+        """Terminal task failure on either route: fail the topology
+        with *err*, wrapped in TaskFailedError when resilience was in
+        play, raw otherwise (backward compatible).  *history* is the
+        node's attempt history; None records *err* as its only
+        attempt (the inline route has no retries)."""
+        if history is None:
+            history = topology.record_attempt(node.nid, err)
+        n_attempt = len(history)
         if policy is not None or isinstance(err, TaskTimeoutError):
             wrapped: BaseException = TaskFailedError(
                 node.name, node.nid, history, topology.attempt_details(node.nid)
@@ -1770,22 +1702,13 @@ class Executor:
             error=type(err).__name__,
         )
         topology.fail(wrapped)
-        # a timed-out op never completed on its stream: committing its
-        # ops_executed as a stream_seq would collide with a real op
-        stream = None if isinstance(err, TaskTimeoutError) else attempt.stream
-        self._task_done(wid, topology, node, stream=stream, gen=attempt.gen)
-        if self._leave(topology):
-            self._recover(topology)
 
-    def _retry_fire(self, topology: Topology, node: Node, gen: int) -> None:
-        """Delayed-retry timer target; drops if recovery superseded it."""
-        if topology.gen != gen or topology.failed:
-            if topology.failed and topology.gen == gen:
-                # the topology failed while we waited: flush the node
-                # through the normal cascade so the pass can finish
-                self._schedule(topology, node, gen)
-            return
-        self._schedule(topology, node, gen)
+    def _retry_fire(self, topology: Topology, slot: int, gen: int) -> None:
+        """Delayed-retry timer target; drops if recovery superseded it.
+        A topology that failed while we waited flushes the slot through
+        the normal cascade so the pass can finish."""
+        if topology.gen == gen:
+            self._schedule(topology, (slot,), gen)
 
     def _leave(self, topology: Topology) -> bool:
         return topology.leave()
@@ -1824,12 +1747,12 @@ class Executor:
 
         Retracts committed GPU executions whose device state was lost,
         re-places stranded groups onto survivors (or degrades to host
-        fallbacks), rebuilds join counters over the remaining nodes,
+        fallbacks), rebuilds the slot joins over the remaining slots,
         and re-dispatches the ready ones under a fresh generation.
         """
         while True:
             dead = topology.take_recovery()
-            nodes = topology.graph.nodes
+            nodes = topology.lowering.nodes
             alive = self.alive_gpus
             if not topology.failed:
                 # retract committed pull/kernel executions whose device
@@ -1880,16 +1803,9 @@ class Executor:
                         topology.degraded = True
                         self._m_degraded.inc()
                         topology.event("degraded", at="recovery", alive=[])
-            # rebuild scheduling state over the not-yet-done nodes; the
+            # rebuild scheduling state over the not-yet-done slots; the
             # flush cascade handles them if the topology failed above
-            done = set(topology.done_nodes)
-            remaining = [n for n in nodes if n.nid not in done]
-            for n in remaining:
-                n.join_counter = sum(
-                    1 for d in n.dependents if d.nid not in done
-                )
-            topology.set_pending(len(remaining))
-            ready = [n for n in remaining if n.join_counter == 0]
+            ready = topology.rebuild_joins()
             if topology.finish_recovery():
                 # another device died while we recovered: go again
                 continue
@@ -1897,16 +1813,14 @@ class Executor:
             # failure arriving mid-loop bumps the topology generation,
             # and later items must NOT survive into the next recovery
             # pass's own rescheduling
-            gen = topology.gen
-            for n in ready:
-                self._schedule(topology, n, gen)
+            self._schedule(topology, ready, topology.gen)
             return
 
     def _task_done(
         self,
         wid: int,
         topology: Topology,
-        node: Node,
+        slot: int,
         stream: Optional[Stream] = None,
         fallback: bool = False,
         gen: Optional[int] = None,
@@ -1914,6 +1828,7 @@ class Executor:
         # for GPU tasks this runs on the stream dispatcher thread, so
         # ops_executed is stable and identifies the completing op
         seq = stream.ops_executed if stream is not None else None
+        node = topology.lowering.nodes[slot]
         replayed = node.nid in topology.replayed
         topology.mark_done(node.nid)
         for obs in self._observers:
@@ -1925,19 +1840,25 @@ class Executor:
                 fallback=fallback,
                 replayed=replayed,
             )
-        self._finish_node(topology, node, gen)
+        self._finish_node(topology, slot, gen)
 
     def _finish_node(
-        self, topology: Topology, node: Node, gen: Optional[int] = None
+        self, topology: Topology, slot: int, gen: Optional[int] = None
     ) -> None:
-        for succ in node.successors:
-            if succ.release_dependency():
-                self._schedule(topology, succ, gen)
-        if topology.node_finished():
-            if topology.pass_completed():
-                self._finalize_topology(topology)
-            else:
-                self._dispatch_pass(topology)
+        """_Attempt-route completion: release the slot's successors
+        through the topology's slot-join step and schedule the ready
+        ones."""
+        ready = topology.release(slot)
+        if ready is PASS_DONE:
+            self._pass_done(topology)
+        elif ready is not None:
+            self._schedule(topology, ready, gen)
+
+    def _pass_done(self, topology: Topology) -> None:
+        if topology.pass_completed():
+            self._finalize_topology(topology)
+        else:
+            self._dispatch_pass(topology)
 
     # -- GPU task visitors ------------------------------------------
     def _stream_for(self, wid: int, device_ordinal: int) -> Stream:

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import io
 import itertools
-from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Type
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro.core.node import Node, TaskType
 from repro.core.task import HostTask, KernelTask, PullTask, PushTask, Task, handle_for
@@ -113,47 +112,69 @@ class Heteroflow:
         self._nodes.clear()
 
     # -- validation --------------------------------------------------
+    def _kahn(self) -> Tuple[List[int], List[List[int]]]:
+        """The one Kahn topological sort behind :meth:`topological_order`,
+        :meth:`validate` and slot lowering (:class:`~repro.core.topology.Lowering`).
+
+        Returns ``(order, succ)``: *order* lists creation indices in
+        ready order, *succ* maps each creation index to its successors'
+        creation indices.  Raises :class:`CycleError` on cycles and
+        :class:`GraphError` on edges escaping this graph."""
+        nodes = self._nodes
+        index = {id(n): i for i, n in enumerate(nodes)}
+        succ: List[List[int]] = []
+        for n in nodes:
+            try:
+                succ.append([index[id(s)] for s in n.successors])
+            except KeyError:
+                s = next(s for s in n.successors if id(s) not in index)
+                raise GraphError(
+                    f"task {n.name!r} precedes {s.name!r}, "
+                    f"which belongs to a different graph"
+                ) from None
+        indeg = [len(n.dependents) for n in nodes]
+        # FIFO Kahn: the ready queue, read from *head*, is the order
+        order = [i for i, d in enumerate(indeg) if d == 0]
+        head = 0
+        while head < len(order):
+            for j in succ[order[head]]:
+                indeg[j] -= 1
+                if indeg[j] == 0:
+                    order.append(j)
+            head += 1
+        if len(order) != len(nodes):
+            raise CycleError([n.name for n, d in zip(nodes, indeg) if d > 0])
+        return order, succ
+
     def topological_order(self) -> List[Node]:
         """Kahn topological order; raises :class:`CycleError` on cycles
         and :class:`GraphError` on edges escaping this graph."""
-        own = set(map(id, self._nodes))
-        indeg: Dict[int, int] = {}
+        nodes = self._nodes
+        return [nodes[i] for i in self._kahn()[0]]
+
+    def _check_work(self) -> None:
+        """Raise :class:`GraphError` for the first node without work."""
+        host, pull, push = TaskType.HOST, TaskType.PULL, TaskType.PUSH
         for n in self._nodes:
-            indeg[id(n)] = len(n.dependents)
-            for s in n.successors:
-                if id(s) not in own:
-                    raise GraphError(
-                        f"task {n.name!r} precedes {s.name!r}, "
-                        f"which belongs to a different graph"
-                    )
-        ready = deque(n for n in self._nodes if indeg[id(n)] == 0)
-        order: List[Node] = []
-        while ready:
-            n = ready.popleft()
-            order.append(n)
-            for s in n.successors:
-                indeg[id(s)] -= 1
-                if indeg[id(s)] == 0:
-                    ready.append(s)
-        if len(order) != len(self._nodes):
-            stuck = [n.name for n in self._nodes if indeg[id(n)] > 0]
-            raise CycleError(stuck)
-        return order
+            t = n.type
+            if t is host:
+                if n.callable is None:
+                    raise GraphError(f"host task {n.name!r} has no callable")
+            elif t is TaskType.PLACEHOLDER:
+                raise GraphError(f"placeholder task {n.name!r} was never assigned work")
+            elif t is pull:
+                if n.span is None:
+                    raise GraphError(f"pull task {n.name!r} has no span")
+            elif t is push:
+                if n.source is None or n.span is None:
+                    raise GraphError(f"push task {n.name!r} is incompletely bound")
+            elif n.kernel_fn is None:
+                raise GraphError(f"kernel task {n.name!r} has no kernel")
 
     def validate(self) -> None:
         """Check the graph is acyclic and every node has work bound."""
-        self.topological_order()
-        for n in self._nodes:
-            if n.type is TaskType.PLACEHOLDER:
-                raise GraphError(f"placeholder task {n.name!r} was never assigned work")
-            if n.type is TaskType.HOST and n.callable is None:
-                raise GraphError(f"host task {n.name!r} has no callable")
-            if n.type is TaskType.PULL and n.span is None:
-                raise GraphError(f"pull task {n.name!r} has no span")
-            if n.type is TaskType.PUSH and (n.source is None or n.span is None):
-                raise GraphError(f"push task {n.name!r} is incompletely bound")
-            if n.type is TaskType.KERNEL and n.kernel_fn is None:
-                raise GraphError(f"kernel task {n.name!r} has no kernel")
+        self._kahn()
+        self._check_work()
 
     @property
     def has_gpu_tasks(self) -> bool:
@@ -169,13 +190,14 @@ class Heteroflow:
         """Compile this graph into an immutable
         :class:`~repro.core.topology.FrozenTopology` (idempotent).
 
-        One planning pass validates the graph and precomputes the
-        topological ready-order slots, per-slot successor lists, join
-        counters, and host callables; the executor adds (and caches)
-        the device-placement plan and buddy-rounded footprint on first
-        submission.  ``Executor.run(frozen)`` then replays the graph
-        through a slot-based fast path with no per-submission
-        validation, placement, or per-node allocation.
+        The graph is lowered to slots once — the same
+        :class:`~repro.core.topology.Lowering` a fresh submission builds
+        every time: topological ready-order slots, per-slot successor
+        lists, join counters, and host callables; the executor adds
+        (and caches) the device-placement plan and buddy-rounded
+        footprint on first submission.  ``Executor.run(frozen)`` then
+        replays the stored lowering with no per-submission validation,
+        lowering, or placement.
 
         Freezing is one-way: every later mutation — task creation,
         ``precede``/``succeed``, work rebinding, retry/timeout/launch

@@ -1,17 +1,18 @@
 """Graph nodes: the internal storage behind task handles.
 
 A node stores its task type, a polymorphic work payload, dependency
-edges, and per-run scheduling state (join counter, assigned device,
-device buffer for pull tasks).  User code never touches nodes directly;
-the task-handle layer (:mod:`repro.core.task`) wraps them, exactly as
-the paper's handle layer wraps graph-node pointers to "prevent users
-from direct access to the internal graph storage".
+edges, and per-run device state (assigned device, device buffer for
+pull tasks).  Readiness is not tracked here: join counters live on the
+submission's topology (:mod:`repro.core.topology`).  User code never
+touches nodes directly; the task-handle layer (:mod:`repro.core.task`)
+wraps them, exactly as the paper's handle layer wraps graph-node
+pointers to "prevent users from direct access to the internal graph
+storage".
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
@@ -40,7 +41,12 @@ class TaskType(Enum):
 
     @property
     def is_gpu(self) -> bool:
-        return self in (TaskType.PULL, TaskType.PUSH, TaskType.KERNEL)
+        return self in _GPU_TYPES
+
+
+# built once: attribute lookups on the enum class are slow, and is_gpu
+# runs per node in lowering and placement
+_GPU_TYPES = (TaskType.PULL, TaskType.PUSH, TaskType.KERNEL)
 
 
 class Node:
@@ -63,11 +69,9 @@ class Node:
         "kernel_reads",  # KERNEL: pulls declared read-only (hflint)
         "kernel_writes",  # KERNEL: pulls declared written (hflint)
         "launch",  # KERNEL: LaunchConfig
-        # per-run scheduling state
-        "join_counter",
+        # per-run device state
         "device",
         "buffer",
-        "_lock",
         # resilience (docs/resilience.md)
         "retry_policy",  # per-task RetryPolicy override
         "timeout_s",  # per-task deadline override (seconds)
@@ -96,10 +100,8 @@ class Node:
         self.kernel_reads: set = set()
         self.kernel_writes: set = set()
         self.launch = LaunchConfig()
-        self.join_counter = 0
         self.device: Optional[int] = None
         self.buffer: Optional["DeviceBuffer"] = None
-        self._lock = threading.Lock()
         self.retry_policy = None
         self.timeout_s: Optional[float] = None
         self.fallback_fn: Optional[Callable] = None
@@ -131,16 +133,6 @@ class Node:
     def is_source(self) -> bool:
         """True if the node has no dependents (run-ready at start)."""
         return not self.dependents
-
-    # -- per-run state -------------------------------------------------
-    def reset_join_counter(self) -> None:
-        self.join_counter = len(self.dependents)
-
-    def release_dependency(self) -> bool:
-        """Atomically decrement the join counter; True when it hits 0."""
-        with self._lock:
-            self.join_counter -= 1
-            return self.join_counter == 0
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Node({self.type.value}, {self.name!r})"

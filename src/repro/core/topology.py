@@ -28,6 +28,12 @@ the graph FIFO and the cross-graph overflow queue), its *deadline*
 (armed on the executor's timer wheel; firing cancels the submission
 with a structured ``deadline_exceeded`` event), and the admission
 ledger bookkeeping (predicted footprint, exactly-once release).
+
+Readiness is tracked here and nowhere else: every submission runs a
+:class:`Lowering` of its graph (slot order, successor slots, initial
+join counts), and the topology's per-slot join array, reset each pass,
+is released by :meth:`Topology.release` and rebuilt after device
+recovery by :meth:`Topology.rebuild_joins` (docs/runtime.md).
 """
 
 from __future__ import annotations
@@ -35,9 +41,9 @@ from __future__ import annotations
 import itertools
 import threading
 from concurrent.futures import Future, InvalidStateError
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.errors import GraphError
+from repro.errors import ExecutorError, GraphError
 from repro.resilience.policy import normalize_policy
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -46,26 +52,35 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.resilience.policy import ResiliencePolicy, RetryPolicy
 
 
+#: :meth:`Topology.release` result for the slot that completed the pass
+PASS_DONE: Tuple[int, ...] = ()
+
+
 class Topology:
     """Runtime state for one ``Executor.run*`` submission."""
 
     def __init__(
         self,
-        graph: "Heteroflow",
+        graph: Union["Heteroflow", "FrozenTopology"],
         repeats: Optional[int] = 1,
         predicate: Optional[Callable[[], bool]] = None,
         policy: Optional[object] = None,
         priority: int = 0,
         deadline_s: Optional[float] = None,
+        bindings: Optional[Dict[str, Callable]] = None,
     ) -> None:
-        """*repeats*: fixed pass count (``run``/``run_n``), or ``None``
+        """*graph*: a fresh :class:`Heteroflow` (lowered at submission
+        by :meth:`lower`) or a :class:`FrozenTopology` (its stored
+        lowering is reused).
+        *repeats*: fixed pass count (``run``/``run_n``), or ``None``
         with *predicate*: run passes until ``predicate()`` is True
         (``run_until``, checked after each pass — do/while semantics).
         *policy*: a :class:`~repro.resilience.RetryPolicy` or
         :class:`~repro.resilience.ResiliencePolicy` applied to every
         task of the submission (tasks override individually).
+        *bindings* (frozen graphs only): host-task name -> replacement
+        callable for this submission.
         """
-        self.graph = graph
         self.repeats = repeats
         self.predicate = predicate
         self.future: Future = Future()
@@ -120,19 +135,44 @@ class Topology:
         #: device ordinals whose failure awaits recovery
         self._recovery_devices: Set[int] = set()
         self._recovering = False
-        # -- freeze-and-replay (docs/runtime.md, "Freeze and replay") --
-        #: the FrozenTopology behind this submission (None = fresh run)
-        self.frozen: Optional["FrozenTopology"] = None
-        #: True when the slot-based replay fast path applies
-        self.fast = False
-        #: per-submission host-callable overrides, nid-keyed (general
-        #: path); None when no bindings were given
-        self.bound: Optional[Dict[int, Callable]] = None
         #: submission timestamp for the replay latency histogram
         self.t_submit = 0.0
         #: attached :class:`repro.analysis.sanitize.SanitizerSession`
         #: for ``run(..., sanitize=True)`` submissions; None otherwise
         self.sanitizer: Optional[object] = None
+        #: True when slots run inline (set at start: host-only, no
+        #: retry/timeout policy, no sanitizer); False = _Attempt route
+        self.inline = False
+        # -- slot state (docs/runtime.md, "Submission pipeline") --------
+        #: the slot form this submission runs (None until lower());
+        #: slot order and successor slots are read from it
+        self.lowering: Optional[Lowering] = None
+        #: slot -> host callable: the lowering's table, or a copy
+        #: patched by ``bindings=``
+        self.callables: Tuple = ()
+        #: per-slot join counters, reset from the lowering each pass
+        self.joins: List[int] = []
+        if isinstance(graph, FrozenTopology):
+            #: the FrozenTopology behind this submission (None = fresh)
+            self.frozen: Optional[FrozenTopology] = graph
+            self.graph = graph.graph
+            self.lowering = graph
+            self.callables = graph.bind(bindings) if bindings else graph.callables
+        else:
+            if bindings:
+                raise ExecutorError(
+                    "bindings= requires a FrozenTopology (Heteroflow.freeze())"
+                )
+            self.frozen = None
+            self.graph = graph
+
+    def lower(self) -> None:
+        """Validate and lower a fresh graph as it is right now; later
+        edits to the graph do not reach this submission.  Frozen
+        submissions already hold their stored lowering."""
+        if self.lowering is None:
+            self.lowering = Lowering(self.graph)
+            self.callables = self.lowering.callables
 
     # -- failure handling ----------------------------------------------
     def fail(self, error: BaseException) -> None:
@@ -161,22 +201,55 @@ class Topology:
     # -- pass accounting -------------------------------------------------
     def begin_pass(self) -> None:
         with self._lock:
-            self.pending = len(self.graph.nodes)
+            self.pending = len(self.lowering.nodes)
+            self.joins = list(self.lowering.join_init)
             self.attempts = {}
             self.attempt_log = {}
             self.done_nodes = set()
             self.replayed = set()
 
-    def node_finished(self) -> bool:
-        """Count one node done; True when the pass just completed."""
+    def release(self, slot: int) -> Optional[Sequence[int]]:
+        """The slot-join step: count *slot* done and release its
+        successors.  Returns the successor slots whose join counter
+        reached zero, None when none did, or :data:`PASS_DONE` when
+        *slot* completed the pass (then no successor is ready: a ready
+        one would still be pending).  One value, not a pair: building
+        and unpacking a tuple per task costs the inline route ~2%."""
+        ready = None
         with self._lock:
+            joins = self.joins
+            for t in self.lowering.succ_slots[slot]:
+                n = joins[t] - 1
+                joins[t] = n
+                if n == 0:
+                    if ready is None:
+                        ready = [t]
+                    else:
+                        ready.append(t)
             self.pending -= 1
-            return self.pending == 0
+            if self.pending == 0:
+                return PASS_DONE
+            return ready
 
-    def set_pending(self, n: int) -> None:
-        """Reset the remaining-node count (recovery re-baselines it)."""
+    def rebuild_joins(self) -> List[int]:
+        """Recovery: recount each not-done slot's join counter over its
+        not-done predecessors, re-baseline the pass count, and return
+        the slots that are ready now.  A done slot (a finished push
+        whose pull and kernel were retracted) must not run again: its
+        counter is parked at -1, which a later release only lowers."""
         with self._lock:
-            self.pending = n
+            done = self.done_nodes
+            nodes = self.lowering.nodes
+            succ_slots = self.lowering.succ_slots
+            joins = self.joins
+            joins[:] = [-1 if n.nid in done else 0 for n in nodes]
+            remaining = [s for s, j in enumerate(joins) if j == 0]
+            for s in remaining:
+                for t in succ_slots[s]:
+                    if joins[t] >= 0:
+                        joins[t] += 1
+            self.pending = len(remaining)
+            return [s for s in remaining if joins[s] == 0]
 
     def pass_completed(self) -> bool:
         """Record a finished pass; True when the topology should stop."""
@@ -303,67 +376,48 @@ class Topology:
             return bool(self._recovery_devices) or self._recovering
 
 
-_frozen_ids = itertools.count()
+class Lowering:
+    """The slot form of a graph: the only form the executor runs.
 
-
-class FrozenTopology:
-    """Immutable compiled form of a :class:`Heteroflow` graph.
-
-    Built by :meth:`Heteroflow.freeze`: one planning pass validates the
-    graph and lowers it to *slots* — a topological order where node
-    *s*'s successor and join-counter state are plain tuple lookups, no
-    per-node dict or lock traffic.  The executor keys its compiled-plan
-    cache (placement grouping, device assignment, buddy-rounded
-    footprint) on :attr:`fid`, so repeated ``run(frozen)`` submissions
-    replay without re-running Algorithm-1 placement or graph
-    validation (docs/runtime.md, "Freeze and replay").
-
-    The compiled state is shared by every replay and never mutated;
-    per-submission state (join counters, callables patched by
-    ``bindings=``) lives on the :class:`ReplayTopology`.
+    One Kahn sort (shared with :meth:`Heteroflow.validate` and
+    :meth:`Heteroflow.topological_order`) validates the graph and
+    lowers it to *slots* — a topological order where slot *s*'s
+    successors and initial join counter are plain tuple lookups.  A
+    fresh submission lowers its graph once (:meth:`Topology.lower`); a
+    :class:`FrozenTopology` is a lowering kept for every replay.
     """
 
     def __init__(self, graph: "Heteroflow") -> None:
-        if graph.empty:
-            raise GraphError(f"cannot freeze empty graph {graph.name!r}")
-        graph.validate()
-        order = graph.topological_order()
+        order, succ = graph._kahn()
+        graph._check_work()
         self.graph = graph
-        #: plan-cache key: unique per freeze, stable across submissions
-        self.fid = next(_frozen_ids)
+        all_nodes = graph.nodes
+        slot_of = [0] * len(order)
+        for s, i in enumerate(order):
+            slot_of[i] = s
         #: slot -> node, in topological (ready) order
-        self.nodes: Tuple = tuple(order)
-        slot_of = {id(n): s for s, n in enumerate(order)}
+        self.nodes: Tuple = tuple([all_nodes[i] for i in order])
         #: slot -> successor slots (tuple of ints)
         self.succ_slots: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(slot_of[id(s)] for s in n.successors) for n in order
+            [tuple([slot_of[j] for j in succ[i]]) for i in order]
         )
         #: slot -> initial join counter (number of dependents)
         self.join_init: Tuple[int, ...] = tuple(
-            len(n.dependents) for n in order
+            [len(n.dependents) for n in self.nodes]
         )
         #: slots with no dependents (run-ready at pass start)
         self.source_slots: Tuple[int, ...] = tuple(
-            s for s, n in enumerate(order) if not n.dependents
+            [s for s, d in enumerate(self.join_init) if d == 0]
         )
         #: slot -> host callable (None for GPU slots)
-        self.callables: Tuple = tuple(n.callable for n in order)
-        self.has_gpu = any(n.type.is_gpu for n in order)
-        #: slot-based fast path: host-only graphs with no per-task
-        #: resilience overrides (GPU slots and retry/timeout routing
-        #: go through the general per-node machinery)
+        self.callables: Tuple = tuple([n.callable for n in self.nodes])
+        self.has_gpu = any(n.type.is_gpu for n in self.nodes)
+        #: slots can run inline: host-only, no per-task resilience
+        #: overrides (GPU slots and retry/timeout routing take the
+        #: executor's _Attempt route)
         self.fast_capable = not self.has_gpu and all(
-            n.retry_policy is None and n.timeout_s is None for n in order
+            n.retry_policy is None and n.timeout_s is None for n in self.nodes
         )
-        # bindings lookup: host-task name -> slot; duplicate names are
-        # poisoned (-1) and rejected at bind time
-        host_slots: Dict[str, int] = {}
-        for s, n in enumerate(order):
-            if n.callable is not None:
-                host_slots[n.name] = -1 if n.name in host_slots else s
-        self._host_slots = host_slots
-        self._footprint: Optional[int] = None
-        self._lint_cache: Dict[tuple, object] = {}
 
     @property
     def name(self) -> str:
@@ -375,6 +429,64 @@ class FrozenTopology:
 
     def __len__(self) -> int:
         return len(self.nodes)
+
+
+_frozen_ids = itertools.count()
+
+
+class FrozenTopology(Lowering):
+    """Immutable compiled form of a :class:`Heteroflow` graph.
+
+    Built by :meth:`Heteroflow.freeze`: the graph's :class:`Lowering`,
+    kept for every replay.  The executor keys its compiled-plan cache
+    (placement grouping, device assignment, buddy-rounded footprint) on
+    :attr:`fid`, so repeated ``run(frozen)`` submissions replay without
+    re-running Algorithm-1 placement or graph validation
+    (docs/runtime.md, "Freeze and replay").
+
+    The compiled state is shared by every replay and never mutated;
+    per-submission state (join counters, callables patched by
+    ``bindings=``) lives on the :class:`Topology`.
+    """
+
+    def __init__(self, graph: "Heteroflow") -> None:
+        if graph.empty:
+            raise GraphError(f"cannot freeze empty graph {graph.name!r}")
+        super().__init__(graph)
+        #: plan-cache key: unique per freeze, stable across submissions
+        self.fid = next(_frozen_ids)
+        # bindings lookup: host-task name -> slot; duplicate names are
+        # poisoned (-1) and rejected at bind time
+        host_slots: Dict[str, int] = {}
+        for s, n in enumerate(self.nodes):
+            if n.callable is not None:
+                host_slots[n.name] = -1 if n.name in host_slots else s
+        self._host_slots = host_slots
+        self._footprint: Optional[int] = None
+        self._lint_cache: Dict[tuple, object] = {}
+
+    def bind(self, bindings: Dict[str, Callable]) -> Tuple:
+        """The per-slot callable table with *bindings* (host-task name
+        -> callable) patched in; the frozen table stays untouched."""
+        callables = list(self.callables)
+        for name, fn in bindings.items():
+            slot = self._host_slots.get(name)
+            if slot is None:
+                raise GraphError(
+                    f"bindings: frozen graph {self.graph.name!r} has "
+                    f"no host task named {name!r}"
+                )
+            if slot < 0:
+                raise GraphError(
+                    f"bindings: host task name {name!r} is ambiguous "
+                    f"in frozen graph {self.graph.name!r}"
+                )
+            if not callable(fn):
+                raise GraphError(
+                    f"bindings: value for {name!r} is not callable"
+                )
+            callables[slot] = fn
+        return tuple(callables)
 
     def predicted_footprint(self) -> int:
         """Buddy-rounded device-memory footprint, computed once.
@@ -418,75 +530,3 @@ class FrozenTopology:
             f"FrozenTopology({self.graph.name!r}, slots={len(self.nodes)}, "
             f"fast={self.fast_capable})"
         )
-
-
-class ReplayTopology(Topology):
-    """Per-submission state for one replay of a :class:`FrozenTopology`.
-
-    Inherits the whole submission lifecycle from :class:`Topology`
-    (graph FIFO, futures, cancel/deadline, admission release, drain and
-    shutdown stranding guarantees) and adds the preallocated slot state
-    the executor's fast path mutates: a per-slot join-counter array
-    reset from the frozen ``join_init`` each pass, one lock covering
-    successor release + pass accounting, and the (possibly
-    ``bindings``-patched) per-slot callable table.
-    """
-
-    def __init__(
-        self,
-        frozen: FrozenTopology,
-        repeats: Optional[int] = 1,
-        predicate: Optional[Callable[[], bool]] = None,
-        policy: Optional[object] = None,
-        priority: int = 0,
-        deadline_s: Optional[float] = None,
-        bindings: Optional[Dict[str, Callable]] = None,
-    ) -> None:
-        super().__init__(
-            frozen.graph,
-            repeats=repeats,
-            predicate=predicate,
-            policy=policy,
-            priority=priority,
-            deadline_s=deadline_s,
-        )
-        self.frozen = frozen
-        if bindings:
-            callables = list(frozen.callables)
-            bound: Dict[int, Callable] = {}
-            for name, fn in bindings.items():
-                slot = frozen._host_slots.get(name)
-                if slot is None:
-                    raise GraphError(
-                        f"bindings: frozen graph {frozen.graph.name!r} has "
-                        f"no host task named {name!r}"
-                    )
-                if slot < 0:
-                    raise GraphError(
-                        f"bindings: host task name {name!r} is ambiguous "
-                        f"in frozen graph {frozen.graph.name!r}"
-                    )
-                if not callable(fn):
-                    raise GraphError(
-                        f"bindings: value for {name!r} is not callable"
-                    )
-                callables[slot] = fn
-                bound[frozen.nodes[slot].nid] = fn
-            self.callables: Tuple = tuple(callables)
-            self.bound = bound
-        else:
-            # share the frozen table: zero per-submission allocation
-            self.callables = frozen.callables
-        #: per-slot join counters, reset from join_init each pass
-        self.joins: List[int] = list(frozen.join_init)
-        #: one lock per completion: successor release + pass accounting
-        self.replay_lock = threading.Lock()
-        #: slot fast path applies only without run-level resilience
-        self.fast = (
-            frozen.fast_capable
-            and self.retry_policy is None
-            and self.timeout_s is None
-        )
-
-    def reset_joins(self) -> None:
-        self.joins[:] = self.frozen.join_init

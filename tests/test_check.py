@@ -11,6 +11,7 @@ from repro.check import (
     run_stress,
     validate_schedule,
 )
+from repro.check.mutants import ROUTES
 from repro.core import Executor, Heteroflow, TraceObserver
 from repro.core.observer import TaskRecord
 from repro.errors import ValidationError
@@ -237,12 +238,20 @@ class TestAuditor:
 class TestMutantSelftest:
     def test_validator_catches_seeded_scheduler_bug(self):
         """The checker has teeth: a premature-dependency-release mutant
-        is flagged while the reference executor passes."""
+        is flagged while the reference executor passes — on both the
+        inline route and the _Attempt route."""
         result = run_mutant_selftest(delay=0.2)
         assert result.caught
-        kinds = {v.kind for v in result.reports["mutant"].violations}
-        assert "happens-before" in kinds
-        assert result.reports["reference"].ok
+        assert set(ROUTES) == {"inline", "attempt"}
+        for route in ROUTES:
+            kinds = {v.kind for v in result.reports[f"mutant/{route}"].violations}
+            assert "happens-before" in kinds, route
+            assert result.reports[f"reference/{route}"].ok, route
+        # the runs really took the route they are named after
+        assert result.fast_path == {
+            "mutant/inline": 1, "reference/inline": 1,
+            "mutant/attempt": 0, "reference/attempt": 0,
+        }
 
 
 class TestStressHarness:

@@ -170,6 +170,27 @@ class TestRepeatedExecution:
         executor.run_n(hf, 4).result(timeout=30)
         assert len(data) == 16
 
+    def test_fresh_graph_lowered_again_every_submission(self):
+        """A fresh submission runs the graph as it was at submission
+        time: an edge added and a callable rebound between two runs
+        both reach the second run."""
+        log = []
+        hf = Heteroflow()
+        tasks = {
+            name: hf.host(lambda name=name: log.append(name), name=name)
+            for name in ("a", "b")
+        }
+        with Executor(1, 0) as ex:  # one worker: a deterministic order
+            ex.run(hf).result(timeout=30)
+            first, second = log
+            log.clear()
+            # reverse the order the first run happened to use, and
+            # rebind the task that now has to wait
+            tasks[second].precede(tasks[first])
+            tasks[first].host(lambda: log.append("rebound"))
+            ex.run(hf).result(timeout=30)
+        assert log == [second, "rebound"]
+
 
 class TestErrors:
     def test_host_exception_reaches_future(self, executor):

@@ -4,7 +4,8 @@ import pytest
 
 from repro.apps.timing.cppr import generate_clock_tree, setup_slack_with_cppr
 from repro.core import Heteroflow
-from repro.core.topology import Topology
+from repro.core.topology import PASS_DONE, Topology
+from repro.errors import ExecutorError
 
 
 class TestTopology:
@@ -16,10 +17,68 @@ class TestTopology:
 
     def test_pass_accounting(self):
         t = Topology(self.graph(3), repeats=2)
+        t.lower()
         t.begin_pass()
-        assert not t.node_finished()
-        assert not t.node_finished()
-        assert t.node_finished()  # third node completes the pass
+        assert t.release(0) is None
+        assert t.release(1) is None
+        assert t.release(2) is PASS_DONE  # third node completes the pass
+
+    def test_slot_joins_release_and_rebuild(self):
+        """The topology owns readiness: a diamond's join slot is ready
+        only after both predecessors, and recovery recounts the joins
+        over the slots not yet done."""
+        hf = Heteroflow()
+        a, b, c, d = (hf.host(lambda: None, name=n) for n in "abcd")
+        a.precede(b, c)
+        d.succeed(b, c)
+        t = Topology(hf, repeats=1)
+        t.lower()
+        nodes = t.lowering.nodes
+        assert [n.name for n in nodes] == ["a", "b", "c", "d"]
+        t.begin_pass()
+        assert t.release(0) == [1, 2]
+        assert t.release(1) is None
+        t.mark_done(nodes[0].nid)
+        t.mark_done(nodes[1].nid)
+        # b is done, c is not: d waits on c alone, c is ready now;
+        # done slots are parked at -1
+        assert t.rebuild_joins() == [2]
+        assert t.joins == [-1, -1, 0, 1]
+        assert t.release(2) == [3]
+        assert t.release(3) is PASS_DONE
+
+    def test_rebuild_never_readies_a_done_slot(self):
+        """Recovery retracts a finished pull and kernel but keeps the
+        finished push: re-running the kernel must not release the push
+        again, nor count it against the pass a second time."""
+        hf = Heteroflow()
+        p, k, s, h = (hf.host(lambda: None, name=n) for n in "pksh")
+        p.precede(k)
+        k.precede(s)
+        s.precede(h)
+        t = Topology(hf, repeats=1)
+        t.lower()
+        nodes = t.lowering.nodes
+        assert [n.name for n in nodes] == ["p", "k", "s", "h"]
+        t.begin_pass()
+        for slot in range(3):
+            t.release(slot)
+            t.mark_done(nodes[slot].nid)
+        # p and k retracted (their device died), s stays done; h was
+        # released by s but its item went stale, so it is ready again
+        t.done_nodes -= {nodes[0].nid, nodes[1].nid}
+        assert t.rebuild_joins() == [0, 3]
+        assert t.joins == [0, 1, -1, 0]
+        assert t.pending == 3
+        assert t.release(3) is None
+        assert t.release(0) == [1]
+        # k's re-run does not release s, and ends the pass
+        assert t.release(1) is PASS_DONE
+        assert t.joins[2] == -2
+
+    def test_bindings_require_frozen_graph(self):
+        with pytest.raises(ExecutorError, match="FrozenTopology"):
+            Topology(self.graph(1), bindings={"x": lambda: None})
 
     def test_repeats_stop_condition(self):
         t = Topology(self.graph(1), repeats=2)

@@ -17,6 +17,7 @@ from repro.check.validate import validate_schedule
 from repro.core import Executor, Heteroflow, TraceObserver
 from repro.core.tracing import chrome_trace_events
 from repro.gpu.buddy import BuddyAllocator
+from repro.resilience import RetryPolicy
 from repro.metrics import (
     RUN_REPORT_SCHEMA,
     CriticalPathEntry,
@@ -133,10 +134,12 @@ def _diamond():
 class TestExecutorCounters:
     def test_single_worker_exact_counts(self):
         """One worker makes the pop accounting fully deterministic:
-        the submitter pushes the single source to the shared queue, and
-        every released successor lands on the worker's local queue."""
+        the submitter pushes the single source to the shared queue.
+        On the _Attempt route (here forced by a retry policy) every
+        released successor lands on the worker's local queue; on the
+        inline route they continue inline, with no further pops."""
         with Executor(num_workers=1, num_gpus=0) as ex:
-            ex.run(_diamond()).result()
+            ex.run(_diamond(), policy=RetryPolicy(max_attempts=2)).result()
             snap = ex.metrics.snapshot()
         assert snap["executor.tasks_executed"] == [4]
         assert snap["executor.tasks_flushed"] == [0]
@@ -150,13 +153,28 @@ class TestExecutorCounters:
         assert snap["executor.shared_queue_high_water"] == 1
         assert snap["executor.notify_count"] >= 1
 
+        with Executor(num_workers=1, num_gpus=0) as ex:
+            ex.run(_diamond()).result()
+            snap = ex.metrics.snapshot()
+        assert snap["executor.tasks_executed"] == [4]
+        assert snap["executor.tasks_flushed"] == [0]
+        assert snap["executor.shared_pops"] == [1]  # the source chunk
+        assert snap["executor.local_pops"] == [0]  # b, c, d ran inline
+        assert snap["executor.steals_attempted"] == [0]
+        assert snap["executor.steals_succeeded"] == [0]
+        assert snap["executor.queue_high_water"] == [0]
+        assert snap["executor.shared_queue_high_water"] == 1
+        assert snap["executor.notify_count"] >= 1
+
     def test_pop_conservation_multi_worker(self):
-        """Every executed task was obtained by exactly one pop path."""
+        """Every work item was obtained by exactly one pop path: one
+        task per item on the _Attempt route (forced by a retry
+        policy), one chunk of up to 32 sources per item inline."""
         hf = Heteroflow("wide")
         for _ in range(50):
             hf.host(lambda: None)
         with Executor(num_workers=3, num_gpus=0) as ex:
-            ex.run(hf).result()
+            ex.run(hf, policy=RetryPolicy(max_attempts=2)).result()
             ex.wait_for_all()
             snap = ex.metrics.snapshot()
         assert sum(snap["executor.tasks_executed"]) == 50
@@ -168,6 +186,25 @@ class TestExecutorCounters:
                 + snap["executor.shared_pops"][wid]
                 + snap["executor.steals_succeeded"][wid]
             )
+
+        with Executor(num_workers=3, num_gpus=0) as ex:
+            ex.run(hf).result()
+            ex.wait_for_all()
+            snap = ex.metrics.snapshot()
+        assert sum(snap["executor.tasks_executed"]) == 50
+        pops = [
+            snap["executor.local_pops"][wid]
+            + snap["executor.shared_pops"][wid]
+            + snap["executor.steals_succeeded"][wid]
+            for wid in range(3)
+        ]
+        assert sum(pops) == 2  # sources 0-31 and 32-49
+        for wid in range(3):
+            # a worker runs 32 tasks per 32-source chunk it popped,
+            # 18 for the short one: never a task without a pop
+            assert snap["executor.tasks_executed"][wid] in {
+                0: {0}, 1: {18, 32}, 2: {50}
+            }[pops[wid]]
 
     def test_sleep_wakeup_pairing(self):
         with Executor(num_workers=2, num_gpus=0) as ex:

@@ -25,6 +25,7 @@ from repro.check.replay import REPLAY_CONFIGS, run_replay_check
 from repro.check.validate import validate_schedule
 from repro.core import Executor, FrozenTopology, Heteroflow, TraceObserver
 from repro.core.placement import apply_assignment, snapshot_assignment
+from repro.core.topology import Lowering
 from repro.errors import (
     ExecutorError,
     FrozenTopologyError,
@@ -69,6 +70,25 @@ class TestFreeze:
         assert frozen.source_slots == (0,)
         assert frozen.fast_capable
         assert not frozen.has_gpu
+
+    def test_one_sort_behind_order_validation_and_lowering(self):
+        """topological_order(), validate() and the lowering a fresh
+        submission or freeze() builds share one Kahn sort: identical
+        order, and every validate() check still fires when lowering."""
+        hf = Heteroflow("wide-diamond")
+        a = hf.host(lambda: None, name="a")
+        mids = [hf.host(lambda: None, name=f"m{i}") for i in range(5)]
+        z = hf.host(lambda: None, name="z")
+        a.precede(*mids)
+        z.succeed(*mids)
+        lowering = Lowering(hf)
+        assert list(lowering.nodes) == hf.topological_order()
+        assert hf.freeze().nodes == lowering.nodes
+        assert lowering.join_init == (0, 1, 1, 1, 1, 1, 5)
+        bad = Heteroflow("bad")
+        bad.placeholder(name="p")
+        with pytest.raises(GraphError, match="never assigned"):
+            Lowering(bad)
 
     def test_freeze_idempotent_and_flag(self):
         hf, _ = build_diamond([])

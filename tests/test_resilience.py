@@ -440,6 +440,53 @@ class TestDeviceDeath:
             recs = [r for r in obs.records if r.name == f"k{i}"]
             assert len(recs) == 1
 
+    def test_finished_push_survives_later_device_death(self):
+        """A pull->kernel->push chain finishes, then a later op kills
+        the device: recovery re-runs the retracted pull and kernel, but
+        the finished push keeps its effect and runs once."""
+        def kern(x):
+            x *= 2.0
+            x += 1.0
+
+        hf = Heteroflow("chain-then-die")
+        a = np.arange(16, dtype=np.float64)
+        b = np.arange(16, dtype=np.float64) + 100
+        pa = hf.pull(a, name="pa")
+        ka = hf.kernel(kern, pa, name="ka").host_fallback()
+        sa = hf.push(pa, a, name="sa")
+        pb = hf.pull(b, name="pb")
+        kb = hf.kernel(kern, pb, name="kb").host_fallback()
+        sb = hf.push(pb, b, name="sb")
+        pa.precede(ka)
+        ka.precede(sa)
+        sa.precede(pb)  # chain b starts only after chain a finished
+        pb.precede(kb)
+        kb.precede(sb)
+        for die_at_op in (4, 5, 6):  # pb's, kb's and sb's op
+            a[:] = np.arange(16)
+            b[:] = np.arange(16) + 100
+            obs = TraceObserver()
+            ex = Executor(1, 1, observers=[obs])
+            try:
+                ex.gpu_runtime.device(0).configure_faults(
+                    FaultProfile(die_at_op=die_at_op), seed=0
+                )
+                ex.run(hf).result(timeout=_T)
+                snap = ex.metrics.snapshot()
+            finally:
+                ex.shutdown()
+            assert snap["resilience.device_failures"] == 1
+            assert snap["resilience.replayed_tasks"] >= 2  # pa, ka
+            names = [r.name for r in obs.records]
+            assert sorted(names) == ["ka", "kb", "pa", "pb", "sa", "sb"]
+            np.testing.assert_array_equal(a, np.arange(16) * 2.0 + 1.0)
+            np.testing.assert_array_equal(
+                b, (np.arange(16) + 100) * 2.0 + 1.0
+            )
+            validate_schedule(
+                hf, obs.records, passes=1, num_gpus=1
+            ).raise_if_failed()
+
     def test_no_fallback_means_structured_failure(self):
         hf = Heteroflow()
         a = np.zeros(8)
