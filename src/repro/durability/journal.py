@@ -58,6 +58,7 @@ failures, short writes, and ``ENOSPC`` deterministically.
 
 from __future__ import annotations
 
+import errno
 import io
 import os
 import pickle
@@ -66,7 +67,7 @@ import struct
 import threading
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import JournalCorruptError, JournalError, JournalWriteError
 from repro.durability.osshim import OsFacade
@@ -87,6 +88,10 @@ _SEGMENT_RE = re.compile(r"^seg-(\d{8})\.wal$")
 #: suffix of an uncommitted compact segment being written; renamed to
 #: its final name only once complete, removed as stale residue on open
 TMP_SUFFIX = ".tmp"
+
+#: largest first-frame payload open() will read to tell whether a
+#: segment is compact (a real ``segment_header`` is a few dozen bytes)
+_HEADER_FRAME_MAX = 64 << 10
 
 #: record kinds a segment may carry
 RECORD_KINDS = ("segment_header", "accepted", "settled", "frozen")
@@ -276,7 +281,9 @@ class Journal:
     replayed key keeps returning the journaled Result no matter how
     many compactions have run; set it False to bound the dedupe
     window at one compaction (keyed settlements are then dropped like
-    unkeyed ones).
+    unkeyed ones).  It is fixed at construction: the count of entries
+    a compaction would drop is kept up to date append by append, and
+    that count depends on it.
     """
 
     def __init__(
@@ -303,7 +310,7 @@ class Journal:
         self.fsync_policy = fsync_policy
         self.auto_compact = auto_compact
         self.compact_min_settled = compact_min_settled
-        self.compact_retain_keyed = compact_retain_keyed
+        self._retain_keyed = compact_retain_keyed
         self._os = os_impl or OsFacade()
         self._lock = threading.Lock()
         self._fd: Optional[int] = None
@@ -316,6 +323,12 @@ class Journal:
         self.entries: Dict[int, JournalEntry] = {}
         self.by_key: Dict[str, int] = {}
         self.frozen_specs: Dict[int, object] = {}
+        # summary counts, kept in step with ``entries`` at every state
+        # change so no append has to walk the log: the jids accepted
+        # but not settled, and how many settled entries compaction
+        # would drop
+        self._unsettled: Set[int] = set()
+        self._droppable_count = 0
         self.open_report = OpenReport()
 
         # journal.* metrics (docs/observability.md, "Journal counters")
@@ -333,14 +346,17 @@ class Journal:
         self._m_errors = metrics.counter("journal.errors")
         metrics.register_callback("journal.segments", self._num_segments)
         metrics.register_callback(
-            "journal.unsettled",
-            lambda: sum(1 for e in self.entries.values() if not e.is_settled),
+            "journal.unsettled", lambda: len(self._unsettled)
         )
 
     # -- introspection -------------------------------------------------
     @property
     def is_open(self) -> bool:
         return self._open
+
+    @property
+    def compact_retain_keyed(self) -> bool:
+        return self._retain_keyed
 
     @property
     def next_fid(self) -> int:
@@ -352,11 +368,11 @@ class Journal:
         return sum(1 for n in os.listdir(self.path) if segment_index(n) is not None)
 
     def counts(self) -> Dict[str, int]:
-        settled = sum(1 for e in self.entries.values() if e.is_settled)
+        unsettled = len(self._unsettled)
         return {
             "entries": len(self.entries),
-            "settled": settled,
-            "unsettled": len(self.entries) - settled,
+            "settled": len(self.entries) - unsettled,
+            "unsettled": unsettled,
             "frozen": len(self.frozen_specs),
         }
 
@@ -370,10 +386,7 @@ class Journal:
     def unsettled(self) -> List[JournalEntry]:
         """Entries accepted but never settled, in jid order — exactly
         the work :meth:`repro.gateway.Gateway.recover` must resubmit."""
-        return sorted(
-            (e for e in self.entries.values() if not e.is_settled),
-            key=lambda e: e.jid,
-        )
+        return [self.entries[jid] for jid in sorted(self._unsettled)]
 
     # -- open / close --------------------------------------------------
     def open(self) -> "Journal":
@@ -461,10 +474,18 @@ class Journal:
         return self
 
     def _segment_is_compact(self, name: str) -> bool:
+        """Is the first record of *name* a compact ``segment_header``?
+        Reads and decodes that one frame only."""
         spath = os.path.join(self.path, name)
         try:
             with open(spath, "rb") as fh:
-                head = fh.read(64 << 10)
+                head = fh.read(FRAME_OVERHEAD)
+                if len(head) < FRAME_OVERHEAD or not head.startswith(MARKER):
+                    return False
+                length, _crc = _HDR.unpack_from(head, len(MARKER))
+                if length > _HEADER_FRAME_MAX:
+                    return False
+                head += fh.read(length)
         except OSError:
             return False
         records, _end, _problem = scan_bytes(head)
@@ -489,6 +510,7 @@ class Journal:
                 )
             entry = JournalEntry.from_record(rec)
             self.entries[jid] = entry
+            self._unsettled.add(jid)
             if entry.key:
                 self.by_key[entry.key] = jid
             return jid
@@ -507,12 +529,12 @@ class Journal:
                     f"journal corrupt (duplicate settle for jid {jid}) in "
                     f"segment {segment!r} at byte {offset}",
                 )
-            entry.settled = {
+            self._mark_settled(entry, {
                 k: rec[k]
                 for k in ("outcome", "passes", "error", "reason", "wall_s",
                           "replans", "wid")
                 if k in rec
-            }
+            })
             return jid
         if kind == "frozen":
             self.frozen_specs[rec["fid"]] = rec["spec"]
@@ -588,6 +610,7 @@ class Journal:
             self._next_jid = jid + 1
             entry = JournalEntry.from_record(rec)
             self.entries[jid] = entry
+            self._unsettled.add(jid)
             if key:
                 self.by_key[key] = jid
             return jid
@@ -629,8 +652,16 @@ class Journal:
                 "wid": wid,
             }
             self._append({"kind": "settled", "jid": jid, **fields})
-            entry.settled = fields
-        self._maybe_compact()
+            self._mark_settled(entry, fields)
+            self._maybe_compact()
+
+    def _mark_settled(self, entry: JournalEntry, fields: dict) -> None:
+        """Record *entry*'s durable settlement in memory and in the
+        summary counts."""
+        entry.settled = fields
+        self._unsettled.discard(entry.jid)
+        if self._droppable(entry):
+            self._droppable_count += 1
 
     def append_frozen(self, fid: int, spec: object) -> None:
         """Journal one frozen topology so recovery can re-ship it."""
@@ -668,9 +699,7 @@ class Journal:
         except OSError as exc:
             self._rollback(offset)
             self._m_errors.inc()
-            import errno as _errno
-
-            reason = "enospc" if exc.errno == _errno.ENOSPC else "write"
+            reason = "enospc" if exc.errno == errno.ENOSPC else "write"
             raise JournalWriteError(
                 reason, segment=seg, errno_code=exc.errno or 0
             ) from exc
@@ -747,20 +776,19 @@ class Journal:
     def _droppable(self, entry: JournalEntry) -> bool:
         """Would compaction discard *entry*?  Settled and either
         unkeyed or keyed-retention disabled."""
-        return entry.is_settled and (
-            not entry.key or not self.compact_retain_keyed
-        )
+        return entry.is_settled and (not entry.key or not self._retain_keyed)
 
     def _maybe_compact(self) -> None:
-        if not self.auto_compact:
+        """Auto-compact once enough settled entries are droppable; the
+        caller holds the lock.  A failed compaction was already counted
+        in ``journal.errors`` and rolled back; it never fails the settle
+        that triggered it, and the next settle retries."""
+        if not self.auto_compact or self._droppable_count < self.compact_min_settled:
             return
-        with self._lock:
-            if not self._open:
-                return
-            droppable = sum(1 for e in self.entries.values() if self._droppable(e))
-            if droppable < self.compact_min_settled:
-                return
-        self.compact()
+        try:
+            self._compact_locked()
+        except JournalWriteError:
+            pass
 
     def compact(self) -> int:
         """Rewrite the live records — frozen specs, unsettled entries,
@@ -779,100 +807,127 @@ class Journal:
         unlinked, appends resume on the old generation) and re-raises
         the structured :class:`~repro.errors.JournalWriteError`."""
         with self._lock:
-            self._check_writable()
-            old = [
-                n
-                for n in sorted(os.listdir(self.path))
-                if segment_index(n) is not None
-            ]
-            if self.fsync_policy != "never":
-                self._os.fsync(self._fd)
-                self._m_fsyncs.inc()
-            self._os.close(self._fd)
-            self._fd = None
-            prev_index, prev_size = self._seg_index, self._seg_size
-            dropped = sum(1 for e in self.entries.values() if self._droppable(e))
-            keep = sorted(
-                (e for e in self.entries.values() if not self._droppable(e)),
-                key=lambda e: e.jid,
-            )
-            index = prev_index + 1
-            final_path = os.path.join(self.path, segment_name(index))
-            tmp_path = final_path + TMP_SUFFIX
+            return self._compact_locked()
+
+    def _compact_locked(self) -> int:
+        self._check_writable()
+        old = [
+            n
+            for n in sorted(os.listdir(self.path))
+            if segment_index(n) is not None
+        ]
+        if self.fsync_policy != "never":
             try:
-                self._compacting = True
+                self._os.fsync(self._fd)
+            except OSError as exc:
+                # nothing written or closed yet: appends carry on as
+                # they were
+                self._m_errors.inc()
+                raise JournalWriteError(
+                    "fsync", segment=segment_name(self._seg_index),
+                    errno_code=exc.errno or 0,
+                ) from exc
+            self._m_fsyncs.inc()
+        self._os.close(self._fd)
+        self._fd = None
+        prev_index, prev_size = self._seg_index, self._seg_size
+        keep: List[JournalEntry] = []
+        drop: List[JournalEntry] = []
+        for e in self.entries.values():
+            (drop if self._droppable(e) else keep).append(e)
+        keep.sort(key=lambda e: e.jid)
+        index = prev_index + 1
+        final_path = os.path.join(self.path, segment_name(index))
+        tmp_path = final_path + TMP_SUFFIX
+        try:
+            self._compacting = True
+            try:
                 self._fd = self._os.open(
                     tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644
                 )
-                self._seg_index = index
-                self._seg_size = 0
+            except OSError as exc:
+                self._m_errors.inc()
+                raise JournalWriteError(
+                    "enospc" if exc.errno == errno.ENOSPC else "write",
+                    segment=segment_name(index), errno_code=exc.errno or 0,
+                ) from exc
+            self._seg_index = index
+            self._seg_size = 0
+            self._append(
+                {"kind": "segment_header", "index": index, "compact": True}
+            )
+            for fid in sorted(self.frozen_specs):
                 self._append(
-                    {"kind": "segment_header", "index": index, "compact": True}
+                    {"kind": "frozen", "fid": fid,
+                     "spec": self.frozen_specs[fid]}
                 )
-                for fid in sorted(self.frozen_specs):
-                    self._append(
-                        {"kind": "frozen", "fid": fid,
-                         "spec": self.frozen_specs[fid]}
-                    )
-                for entry in keep:
-                    self._append(entry.accepted_record())
-                for entry in keep:
-                    if entry.is_settled:
-                        self._append(entry.settled_record())
-                if self.fsync_policy != "never":
-                    self._os.fsync(self._fd)
-                    self._m_fsyncs.inc()
-                # the commit point: the complete, fsync'd compact
-                # segment becomes visible atomically
+            for entry in keep:
+                self._append(entry.accepted_record())
+            for entry in keep:
+                if entry.is_settled:
+                    self._append(entry.settled_record())
+            if self.fsync_policy != "never":
                 try:
-                    self._os.rename(tmp_path, final_path)
+                    self._os.fsync(self._fd)
                 except OSError as exc:
                     self._m_errors.inc()
                     raise JournalWriteError(
-                        "rename", segment=segment_name(index),
+                        "fsync", segment=segment_name(index),
                         errno_code=exc.errno or 0,
                     ) from exc
-            except JournalWriteError:
-                # roll the whole compaction back: remove the temporary
-                # segment and resume appends on the old generation,
-                # which was never touched
-                if self._fd is not None:
-                    try:
-                        self._os.close(self._fd)
-                    except OSError:  # pragma: no cover - already gone
-                        pass
-                    self._fd = None
+                self._m_fsyncs.inc()
+            # the commit point: the complete, fsync'd compact
+            # segment becomes visible atomically
+            try:
+                self._os.rename(tmp_path, final_path)
+            except OSError as exc:
+                self._m_errors.inc()
+                raise JournalWriteError(
+                    "rename", segment=segment_name(index),
+                    errno_code=exc.errno or 0,
+                ) from exc
+        except JournalWriteError:
+            # roll the whole compaction back: remove the temporary
+            # segment and resume appends on the old generation,
+            # which was never touched
+            if self._fd is not None:
                 try:
-                    self._os.unlink(tmp_path)
-                except OSError:  # pragma: no cover - never created
+                    self._os.close(self._fd)
+                except OSError:  # pragma: no cover - already gone
                     pass
-                self._seg_index, self._seg_size = prev_index, prev_size
-                self._fd = self._os.open(
-                    os.path.join(self.path, segment_name(prev_index)),
-                    os.O_WRONLY,
-                )
-                os.lseek(self._fd, prev_size, os.SEEK_SET)
-                raise
-            finally:
-                self._compacting = False
+                self._fd = None
             try:
-                self._os.fsync_dir(self.path)
-            except OSError:  # pragma: no cover - exotic filesystems
+                self._os.unlink(tmp_path)
+            except OSError:  # pragma: no cover - never created
                 pass
-            # the compact generation is durable: drop the discarded
-            # settled entries from memory and the old segments from disk
-            for jid in [j for j, e in self.entries.items() if self._droppable(e)]:
-                entry = self.entries.pop(jid)
-                if entry.key:
-                    self.by_key.pop(entry.key, None)
-            for name in old:
-                self._os.unlink(os.path.join(self.path, name))
-            try:
-                self._os.fsync_dir(self.path)
-            except OSError:  # pragma: no cover - exotic filesystems
-                pass
-            self._m_compactions.inc()
-            return dropped
+            self._seg_index, self._seg_size = prev_index, prev_size
+            self._fd = self._os.open(
+                os.path.join(self.path, segment_name(prev_index)),
+                os.O_WRONLY,
+            )
+            os.lseek(self._fd, prev_size, os.SEEK_SET)
+            raise
+        finally:
+            self._compacting = False
+        try:
+            self._os.fsync_dir(self.path)
+        except OSError:  # pragma: no cover - exotic filesystems
+            pass
+        # the compact generation is durable: drop the discarded
+        # settled entries from memory and the old segments from disk
+        for entry in drop:
+            del self.entries[entry.jid]
+            if entry.key:
+                self.by_key.pop(entry.key, None)
+        self._droppable_count = 0
+        for name in old:
+            self._os.unlink(os.path.join(self.path, name))
+        try:
+            self._os.fsync_dir(self.path)
+        except OSError:  # pragma: no cover - exotic filesystems
+            pass
+        self._m_compactions.inc()
+        return len(drop)
 
 
 __all__ = [

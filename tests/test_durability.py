@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import os
 import random
+import sys
+import threading
+import time
 
 import pytest
 
@@ -26,7 +29,7 @@ from repro.durability import (
     segment_index,
     segment_name,
 )
-from repro.durability.journal import FRAME_OVERHEAD
+from repro.durability.journal import FRAME_OVERHEAD, TMP_SUFFIX
 from repro.errors import JournalCorruptError, JournalError, JournalWriteError
 
 
@@ -305,6 +308,132 @@ class TestJournal:
         j2.close()
         assert fsck(path).clean
 
+    def test_failed_auto_compaction_does_not_fail_the_settle(self, tmp_path):
+        # writes 1-6: header, 3 accepted, 2 settled; write 7 is the
+        # header of the compaction the second settle triggers
+        path = str(tmp_path / "j")
+        j = Journal(
+            path, os_impl=FaultyOs(fail_write_at=7), compact_min_settled=2
+        )
+        j.open()
+        a, b, c = (j.append_accepted(target="spec") for _ in range(3))
+        j.append_settled(a, outcome="completed")
+        j.append_settled(b, outcome="completed")  # must not raise
+        assert j.get(b).is_settled
+        assert j.metrics.counter("journal.errors").value == 1
+        assert j.metrics.counter("journal.compactions").value == 0
+        assert not any(n.endswith(".tmp") for n in os.listdir(path))
+        report = fsck(path)
+        assert report.clean and report.settled == 2
+        # the trigger stays armed: the next settle compacts
+        j.append_settled(c, outcome="completed")
+        assert j.metrics.counter("journal.compactions").value == 1
+        assert j.counts() == {
+            "entries": 0, "settled": 0, "unsettled": 0, "frozen": 0
+        }
+        j.close()
+        j2 = Journal(path)
+        j2.open()
+        assert j2.counts()["entries"] == 0
+        j2.close()
+        assert fsck(path).clean
+
+    @pytest.mark.parametrize("fault", ["seal", "commit", "tmp_exists"])
+    def test_compaction_io_failure_rolls_back(self, tmp_path, fault):
+        # under "batch" the compaction makes the only fsyncs: the first
+        # seals the old segment, the second makes the compact segment
+        # durable before its commit rename; a leftover *.tmp under the
+        # compact segment's name makes creating it fail.  Each failure
+        # leaves the old generation in use.
+        path = str(tmp_path / "j")
+        j = Journal(
+            path,
+            os_impl=FaultyOs(fail_fsync_at={"seal": 1, "commit": 2}.get(fault)),
+            fsync_policy="batch", auto_compact=False,
+        )
+        j.open()
+        jid = j.append_accepted(target="spec")
+        j.append_settled(jid, outcome="completed")
+        if fault == "tmp_exists":
+            (tmp_path / "j" / (segment_name(2) + TMP_SUFFIX)).write_bytes(b"")
+        with pytest.raises(JournalWriteError) as ei:
+            j.compact()
+        assert ei.value.reason == ("write" if fault == "tmp_exists" else "fsync")
+        assert j.counts()["settled"] == 1
+        assert not any(n.endswith(TMP_SUFFIX) for n in os.listdir(path))
+        j.append_accepted(key="after", target="spec")
+        assert j.compact() == 1
+        j.close()
+        j2 = Journal(path)
+        j2.open()
+        assert j2.counts() == {
+            "entries": 1, "settled": 0, "unsettled": 1, "frozen": 0
+        }
+        j2.close()
+        assert fsck(path).clean
+
+    def test_compact_retain_keyed_is_fixed_at_construction(self, tmp_path):
+        j = Journal(str(tmp_path / "j"), compact_retain_keyed=False)
+        assert j.compact_retain_keyed is False
+        with pytest.raises(AttributeError):
+            j.compact_retain_keyed = True
+
+    def test_open_drops_segments_older_than_a_compact_one(self, tmp_path):
+        # a crash between the commit rename and the unlink of the old
+        # generation leaves it beside the compact segment: open() must
+        # recognise the compact header and ignore (and remove) the rest
+        path = tmp_path / "j"
+        j = Journal(str(path), fsync_policy="never", auto_compact=False)
+        j.open()
+        _fill(j, 3, settle=2)
+        unkeyed = j.append_accepted(target="spec")
+        j.append_settled(unkeyed, outcome="completed")
+        old = (path / segment_name(1)).read_bytes()
+        assert j.compact() == 1
+        j.close()
+        (path / segment_name(1)).write_bytes(old)
+        j2 = Journal(str(path))
+        j2.open()
+        assert j2.open_report.dropped_segments == 1
+        assert not (path / segment_name(1)).exists()
+        assert j2.get(unkeyed) is None
+        assert j2.counts() == {
+            "entries": 3, "settled": 2, "unsettled": 1, "frozen": 0
+        }
+        j2.close()
+
+    def test_settle_cost_flat_in_log_size(self, tmp_path):
+        """A settle's bookkeeping must not grow with the log: settling
+        on a 20k-entry keyed log costs no more than on a 1k-entry one
+        (min of 3 rounds of 300 settles, no fsync)."""
+        def settle_cost(n: int) -> float:
+            path = str(tmp_path / f"log{n}")
+            seed = Journal(path, fsync_policy="never", auto_compact=False)
+            seed.open()
+            _fill(seed, n, settle=n)
+            seed.close()
+            j = Journal(path, fsync_policy="never")
+            j.open()
+            best = float("inf")
+            for r in range(3):
+                jids = [
+                    j.append_accepted(key=f"r{r}-{i}", target="spec")
+                    for i in range(300)
+                ]
+                t0 = time.perf_counter()
+                for jid in jids:
+                    j.append_settled(jid, outcome="completed")
+                best = min(best, (time.perf_counter() - t0) / len(jids))
+            assert j.counts()["entries"] == n + 900  # keyed: all retained
+            j.close()
+            return best
+
+        small, large = settle_cost(1_000), settle_cost(20_000)
+        assert large / small < 3, (
+            f"settle costs {small * 1e6:.1f} us on a 1k-entry log but "
+            f"{large * 1e6:.1f} us on a 20k-entry log"
+        )
+
     def test_torn_tail_truncated_on_open(self, tmp_path):
         path = str(tmp_path / "j")
         j = Journal(path, fsync_policy="never")
@@ -343,6 +472,151 @@ class TestJournal:
     def test_fsync_policy_validation(self, tmp_path):
         with pytest.raises(JournalError, match="fsync_policy"):
             Journal(str(tmp_path / "j"), fsync_policy="sometimes")
+
+
+class TestSummaryCounts:
+    """The journal keeps its settled/unsettled/droppable counts up to
+    date append by append.  Random operation sequences check them
+    against a recount over ``entries`` after every step, and check
+    ``journal.compactions`` against the rule "compact after a settle
+    once at least ``compact_min_settled`` settled entries are
+    droppable", applied to a model of the log."""
+
+    MIN_SETTLED = 3
+
+    def _journal(self, path, shim, retain, auto):
+        j = Journal(
+            path, os_impl=shim, fsync_policy="never", auto_compact=auto,
+            compact_min_settled=self.MIN_SETTLED,
+            compact_retain_keyed=retain,
+        )
+        return j.open()
+
+    @staticmethod
+    def _check_counts(j, retain):
+        entries = j.entries.values()
+        settled = sum(1 for e in entries if e.is_settled)
+        droppable = sum(
+            1 for e in entries if e.is_settled and (not e.key or not retain)
+        )
+        assert j.counts() == {
+            "entries": len(j.entries), "settled": settled,
+            "unsettled": len(j.entries) - settled, "frozen": 0,
+        }
+        assert j._droppable_count == droppable
+        assert j.metrics.snapshot()["journal.unsettled"] == len(j.entries) - settled
+        assert [e.jid for e in j.unsettled()] == sorted(
+            e.jid for e in entries if not e.is_settled
+        )
+
+    def _check(self, j, model, retain, compactions):
+        self._check_counts(j, retain)
+        assert {jid: e.is_settled for jid, e in j.entries.items()} == {
+            jid: settled for jid, (_key, settled) in model.items()
+        }
+        assert j.metrics.counter("journal.compactions").value == compactions
+
+    @pytest.mark.parametrize("retain", [True, False])
+    @pytest.mark.parametrize("auto", [True, False])
+    def test_counts_match_recount(self, tmp_path, retain, auto):
+        for seed in range(6):
+            rng = random.Random(seed)
+            path = str(tmp_path / f"{retain}-{auto}-{seed}")
+            shim = FaultyOs()
+            j = self._journal(path, shim, retain, auto)
+            model: dict = {}  # jid -> (key, settled)
+            compactions = 0
+            failed = 0
+
+            def droppable():
+                return sum(
+                    1 for key, settled in model.values()
+                    if settled and (not key or not retain)
+                )
+
+            def compacted():
+                for jid in [
+                    jid for jid, (key, settled) in model.items()
+                    if settled and (not key or not retain)
+                ]:
+                    del model[jid]
+
+            for step in range(120):
+                op = rng.choices(
+                    ("accept", "settle", "compact", "reopen"),
+                    weights=(10, 8, 1, 1),
+                )[0]
+                unsettled = [jid for jid, (_k, s) in model.items() if not s]
+                if op == "settle" and unsettled:
+                    jid = rng.choice(unsettled)
+                    model[jid] = (model[jid][0], True)
+                    triggers = auto and droppable() >= self.MIN_SETTLED
+                    fail = triggers and rng.random() < 0.3
+                    if fail:
+                        # write +1 is the settle, +2 the compaction header
+                        shim.fail_write_at = shim.writes + 2
+                    j.append_settled(jid, outcome="completed")
+                    if fail:
+                        failed += 1
+                    elif triggers:
+                        compacted()
+                        compactions += 1
+                elif op == "compact":
+                    if rng.random() < 0.3:
+                        shim.fail_write_at = shim.writes + 1
+                        with pytest.raises(JournalWriteError):
+                            j.compact()
+                        failed += 1
+                    else:
+                        assert j.compact() == droppable()
+                        compacted()
+                        compactions += 1
+                elif op == "reopen":
+                    j.close()
+                    j = self._journal(path, shim, retain, auto)
+                    compactions = 0  # a fresh instance, fresh counters
+                else:
+                    key = f"k{step}" if rng.random() < 0.5 else ""
+                    model[j.append_accepted(key=key, target="spec")] = (
+                        key, False
+                    )
+                self._check(j, model, retain, compactions)
+            assert len(shim.injected) == failed
+            j.close()
+            assert fsck(path).clean
+
+    def test_counts_hold_under_concurrent_appends(self, tmp_path):
+        # more threads than cores, accepting and settling at once with a
+        # short switch interval: a count updated outside the lock would
+        # drift from the recount
+        j = Journal(
+            str(tmp_path / "j"), fsync_policy="never",
+            compact_min_settled=self.MIN_SETTLED,
+        )
+        j.open()
+
+        def work(t: int) -> None:
+            for i in range(150):
+                jid = j.append_accepted(
+                    key=f"t{t}-{i}" if i % 2 else "", target="spec"
+                )
+                if i % 3:
+                    j.append_settled(jid, outcome="completed")
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        self._check_counts(j, retain=True)
+        assert j.counts()["unsettled"] == 8 * 50
+        j.close()
 
 
 class TestFaultInjection:

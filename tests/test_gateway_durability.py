@@ -147,6 +147,34 @@ class TestRecovery:
         # 4 fabricated + 1 fresh frozen submit; no double-accepts
         assert report.accepted == report.settled == 5
 
+    def test_recover_survives_failed_auto_compaction(self, tmp_path):
+        # the first not_replayable settle triggers a compaction whose
+        # header write fails; recover() must still settle every entry
+        path = str(tmp_path / "j")
+        j = Journal(path, fsync_policy="never")
+        j.open()
+        for iid in (1, 2):
+            j.append_accepted(target="instance", spec=BurstSpec(width=2),
+                              iid=iid)
+        j.close()
+        # write 1 is the first settle, write 2 its compaction's header
+        journal = Journal(
+            path, os_impl=FaultyOs(fail_write_at=2), compact_min_settled=1
+        )
+
+        async def main():
+            async with Gateway(2, worker=_CONFIG, journal=journal) as gw:
+                report = await gw.recover()
+                assert report.not_replayable == 2
+                assert gw.journal.counts()["unsettled"] == 0
+                snap = gw.journal.metrics.snapshot()
+                assert snap["journal.errors"] == 1
+                # the second settle retried the compaction
+                assert snap["journal.compactions"] == 1
+        _run(main())
+        report = fsck(path)
+        assert report.clean and report.drained
+
     def test_keyed_fallthrough_resubmits_journaled_payload(self, tmp_path):
         # restart WITHOUT recover(): a keyed submit whose entry is
         # journaled-but-unsettled must resubmit from the *journaled*
