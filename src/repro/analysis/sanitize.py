@@ -33,7 +33,6 @@ harness, not a production fast path.
 from __future__ import annotations
 
 import threading
-import types
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -48,6 +47,7 @@ from repro.analysis.effects import (
 )
 from repro.core.node import Node, TaskType
 from repro.core.task import PullTask
+from repro.gpu.kernel import wants_context
 
 #: report schema identifier; bump only with a documented migration
 SCHEMA = "repro.sanitize-report/1"
@@ -446,7 +446,7 @@ class SanitizerSession:
                     out[i] = view
             return out
 
-        if _wants_ctx(fn):
+        if wants_context(fn):
             def kernel(ctx, *args):
                 return fn(ctx, *substitute(args))
         else:
@@ -560,13 +560,3 @@ class SanitizerSession:
                     detail=", ".join(sorted(rec.details)),
                 )
             )
-
-
-def _wants_ctx(fn: Callable) -> bool:
-    """Mirror of the launch-layer convention: first parameter named
-    ``ctx`` receives the KernelContext."""
-    code = getattr(fn, "__code__", None)
-    if code is None or isinstance(fn, types.BuiltinFunctionType):
-        return False
-    names = code.co_varnames[: code.co_argcount]
-    return bool(names) and names[0] == "ctx"

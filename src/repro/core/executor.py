@@ -18,7 +18,10 @@ Reproduces the runtime of paper §III-B/C:
 - GPU tasks are invoked under an RAII :class:`ScopedDeviceContext`, on a
   **per-(worker, device) stream**, and complete asynchronously — the
   dispatching worker moves on immediately, and the stream callback
-  releases successors (the event-synchronized pattern of Listing 13);
+  releases successors (the event-synchronized pattern of Listing 13).
+  On the healthy route the callback launches the ready GPU successors
+  itself, onto the same worker's streams (stream-ordered
+  continuation); only host successors go back to the queues;
 - per-device **buddy-allocator memory pools** back all pull buffers;
 - ``run`` / ``run_n`` / ``run_until`` are non-blocking and return
   futures; ``wait_for_all`` blocks until every submitted graph is done;
@@ -310,8 +313,9 @@ class Executor:
         self._submit_seq = itertools.count()
 
         # metric instruments (docs/observability.md): lane counters are
-        # indexed by worker id and written only by that worker's thread,
-        # so the hot-path cost is one list store — no locks
+        # indexed by worker id and written by that worker's thread, so
+        # the hot-path cost is one list store — no locks; a dispatcher
+        # counting a continued launch for a worker uses inc_sharded
         self.metrics = MetricsRegistry()
         self._m_tasks = self.metrics.lane_counter(
             "executor.tasks_executed", num_workers
@@ -331,6 +335,9 @@ class Executor:
         )
         self._m_sleeps = self.metrics.lane_counter("executor.sleeps", num_workers)
         self._m_wakeups = self.metrics.lane_counter("executor.wakeups", num_workers)
+        self._m_continued = self.metrics.lane_counter(
+            "executor.continued_launches", num_workers
+        )
         self.metrics.register_callback(
             "executor.queue_high_water",
             lambda: [q.high_water for q in self._queues],
@@ -425,6 +432,10 @@ class Executor:
         # lazily created per-(worker, device) streams
         self._streams: List[Dict[int, Stream]] = [{} for _ in range(num_workers)]
         self._stream_lock = threading.Lock()
+        # per-worker launch locks: serialize the launches onto worker
+        # i's streams made by worker i and by dispatchers continuing
+        # its lane (_invoke_attempt, _finish_node)
+        self._lane_locks = [threading.Lock() for _ in range(num_workers)]
 
         # device liveness (docs/resilience.md): ordinals not yet failed
         self._alive_gpus: Set[int] = set(range(num_gpus))
@@ -1487,9 +1498,19 @@ class Executor:
                 del todo[:extra]
 
     def _invoke_attempt(
-        self, wid: int, topology: Topology, slot: int, gen: int
+        self,
+        wid: int,
+        topology: Topology,
+        slot: int,
+        gen: int,
+        continued: bool = False,
     ) -> None:
-        """The _Attempt route for one slot (visitor over task types)."""
+        """The _Attempt route for one slot (visitor over task types).
+
+        *continued* marks a launch made by a stream dispatcher on
+        behalf of worker *wid* (stream-ordered continuation, see
+        :meth:`_finish_node`): lane *wid* belongs to another thread, so
+        its counts go to the lane counters' thread-sharded cells."""
         if not topology.enter():
             # a device failure awaits quiescence; recovery reschedules
             return
@@ -1499,18 +1520,40 @@ class Executor:
             return
         if topology.failed:
             # fast-cancel: flush remaining slots without running them
-            self._m_flushed.inc(wid)
+            if continued:
+                self._m_flushed.inc_sharded(wid)
+            else:
+                self._m_flushed.inc(wid)
             self._finish_node(topology, slot, gen)
             self._leave(topology)
             return
         node = topology.lowering.nodes[slot]
-        self._m_tasks.inc(wid)
-        for obs in self._observers:
-            obs.on_task_begin(wid, node)
+        if continued:
+            self._m_tasks.inc_sharded(wid)
+        else:
+            self._m_tasks.inc(wid)
         timeout_s = node.timeout_s if node.timeout_s is not None else topology.timeout_s
         attempt = _Attempt(topology, slot, wid, gen, timeout_s)
         try:
-            if topology.degraded and node.type.is_gpu:
+            if node.type.is_gpu and not topology.degraded:
+                # worker wid's streams are fed by the worker and by the
+                # dispatchers continuing its lane (_finish_node): stamp
+                # and enqueue under the lane lock, so every stream's
+                # dispatch stamps stay in its FIFO order
+                with self._lane_locks[wid]:
+                    for obs in self._observers:
+                        obs.on_task_begin(wid, node)
+                    self._arm_deadline(attempt)
+                    if node.type is TaskType.PULL:
+                        self._invoke_pull(attempt)
+                    elif node.type is TaskType.PUSH:
+                        self._invoke_push(attempt)
+                    else:
+                        self._invoke_kernel(attempt)
+                return
+            for obs in self._observers:
+                obs.on_task_begin(wid, node)
+            if node.type.is_gpu:
                 self._invoke_degraded(attempt)
             elif node.type is TaskType.HOST:
                 # the submission's callable table: the graph as lowered
@@ -1522,15 +1565,6 @@ class Executor:
                     fn = topology.sanitizer.wrap_host(node, fn)
                 fn()
                 self._attempt_finished(attempt, self._post_timeout(attempt))
-            elif node.type is TaskType.PULL:
-                self._arm_deadline(attempt)
-                self._invoke_pull(attempt)
-            elif node.type is TaskType.PUSH:
-                self._arm_deadline(attempt)
-                self._invoke_push(attempt)
-            elif node.type is TaskType.KERNEL:
-                self._arm_deadline(attempt)
-                self._invoke_kernel(attempt)
             else:
                 raise ExecutorError(f"cannot execute task of type {node.type}")
         except BaseException as exc:  # noqa: BLE001 - routed to policy
@@ -1586,6 +1620,8 @@ class Executor:
                 stream=attempt.stream,
                 fallback=attempt.fallback,
                 gen=attempt.gen,
+                # a successful GPU attempt finishes in its stream callback
+                on_dispatcher=attempt.stream is not None,
             )
             if self._leave(attempt.topology):
                 self._recover(attempt.topology)
@@ -1824,6 +1860,7 @@ class Executor:
         stream: Optional[Stream] = None,
         fallback: bool = False,
         gen: Optional[int] = None,
+        on_dispatcher: bool = False,
     ) -> None:
         # for GPU tasks this runs on the stream dispatcher thread, so
         # ops_executed is stable and identifies the completing op
@@ -1840,19 +1877,57 @@ class Executor:
                 fallback=fallback,
                 replayed=replayed,
             )
-        self._finish_node(topology, slot, gen)
+        self._finish_node(topology, slot, gen, wid if on_dispatcher else None)
 
     def _finish_node(
-        self, topology: Topology, slot: int, gen: Optional[int] = None
+        self,
+        topology: Topology,
+        slot: int,
+        gen: Optional[int] = None,
+        lane: Optional[int] = None,
     ) -> None:
         """_Attempt-route completion: release the slot's successors
         through the topology's slot-join step and schedule the ready
-        ones."""
+        ones.
+
+        *lane* is set when the stream callback of a successful GPU
+        attempt finishes the slot, on that stream's dispatcher thread.
+        On the healthy route (see :meth:`_continues`) the ready GPU
+        successors then launch right here, onto the streams of worker
+        *lane* — stream-ordered continuation: a GPU chain stays on its
+        worker's streams instead of waking a worker through the shared
+        queue after every task.  A launch only enqueues; no payload runs
+        on this thread.  Each successor enters the in-flight set before
+        the finishing attempt leaves it, so quiescence stays exact.
+        Host successors are scheduled as usual."""
         ready = topology.release(slot)
         if ready is PASS_DONE:
             self._pass_done(topology)
         elif ready is not None:
-            self._schedule(topology, ready, gen)
+            if lane is not None and self._continues(topology, gen):
+                nodes = topology.lowering.nodes
+                host = []
+                for s in ready:
+                    if nodes[s].type.is_gpu:
+                        self._m_continued.inc_sharded(lane)
+                        self._invoke_attempt(lane, topology, s, gen, continued=True)
+                    else:
+                        host.append(s)
+                ready = host
+            if ready:
+                self._schedule(topology, ready, gen)
+
+    def _continues(self, topology: Topology, gen: Optional[int]) -> bool:
+        """May GPU successors continue on the dispatcher?  Only on the
+        healthy route: current generation, no sanitizer, no armed fault
+        profile and every GPU alive (so the topology is not degraded
+        either).  Recovery, host fallbacks and sanitized runs keep the
+        queue path."""
+        return (
+            gen == topology.gen
+            and topology.sanitizer is None
+            and not self._snapshotting()
+        )
 
     def _pass_done(self, topology: Topology) -> None:
         if topology.pass_completed():

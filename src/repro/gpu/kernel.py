@@ -26,6 +26,7 @@ callables onto a device stream:
 from __future__ import annotations
 
 import inspect
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Tuple
 
@@ -173,12 +174,43 @@ def convert_argument(arg: Any) -> Any:
     return arg
 
 
-def _wants_context(fn: Callable) -> bool:
+def _signature_wants_context(fn: Callable) -> bool:
     try:
         params = list(inspect.signature(fn).parameters)
     except (TypeError, ValueError):
         return False
     return bool(params) and params[0] == "ctx"
+
+
+#: callable -> wants_context(callable).  Weak keys: an entry lives only
+#: as long as its kernel (a graph node holds its kernel for the graph's
+#: lifetime), so per-run wrappers such as the sanitizer's shims and the
+#: data their closures capture are never kept alive by the cache.
+_WANTS_CONTEXT: "weakref.WeakKeyDictionary[Callable, bool]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def wants_context(fn: Callable) -> bool:
+    """Does kernel *fn* take a :class:`KernelContext` first?
+
+    True when the first parameter of ``inspect.signature(fn)`` is named
+    ``ctx`` — so a bound method ``def k(self, ctx, v)``, a
+    ``functools.partial`` over a ctx kernel and a callable instance
+    whose ``__call__`` takes ``ctx`` all qualify.  The answer is cached
+    per callable (``inspect.signature`` costs tens of microseconds, paid
+    once instead of once per launch); callables that are unhashable or
+    cannot be weakly referenced are checked on every call.
+    """
+    try:
+        return _WANTS_CONTEXT[fn]
+    except KeyError:
+        pass
+    except TypeError:  # unhashable, or not weakly referenceable
+        return _signature_wants_context(fn)
+    wants = _signature_wants_context(fn)
+    _WANTS_CONTEXT[fn] = wants
+    return wants
 
 
 def launch_async(
@@ -200,7 +232,7 @@ def launch_async(
                 f"kernel argument lives on GPU {a.device.ordinal} but the "
                 f"launch targets GPU {stream.device.ordinal}"
             )
-    wants_ctx = _wants_context(fn)
+    wants_ctx = wants_context(fn)
     ordinal = stream.device.ordinal
     stream.device.kernel_launches.inc()
 

@@ -19,10 +19,13 @@ safe from any thread; each op and its completion callback run on the
 stream's single dispatcher thread, in enqueue order.  Callbacks
 therefore need no locking against *this* stream's other ops, but they
 run concurrently with every other thread in the process — the
-executor's completion callback (which releases successors into the
-shared queue) is written for exactly that.  :meth:`destroy` drains the
-queue and joins the dispatcher; it must not be called from the
-dispatcher thread itself.
+executor's completion callback is written for exactly that: it
+releases successors into the shared queue and may itself launch
+follow-on GPU work, enqueueing onto this or any other stream
+(stream-ordered continuation, ``docs/runtime.md``).  An enqueue never
+blocks, so a callback that enqueues cannot deadlock two dispatchers.
+:meth:`destroy` drains the queue and joins the dispatcher; it must not
+be called from the dispatcher thread itself.
 
 **Observability.** The dispatcher maintains :attr:`ops_executed`
 (completed ops) and :attr:`busy_seconds` (wall time spent inside op

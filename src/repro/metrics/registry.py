@@ -13,7 +13,9 @@ updates contention-free under CPython:
 - **per-lane slots** (:class:`LaneCounter`): a fixed list indexed by
   worker id, where lane *i* is only ever written by worker *i* — the
   natural shape for the executor's per-worker statistics, and the
-  per-lane breakdown is itself the interesting output.
+  per-lane breakdown is itself the interesting output.  A thread that
+  counts on another thread's behalf (a GPU stream dispatcher launching
+  work for a worker) adds to per-thread shards of the lanes instead.
 
 Reads (``value`` / ``snapshot``) are taken while writers may still be
 running; they are *eventually consistent* — each cell is read
@@ -59,29 +61,47 @@ class Counter:
 
 
 class LaneCounter:
-    """Per-lane counter where lane *i* is written by one thread only.
+    """Per-lane counter where lane *i* is owned by one thread.
 
     The executor's shape: ``lanes == num_workers`` and worker *i*
-    increments only lane *i*, so updates are plain list stores with no
-    sharing at all.  ``value`` sums the lanes; :meth:`per_lane` exposes
-    the breakdown (the steal/imbalance statistics of the report).
+    increments only lane *i* through :meth:`inc`, so updates are plain
+    list stores with no sharing at all.  Any other thread counting for
+    a lane uses :meth:`inc_sharded`, which writes a per-thread copy of
+    the lanes (the :class:`Counter` scheme), so no increment is lost.
+    :meth:`per_lane` sums both per lane (the steal/imbalance statistics
+    of the report); ``value`` sums the lanes.
     """
 
-    __slots__ = ("name", "_cells")
+    __slots__ = ("name", "_cells", "_shards")
 
     def __init__(self, lanes: int, name: str = "") -> None:
         self.name = name
         self._cells: List[int] = [0] * lanes
+        #: thread ident -> that thread's increments, per lane
+        self._shards: Dict[int, List[int]] = {}
 
     def inc(self, lane: int, n: int = 1) -> None:
+        """Add *n* to *lane*; only the lane's owner thread may call."""
         self._cells[lane] += n
+
+    def inc_sharded(self, lane: int, n: int = 1) -> None:
+        """Add *n* to *lane* from any thread."""
+        tid = threading.get_ident()
+        cells = self._shards.get(tid)
+        if cells is None:
+            cells = self._shards[tid] = [0] * len(self._cells)
+        cells[lane] += n
 
     @property
     def value(self) -> int:
-        return sum(self._cells)
+        return sum(self.per_lane())
 
     def per_lane(self) -> List[int]:
-        return list(self._cells)
+        out = list(self._cells)
+        for cells in list(self._shards.values()):
+            for lane, n in enumerate(cells):
+                out[lane] += n
+        return out
 
 
 class Gauge:

@@ -28,7 +28,7 @@ from repro.core.node import Node, TaskType
 from repro.core.placement import CostMetric, PlacementResult
 from repro.core.task import PullTask
 from repro.errors import KernelError
-from repro.gpu.kernel import KernelContext, _wants_context
+from repro.gpu.kernel import KernelContext, wants_context
 from repro.gpu.memory import DeviceBuffer
 from repro.utils.span import Late
 
@@ -135,7 +135,7 @@ def run_degraded_kernel(node: Node) -> None:
             converted.append(a.resolve())
         else:
             converted.append(a)
-    if _wants_context(fn):
+    if wants_context(fn):
         fn(KernelContext(node.launch, -1), *converted)
     else:
         fn(*converted)

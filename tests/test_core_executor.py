@@ -362,3 +362,128 @@ class TestResources:
             hf.host(lambda: None)
             ex.run(hf)
         # exiting waits and shuts down without error
+
+
+def _add_one(v):
+    v += 1.0
+
+
+def _gpu_chain(kernels=8):
+    """pull -> *kernels* kernels -> push over one array; every kernel
+    has a host fallback, so the chain also runs degraded."""
+    data = np.arange(64, dtype=np.float64)
+    hf = Heteroflow("gpu-chain")
+    pull = hf.pull(data, name="pull")
+    prev = pull
+    for i in range(kernels):
+        k = hf.kernel(_add_one, pull, name=f"k{i}").host_fallback()
+        prev.precede(k)
+        prev = k
+    push = hf.push(pull, data, name="push")
+    prev.precede(push)
+    return hf, data
+
+
+class TestGpuContinuation:
+    """Stream-ordered continuation: on the healthy route a finished GPU
+    task launches its ready GPU successors from its stream dispatcher,
+    so they never pass through a queue.  With one worker every pop is
+    deterministic: the submitter pushes the source pull to the shared
+    queue and, on the queue path, each stream callback pushes the next
+    GPU task there too."""
+
+    CHAIN = 10  # pull + 8 kernels + push
+
+    def _counts(self, ex, hf, **run_kw):
+        before = ex.metrics.snapshot()
+        ex.run(hf, **run_kw).result(timeout=30)
+        ex.wait_for_all()
+        after = ex.metrics.snapshot()
+        return {
+            k: [a - b for a, b in zip(after[k], before[k])]
+            for k in (
+                "executor.tasks_executed",
+                "executor.shared_pops",
+                "executor.local_pops",
+                "executor.continued_launches",
+            )
+        }
+
+    def test_gpu_successors_skip_the_queues(self):
+        hf, data = _gpu_chain()
+        with Executor(1, 1) as ex:
+            c = self._counts(ex, hf)
+        np.testing.assert_array_equal(data, np.arange(64) + 8.0)
+        assert c["executor.tasks_executed"] == [self.CHAIN]
+        assert c["executor.shared_pops"] == [1]  # the source pull only
+        assert c["executor.local_pops"] == [0]
+        assert c["executor.continued_launches"] == [self.CHAIN - 1]
+
+    def test_armed_fault_profile_takes_the_queue_path(self):
+        from repro.resilience import FaultProfile
+
+        hf, data = _gpu_chain()
+        with Executor(1, 1) as ex:
+            # armed, but never reached: the run itself is fault-free
+            ex.gpu_runtime.device(0).configure_faults(
+                FaultProfile(die_at_op=10**6), seed=0
+            )
+            c = self._counts(ex, hf)
+        np.testing.assert_array_equal(data, np.arange(64) + 8.0)
+        assert c["executor.tasks_executed"] == [self.CHAIN]
+        assert c["executor.shared_pops"] == [self.CHAIN]
+        assert c["executor.continued_launches"] == [0]
+
+    def test_sanitized_run_takes_the_queue_path(self):
+        hf, data = _gpu_chain()
+        with Executor(1, 1) as ex:
+            c = self._counts(ex, hf, sanitize=True)
+        np.testing.assert_array_equal(data, np.arange(64) + 8.0)
+        assert c["executor.tasks_executed"] == [self.CHAIN]
+        assert c["executor.shared_pops"] == [self.CHAIN]
+        assert c["executor.continued_launches"] == [0]
+
+    def test_degraded_topology_takes_the_queue_path(self):
+        hf, data = _gpu_chain()
+        with Executor(1, 1) as ex:
+            # the first run discovers the dead device and degrades
+            ex.gpu_runtime.device(0).fail()
+            ex.run(hf).result(timeout=30)
+            assert ex.alive_gpus == []
+            c = self._counts(ex, hf)
+        np.testing.assert_array_equal(data, np.arange(64) + 16.0)
+        # degraded from the start: every GPU task runs on the worker and
+        # releases its successor into the worker's own queue
+        assert c["executor.tasks_executed"] == [self.CHAIN]
+        assert c["executor.shared_pops"] == [1]
+        assert c["executor.local_pops"] == [self.CHAIN - 1]
+        assert c["executor.continued_launches"] == [0]
+
+    def test_continued_traces_validate(self):
+        """A worker's streams take launches from the worker and from the
+        dispatchers continuing its lane; with a 1 us switch interval the
+        traces still pass every validator check, stream order included
+        (each stream's dispatch stamps follow its FIFO order)."""
+        import sys
+
+        from repro.check import generate_graph
+        from repro.check.validate import validate_schedule
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            continued = 0
+            for workers, gpus in ((1, 1), (2, 2)):
+                for seed in range(20):
+                    gen = generate_graph(seed, num_gpus=gpus)
+                    obs = TraceObserver()
+                    with Executor(workers, gpus, observers=[obs]) as ex:
+                        ex.run_n(gen.graph, 3).result(timeout=60)
+                        snap = ex.metrics.snapshot()
+                    continued += sum(snap["executor.continued_launches"])
+                    validate_schedule(
+                        gen.graph, obs.records, passes=3, num_gpus=gpus
+                    ).raise_if_failed()
+        finally:
+            sys.setswitchinterval(old)
+        assert continued > 0

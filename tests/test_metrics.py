@@ -8,6 +8,7 @@ edge cases, and ``python -m repro profile``.
 """
 
 import json
+import sys
 import threading
 
 import pytest
@@ -69,6 +70,39 @@ class TestRegistryPrimitives:
         assert lc.per_lane() == [1, 0, 5]
         assert lc.value == 6
 
+    def test_lane_counter_sharded_increments_are_exact(self):
+        """The lane owner's plain stores and other threads' sharded
+        increments to the same lane never lose a count."""
+        lc = LaneCounter(2, "lanes")
+        barrier = threading.Barrier(4)
+
+        def owner():
+            barrier.wait()
+            for _ in range(5000):
+                lc.inc(0)
+
+        def helper():
+            barrier.wait()
+            for _ in range(5000):
+                lc.inc_sharded(0)
+                lc.inc_sharded(1, 2)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=owner)] + [
+                threading.Thread(target=helper) for _ in range(3)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+        assert lc.per_lane() == [4 * 5000, 3 * 2 * 5000]
+        assert lc.value == 10 * 5000
+
     def test_gauge_and_max_gauge(self):
         g = Gauge("g")
         g.set(3)
@@ -120,6 +154,10 @@ class TestRegistryPrimitives:
 # ---------------------------------------------------------------------
 # executor counters
 # ---------------------------------------------------------------------
+def _add_one(v):
+    v += 1.0
+
+
 def _diamond():
     hf = Heteroflow("diamond")
     a = hf.host(lambda: None, name="a")
@@ -215,6 +253,64 @@ class TestExecutorCounters:
             # a worker currently asleep has committed one more time
             # than it has returned
             assert w <= s <= w + 1
+
+    def test_gpu_counts_exact_under_concurrency(self):
+        """Stream dispatchers count the GPU tasks they continue for a
+        worker without losing an increment: with a 1 us switch interval,
+        50 runs of a two-GPU graph on two workers still count every
+        task exactly once, and every per-lane identity holds."""
+        import numpy as np
+
+        runs, chains, kernels = 50, 4, 3
+        arrays = [np.zeros(16) for _ in range(chains)]
+        hf = Heteroflow("gpu-lanes")
+        for i, a in enumerate(arrays):
+            fill = hf.host(lambda a=a, i=i: a.fill(i), name=f"fill{i}")
+            pull = hf.pull(a, name=f"pull{i}")
+            fill.precede(pull)
+            prev = pull
+            for j in range(kernels):
+                k = hf.kernel(_add_one, pull, name=f"k{i}_{j}")
+                prev.precede(k)
+                prev = k
+            push = hf.push(pull, a, name=f"push{i}")
+            prev.precede(push)
+        tasks = len(hf.nodes)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with Executor(num_workers=2, num_gpus=2) as ex:
+                futures = [ex.run(hf) for _ in range(runs)]
+                for f in futures:
+                    f.result(timeout=120)
+                ex.wait_for_all()
+                snap = ex.metrics.snapshot()
+        finally:
+            sys.setswitchinterval(old)
+        for i, a in enumerate(arrays):
+            assert (a == i + kernels).all()
+        executed = snap["executor.tasks_executed"]
+        continued = snap["executor.continued_launches"]
+        assert sum(executed) == tasks * runs
+        assert snap["executor.tasks_flushed"] == [0, 0]
+        # the GPU chains did continue on the dispatchers: up to the 3
+        # kernels and the push of each chain, per run
+        assert 0 < sum(continued) <= chains * (kernels + 1) * runs
+        for wid in range(2):
+            # every task was obtained by one pop or one continued launch
+            assert (
+                executed[wid]
+                == snap["executor.local_pops"][wid]
+                + snap["executor.shared_pops"][wid]
+                + snap["executor.steals_succeeded"][wid]
+                + continued[wid]
+            )
+            assert (
+                snap["executor.steals_succeeded"][wid]
+                <= snap["executor.steals_attempted"][wid]
+            )
+            wakeups, sleeps = snap["executor.wakeups"][wid], snap["executor.sleeps"][wid]
+            assert wakeups <= sleeps <= wakeups + 1
 
     def test_gpu_device_stats(self):
         from repro.analysis.corpus import build_saxpy

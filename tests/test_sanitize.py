@@ -171,3 +171,98 @@ class TestFootprintSingleDefinition:
 
         hf, _, _ = build_saxpy()
         assert predicted_footprint_bytes(hf) > 0
+
+
+# ---------------------------------------------------------------------
+# kernel ctx arity: one rule for every callable shape and every path
+# ---------------------------------------------------------------------
+def _check_ctx(ctx):
+    from repro.gpu.kernel import KernelContext
+
+    assert isinstance(ctx, KernelContext)
+
+
+def _inc(v):
+    v += 1.0
+
+
+def _inc_ctx(ctx, v):
+    _check_ctx(ctx)
+    v += 1.0
+
+
+def _inc_by(v, by):
+    v += by
+
+
+def _inc_by_ctx(ctx, v, by):
+    _check_ctx(ctx)
+    v += by
+
+
+class _Kernels:
+    def inc(self, v):
+        v += 1.0
+
+    def inc_ctx(self, ctx, v):
+        _check_ctx(ctx)
+        v += 1.0
+
+
+class _IncCallable:
+    def __call__(self, v):
+        v += 1.0
+
+
+class _IncCtxCallable:
+    def __call__(self, ctx, v):
+        _check_ctx(ctx)
+        v += 1.0
+
+
+def _kernel_shapes():
+    import functools
+
+    return {
+        "function": _inc,
+        "function-ctx": _inc_ctx,
+        "bound-method": _Kernels().inc,
+        "bound-method-ctx": _Kernels().inc_ctx,
+        "partial": functools.partial(_inc_by, by=1.0),
+        "partial-ctx": functools.partial(_inc_by_ctx, by=1.0),
+        "callable": _IncCallable(),
+        "callable-ctx": _IncCtxCallable(),
+    }
+
+
+class TestKernelContextArity:
+    """Whether a kernel receives a KernelContext depends only on its
+    first parameter being named ``ctx``: the same answer for plain,
+    sanitized and degraded (host-fallback) runs."""
+
+    @pytest.mark.parametrize("mode", ["plain", "sanitized", "degraded"])
+    @pytest.mark.parametrize("shape", sorted(_kernel_shapes()))
+    def test_kernel_shapes(self, shape, mode):
+        data = np.zeros(8)
+        hf = Heteroflow("arity")
+        pull = hf.pull(data, name="pull")
+        k = hf.kernel(_kernel_shapes()[shape], pull, name="k").host_fallback()
+        push = hf.push(pull, data, name="push")
+        pull.precede(k)
+        k.precede(push)
+        with Executor(num_workers=1, num_gpus=1) as e:
+            if mode == "degraded":
+                e.gpu_runtime.device(0).fail()
+            e.run(hf, sanitize=mode == "sanitized").result(timeout=30)
+            if mode == "degraded":
+                assert e.metrics.snapshot()["resilience.fallback_tasks"] == 1
+        np.testing.assert_array_equal(data, np.ones(8))
+
+    def test_unhashable_callable_still_resolved(self):
+        from repro.gpu.kernel import wants_context
+
+        class Unhashable(_IncCtxCallable):
+            __hash__ = None
+
+        assert wants_context(Unhashable())
+        assert not wants_context(np.add)  # not weakly referenceable
