@@ -45,54 +45,41 @@ Subpackages:
 - :mod:`repro.apps.timing` / :mod:`repro.apps.placement` — the two
   VLSI CAD evaluation workloads, built from scratch;
 - :mod:`repro.baselines` — sequential oracle and ablation baselines.
+
+The names exported here load on first use (PEP 562): ``import repro``
+by itself imports neither numpy nor the runtime.
 """
 
-from repro.core.executor import Executor
-from repro.core.heteroflow import Heteroflow
-from repro.core.node import TaskType
-from repro.core.observer import TraceObserver
-from repro.core.task import HostTask, KernelTask, PullTask, PushTask, Task
-from repro.core.topology import FrozenTopology
-from repro.errors import (
-    AllocationError,
-    CycleError,
-    DeviceError,
-    EmptyTaskError,
-    ExecutorError,
-    FrozenTopologyError,
-    GraphError,
-    HeteroflowError,
-    KernelError,
-    SimulationError,
-    ValidationError,
-)
-from repro.utils.span import Late, Span
+from repro._lazy import attach
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AllocationError",
-    "CycleError",
-    "DeviceError",
-    "EmptyTaskError",
-    "Executor",
-    "ExecutorError",
-    "FrozenTopology",
-    "FrozenTopologyError",
-    "GraphError",
-    "Heteroflow",
-    "HeteroflowError",
-    "HostTask",
-    "KernelError",
-    "KernelTask",
-    "Late",
-    "PullTask",
-    "PushTask",
-    "SimulationError",
-    "Span",
-    "Task",
-    "TaskType",
-    "TraceObserver",
-    "ValidationError",
-    "__version__",
-]
+# public name -> defining submodule; loaded on first use (PEP 562)
+_EXPORTS = {
+    "Executor": "repro.core.executor",
+    "Heteroflow": "repro.core.heteroflow",
+    "TaskType": "repro.core.node",
+    "TraceObserver": "repro.core.observer",
+    "HostTask": "repro.core.task",
+    "KernelTask": "repro.core.task",
+    "PullTask": "repro.core.task",
+    "PushTask": "repro.core.task",
+    "Task": "repro.core.task",
+    "FrozenTopology": "repro.core.topology",
+    "AllocationError": "repro.errors",
+    "CycleError": "repro.errors",
+    "DeviceError": "repro.errors",
+    "EmptyTaskError": "repro.errors",
+    "ExecutorError": "repro.errors",
+    "FrozenTopologyError": "repro.errors",
+    "GraphError": "repro.errors",
+    "HeteroflowError": "repro.errors",
+    "KernelError": "repro.errors",
+    "SimulationError": "repro.errors",
+    "ValidationError": "repro.errors",
+    "Late": "repro.utils.span",
+    "Span": "repro.utils.span",
+}
+
+__getattr__, __dir__, __all__ = attach(__name__, _EXPORTS)
+__all__ += ["__version__"]

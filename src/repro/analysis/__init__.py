@@ -37,68 +37,41 @@ The dynamic half — the hfsan runtime sanitizer
 — cross-checks the inference against observed accesses at run time.
 The full rule catalog with examples and fixes is in
 ``docs/analysis.md``.
+
+Every name loads on first use, so structural consumers such as service
+admission can import :mod:`repro.analysis.model` without the effect
+engine, the rules or the sanitizer.
 """
 
-from repro.analysis.diagnostics import (
-    RULES,
-    Diagnostic,
-    LintReport,
-    Rule,
-    Severity,
-)
-from repro.analysis.effects import (
-    CallableEffects,
-    Mutation,
-    RootEffect,
-    TaskEffects,
-    infer_callable_effects,
-    infer_task_effects,
-)
-from repro.analysis.linter import lint
-from repro.analysis.model import (
-    GraphModel,
-    PlacementGroup,
-    SpanAccess,
-    predicted_footprint_bytes,
-)
-from repro.analysis.report import (
-    JSON_SCHEMA_VERSION,
-    render_dot,
-    render_json,
-    render_text,
-)
-from repro.analysis.rules import ALL_RULES
-from repro.analysis.sanitize import (
-    Divergence,
-    RecordingArray,
-    SanitizeReport,
-    SanitizerSession,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "ALL_RULES",
-    "CallableEffects",
-    "Diagnostic",
-    "Divergence",
-    "GraphModel",
-    "JSON_SCHEMA_VERSION",
-    "LintReport",
-    "Mutation",
-    "PlacementGroup",
-    "RULES",
-    "RecordingArray",
-    "RootEffect",
-    "Rule",
-    "SanitizeReport",
-    "SanitizerSession",
-    "Severity",
-    "SpanAccess",
-    "TaskEffects",
-    "infer_callable_effects",
-    "infer_task_effects",
-    "lint",
-    "predicted_footprint_bytes",
-    "render_dot",
-    "render_json",
-    "render_text",
-]
+# public name -> defining submodule; loaded on first use (PEP 562)
+_EXPORTS = {
+    "RULES": "repro.analysis.diagnostics",
+    "Diagnostic": "repro.analysis.diagnostics",
+    "LintReport": "repro.analysis.diagnostics",
+    "Rule": "repro.analysis.diagnostics",
+    "Severity": "repro.analysis.diagnostics",
+    "CallableEffects": "repro.analysis.effects",
+    "Mutation": "repro.analysis.effects",
+    "RootEffect": "repro.analysis.effects",
+    "TaskEffects": "repro.analysis.effects",
+    "infer_callable_effects": "repro.analysis.effects",
+    "infer_task_effects": "repro.analysis.effects",
+    "lint": "repro.analysis.linter",
+    "GraphModel": "repro.analysis.model",
+    "PlacementGroup": "repro.analysis.model",
+    "SpanAccess": "repro.analysis.model",
+    "predicted_footprint_bytes": "repro.analysis.model",
+    "JSON_SCHEMA_VERSION": "repro.analysis.report",
+    "render_dot": "repro.analysis.report",
+    "render_json": "repro.analysis.report",
+    "render_text": "repro.analysis.report",
+    "ALL_RULES": "repro.analysis.rules",
+    "Divergence": "repro.analysis.sanitize",
+    "RecordingArray": "repro.analysis.sanitize",
+    "SanitizeReport": "repro.analysis.sanitize",
+    "SanitizerSession": "repro.analysis.sanitize",
+}
+
+__getattr__, __dir__, __all__ = attach(__name__, _EXPORTS)

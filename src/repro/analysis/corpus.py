@@ -25,7 +25,7 @@ def build_saxpy():
     Returns ``(graph, x, y, n)`` — the host containers are part of the
     return so runners can check the arithmetic.
     """
-    from repro.core import Heteroflow
+    from repro.core.heteroflow import Heteroflow
 
     n = 65536
     x: List[int] = []

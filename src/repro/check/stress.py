@@ -34,7 +34,8 @@ from concurrent.futures import CancelledError
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.analysis import Severity, lint
+from repro.analysis.diagnostics import Severity
+from repro.analysis.linter import lint
 from repro.check.audit import AllocatorAuditor
 from repro.check.generator import generate_graph
 from repro.check.validate import validate_schedule

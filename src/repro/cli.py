@@ -111,7 +111,7 @@ def _build_saxpy():
 
 
 def _cmd_saxpy(args: argparse.Namespace) -> int:
-    from repro.core import Executor
+    from repro.core.executor import Executor
 
     hf, x, y, n = _build_saxpy()
     with Executor(num_workers=args.workers, num_gpus=args.gpus) as ex:
@@ -180,7 +180,8 @@ def _cmd_gantt(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.core import Executor, TraceObserver
+    from repro.core.executor import Executor
+    from repro.core.observer import TraceObserver
     from repro.core.tracing import write_chrome_trace
 
     hf, x, y, n = _build_saxpy()
@@ -303,7 +304,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.resilience import run_chaos
+    from repro.resilience.chaos import run_chaos
 
     scenarios = 10 if args.smoke else args.scenarios
     print(f"chaos sweep: {scenarios} seeded fault scenario(s), "
@@ -331,7 +332,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_gateway_soak(args: argparse.Namespace) -> int:
-    from repro.gateway import run_gateway_soak
+    from repro.gateway.soak import run_gateway_soak
 
     scenarios = 6 if args.smoke else args.scenarios
     throughput = 40 if args.smoke else 200
@@ -377,7 +378,7 @@ def _cmd_gateway_soak(args: argparse.Namespace) -> int:
 
 
 def _cmd_gateway_gray_soak(args: argparse.Namespace) -> int:
-    from repro.gateway import run_gateway_gray_soak
+    from repro.gateway.soak import run_gateway_gray_soak
 
     scenarios = 10 if args.smoke else args.scenarios
     print(f"gateway gray soak sweep: {scenarios} gray-failure "
@@ -427,7 +428,7 @@ def _cmd_gateway_gray_soak(args: argparse.Namespace) -> int:
 
 
 def _cmd_gateway_crash_soak(args: argparse.Namespace) -> int:
-    from repro.durability import run_gateway_crash_soak
+    from repro.durability.soak import run_gateway_crash_soak
 
     scenarios = 10 if args.smoke else args.scenarios
     print(f"gateway crash soak sweep: {scenarios} scenario(s), "
@@ -493,7 +494,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         return _cmd_gateway_gray_soak(args)
     if args.gateway:
         return _cmd_gateway_soak(args)
-    from repro.service import run_soak
+    from repro.service.soak import run_soak
 
     scenarios = 6 if args.smoke else args.scenarios
     print(f"soak sweep: {scenarios} seeded overload scenario(s), "
@@ -533,7 +534,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal as _signal
 
-    from repro.gateway import BurstSpec, ChaosProfile, Gateway, WorkerConfig
+    from repro.gateway.chaos import ChaosProfile
+    from repro.gateway.gateway import Gateway
+    from repro.gateway.spec import BurstSpec
+    from repro.gateway.worker import WorkerConfig
 
     async def session() -> int:
         chaos = ChaosProfile.mild(seed=0) if args.chaos else None
@@ -628,13 +632,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis import Severity, lint, render_dot, render_json, render_text
     from repro.analysis.corpus import (
         BUILTIN_CORPUS,
         find_examples_dir,
         iter_builtin,
         iter_example_graphs,
     )
+    from repro.analysis.diagnostics import Severity
+    from repro.analysis.linter import lint
+    from repro.analysis.report import render_dot, render_json, render_text
 
     unknown = [w for w in args.workloads if w not in BUILTIN_CORPUS]
     if unknown:
@@ -677,7 +683,7 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
     import json
 
     from repro.analysis.corpus import BUILTIN_CORPUS
-    from repro.core import Executor
+    from repro.core.executor import Executor
 
     unknown = [w for w in args.workloads if w not in BUILTIN_CORPUS]
     if unknown:
@@ -727,7 +733,8 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.analysis.corpus import BUILTIN_CORPUS
-    from repro.core import Executor, TraceObserver
+    from repro.core.executor import Executor
+    from repro.core.observer import TraceObserver
     from repro.metrics import render_report_text
 
     hf = BUILTIN_CORPUS[args.workload]()

@@ -10,47 +10,41 @@ Public surface:
 - task handles (:class:`~repro.core.task.HostTask`, ...) returned by the
   graph-construction methods, supporting ``precede``/``succeed`` and
   kernel shape configuration.
+
+Graph-analysis helpers (:mod:`~repro.core.algorithms`), composition
+patterns (:mod:`~repro.core.patterns`) and serialization
+(:mod:`~repro.core.serialize`) are re-exported too; like every name
+here they load on first use.
 """
 
-from repro.core.algorithms import (
-    average_parallelism,
-    critical_path,
-    graph_stats,
-    redundant_edges,
-)
-from repro.core.executor import Executor
-from repro.core.heteroflow import Heteroflow
-from repro.core.node import TaskType
-from repro.core.observer import ExecutorObserver, TraceObserver
-from repro.core.patterns import gpu_map, parallel_for, pipeline, reduce_tree
-from repro.core.placement import DevicePlacement, PlacementResult
-from repro.core.serialize import graph_to_dict, graph_to_json, skeleton_from_dict
-from repro.core.task import HostTask, KernelTask, PullTask, PushTask, Task
-from repro.core.topology import FrozenTopology
+from repro._lazy import attach
 
-__all__ = [
-    "DevicePlacement",
-    "Executor",
-    "ExecutorObserver",
-    "FrozenTopology",
-    "Heteroflow",
-    "HostTask",
-    "KernelTask",
-    "PlacementResult",
-    "PullTask",
-    "PushTask",
-    "Task",
-    "TaskType",
-    "TraceObserver",
-    "average_parallelism",
-    "critical_path",
-    "gpu_map",
-    "graph_stats",
-    "graph_to_dict",
-    "graph_to_json",
-    "parallel_for",
-    "pipeline",
-    "redundant_edges",
-    "reduce_tree",
-    "skeleton_from_dict",
-]
+# public name -> defining submodule; loaded on first use (PEP 562)
+_EXPORTS = {
+    "Executor": "repro.core.executor",
+    "Heteroflow": "repro.core.heteroflow",
+    "TaskType": "repro.core.node",
+    "ExecutorObserver": "repro.core.observer",
+    "TraceObserver": "repro.core.observer",
+    "DevicePlacement": "repro.core.placement",
+    "PlacementResult": "repro.core.placement",
+    "HostTask": "repro.core.task",
+    "KernelTask": "repro.core.task",
+    "PullTask": "repro.core.task",
+    "PushTask": "repro.core.task",
+    "Task": "repro.core.task",
+    "FrozenTopology": "repro.core.topology",
+    "average_parallelism": "repro.core.algorithms",
+    "critical_path": "repro.core.algorithms",
+    "graph_stats": "repro.core.algorithms",
+    "redundant_edges": "repro.core.algorithms",
+    "gpu_map": "repro.core.patterns",
+    "parallel_for": "repro.core.patterns",
+    "pipeline": "repro.core.patterns",
+    "reduce_tree": "repro.core.patterns",
+    "graph_to_dict": "repro.core.serialize",
+    "graph_to_json": "repro.core.serialize",
+    "skeleton_from_dict": "repro.core.serialize",
+}
+
+__getattr__, __dir__, __all__ = attach(__name__, _EXPORTS)

@@ -12,8 +12,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
+from repro.analysis.model import GraphModel
 from repro.core.heteroflow import Heteroflow
 from repro.core.node import Node, TaskType
 from repro.sim.cost import CostModel
@@ -129,20 +128,23 @@ def graph_stats(graph: Heteroflow) -> GraphStats:
 def redundant_edges(graph: Heteroflow) -> List[Tuple[Node, Node]]:
     """Edges implied by transitivity (removable without changing the
     partial order).  The paper's Fig.-3 discussion is exactly about
-    exploiting such transitive dependencies instead of adding edges."""
-    g = nx.DiGraph()
-    by_id: Dict[int, Node] = {}
-    for n in graph.nodes:
-        by_id[n.nid] = n
-        g.add_node(n.nid)
-    for n in graph.nodes:
-        for s in n.successors:
-            g.add_edge(n.nid, s.nid)
-    reduced = nx.transitive_reduction(g)
+    exploiting such transitive dependencies instead of adding edges.
+
+    An edge ``u -> v`` is redundant when another successor of ``u``
+    already reaches ``v`` — the happens-before query hflint's HF013
+    answers from :class:`~repro.analysis.model.GraphModel`'s bitset
+    closure.  Edges of the de-duplicated graph are reported once each,
+    in node order and then successor order.  Raises
+    :class:`~repro.errors.CycleError` on a cycle, like its siblings.
+    """
+    graph.topological_order()  # CycleError / GraphError, like critical_path
+    model = GraphModel(graph)
     out = []
-    for u, v in g.edges:
-        if not reduced.has_edge(u, v):
-            out.append((by_id[u], by_id[v]))
+    for u in model.nodes:
+        succs = list(dict.fromkeys(u.successors))
+        for v in succs:
+            if any(s is not v and model.reaches(s, v) for s in succs):
+                out.append((u, v))
     return out
 
 

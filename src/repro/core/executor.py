@@ -529,7 +529,7 @@ class Executor:
         For a :class:`~repro.core.topology.FrozenTopology` the report
         comes from the frozen lint cache (one analysis per pool size).
         """
-        from repro.analysis import lint as _lint
+        from repro.analysis.linter import lint as _lint
 
         if self.num_gpus > 0:
             pool = self._gpu.device(0).heap.capacity

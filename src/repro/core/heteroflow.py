@@ -230,7 +230,7 @@ class Heteroflow:
         """
         if self._frozen is not None:
             return self._frozen.lint(**kwargs)
-        from repro.analysis import lint as _lint
+        from repro.analysis.linter import lint as _lint
 
         return _lint(self, **kwargs)
 

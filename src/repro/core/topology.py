@@ -498,7 +498,7 @@ class FrozenTopology(Lowering):
         """
         fp = self._footprint
         if fp is None:
-            from repro.service.admission import predicted_footprint_bytes
+            from repro.analysis.model import predicted_footprint_bytes
 
             fp = predicted_footprint_bytes(self.graph)
             self._footprint = fp
@@ -518,7 +518,7 @@ class FrozenTopology(Lowering):
             cached = self._lint_cache.get(key)
             if cached is not None:
                 return cached
-        from repro.analysis import lint as _lint
+        from repro.analysis.linter import lint as _lint
 
         report = _lint(self.graph, **kwargs)
         if key is not None:

@@ -184,7 +184,7 @@ def _host_main(mode: str, journal_path: str, plan_json: str,
 
 
 def _plan_target(gw, item: dict, fh):
-    from repro.gateway import BurstSpec
+    from repro.gateway.spec import BurstSpec
 
     kind = item["kind"]
     if kind == "frozen" and fh is not None:
@@ -195,7 +195,9 @@ def _plan_target(gw, item: dict, fh):
 
 
 async def _host_run(journal_path: str, plan: List[dict]) -> None:
-    from repro.gateway import BurstSpec, Gateway, WorkerConfig
+    from repro.gateway.gateway import Gateway
+    from repro.gateway.spec import BurstSpec
+    from repro.gateway.worker import WorkerConfig
 
     gw = Gateway(
         2,
@@ -221,7 +223,9 @@ async def _host_run(journal_path: str, plan: List[dict]) -> None:
 
 async def _host_recover(journal_path: str, plan: List[dict],
                         result_path: str, seed: int) -> None:
-    from repro.gateway import BurstSpec, Gateway, WorkerConfig
+    from repro.gateway.gateway import Gateway
+    from repro.gateway.spec import BurstSpec
+    from repro.gateway.worker import WorkerConfig
 
     out: Dict = {"recover": None, "outcomes": {}, "drained": False}
     async with Gateway(
@@ -596,7 +600,7 @@ def _run_fault_scenario(index: int, sweep_seed: int,
 # ---------------------------------------------------------------------------
 async def _run_clean_scenario(gw, fh, index: int,
                               sweep_seed: int) -> CrashScenario:
-    from repro.gateway import BurstSpec
+    from repro.gateway.spec import BurstSpec
 
     seed = derive_seed(sweep_seed, "clean", index)
     rng = random.Random(seed)
@@ -646,7 +650,9 @@ async def _run_clean_scenario(gw, fh, index: int,
 async def _run_sweep(scenarios: int, workers: int, seed: int,
                      journal_dir: Optional[str],
                      log: Optional[Callable[[str], None]]) -> CrashSoakReport:
-    from repro.gateway import BurstSpec, Gateway, WorkerConfig
+    from repro.gateway.gateway import Gateway
+    from repro.gateway.spec import BurstSpec
+    from repro.gateway.worker import WorkerConfig
 
     def say(msg: str) -> None:
         if log:

@@ -25,52 +25,35 @@ Public surface:
   :mod:`repro.durability`);
 - :func:`~repro.gateway.soak.run_gateway_soak` and
   :func:`~repro.gateway.soak.run_gateway_gray_soak` — the multiprocess
-  soak harnesses behind ``python -m repro soak --gateway [--gray]``
-  (imported lazily; they pull in the whole service stack).
+  soak harnesses behind ``python -m repro soak --gateway [--gray]``.
+
+Every name loads on first use, so a spawned worker importing
+:mod:`repro.gateway.worker` never pays for asyncio or the front-end.
 """
 
-from __future__ import annotations
+from repro._lazy import attach
 
-from repro.gateway.chaos import ChaosProfile
-from repro.gateway.gateway import (
-    FrozenHandle,
-    Gateway,
-    GraphHandle,
-    RecoveryReport,
-    Result,
-    Submission,
-)
-from repro.gateway.health import HEALTH_STATES, HealthConfig, WorkerHealth
-from repro.gateway.messages import OUTCOMES, PROTOCOL_VERSION
-from repro.gateway.spec import BuiltinSpec, BurstSpec, GeneratedSpec, WorkSpec
-from repro.gateway.worker import WorkerConfig
+# public name -> defining submodule; loaded on first use (PEP 562)
+_EXPORTS = {
+    "Gateway": "repro.gateway.gateway",
+    "GraphHandle": "repro.gateway.gateway",
+    "FrozenHandle": "repro.gateway.gateway",
+    "RecoveryReport": "repro.gateway.gateway",
+    "Result": "repro.gateway.gateway",
+    "Submission": "repro.gateway.gateway",
+    "WorkerConfig": "repro.gateway.worker",
+    "WorkSpec": "repro.gateway.spec",
+    "GeneratedSpec": "repro.gateway.spec",
+    "BuiltinSpec": "repro.gateway.spec",
+    "BurstSpec": "repro.gateway.spec",
+    "ChaosProfile": "repro.gateway.chaos",
+    "HealthConfig": "repro.gateway.health",
+    "WorkerHealth": "repro.gateway.health",
+    "HEALTH_STATES": "repro.gateway.health",
+    "OUTCOMES": "repro.gateway.messages",
+    "PROTOCOL_VERSION": "repro.gateway.messages",
+    "run_gateway_soak": "repro.gateway.soak",
+    "run_gateway_gray_soak": "repro.gateway.soak",
+}
 
-__all__ = [
-    "Gateway",
-    "GraphHandle",
-    "FrozenHandle",
-    "RecoveryReport",
-    "Result",
-    "Submission",
-    "WorkerConfig",
-    "WorkSpec",
-    "GeneratedSpec",
-    "BuiltinSpec",
-    "BurstSpec",
-    "ChaosProfile",
-    "HealthConfig",
-    "WorkerHealth",
-    "HEALTH_STATES",
-    "OUTCOMES",
-    "PROTOCOL_VERSION",
-    "run_gateway_soak",
-    "run_gateway_gray_soak",
-]
-
-
-def __getattr__(name: str):
-    if name in ("run_gateway_soak", "run_gateway_gray_soak"):
-        from repro.gateway import soak
-
-        return getattr(soak, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__, __all__ = attach(__name__, _EXPORTS)

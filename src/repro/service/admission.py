@@ -44,9 +44,10 @@ from repro.errors import AdmissionRejectedError
 
 # The buddy-rounded static footprint model is owned by the analyzer —
 # one definition for lint rule HF020 and for this ledger, so the two
-# can never drift.  Re-exported here because the service layer is the
-# historical import site (repro.core.topology and user code import it
-# from repro.service.admission).
+# can never drift.  Re-exported here (the same object) because the
+# service layer is the historical import site for user code; inside
+# the package, importers use repro.analysis.model, which loads without
+# the rest of the analyzer.
 from repro.analysis.model import predicted_footprint_bytes  # noqa: F401
 
 #: the three backpressure policies

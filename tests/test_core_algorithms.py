@@ -1,5 +1,7 @@
 """Tests for graph analysis and refinement utilities."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.core.algorithms import (
     redundant_edges,
     total_work,
 )
+from repro.errors import CycleError
 from repro.sim import CostModel, MachineSpec, SimExecutor
 
 
@@ -162,6 +165,17 @@ class TestRefinement:
         k2.precede(s2)
         assert redundant_edges(hf) == []
 
+    def test_cyclic_graph_raises_cycle_error(self):
+        """Like critical_path and graph_stats, not a library-specific
+        error from whatever computes the closure."""
+        hf = Heteroflow()
+        a, b, c = (hf.host(lambda: None, name=n) for n in "abc")
+        a.precede(b)
+        b.precede(c)
+        c.precede(a)
+        with pytest.raises(CycleError):
+            redundant_edges(hf)
+
     def test_merge_moves_tasks(self):
         g1, g2 = Heteroflow("a"), Heteroflow("b")
         t1 = g1.host(lambda: None)
@@ -202,3 +216,70 @@ class TestRefinement:
         with Executor(3, 0) as ex:
             ex.run(hf).result(timeout=10)
         assert out == sorted(out)
+
+
+def random_dag(seed):
+    """A seeded random DAG whose node order is not a topological order,
+    plus the names of the shapes it contains.
+
+    Every fourth seed adds a diamond (with its redundant shortcut),
+    every third repeats some edges, and most graphs keep a few isolated
+    nodes; seed 0 is the empty graph.
+    """
+    rng = random.Random(seed)
+    hf = Heteroflow()
+    n = 0 if seed == 0 else rng.randint(1, 16)
+    tasks = [hf.host(lambda: None) for _ in range(n)]
+    rank = list(range(n))
+    rng.shuffle(rank)  # edges go from lower to higher rank
+    isolated = set(rng.sample(range(n), min(n, rng.randint(0, 3))))
+    edges = [
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if rank[i] < rank[j]
+        and i not in isolated
+        and j not in isolated
+        and rng.random() < 0.3
+    ]
+    shapes = {"empty"} if n == 0 else set()
+    if isolated:
+        shapes.add("isolated")
+    if seed % 4 == 1 and n - len(isolated) >= 4:
+        a, b, c, d = sorted(set(range(n)) - isolated, key=rank.__getitem__)[:4]
+        edges += [(a, b), (a, c), (b, d), (c, d), (a, d)]
+        shapes.add("diamond")
+    if seed % 3 == 2 and edges:
+        edges += rng.choices(edges, k=rng.randint(1, 3))
+        shapes.add("duplicate")
+    rng.shuffle(edges)
+    for i, j in edges:
+        tasks[i].precede(tasks[j])
+    return hf, shapes
+
+
+def networkx_redundant_edges(graph):
+    """The oracle: the complement of networkx's transitive reduction."""
+    nx = pytest.importorskip("networkx")
+    g = nx.DiGraph()
+    for n in graph.nodes:
+        g.add_node(n.nid)
+    for n in graph.nodes:
+        for s in n.successors:
+            g.add_edge(n.nid, s.nid)
+    reduced = nx.transitive_reduction(g)
+    return [(u, v) for u, v in g.edges if not reduced.has_edge(u, v)]
+
+
+class TestRedundantEdgesDifferential:
+    def test_matches_networkx_transitive_reduction(self):
+        seen = {"redundant": 0}
+        for seed in range(240):
+            hf, shapes = random_dag(seed)
+            got = [(u.nid, v.nid) for u, v in redundant_edges(hf)]
+            assert got == networkx_redundant_edges(hf), f"seed={seed}"
+            for shape in shapes:
+                seen[shape] = seen.get(shape, 0) + 1
+            seen["redundant"] += bool(got)
+        assert set(seen) == {"empty", "isolated", "diamond", "duplicate", "redundant"}
+        assert seen["diamond"] >= 20 and seen["duplicate"] >= 20, seen
