@@ -11,13 +11,13 @@ A race/invariant checker for the executor, GPU runtime, and allocator:
   matched frees, zero leaks, full coalescing) via buddy trace hooks;
 - :mod:`repro.check.mutants` — deliberately-buggy executors proving the
   validator catches real scheduler bugs;
-- :mod:`repro.check.stress` — the config x seed sweep behind
-  ``python -m repro check --stress``;
-- :mod:`repro.check.replay` — the fresh-vs-frozen differential sweep
-  behind ``python -m repro check --replay`` (docs/runtime.md, "Freeze
+- :mod:`repro.check.stress` — the config x seed suite behind
+  ``python -m repro verify stress``;
+- :mod:`repro.check.replay` — the fresh-vs-frozen differential suite
+  behind ``python -m repro verify replay`` (docs/runtime.md, "Freeze
   and replay");
-- :mod:`repro.check.sanitize` — the effect-inference soundness sweep
-  behind ``python -m repro check --sanitize``: seeded graphs run under
+- :mod:`repro.check.sanitize` — the effect-inference soundness suite
+  behind ``python -m repro verify sanitize``: seeded graphs run under
   the hfsan runtime sanitizer and must report zero static/dynamic
   divergence (docs/analysis.md, "Sanitizer").
 """
@@ -25,25 +25,7 @@ A race/invariant checker for the executor, GPU runtime, and allocator:
 from repro.check.audit import AllocatorAuditor, AuditReport, AllocEvent
 from repro.check.generator import GeneratedGraph, generate_graph
 from repro.check.mutants import MutantExecutor, SelftestResult, run_mutant_selftest
-from repro.check.replay import (
-    REPLAY_CONFIGS,
-    ReplayOutcome,
-    ReplayReport,
-    run_replay_check,
-)
-from repro.check.sanitize import (
-    SWEEP_SCHEMA,
-    SanitizeOutcome,
-    SanitizeSweepReport,
-    run_sanitize_sweep,
-)
-from repro.check.stress import (
-    DEFAULT_CONFIGS,
-    RunOutcome,
-    StressReport,
-    run_determinism_check,
-    run_stress,
-)
+from repro.check.stress import run_determinism_check
 from repro.check.validate import (
     ScheduleReport,
     Violation,
@@ -54,25 +36,13 @@ __all__ = [
     "AllocEvent",
     "AllocatorAuditor",
     "AuditReport",
-    "DEFAULT_CONFIGS",
     "GeneratedGraph",
     "MutantExecutor",
-    "REPLAY_CONFIGS",
-    "ReplayOutcome",
-    "ReplayReport",
-    "RunOutcome",
-    "SWEEP_SCHEMA",
-    "SanitizeOutcome",
-    "SanitizeSweepReport",
     "ScheduleReport",
     "SelftestResult",
-    "StressReport",
     "Violation",
     "generate_graph",
     "run_determinism_check",
     "run_mutant_selftest",
-    "run_replay_check",
-    "run_sanitize_sweep",
-    "run_stress",
     "validate_schedule",
 ]

@@ -27,18 +27,16 @@ every stress-generator graph **both ways** and cross-checks them:
 Scenario modes (``seed % 4``) also drive cancellation, submission
 deadlines, and device fault injection *through the replay path*, plus
 a clean follow-up replay proving the frozen graph survives a
-cancelled/expired submission.  Exposed via
-``python -m repro check --replay`` (``--replay-smoke`` in CI).
+cancelled/expired submission.  Run with ``python -m repro verify
+replay``.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 import time
 from concurrent.futures import CancelledError
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -47,11 +45,8 @@ from repro.check.stress import STRESS_POOL_BYTES, _RESULT_TIMEOUT
 from repro.check.validate import validate_schedule
 from repro.core.executor import Executor
 from repro.core.observer import TraceObserver
+from repro.harness import Report, Scenario
 from repro.resilience import FaultProfile, RetryPolicy
-
-#: default sweep: a host-only config (slot fast path) plus the stress
-#: GPU configs (general frozen path, cached placement plan)
-REPLAY_CONFIGS: Tuple[Tuple[int, int], ...] = ((2, 0), (1, 1), (2, 2), (4, 2))
 
 #: scenario modes, chosen per seed; ``fault`` degrades to ``normal``
 #: on host-only configs (nothing to inject)
@@ -60,74 +55,6 @@ _MODES = ("normal", "cancel", "deadline", "fault")
 #: deadline armed for deadline-mode scenarios; the gate holds the graph
 #: at the starting line well past this
 _DEADLINE_S = 0.05
-
-
-@dataclass
-class ReplayOutcome:
-    """One fresh-vs-frozen differential scenario."""
-
-    workers: int
-    gpus: int
-    seed: int
-    mode: str  # "normal" | "cancel" | "deadline" | "fault"
-    passes: int
-    num_nodes: int
-    fast: bool  # frozen side used the slot fast path
-    records_fresh: int = 0
-    records_frozen: int = 0
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-@dataclass
-class ReplayReport:
-    """Aggregated differential-sweep outcome (``repro.replay-report/1``)."""
-
-    schema: str = "repro.replay-report/1"
-    outcomes: List[ReplayOutcome] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(o.ok for o in self.outcomes)
-
-    @property
-    def num_scenarios(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def violations(self) -> List[str]:
-        out: List[str] = []
-        for o in self.outcomes:
-            out.extend(
-                f"[{o.workers}w x {o.gpus}g seed={o.seed} {o.mode}] {v}"
-                for v in o.violations
-            )
-        return out
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "ok": self.ok,
-            "num_scenarios": self.num_scenarios,
-            "scenarios": [
-                {
-                    "workers": o.workers,
-                    "gpus": o.gpus,
-                    "seed": o.seed,
-                    "mode": o.mode,
-                    "passes": o.passes,
-                    "num_nodes": o.num_nodes,
-                    "fast": o.fast,
-                    "records_fresh": o.records_fresh,
-                    "records_frozen": o.records_frozen,
-                    "violations": o.violations,
-                }
-                for o in self.outcomes
-            ],
-        }
 
 
 def _make_executor(workers: int, gpus: int, seed: int) -> Executor:
@@ -150,7 +77,7 @@ def _inject_faults(ex: Executor, gpus: int, seed: int) -> None:
 
 
 def _cross_compare(
-    fresh: GeneratedGraph, frozen: GeneratedGraph, outcome: ReplayOutcome
+    fresh: GeneratedGraph, frozen: GeneratedGraph, outcome: Scenario
 ) -> None:
     """Compare the two runs' terminal state against each other."""
     fresh_counts = sorted(fresh.host_log)
@@ -168,21 +95,30 @@ def _cross_compare(
             )
 
 
-def _run_differential(
-    workers: int, gpus: int, seed: int, mode: str, passes: int
-) -> ReplayOutcome:
+def run_scenario(index: int, workers: int, gpus: int, seed: int) -> Scenario:
+    """One fresh-vs-frozen differential scenario; its mode derives from
+    the seed (``seed % 4``), ``fault`` degrading to ``normal`` on
+    host-only configs (nothing to inject)."""
+    mode = _MODES[seed % len(_MODES)]
+    if mode == "fault" and gpus == 0:
+        mode = "normal"
+    rng = random.Random((seed << 8) ^ (workers * 37) ^ (gpus * 101))
+    passes = rng.randint(2, 3) if mode in ("normal", "fault") else 1
     gated = mode in ("cancel", "deadline")
     fresh = generate_graph(seed, num_gpus=gpus, gate=gated)
     frozen_gen = generate_graph(seed, num_gpus=gpus, gate=gated)
     frozen = frozen_gen.graph.freeze()
-    outcome = ReplayOutcome(
-        workers=workers,
-        gpus=gpus,
-        seed=seed,
-        mode=mode,
-        passes=passes,
-        num_nodes=fresh.num_nodes,
-        fast=frozen.fast_capable,
+    outcome = Scenario(
+        index, mode, seed,
+        counts={"records_fresh": 0, "records_frozen": 0},
+        detail={
+            "workers": workers,
+            "gpus": gpus,
+            "passes": passes,
+            "nodes": fresh.num_nodes,
+            # the frozen side takes the slot fast path
+            "fast": frozen.fast_capable,
+        },
     )
     if len(fresh.graph) != len(frozen_gen.graph):
         outcome.violations.append(
@@ -274,10 +210,7 @@ def _run_differential(
         _record(side, partial.num_records + strict.num_records)
 
     def _record(side: str, n: int) -> None:
-        if side == "fresh":
-            outcome.records_fresh = n
-        else:
-            outcome.records_frozen = n
+        outcome.counts[f"records_{side}"] = n
 
     # fresh side: classic run_n submission
     obs_a = TraceObserver()
@@ -327,52 +260,24 @@ def _run_differential(
 
     if mode in ("normal", "fault"):
         _cross_compare(fresh, frozen_gen, outcome)
-        if outcome.records_fresh != outcome.records_frozen:
+        fresh_n, frozen_n = (
+            outcome.counts["records_fresh"], outcome.counts["records_frozen"]
+        )
+        if fresh_n != frozen_n:
             outcome.violations.append(
-                f"trace length differs: fresh committed "
-                f"{outcome.records_fresh} records, frozen "
-                f"{outcome.records_frozen}"
+                f"trace length differs: fresh committed {fresh_n} "
+                f"records, frozen {frozen_n}"
             )
     return outcome
 
 
-def run_replay_check(
-    seeds: int = 13,
-    configs: Optional[Sequence[Tuple[int, int]]] = None,
-    *,
-    log: Optional[Callable[[str], None]] = None,
-) -> ReplayReport:
-    """Sweep *seeds* differential scenarios over every config.
-
-    Each (config, seed) pair runs one scenario whose mode derives from
-    the seed (``seed % 4``): plain multi-pass replay, cancellation
-    mid-replay, a firing submission deadline, or device fault injection
-    with retries through the frozen path (GPU configs; host-only
-    configs substitute a normal scenario).  The default sweep is
-    ``13 seeds x 4 configs = 52`` scenarios.  Never raises on
-    violations — the caller decides (CLI exits nonzero, tests assert).
-    """
-    configs = tuple(configs) if configs else REPLAY_CONFIGS
-    report = ReplayReport()
-    for workers, gpus in configs:
-        for seed in range(seeds):
-            mode = _MODES[seed % len(_MODES)]
-            if mode == "fault" and gpus == 0:
-                mode = "normal"
-            rng = random.Random((seed << 8) ^ (workers * 37) ^ (gpus * 101))
-            passes = rng.randint(2, 3) if mode in ("normal", "fault") else 1
-            outcome = _run_differential(workers, gpus, seed, mode, passes)
-            report.outcomes.append(outcome)
-        if log is not None:
-            runs = [
-                o for o in report.outcomes
-                if o.workers == workers and o.gpus == gpus
-            ]
-            bad = sum(len(o.violations) for o in runs)
-            log(
-                f"  {workers} worker(s) x {gpus} GPU(s): "
-                f"{len(runs)} scenario(s), "
-                f"{sum(o.records_frozen for o in runs)} replay records, "
-                f"{bad} violation(s)"
-            )
-    return report
+def scenarios(
+    report: Report, n: int, configs: Sequence[Tuple[int, int]]
+) -> Iterator[Scenario]:
+    """Scenario *i* runs graph seed ``report.seed + i // len(configs)``
+    on config ``configs[i % len(configs)]``: the configs pair a
+    host-only shape (slot fast path) with GPU shapes (general frozen
+    path, cached placement plan)."""
+    for i in range(n):
+        workers, gpus = configs[i % len(configs)]
+        yield run_scenario(i, workers, gpus, report.seed + i // len(configs))

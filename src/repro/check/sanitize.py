@@ -15,159 +15,56 @@ sanitizer (``Executor.run(..., sanitize=True)``), and checks that
    hold their original objects again after the future resolves.
 
 A divergence here is a real bug: either the inference engine missed an
-access path (unsound) or a proxy misattributed one.  Exposed via
-``python -m repro sanitize --sweep`` and ``repro check --sanitize``;
-the CI ``sanitize`` job commits the report as a schema-versioned
-artifact (``repro.sanitize-sweep/1``).
+access path (unsound) or a proxy misattributed one.  Run with
+``python -m repro verify sanitize``; the full-size report is the
+committed ``BENCH_sanitize_sweep.json`` record.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Iterator
 
 from repro.check.generator import generate_graph
 from repro.core.executor import Executor
-
-#: sweep report schema; bump only with a documented migration
-SWEEP_SCHEMA = "repro.sanitize-sweep/1"
+from repro.harness import Report, Scenario
 
 _RESULT_TIMEOUT = 120.0
 
 
-@dataclass
-class SanitizeOutcome:
-    """One sanitized execution of one generated graph."""
-
-    seed: int
-    num_nodes: int
-    checked_tasks: int
-    confident_tasks: int
-    proxied_objects: int
-    divergences: List[Dict] = field(default_factory=list)
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.divergences and not self.violations
-
-    def as_dict(self) -> Dict:
-        return {
-            "seed": self.seed,
-            "num_nodes": self.num_nodes,
-            "checked_tasks": self.checked_tasks,
-            "confident_tasks": self.confident_tasks,
-            "proxied_objects": self.proxied_objects,
-            "divergences": self.divergences,
-            "violations": self.violations,
-        }
-
-
-@dataclass
-class SanitizeSweepReport:
-    """Aggregated sweep outcome (``repro.sanitize-sweep/1``)."""
-
-    num_workers: int = 0
-    num_gpus: int = 0
-    outcomes: List[SanitizeOutcome] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(o.ok for o in self.outcomes)
-
-    @property
-    def num_runs(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def num_divergences(self) -> int:
-        return sum(len(o.divergences) for o in self.outcomes)
-
-    @property
-    def violations(self) -> List[str]:
-        out: List[str] = []
-        for o in self.outcomes:
-            out.extend(f"[seed={o.seed}] {v}" for v in o.violations)
-            out.extend(
-                f"[seed={o.seed}] divergence: {d}" for d in o.divergences
-            )
-        return out
-
-    def as_dict(self) -> Dict:
-        return {
-            "schema": SWEEP_SCHEMA,
-            "ok": self.ok,
-            "num_runs": self.num_runs,
-            "num_divergences": self.num_divergences,
-            "num_workers": self.num_workers,
-            "num_gpus": self.num_gpus,
-            "checked_tasks": sum(o.checked_tasks for o in self.outcomes),
-            "confident_tasks": sum(o.confident_tasks for o in self.outcomes),
-            "proxied_objects": sum(o.proxied_objects for o in self.outcomes),
-            "outcomes": [o.as_dict() for o in self.outcomes],
-        }
-
-    def to_json(self, *, indent: int = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
-
-
-def run_sanitize_sweep(
-    seeds: int = 25,
-    *,
-    num_workers: int = 4,
-    num_gpus: int = 2,
-    log: Optional[Callable[[str], None]] = None,
-) -> SanitizeSweepReport:
-    """Run *seeds* generated graphs sanitized; returns the sweep report.
-
-    Never raises on divergences — the caller decides (the CLI exits
-    nonzero, tests assert ``report.ok``).
-    """
-    report = SanitizeSweepReport(num_workers=num_workers, num_gpus=num_gpus)
-    ex = Executor(num_workers=num_workers, num_gpus=num_gpus)
+def scenarios(
+    report: Report, n: int, workers: int, gpus: int
+) -> Iterator[Scenario]:
+    """Graph seeds ``report.seed + i``, sanitized one after another on
+    one shared *workers* x *gpus* executor."""
+    ex = Executor(num_workers=workers, num_gpus=gpus)
     try:
-        for seed in range(seeds):
-            gen = generate_graph(seed, num_gpus=num_gpus)
-            outcome = SanitizeOutcome(
-                seed=seed,
-                num_nodes=gen.num_nodes,
-                checked_tasks=0,
-                confident_tasks=0,
-                proxied_objects=0,
-            )
+        for i in range(n):
+            seed = report.seed + i
+            gen = generate_graph(seed, num_gpus=gpus)
+            sc = Scenario(i, "sanitize", seed, detail={"nodes": gen.num_nodes})
             try:
                 fut = ex.run(gen.graph, sanitize=True)
                 fut.result(timeout=_RESULT_TIMEOUT)
             except Exception as exc:  # noqa: BLE001 - harness boundary
-                outcome.violations.append(
-                    f"sanitized run failed: {exc!r}"
-                )
-                report.outcomes.append(outcome)
+                sc.violations.append(f"sanitized run failed: {exc!r}")
+                yield sc
                 continue
             san = fut.sanitize_report
             if san is None:
-                outcome.violations.append("no sanitize report attached")
+                sc.violations.append("no sanitize report attached")
             else:
-                outcome.checked_tasks = san.checked_tasks
-                outcome.confident_tasks = san.confident_tasks
-                outcome.proxied_objects = san.proxied_objects
-                outcome.divergences = [
-                    d.as_dict() for d in san.divergences
-                ]
+                sc.counts = {
+                    "checked_tasks": san.checked_tasks,
+                    "confident_tasks": san.confident_tasks,
+                    "proxied_objects": san.proxied_objects,
+                    "divergences": len(san.divergences),
+                }
+                sc.violations.extend(
+                    f"divergence: {d.as_dict()}" for d in san.divergences
+                )
             # transparency: the sanitized run must satisfy the same
             # arithmetic oracle an unsanitized run does
-            outcome.violations.extend(gen.verify(1))
-            report.outcomes.append(outcome)
-            if log is not None and not outcome.ok:
-                log(f"  seed {seed}: {len(outcome.divergences)} "
-                    f"divergence(s), {len(outcome.violations)} violation(s)")
-        if log is not None:
-            log(
-                f"  {report.num_runs} sanitized run(s), "
-                f"{sum(o.checked_tasks for o in report.outcomes)} task(s) "
-                f"checked, {report.num_divergences} divergence(s)"
-            )
+            sc.violations.extend(gen.verify(1))
+            yield sc
     finally:
         ex.shutdown()
-    return report

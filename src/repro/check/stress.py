@@ -1,6 +1,7 @@
-"""Stress/soak harness: sweep configs x seeds through the validators.
+"""Stress suite: seeded random graphs x (workers, gpus) configs through
+the validators.
 
-For every (workers, gpus) configuration and every seed, the runner
+For every (workers, gpus) configuration and every seed, a scenario
 
 1. generates a seeded random graph (:mod:`repro.check.generator`),
 2. runs it 1-3 passes under a real :class:`~repro.core.executor.Executor`
@@ -11,8 +12,8 @@ For every (workers, gpus) configuration and every seed, the runner
    against the generator's oracle, and the allocator event stream
    against the pool invariants.
 
-Fault-injection mode additionally runs every graph through three
-failure paths, checking that the recovery machinery
+Every third seed additionally runs the graph through three failure
+paths, checking that the recovery machinery
 (:mod:`repro.errors`, topology flushing, buffer reclamation) leaves
 partial traces and pools consistent:
 
@@ -24,15 +25,14 @@ partial traces and pools consistent:
   trace must stay strictly exact-once, and the oracle must match;
 - ``cancel`` — the graph is cancelled at the starting line.
 
-Exposed via ``python -m repro check --stress``.
+Run with ``python -m repro verify stress``.
 """
 
 from __future__ import annotations
 
 import random
 from concurrent.futures import CancelledError
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from repro.analysis.diagnostics import Severity
 from repro.analysis.linter import lint
@@ -42,11 +42,8 @@ from repro.check.validate import validate_schedule
 from repro.core.executor import Executor
 from repro.core.observer import TraceObserver
 from repro.errors import KernelError
+from repro.harness import Report, Scenario
 from repro.resilience import FaultProfile, RetryPolicy
-
-#: default sweep: ≥3 worker/GPU configurations, per the roadmap's
-#: "correct DAG execution across N CPU workers and M GPUs" claim
-DEFAULT_CONFIGS: Tuple[Tuple[int, int], ...] = ((1, 1), (2, 2), (4, 2))
 
 #: small per-device pool so the sweep also squeezes the buddy pools
 STRESS_POOL_BYTES = 1 << 21
@@ -54,58 +51,8 @@ STRESS_POOL_BYTES = 1 << 21
 _RESULT_TIMEOUT = 120.0
 
 
-@dataclass
-class RunOutcome:
-    """One validated execution."""
-
-    workers: int
-    gpus: int
-    seed: int
-    mode: str  # "normal" | "fault" | "retry" | "cancel"
-    passes: int
-    num_nodes: int
-    num_records: int
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-@dataclass
-class StressReport:
-    """Aggregated sweep outcome."""
-
-    outcomes: List[RunOutcome] = field(default_factory=list)
-    num_allocs: int = 0
-    num_frees: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return all(o.ok for o in self.outcomes)
-
-    @property
-    def num_runs(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def violations(self) -> List[str]:
-        out: List[str] = []
-        for o in self.outcomes:
-            out.extend(
-                f"[{o.workers}w x {o.gpus}g seed={o.seed} {o.mode}] {v}"
-                for v in o.violations
-            )
-        return out
-
-
-def _run_one(
-    workers: int,
-    gpus: int,
-    seed: int,
-    mode: str,
-    report: StressReport,
-) -> RunOutcome:
+def _run_mode(workers: int, gpus: int, seed: int, mode: str, sc: Scenario) -> None:
+    """One validated execution of graph *seed* in *mode*, tallied into *sc*."""
     rng = random.Random((seed << 8) ^ (workers * 37) ^ (gpus * 101))
     passes = rng.randint(1, 3) if mode == "normal" else 1
     gen = generate_graph(
@@ -115,20 +62,12 @@ def _run_one(
     )
     obs = TraceObserver()
     auditor = AllocatorAuditor(keep_events=False)
-    outcome = RunOutcome(
-        workers=workers,
-        gpus=gpus,
-        seed=seed,
-        mode=mode,
-        passes=passes,
-        num_nodes=gen.num_nodes,
-        num_records=0,
-    )
+    violations: List[str] = []
     # cross-validation: generated graphs are well-formed by construction,
     # so hflint must agree — a warning-or-worse finding here is either a
     # generator bug or an analyzer false positive, and both must surface
     static = lint(gen.graph, gpu_memory_bytes=STRESS_POOL_BYTES)
-    outcome.violations.extend(
+    violations.extend(
         f"hflint: {d}" for d in static.at_least(Severity.WARNING)
     )
     ex = Executor(
@@ -158,21 +97,19 @@ def _run_one(
         try:
             fut.result(timeout=_RESULT_TIMEOUT)
             if mode == "fault":
-                outcome.violations.append(
+                violations.append(
                     "injected kernel fault did not propagate to the future"
                 )
             if mode == "cancel":
-                outcome.violations.append(
-                    "cancelled run resolved successfully"
-                )
+                violations.append("cancelled run resolved successfully")
         except CancelledError:
             if mode != "cancel":
-                outcome.violations.append("run unexpectedly cancelled")
+                violations.append("run unexpectedly cancelled")
         except KernelError as exc:
             if mode != "fault" or "injected" not in str(exc):
-                outcome.violations.append(f"unexpected task failure: {exc!r}")
+                violations.append(f"unexpected task failure: {exc!r}")
         except Exception as exc:  # noqa: BLE001 - harness boundary
-            outcome.violations.append(f"unexpected task failure: {exc!r}")
+            violations.append(f"unexpected task failure: {exc!r}")
     finally:
         ex.shutdown()
     partial = mode in ("fault", "cancel")
@@ -183,60 +120,48 @@ def _run_one(
         num_gpus=gpus,
         allow_partial=partial,
     )
-    outcome.num_records = schedule.num_records
-    outcome.violations.extend(str(v) for v in schedule.violations)
+    violations.extend(str(v) for v in schedule.violations)
     if mode in ("normal", "retry"):
         # retry runs recover from the injected fault, so the oracle
         # must hold exactly as for a clean run
-        outcome.violations.extend(gen.verify(passes))
+        violations.extend(gen.verify(passes))
     audit = auditor.finish()
-    outcome.violations.extend(audit.violations)
-    report.num_allocs += audit.num_allocs
-    report.num_frees += audit.num_frees
-    return outcome
+    violations.extend(audit.violations)
+    sc.violations.extend(f"{mode}: {v}" for v in violations)
+    sc.detail["nodes"] = gen.num_nodes
+    for key, val in (
+        ("runs", 1),
+        ("records", schedule.num_records),
+        ("allocs", audit.num_allocs),
+        ("frees", audit.num_frees),
+    ):
+        sc.counts[key] = sc.counts.get(key, 0) + val
 
 
-def run_stress(
-    seeds: int = 25,
-    configs: Optional[Sequence[Tuple[int, int]]] = None,
-    *,
-    faults: bool = False,
-    log: Optional[Callable[[str], None]] = None,
-) -> StressReport:
-    """Sweep *seeds* random graphs over every (workers, gpus) config.
+def run_scenario(index: int, workers: int, gpus: int, seed: int) -> Scenario:
+    """Graph *seed* on *workers* x *gpus*: a normal run, plus (every
+    third seed) the ``fault``/``retry`` (GPU configs) and ``cancel``
+    modes."""
+    modes = ["normal"]
+    if seed % 3 == 0:
+        modes += (["fault", "retry"] if gpus > 0 else []) + ["cancel"]
+    sc = Scenario(
+        index, f"{workers}x{gpus}", seed,
+        detail={"workers": workers, "gpus": gpus, "modes": modes},
+    )
+    for mode in modes:
+        _run_mode(workers, gpus, seed, mode, sc)
+    return sc
 
-    With ``faults=True`` every third seed additionally runs the
-    device-level fault-injection modes (``fault``/``retry``, GPU
-    configs only) and cancellation mode.  Returns a
-    :class:`StressReport`; the sweep never raises on violations — the
-    caller decides (CLI exits nonzero, tests assert).
-    """
-    configs = tuple(configs) if configs else DEFAULT_CONFIGS
-    report = StressReport()
-    for workers, gpus in configs:
-        config_violations = 0
-        for seed in range(seeds):
-            modes = ["normal"]
-            if faults and seed % 3 == 0:
-                if gpus > 0:
-                    modes += ["fault", "retry"]
-                modes += ["cancel"]
-            for mode in modes:
-                outcome = _run_one(workers, gpus, seed, mode, report)
-                report.outcomes.append(outcome)
-                config_violations += len(outcome.violations)
-        if log is not None:
-            runs = [
-                o for o in report.outcomes
-                if o.workers == workers and o.gpus == gpus
-            ]
-            log(
-                f"  {workers} worker(s) x {gpus} GPU(s): "
-                f"{len(runs)} run(s), "
-                f"{sum(o.num_records for o in runs)} task records, "
-                f"{config_violations} violation(s)"
-            )
-    return report
+
+def scenarios(
+    report: Report, n: int, configs: Sequence[Tuple[int, int]]
+) -> Iterator[Scenario]:
+    """Scenario *i* runs graph seed ``report.seed + i // len(configs)``
+    on config ``configs[i % len(configs)]``."""
+    for i in range(n):
+        workers, gpus = configs[i % len(configs)]
+        yield run_scenario(i, workers, gpus, report.seed + i // len(configs))
 
 
 def run_determinism_check(

@@ -10,17 +10,20 @@ Commands:
   graph in GraphViz DOT;
 - ``trace OUTPUT.json`` — run saxpy under a trace observer and write a
   chrome://tracing / Perfetto JSON file;
-- ``check [--stress] [--replay|--replay-smoke] [--sanitize]`` — run
-  the schedule-validation subsystem: the mutant self-test, optionally
-  the full config x seed stress sweep, optionally the fresh-vs-frozen
-  differential replay sweep, and optionally the effect-inference
-  soundness sweep (see docs/testing.md, docs/runtime.md "Freeze and
-  replay", and docs/analysis.md "Sanitizer");
+- ``check`` — the schedule validator's mutant self-test: a
+  deliberately-buggy scheduler must be caught on every route
+  (docs/testing.md);
+- ``verify SUITE [--scenarios N] [--seed S] [--smoke] [--json OUT]`` —
+  run one seeded verification suite (``stress``, ``replay``,
+  ``sanitize``, ``chaos``, ``soak``, ``gateway``, ``gateway-gray``,
+  ``gateway-crash``; :data:`repro.harness.SUITES`), reconcile every
+  scenario, and exit nonzero on any violation; ``--json`` writes the
+  ``repro.verify-report/1`` envelope (docs/testing.md);
 - ``lint [workloads...] [--json|--dot]`` — run the hflint static
   analyzer over the shipped flows (and, with ``--examples DIR`` or an
   auto-detected ``examples/`` directory, the example graphs); exits
   nonzero on error-severity findings (see docs/analysis.md);
-- ``sanitize [workloads...] [--sweep N] [--json OUT]`` — run workloads
+- ``sanitize [workloads...] [--json OUT]`` — run workloads
   under the hfsan runtime sanitizer and cross-check every observed
   span/captured-object access against the static effect inference;
   exits nonzero on any static/dynamic divergence (docs/analysis.md,
@@ -30,26 +33,6 @@ Commands:
   :class:`~repro.metrics.RunReport` (``--json`` for the stable
   schema-v1 document, ``--trace OUT.json`` for a chrome-trace of the
   same run; see docs/observability.md);
-- ``chaos [--scenarios N] [--seed S] [--smoke] [--json OUT]`` — sweep
-  seeded device-fault scenarios (allocation failures, kernel faults,
-  stream stalls, device death, zero-GPU degradation) through the
-  resilience layer and validate every recovery
-  (see docs/resilience.md);
-- ``soak [--scenarios N] [--seed S] [--smoke] [--json OUT]
-  [--gateway [--workers N] [--kill-every K] [--gray]]`` — sweep seeded
-  multi-tenant overload scenarios (bounded admission under
-  block/reject/shed backpressure, priorities, deadlines, caller-side
-  cancels, graceful drain) through the service layer, reconcile every
-  submission outcome, and validate every trace (see docs/runtime.md,
-  "Submission lifecycle"); with ``--gateway`` the same discipline runs
-  against a pool of spawned worker processes, with SIGKILL chaos and a
-  gateway-vs-single-process throughput comparison, with
-  ``--gateway --gray`` the gray-failure sweep: recv-loop stalls that
-  must breaker-eject and re-admit, hedged submissions, and a
-  retry-budget exhaustion drill (docs/gateway.md), and with
-  ``--gateway --crash`` the durability sweep: SIGKILL the *gateway*
-  process mid-stream, recover a fresh one from the journal, and
-  reconcile exactly-once settlement (docs/durability.md);
 - ``fsck JOURNAL [--json] [--strict]`` — validate a durable submission
   journal read-only: checksums, sequence numbers, duplicate/orphan
   settles, torn tails; ``--strict`` also fails on unsettled entries
@@ -194,41 +177,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_configs(spec: str):
-    """Parse ``"1x1,2x2,4x2"`` into ``[(1, 1), (2, 2), (4, 2)]``."""
-    configs = []
-    for part in spec.split(","):
-        part = part.strip().lower()
-        if not part:
-            continue
-        try:
-            workers, gpus = (int(v) for v in part.split("x"))
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"bad config {part!r}: expected WORKERSxGPUS, e.g. 2x2"
-            )
-        if workers < 1 or gpus < 0:
-            raise argparse.ArgumentTypeError(
-                f"bad config {part!r}: need >=1 worker and >=0 GPUs"
-            )
-        configs.append((workers, gpus))
-    if not configs:
-        raise argparse.ArgumentTypeError("empty config list")
-    return configs
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.check import run_mutant_selftest, run_stress
-    from repro.check.mutants import ROUTES
-
-    failures = 0
+    from repro.check.mutants import ROUTES, run_mutant_selftest
 
     print("mutant self-test: validating a deliberately-buggy scheduler ...")
     selftest = run_mutant_selftest()
     if selftest.caught:
         print("  caught on every route")
     else:
-        failures += 1
         print("  FAILED: the validator did not distinguish the buggy "
               "scheduler from the correct one on every route")
     for route in ROUTES:
@@ -242,231 +198,38 @@ def _cmd_check(args: argparse.Namespace) -> int:
         for v in reference.violations[:4]:
             print(f"    [reference] {v}")
 
-    if args.stress:
-        configs = args.configs or None
-        n_cfg = len(configs) if configs else 3
-        seeds = args.seeds if args.seeds is not None else 25
-        print(f"\nstress sweep: {seeds} seed(s) x {n_cfg} config(s)"
-              f"{' with fault injection' if args.faults else ''} ...")
-        report = run_stress(
-            seeds, configs, faults=args.faults, log=print
-        )
-        print(f"  total: {report.num_runs} run(s), "
-              f"{report.num_allocs} allocation(s) / {report.num_frees} free(s) "
-              f"audited, {len(report.violations)} violation(s)")
-        if not report.ok:
-            failures += 1
-            for v in report.violations[:20]:
-                print(f"    {v}")
-            more = len(report.violations) - 20
-            if more > 0:
-                print(f"    ... and {more} more")
-
-    if args.sanitize:
-        from repro.check import run_sanitize_sweep
-
-        seeds = args.seeds if args.seeds is not None else 25
-        print(f"\nsanitize sweep: {seeds} seed(s), static effect "
-              f"inference vs observed accesses ...")
-        san_report = run_sanitize_sweep(seeds, log=print)
-        if not san_report.ok:
-            failures += 1
-            for v in san_report.violations[:20]:
-                print(f"    {v}")
-            more = len(san_report.violations) - 20
-            if more > 0:
-                print(f"    ... and {more} more")
-
-    if args.replay or args.replay_smoke:
-        from repro.check import run_replay_check
-
-        if args.replay_smoke:
-            seeds, configs = 4, [(2, 0), (2, 2)]
-        else:
-            seeds = args.seeds if args.seeds is not None else 13
-            configs = args.configs or None
-        n_cfg = len(configs) if configs else 4
-        print(f"\ndifferential replay sweep: {seeds} seed(s) x "
-              f"{n_cfg} config(s), fresh vs frozen ...")
-        replay_report = run_replay_check(seeds, configs, log=print)
-        print(f"  total: {replay_report.num_scenarios} scenario(s), "
-              f"{len(replay_report.violations)} violation(s)")
-        if not replay_report.ok:
-            failures += 1
-            for v in replay_report.violations[:20]:
-                print(f"    {v}")
-            more = len(replay_report.violations) - 20
-            if more > 0:
-                print(f"    ... and {more} more")
-
-    print(f"\ncheck: {'OK' if failures == 0 else 'FAILED'}")
-    return 0 if failures == 0 else 1
+    print(f"\ncheck: {'OK' if selftest.caught else 'FAILED'}")
+    return 0 if selftest.caught else 1
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.resilience.chaos import run_chaos
+def _cmd_verify(args: argparse.Namespace) -> int:
+    import json
 
-    scenarios = 10 if args.smoke else args.scenarios
-    print(f"chaos sweep: {scenarios} seeded fault scenario(s), "
-          f"seed={args.seed} ...")
-    report = run_chaos(scenarios, seed=args.seed, log=print)
-    print(f"  total: {report.num_scenarios} scenario(s), "
-          f"{report.num_completed} recovered, "
-          f"{report.num_failed_as_expected} failed as expected, "
-          f"{len(report.violations)} violation(s)")
-    for key, val in sorted(report.counters.items()):
-        print(f"    {key:<36} {val}")
-    if not report.ok:
-        for v in report.violations[:20]:
-            print(f"    {v}")
-        more = len(report.violations) - 20
-        if more > 0:
-            print(f"    ... and {more} more")
+    from repro.harness import run
+
+    print(f"verify {args.suite} (seed {args.seed}) ...")
+    report = run(args.suite, args.scenarios, args.seed, args.smoke, log=print)
+    if args.json:
+        report.regenerate += f" --json {args.json}"
+    doc = report.to_dict()
+    totals = ", ".join(f"{k}={v:g}" for k, v in doc["totals"].items())
+    print(f"  total: {doc['num_scenarios']} scenario(s); {totals}")
+    for key, val in doc["counters"].items():
+        print(f"    {key:<36} {val:g}")
+    lat = doc["latency_s"]
+    if any(lat.values()):
+        print(f"    latency p50/p95/p99 (s):           "
+              f"{lat['p50']:.4f} / {lat['p95']:.4f} / {lat['p99']:.4f}")
+    for v in report.violations[:20]:
+        print(f"    {v}")
+    if len(report.violations) > 20:
+        print(f"    ... and {len(report.violations) - 20} more")
     if args.json:
         with open(args.json, "w") as fh:
-            fh.write(report.to_json())
+            json.dump(doc, fh, indent=2)
             fh.write("\n")
-        print(f"wrote scenario report to {args.json}")
-    print(f"\nchaos: {'OK' if report.ok else 'FAILED'}")
-    return 0 if report.ok else 1
-
-
-def _cmd_gateway_soak(args: argparse.Namespace) -> int:
-    from repro.gateway.soak import run_gateway_soak
-
-    scenarios = 6 if args.smoke else args.scenarios
-    throughput = 40 if args.smoke else 200
-    print(f"gateway soak sweep: {scenarios} serving scenario(s) against "
-          f"{args.workers} worker process(es), seed={args.seed} ...")
-    report = run_gateway_soak(
-        scenarios,
-        workers=args.workers,
-        seed=args.seed,
-        kill_every=args.kill_every,
-        throughput_repeats=throughput,
-        log=print,
-    )
-    totals = report.totals
-    print(f"  total: {totals['submitted']} submitted = "
-          f"{totals['completed']} completed + {totals['rejected']} rejected + "
-          f"{totals['shed']} shed + {totals['deadline_exceeded']} deadline + "
-          f"{totals['cancelled']} cancelled + {totals['failed']} failed + "
-          f"{totals['worker_lost']} worker_lost; {totals['kills']} kill(s)")
-    for key in ("gateway.submits", "gateway.settled", "gateway.cancels",
-                "gateway.worker_deaths", "gateway.respawns",
-                "gateway.replans"):
-        print(f"    {key:<36} {report.gateway_counters.get(key, 0):.0f}")
-    if report.throughput:
-        t = report.throughput
-        print(f"    throughput: gateway {t['gateway_runs_per_s']:.1f} runs/s "
-              f"vs single-process {t['single_runs_per_s']:.1f} runs/s "
-              f"(speedup {t['speedup']:.2f}x on "
-              f"{report.to_dict()['cpu_count']} core(s))")
-    if not report.ok:
-        for v in report.violations[:20]:
-            print(f"    {v}")
-        more = len(report.violations) - 20
-        if more > 0:
-            print(f"    ... and {more} more")
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
-        print(f"wrote gateway soak report to {args.json}")
-    print(f"\ngateway soak: {'OK' if report.ok else 'FAILED'}")
-    return 0 if report.ok else 1
-
-
-def _cmd_gateway_gray_soak(args: argparse.Namespace) -> int:
-    from repro.gateway.soak import run_gateway_gray_soak
-
-    scenarios = 10 if args.smoke else args.scenarios
-    print(f"gateway gray soak sweep: {scenarios} gray-failure "
-          f"scenario(s) against {args.workers} worker process(es), "
-          f"seed={args.seed} ...")
-    report = run_gateway_gray_soak(
-        scenarios,
-        workers=args.workers,
-        seed=args.seed,
-        kill_every=args.kill_every,
-        log=print,
-    )
-    totals = report.totals
-    print(f"  total: {totals['submitted']} submitted = "
-          f"{totals['completed']} completed + {totals['rejected']} rejected + "
-          f"{totals['shed']} shed + {totals['deadline_exceeded']} deadline + "
-          f"{totals['cancelled']} cancelled + {totals['failed']} failed + "
-          f"{totals['worker_lost']} worker_lost; "
-          f"{totals['stalls']} stall(s), {totals['kills']} kill(s), "
-          f"{totals['hedged']} targeted hedge(s)")
-    for key in ("gateway.submits", "gateway.settled",
-                "gateway.worker_deaths", "gateway.respawns",
-                "gateway.replans", "gateway.health.stalls",
-                "gateway.breaker.opened", "gateway.breaker.closed",
-                "gateway.breaker.rerouted", "gateway.hedge.launched",
-                "gateway.hedge.wins", "gateway.hedge.losses",
-                "gateway.hedge.dropped", "gateway.retry_budget.spent",
-                "gateway.retry_budget.exhausted"):
-        print(f"    {key:<36} {report.gateway_counters.get(key, 0):.0f}")
-    d = report.budget_drill
-    print(f"    budget drill: {d.get('worker_lost_budget', 0):.0f} "
-          f"over-budget worker_lost, "
-          f"{d.get('denied', 0):.0f} denial(s) counted")
-    if not report.ok:
-        for v in report.violations[:20]:
-            print(f"    {v}")
-        more = len(report.violations) - 20
-        if more > 0:
-            print(f"    ... and {more} more")
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
-        print(f"wrote gateway gray soak report to {args.json}")
-    print(f"\ngateway gray soak: {'OK' if report.ok else 'FAILED'}")
-    return 0 if report.ok else 1
-
-
-def _cmd_gateway_crash_soak(args: argparse.Namespace) -> int:
-    from repro.durability.soak import run_gateway_crash_soak
-
-    scenarios = 10 if args.smoke else args.scenarios
-    print(f"gateway crash soak sweep: {scenarios} scenario(s), "
-          f"{args.workers} shared worker process(es), seed={args.seed} "
-          f"...")
-    report = run_gateway_crash_soak(
-        scenarios,
-        workers=args.workers,
-        seed=args.seed,
-        journal_dir=args.journal_dir or None,
-        log=print,
-    )
-    totals = report.totals
-    print(f"  total: {totals['scenarios']} scenario(s) = "
-          f"{totals['crash_cycles']} crash cycle(s) "
-          f"({totals['kills']} gateway SIGKILL(s)) + "
-          f"{totals['fault_injections']} journal fault(s) + "
-          f"clean keyed traffic; {totals['submitted']} key(s) "
-          f"submitted, {totals['dedup_hits']} dedup hit(s), "
-          f"{totals['resubmitted']} recovered resubmission(s), "
-          f"{totals['not_replayable']} settled not_replayable")
-    for key in ("journal.appends", "journal.fsyncs", "journal.errors",
-                "journal.dedup_hits", "journal.torn_truncations",
-                "gateway.submits", "gateway.settled"):
-        print(f"    {key:<36} "
-              f"{report.gateway_counters.get(key, 0):.0f}")
-    if not report.ok:
-        for v in report.all_violations[:20]:
-            print(f"    {v}")
-        more = len(report.all_violations) - 20
-        if more > 0:
-            print(f"    ... and {more} more")
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
-        print(f"wrote gateway crash soak report to {args.json}")
-    print(f"\ngateway crash soak: {'OK' if report.ok else 'FAILED'}")
+        print(f"wrote {doc['schema']} report to {args.json}")
+    print(f"\nverify {args.suite}: {'OK' if report.ok else 'FAILED'}")
     return 0 if report.ok else 1
 
 
@@ -485,49 +248,6 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
     if args.strict and report.unsettled:
         return 1
     return 0
-
-
-def _cmd_soak(args: argparse.Namespace) -> int:
-    if args.gateway and args.crash:
-        return _cmd_gateway_crash_soak(args)
-    if args.gateway and args.gray:
-        return _cmd_gateway_gray_soak(args)
-    if args.gateway:
-        return _cmd_gateway_soak(args)
-    from repro.service.soak import run_soak
-
-    scenarios = 6 if args.smoke else args.scenarios
-    print(f"soak sweep: {scenarios} seeded overload scenario(s), "
-          f"seed={args.seed} ...")
-    report = run_soak(scenarios, seed=args.seed, log=print)
-    totals = report.totals
-    print(f"  total: {totals['submitted']} submitted = "
-          f"{totals['rejected']} rejected + {totals['admitted']} admitted; "
-          f"admitted = {totals['completed']} completed + "
-          f"{totals['shed']} shed + "
-          f"{totals['deadline_exceeded']} deadline + "
-          f"{totals['cancelled']} cancelled + {totals['failed']} failed")
-    for key, val in sorted(report.counters.items()):
-        print(f"    {key:<36} {val}")
-    wall = report.to_dict()["wall_latency_s"]
-    submit = report.to_dict()["submit_latency_s"]
-    print(f"    wall latency p50/p95/p99 (s):      "
-          f"{wall['p50']:.4f} / {wall['p95']:.4f} / {wall['p99']:.4f}")
-    print(f"    submit latency p50/p95/p99 (s):    "
-          f"{submit['p50']:.4f} / {submit['p95']:.4f} / {submit['p99']:.4f}")
-    if not report.ok:
-        for v in report.violations[:20]:
-            print(f"    {v}")
-        more = len(report.violations) - 20
-        if more > 0:
-            print(f"    ... and {more} more")
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
-        print(f"wrote soak report to {args.json}")
-    print(f"\nsoak: {'OK' if report.ok else 'FAILED'}")
-    return 0 if report.ok else 1
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -693,7 +413,7 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
 
     names = args.workloads or list(BUILTIN_CORPUS)
     failures = 0
-    doc = {"schema": "repro.sanitize-cli/1", "workloads": {}, "sweep": None}
+    doc = {"schema": "repro.sanitize-cli/1", "workloads": {}}
     with Executor(num_workers=args.workers, num_gpus=args.gpus) as ex:
         for name in names:
             graph = BUILTIN_CORPUS[name]()
@@ -710,17 +430,6 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
                 print(f"    {d.kind}: {d.task} / {d.root} ({d.detail})")
             if not rep.ok:
                 failures += 1
-
-    if args.sweep:
-        from repro.check import run_sanitize_sweep
-
-        print(f"\nsanitize sweep: {args.sweep} seeded graph(s) ...")
-        sweep = run_sanitize_sweep(args.sweep, log=print)
-        doc["sweep"] = sweep.as_dict()
-        if not sweep.ok:
-            failures += 1
-            for v in sweep.violations[:20]:
-                print(f"    {v}")
 
     if args.json:
         with open(args.json, "w") as fh:
@@ -765,6 +474,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.harness import SUITES
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Heteroflow reproduction: tools and figure regeneration",
@@ -801,127 +512,32 @@ def build_parser() -> argparse.ArgumentParser:
     gantt.add_argument("--size", type=int, default=0, help="views/iterations/layers")
     gantt.add_argument("--width", type=int, default=100)
 
-    check = sub.add_parser(
-        "check", help="run the schedule/allocator invariant checker"
-    )
-    check.add_argument(
-        "--stress", action="store_true",
-        help="sweep random graphs over worker/GPU configs and validate "
-             "every trace",
-    )
-    check.add_argument(
-        "--seeds", type=int, default=None,
-        help="random graphs per configuration (default: 25 for "
-             "--stress, 13 for --replay)",
-    )
-    check.add_argument(
-        "--configs", type=_parse_configs, default=None, metavar="WxG,...",
-        help="worker/GPU configurations, e.g. 1x1,2x2,4x2 (the default)",
-    )
-    check.add_argument(
-        "--faults", action="store_true",
-        help="also run fault-injection and cancellation variants",
-    )
-    check.add_argument(
-        "--replay", action="store_true",
-        help="differential replay sweep: every generated graph runs "
-             "fresh and frozen-replayed; traces, oracles, and results "
-             "must agree (docs/runtime.md, \"Freeze and replay\")",
-    )
-    check.add_argument(
-        "--replay-smoke", action="store_true",
-        help="quick 8-scenario differential replay sweep for CI",
-    )
-    check.add_argument(
-        "--sanitize", action="store_true",
-        help="sanitizer soundness sweep: run generated graphs under "
-             "hfsan and require zero static/dynamic divergence "
-             "(docs/analysis.md, \"Sanitizer\")",
+    sub.add_parser(
+        "check", help="run the schedule validator's mutant self-test"
     )
 
-    chaos = sub.add_parser(
-        "chaos",
-        help="sweep seeded device-fault scenarios through the "
-             "resilience layer",
+    verify = sub.add_parser(
+        "verify",
+        help="run one seeded verification suite and reconcile every "
+             "scenario (docs/testing.md)",
     )
-    chaos.add_argument(
-        "--scenarios", type=int, default=50,
-        help="number of fault scenarios (default 50)",
+    verify.add_argument("suite", choices=list(SUITES))
+    verify.add_argument(
+        "--scenarios", type=int, default=None,
+        help="number of scenarios (default: the suite's full size)",
     )
-    chaos.add_argument(
+    verify.add_argument(
         "--seed", type=int, default=0,
         help="sweep seed; every scenario derives deterministically "
              "from it (default 0)",
     )
-    chaos.add_argument(
+    verify.add_argument(
         "--smoke", action="store_true",
-        help="quick 10-scenario sweep for CI smoke jobs",
+        help="run the suite's smoke size (the CI gate)",
     )
-    chaos.add_argument(
+    verify.add_argument(
         "--json", default="", metavar="OUT.json",
-        help="also write the full scenario report as JSON",
-    )
-
-    soak = sub.add_parser(
-        "soak",
-        help="sweep seeded multi-tenant overload scenarios through "
-             "the service layer",
-    )
-    soak.add_argument(
-        "--scenarios", type=int, default=50,
-        help="number of overload scenarios (default 50)",
-    )
-    soak.add_argument(
-        "--seed", type=int, default=0,
-        help="sweep seed; every scenario derives deterministically "
-             "from it (default 0)",
-    )
-    soak.add_argument(
-        "--smoke", action="store_true",
-        help="quick 6-scenario sweep for CI smoke jobs",
-    )
-    soak.add_argument(
-        "--json", default="", metavar="OUT.json",
-        help="also write the full soak report as JSON "
-             "(schema repro.soak-report/1)",
-    )
-    soak.add_argument(
-        "--gateway", action="store_true",
-        help="run the sweep against the multiprocess gateway instead "
-             "of one in-process executor: worker-process pool, SIGKILL "
-             "chaos, throughput comparison (schema "
-             "repro.gateway-soak-report/1; docs/gateway.md)",
-    )
-    soak.add_argument(
-        "--workers", type=int, default=4,
-        help="gateway worker processes for --gateway (default 4)",
-    )
-    soak.add_argument(
-        "--kill-every", type=int, default=5, metavar="K",
-        help="SIGKILL a worker every K-th --gateway scenario "
-             "(0 disables chaos; default 5)",
-    )
-    soak.add_argument(
-        "--gray", action="store_true",
-        help="with --gateway: the gray-failure sweep — recv-loop "
-             "stalls that must breaker-eject and re-admit (never "
-             "kill), hedged submissions, and a retry-budget "
-             "exhaustion drill (schema repro.gateway-gray-soak-"
-             "report/1; docs/gateway.md)",
-    )
-    soak.add_argument(
-        "--crash", action="store_true",
-        help="with --gateway: the durability sweep — SIGKILL the "
-             "gateway process mid-stream, recover a fresh one from "
-             "the journal, reconcile exactly-once settlement, and "
-             "inject seeded journal faults (schema "
-             "repro.gateway-crash-soak-report/1; docs/durability.md)",
-    )
-    soak.add_argument(
-        "--journal-dir", default="", metavar="DIR",
-        help="with --gateway --crash: keep the per-scenario journals "
-             "and recovery results in DIR for post-mortem (default: a "
-             "temp directory)",
+        help="also write the report (schema repro.verify-report/1)",
     )
 
     fsck_p = sub.add_parser(
@@ -1030,11 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
     sanitize.add_argument("--workers", type=int, default=4)
     sanitize.add_argument("--gpus", type=int, default=2)
     sanitize.add_argument(
-        "--sweep", type=int, default=0, metavar="N",
-        help="also run N seeded random graphs sanitized "
-             "(schema repro.sanitize-sweep/1)",
-    )
-    sanitize.add_argument(
         "--json", default="", metavar="OUT.json",
         help="also write the full sanitize report as JSON",
     )
@@ -1071,8 +682,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "trace": _cmd_trace,
         "gantt": _cmd_gantt,
         "check": _cmd_check,
-        "chaos": _cmd_chaos,
-        "soak": _cmd_soak,
+        "verify": _cmd_verify,
         "fsck": _cmd_fsck,
         "serve": _cmd_serve,
         "lint": _cmd_lint,

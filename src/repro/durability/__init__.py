@@ -19,8 +19,8 @@ Layout:
   (:class:`FaultyOs` schedules fsync failures, short writes, ENOSPC);
 - :mod:`~repro.durability.fsck` — read-only validation
   (``repro fsck <journal>``);
-- :mod:`~repro.durability.soak` — the gateway crash soak
-  (``python -m repro soak --gateway --crash``), imported lazily so
+- :mod:`~repro.durability.soak` — the gateway crash suite
+  (``python -m repro verify gateway-crash``), not imported here so
   importing the journal never drags in the gateway.
 """
 
@@ -49,15 +49,4 @@ __all__ = [
     "fsck",
     "FsckReport",
     "FsckFinding",
-    "run_gateway_crash_soak",
-    "CrashScenario",
-    "CrashSoakReport",
 ]
-
-
-def __getattr__(name):  # lazy: the soak pulls in repro.gateway
-    if name in ("run_gateway_crash_soak", "CrashScenario", "CrashSoakReport"):
-        from repro.durability import soak
-
-        return getattr(soak, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

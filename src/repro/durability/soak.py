@@ -1,9 +1,9 @@
-"""Gateway crash soak: SIGKILL the *gateway*, recover from the journal.
+"""Gateway crash suite: SIGKILL the *gateway*, recover from the journal.
 
-The gateway soak (PR 8/9) kills workers and proves the pool heals; this
-sweep kills the gateway process itself and proves the durable journal
-makes that survivable.  ``python -m repro soak --gateway --crash``
-drives three seeded scenario families:
+The gateway suites kill workers and prove the pool heals; this one
+kills the gateway process itself and proves the durable journal makes
+that survivable.  ``python -m repro verify gateway-crash`` drives three
+seeded scenario families:
 
 - **crash cycles** — a child process brings up a journaled gateway,
   freezes a topology, and streams keyed submissions; the parent waits
@@ -27,9 +27,9 @@ drives three seeded scenario families:
   the identical outcome without appending a single new record.
 
 Every scenario derives from the sweep seed; violations are collected,
-never asserted mid-flight, and the report is the committed
-``BENCH_gateway_crash_soak.json`` artifact (schema
-:data:`CRASH_SOAK_SCHEMA`).  See docs/durability.md ("Crash soak").
+never asserted mid-flight, and the full-size report is the committed
+``BENCH_gateway_crash_soak.json`` record.  See docs/durability.md
+("Crash soak").
 """
 
 from __future__ import annotations
@@ -42,126 +42,21 @@ import random
 import signal
 import tempfile
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.durability.fsck import fsck
 from repro.durability.journal import Journal
 from repro.durability.osshim import FaultyOs
 from repro.errors import JournalCorruptError, JournalWriteError
+from repro.harness import Report, Scenario, cadence, event_loop, unfired
 from repro.utils.rng import derive_seed
-
-CRASH_SOAK_SCHEMA = "repro.gateway-crash-soak-report/1"
-
-#: scenario index -> family (crash cycles are every 5th scenario, so a
-#: 50-scenario sweep performs 10 full SIGKILL + recover cycles)
-_CRASH_SLOT = 4
-_FAULT_SLOT = 2
 
 _RUN_DEADLINE_S = 60.0
 _RECOVER_DEADLINE_S = 180.0
 _FAULT_KINDS = ("fsync", "short_write", "write", "enospc", "torn", "bitflip")
 
-
-# ---------------------------------------------------------------------------
-# report shapes
-# ---------------------------------------------------------------------------
-@dataclass
-class CrashScenario:
-    """One reconciled scenario (``kind`` is crash / fault / clean)."""
-
-    index: int
-    kind: str
-    seed: int
-    wall_s: float = 0.0
-    detail: Dict = field(default_factory=dict)
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "kind": self.kind,
-            "seed": self.seed,
-            "ok": self.ok,
-            "wall_s": round(self.wall_s, 4),
-            "detail": self.detail,
-            "violations": list(self.violations),
-        }
-
-
-@dataclass
-class CrashSoakReport:
-    """The full sweep: scenarios, counters, and the final journal audit."""
-
-    seed: int
-    scenarios: List[CrashScenario] = field(default_factory=list)
-    gateway_counters: Dict[str, float] = field(default_factory=dict)
-    final_fsck: Dict = field(default_factory=dict)
-    violations: List[str] = field(default_factory=list)  # sweep-level
-    wall_s: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations and all(s.ok for s in self.scenarios)
-
-    @property
-    def num_scenarios(self) -> int:
-        return len(self.scenarios)
-
-    @property
-    def all_violations(self) -> List[str]:
-        out = list(self.violations)
-        for s in self.scenarios:
-            out.extend(f"[{s.kind} {s.index}] {v}" for v in s.violations)
-        return out
-
-    @property
-    def totals(self) -> Dict[str, int]:
-        t = {
-            "scenarios": len(self.scenarios),
-            "crash_cycles": 0,
-            "kills": 0,
-            "fault_injections": 0,
-            "submitted": 0,
-            "dedup_hits": 0,
-            "resubmitted": 0,
-            "not_replayable": 0,
-            "violations": len(self.all_violations),
-        }
-        for s in self.scenarios:
-            d = s.detail
-            if s.kind == "crash":
-                t["crash_cycles"] += 1
-                t["kills"] += int(d.get("killed", 0))
-                t["resubmitted"] += int(d.get("resubmitted", 0))
-                t["not_replayable"] += int(d.get("not_replayable", 0))
-            if s.kind == "fault":
-                t["fault_injections"] += int(d.get("injected", 0))
-            t["submitted"] += int(d.get("submitted", 0))
-            t["dedup_hits"] += int(d.get("dedup_hits", 0))
-        return t
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": CRASH_SOAK_SCHEMA,
-            "seed": self.seed,
-            "ok": self.ok,
-            "cpu_count": os.cpu_count() or 1,
-            "num_scenarios": self.num_scenarios,
-            "totals": self.totals,
-            "gateway_counters": dict(self.gateway_counters),
-            "final_fsck": dict(self.final_fsck),
-            "violations": self.all_violations,
-            "wall_s": round(self.wall_s, 3),
-            "scenarios": [s.to_dict() for s in self.scenarios],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+#: chaos family -> the scenario tally that counts it firing
+_FIRED = {"crash": "kills", "fault": "fault_injections"}
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +197,10 @@ def _build_plan(rng: random.Random, index: int) -> List[dict]:
 
 
 def _run_crash_cycle(index: int, sweep_seed: int,
-                     journal_root: str) -> CrashScenario:
+                     journal_root: str) -> Scenario:
     seed = derive_seed(sweep_seed, "crash", index)
     rng = random.Random(seed)
-    sc = CrashScenario(index=index, kind="crash", seed=seed)
-    t0 = time.monotonic()
+    sc = Scenario(index, "crash", seed, counts={"crash_cycles": 1, "kills": 0})
     plan = _build_plan(rng, index)
     kill_after = rng.randint(2, min(4, len(plan)))
     jp = os.path.join(journal_root, f"crash-{index:03d}")
@@ -338,7 +232,7 @@ def _run_crash_cycle(index: int, sweep_seed: int,
         )
     if runner.is_alive():
         os.kill(runner.pid, signal.SIGKILL)
-        sc.detail["killed"] = 1
+        sc.counts["kills"] = 1
     runner.join(timeout=10.0)
 
     # -- phase 2: audit the orphaned journal ---------------------------
@@ -357,8 +251,8 @@ def _run_crash_cycle(index: int, sweep_seed: int,
         settled_at_kill=pre.settled,
         unsettled_at_kill=len(pre.unsettled),
         torn_tail_bytes=pre.torn_tail_bytes,
-        submitted=len(plan),
     )
+    sc.counts["submitted"] = len(plan)
 
     # -- phase 3: recover against the same journal ---------------------
     recoverer = ctx.Process(
@@ -371,29 +265,25 @@ def _run_crash_cycle(index: int, sweep_seed: int,
         os.kill(recoverer.pid, signal.SIGKILL)
         recoverer.join(timeout=10.0)
         sc.violations.append("recover host hung; killed")
-        sc.wall_s = time.monotonic() - t0
         return sc
     if recoverer.exitcode != 0:
         sc.violations.append(
             f"recover host exited {recoverer.exitcode}"
         )
-        sc.wall_s = time.monotonic() - t0
         return sc
     try:
         with open(result_path) as fh:
             result = json.load(fh)
     except (OSError, ValueError) as exc:
         sc.violations.append(f"recover host wrote no result: {exc!r}")
-        sc.wall_s = time.monotonic() - t0
         return sc
 
     # -- phase 4: reconcile ---------------------------------------------
     if not result.get("drained"):
         sc.violations.append("recovered gateway failed to drain")
     rec = result.get("recover") or {}
-    sc.detail["resubmitted"] = rec.get("resubmitted", 0)
-    sc.detail["not_replayable"] = rec.get("not_replayable", 0)
-    sc.detail["frozen_reshipped"] = rec.get("frozen_reshipped", 0)
+    for key in ("resubmitted", "not_replayable", "frozen_reshipped"):
+        sc.counts[key] = rec.get(key, 0)
     if rec.get("not_replayable") != expect_nr:
         sc.violations.append(
             f"recover settled {rec.get('not_replayable')} entries "
@@ -430,7 +320,7 @@ def _run_crash_cycle(index: int, sweep_seed: int,
             f"dedup hits {counters.get('journal.dedup_hits')} != "
             f"{pre_accepted} keys journaled before the kill"
         )
-    sc.detail["dedup_hits"] = int(counters.get("journal.dedup_hits", 0))
+    sc.counts["dedup_hits"] = int(counters.get("journal.dedup_hits", 0))
 
     post = fsck(jp)
     if not post.clean:
@@ -453,7 +343,6 @@ def _run_crash_cycle(index: int, sweep_seed: int,
             f"{post.settled} settle records for {len(plan)} keys — "
             f"settlement is not exactly-once"
         )
-    sc.wall_s = time.monotonic() - t0
     return sc
 
 
@@ -479,14 +368,12 @@ def _append_batch(journal: Journal, index: int, start: int, count: int,
     return reason
 
 
-def _run_fault_scenario(index: int, sweep_seed: int,
-                        journal_root: str) -> CrashScenario:
+def _run_fault_scenario(index: int, sweep_seed: int, journal_root: str,
+                        fault: str) -> Scenario:
     seed = derive_seed(sweep_seed, "fault", index)
     rng = random.Random(seed)
-    fault = _FAULT_KINDS[(index // 5) % len(_FAULT_KINDS)]
-    sc = CrashScenario(index=index, kind="fault", seed=seed,
-                       detail={"fault": fault})
-    t0 = time.monotonic()
+    sc = Scenario(index, "fault", seed, counts={"fault_injections": 0},
+                  detail={"fault": fault})
     jp = os.path.join(journal_root, f"fault-{index:03d}")
     n = rng.randint(6, 16)
     sc.detail["records"] = n
@@ -509,7 +396,7 @@ def _run_fault_scenario(index: int, sweep_seed: int,
         journal.close()
         if not shim.injected:
             sc.violations.append(f"scheduled {fault} fault never fired")
-        sc.detail["injected"] = len(shim.injected)
+        sc.counts["fault_injections"] = len(shim.injected)
         if reason != fault:
             sc.violations.append(
                 f"expected a structured JournalWriteError({fault!r}), "
@@ -540,7 +427,7 @@ def _run_fault_scenario(index: int, sweep_seed: int,
         garbage = os.urandom(rng.randint(3, 40))
         with open(os.path.join(jp, seg), "ab") as fh:
             fh.write(garbage)
-        sc.detail["injected"] = 1
+        sc.counts["fault_injections"] = 1
         sc.detail["torn_bytes"] = len(garbage)
         reopened = Journal(jp)
         reopened.open()
@@ -577,7 +464,7 @@ def _run_fault_scenario(index: int, sweep_seed: int,
             data[pos] ^= 1 << rng.randrange(8)
             with open(target, "wb") as fh:
                 fh.write(data)
-            sc.detail["injected"] = 1
+            sc.counts["fault_injections"] = 1
             sc.detail["flip_offset"] = pos
             try:
                 Journal(jp).open()
@@ -590,8 +477,6 @@ def _run_fault_scenario(index: int, sweep_seed: int,
             rep = fsck(jp)
             if rep.clean:
                 sc.violations.append("fsck missed the bit flip")
-
-    sc.wall_s = time.monotonic() - t0
     return sc
 
 
@@ -599,15 +484,13 @@ def _run_fault_scenario(index: int, sweep_seed: int,
 # clean keyed traffic on the shared gateway
 # ---------------------------------------------------------------------------
 async def _run_clean_scenario(gw, fh, index: int,
-                              sweep_seed: int) -> CrashScenario:
+                              sweep_seed: int) -> Scenario:
     from repro.gateway.spec import BurstSpec
 
     seed = derive_seed(sweep_seed, "clean", index)
     rng = random.Random(seed)
-    sc = CrashScenario(index=index, kind="clean", seed=seed)
-    t0 = time.monotonic()
     n = rng.randint(3, 6)
-    sc.detail["submitted"] = n
+    sc = Scenario(index, "clean", seed, counts={"submitted": n})
     subs = []
     for j in range(n):
         key = f"s{index}-k{j}"
@@ -639,126 +522,96 @@ async def _run_clean_scenario(gw, fh, index: int,
         sc.violations.append(
             f"{hits:.0f} dedup hits for {n} replayed keys"
         )
-    sc.detail["dedup_hits"] = int(hits)
-    sc.wall_s = time.monotonic() - t0
+    sc.counts["dedup_hits"] = int(hits)
     return sc
 
 
 # ---------------------------------------------------------------------------
 # the sweep
 # ---------------------------------------------------------------------------
-async def _run_sweep(scenarios: int, workers: int, seed: int,
-                     journal_dir: Optional[str],
-                     log: Optional[Callable[[str], None]]) -> CrashSoakReport:
+def scenarios(report: Report, n: int, *, workers: int,
+              families: Tuple[str, ...]) -> Iterator[Scenario]:
+    """Crash cycles and journal faults at the suite's cadence, the rest
+    keyed traffic on one journaled gateway of *workers* processes
+    (crash-cycle children always use 2).  The sweep ends by auditing
+    the shared journal: :func:`journal_clean` checks what it records."""
     from repro.gateway.gateway import Gateway
     from repro.gateway.spec import BurstSpec
     from repro.gateway.worker import WorkerConfig
 
-    def say(msg: str) -> None:
-        if log:
-            log(msg)
-
-    t0 = time.monotonic()
-    root = journal_dir or tempfile.mkdtemp(prefix="repro-crash-soak-")
-    os.makedirs(root, exist_ok=True)
-    shared = os.path.join(root, "shared")
-    report = CrashSoakReport(seed=seed)
-    loop = asyncio.get_running_loop()
-
-    async with Gateway(
-        workers,
-        worker=WorkerConfig(threads=2, gpus=1),
-        journal=shared,
-        name="crash-soak",
-    ) as gw:
-        fh = await gw.freeze(BurstSpec(width=8))
-        for i in range(scenarios):
-            if i % 5 == _CRASH_SLOT:
-                # blocking (child processes + polls): keep the shared
-                # gateway's heartbeat loop alive by running it off-loop
-                sc = await loop.run_in_executor(
-                    None, _run_crash_cycle, i, seed, root
-                )
-            elif i % 5 == _FAULT_SLOT:
-                sc = await loop.run_in_executor(
-                    None, _run_fault_scenario, i, seed, root
-                )
-            else:
-                sc = await _run_clean_scenario(gw, fh, i, seed)
-            report.scenarios.append(sc)
-            d = sc.detail
-            if sc.kind == "crash":
-                extra = (f"accepted_at_kill={d.get('accepted_at_kill')} "
-                         f"resubmitted={d.get('resubmitted')} "
-                         f"not_replayable={d.get('not_replayable')}")
-            elif sc.kind == "fault":
-                extra = f"fault={d.get('fault')} records={d.get('records')}"
-            else:
-                extra = (f"keys={d.get('submitted')} "
-                         f"dedup={d.get('dedup_hits')}")
-            say(f"  [{i + 1:>3}/{scenarios}] {sc.kind:<5} {extra} "
-                f"({sc.wall_s:.2f}s) "
-                f"{'ok' if sc.ok else 'VIOLATIONS: ' + str(len(sc.violations))}")
-
-        if not await gw.drain(timeout=60.0):
-            report.violations.append("shared gateway failed to drain")
-        report.gateway_counters = {
-            k: v for k, v in gw.snapshot().items()
-            if k.startswith(("gateway.", "journal."))
-        }
-
-    # the shared journal after shutdown: consistent, fully settled, and
-    # recoverable (a reopen must reconstruct it without complaint)
-    final = fsck(shared)
-    report.final_fsck = final.to_dict()
-    if not final.clean:
-        report.violations.append(
-            "final fsck found corruption in the shared journal: "
-            + "; ".join(f.kind for f in final.corruptions)
+    with tempfile.TemporaryDirectory(prefix="repro-crash-soak-") as root, \
+            event_loop() as loop:
+        shared = os.path.join(root, "shared")
+        gw = Gateway(
+            workers,
+            worker=WorkerConfig(threads=2, gpus=1),
+            journal=shared,
+            name=report.suite,
         )
-    if final.unsettled:
-        report.violations.append(
-            f"shared journal drained with {len(final.unsettled)} "
+        loop.run_until_complete(gw.start())
+        try:
+            fh = loop.run_until_complete(gw.freeze(BurstSpec(width=8)))
+            faults = 0
+            for i in range(n):
+                kind = cadence(i, n, families, "clean")
+                if kind == "clean":
+                    yield loop.run_until_complete(
+                        _run_clean_scenario(gw, fh, i, report.seed)
+                    )
+                    continue
+                # blocking (child processes, polls, file surgery): run
+                # off-loop so the shared gateway's heartbeats stay live
+                if kind == "crash":
+                    job = (_run_crash_cycle, i, report.seed, root)
+                else:
+                    fault = _FAULT_KINDS[faults % len(_FAULT_KINDS)]
+                    job = (_run_fault_scenario, i, report.seed, root, fault)
+                    faults += 1
+                yield loop.run_until_complete(loop.run_in_executor(None, *job))
+            if not loop.run_until_complete(gw.drain(timeout=60.0)):
+                report.sweep_violations.append("shared gateway failed to drain")
+            report.counters.update(
+                (k, v) for k, v in gw.snapshot().items()
+                if not isinstance(v, dict)
+            )
+        finally:
+            loop.run_until_complete(gw.shutdown())
+
+        # the shared journal after shutdown: consistent, fully settled,
+        # and recoverable (a reopen must reconstruct it without
+        # complaint)
+        final = fsck(shared).to_dict()
+        del final["path"]  # a temporary directory, gone after the sweep
+        reopened = Journal(shared)
+        reopened.open()
+        report.detail["final_fsck"] = final
+        report.detail["reopen_counts"] = reopened.counts()
+        reopened.close()
+
+
+def planned_chaos_fired(report: Report) -> List[str]:
+    return unfired(report, _FIRED)
+
+
+def journal_clean(report: Report) -> List[str]:
+    """The shared journal fscks clean with nothing unsettled (``repro
+    fsck --strict``), and a reopen agrees with fsck."""
+    final = report.detail["final_fsck"]
+    counts = report.detail["reopen_counts"]
+    out = []
+    if not final["clean"]:
+        out.append(
+            "final fsck found corruption in the shared journal: "
+            + "; ".join(f["kind"] for f in final["corruptions"])
+        )
+    if final["unsettled"]:
+        out.append(
+            f"shared journal drained with {len(final['unsettled'])} "
             f"unsettled entries"
         )
-    reopened = Journal(shared)
-    reopened.open()
-    counts = reopened.counts()
-    reopened.close()
-    if counts["entries"] != final.accepted or counts["unsettled"] != 0:
-        report.violations.append(
+    if counts["entries"] != final["accepted"] or counts["unsettled"] != 0:
+        out.append(
             f"reopen disagreed with fsck: {counts} vs "
-            f"accepted={final.accepted}"
+            f"accepted={final['accepted']}"
         )
-    report.wall_s = time.monotonic() - t0
-    return report
-
-
-def run_gateway_crash_soak(
-    scenarios: int = 50,
-    *,
-    workers: int = 2,
-    seed: int = 0,
-    journal_dir: Optional[str] = None,
-    log: Optional[Callable[[str], None]] = None,
-) -> CrashSoakReport:
-    """Run the gateway crash soak and return the reconciled report.
-
-    Every 5th scenario is a full SIGKILL + journal-recovery cycle in
-    child processes, every 5th (offset 2) a seeded journal fault, the
-    rest keyed traffic on one long-lived journaled gateway.  *workers*
-    sizes the shared gateway; crash-cycle children always use 2.
-    ``journal_dir`` keeps the journals (and per-cycle result files) for
-    post-mortem; by default a temp directory is used.
-    """
-    return asyncio.run(
-        _run_sweep(scenarios, workers, seed, journal_dir, log)
-    )
-
-
-__all__ = [
-    "CRASH_SOAK_SCHEMA",
-    "CrashScenario",
-    "CrashSoakReport",
-    "run_gateway_crash_soak",
-]
+    return out

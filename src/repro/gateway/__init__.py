@@ -22,10 +22,10 @@ Public surface:
 - :class:`~repro.gateway.gateway.RecoveryReport` — what
   :meth:`Gateway.recover` replayed out of a durable journal
   (docs/durability.md; the journal itself lives in
-  :mod:`repro.durability`);
-- :func:`~repro.gateway.soak.run_gateway_soak` and
-  :func:`~repro.gateway.soak.run_gateway_gray_soak` — the multiprocess
-  soak harnesses behind ``python -m repro soak --gateway [--gray]``.
+  :mod:`repro.durability`).
+
+:mod:`repro.gateway.soak` holds the multiprocess suites behind
+``python -m repro verify gateway`` / ``gateway-gray``.
 
 Every name loads on first use, so a spawned worker importing
 :mod:`repro.gateway.worker` never pays for asyncio or the front-end.
@@ -52,8 +52,6 @@ _EXPORTS = {
     "HEALTH_STATES": "repro.gateway.health",
     "OUTCOMES": "repro.gateway.messages",
     "PROTOCOL_VERSION": "repro.gateway.messages",
-    "run_gateway_soak": "repro.gateway.soak",
-    "run_gateway_gray_soak": "repro.gateway.soak",
 }
 
 __getattr__, __dir__, __all__ = attach(__name__, _EXPORTS)

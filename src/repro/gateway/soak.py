@@ -1,76 +1,62 @@
-"""Gateway soak harness: multiprocess serving scenarios + chaos kills.
+"""Gateway suites: multiprocess serving scenarios under chaos.
 
-The multiprocess analogue of :mod:`repro.service.soak`: where that
-harness races submitter *threads* against one in-process executor,
-this one races asynchronous *tenants* against a shared
-:class:`~repro.gateway.Gateway` — a pool of spawned worker processes,
-each with its own executor and bounded admission controller.  One
-gateway serves the whole sweep (spawning a pool per scenario would
-measure process start-up, not serving behaviour).
+Asynchronous *tenants* race one shared :class:`~repro.gateway.Gateway`
+— a pool of spawned worker processes, each with its own executor and
+bounded admission controller — for the whole sweep (spawning a pool
+per scenario would measure process start-up, not serving behaviour).
+Each tenant mixes pinned generated-graph instances (seeded, carrying
+the host-replay oracle), frozen burst replays (some hedged), one-shot
+corpus flows, random priorities, deadlines armed to fire and deadlines
+that never will, and racy caller cancels.
 
-Each scenario mixes, per tenant: pinned generated-graph instances
-(seeded, carrying the host-replay oracle), frozen burst replays (the
-PR 6 fast path across the process boundary), one-shot corpus flows,
-random priorities, deadlines armed to fire and deadlines that never
-will, and racy caller cancels.  Every ``kill_every``-th scenario also
-**SIGKILLs a live worker mid-flight** and measures how long the
-monitor takes to respawn the slot.
+Two rows of :data:`repro.harness.SUITES` run this module and differ
+only in their row — gateway configuration, chaos families and cadence,
+hedge shape, traffic mix and sweep-level checks:
+
+- ``gateway`` — *black* failures: planned scenarios SIGKILL a live
+  worker mid-flight and time the respawn; the sweep ends with frozen
+  burst replays through the pool vs. one in-process executor of a
+  single worker's shape (the GIL claim of docs/gateway.md);
+- ``gateway-gray`` — *gray* failures: planned scenarios wedge a live
+  worker's recv loop, which must be breaker-ejected from routing,
+  never killed, and re-admitted once heartbeats resume, while a hedged
+  submission aimed at it races the wedged primary; planned kills as
+  above; and a retry-budget exhaustion drill.
 
 Scenario checks:
 
 1. **Reconciliation** — every submission settles with exactly one
-   terminal outcome (``submitted == sum over outcome classes``); the
-   gateway's own ``gateway.submits`` / ``gateway.settled`` counters
-   must agree with the harness's count *exactly*; a submission still
-   pending after the settle sweep is a stranded awaitable and a
-   violation.
+   terminal outcome; the gateway's own ``gateway.submits`` /
+   ``gateway.settled`` counters must agree with the harness's count
+   *exactly*; a submission still pending after the settle sweep is a
+   stranded awaitable and a violation.
 2. **Failure accounting** — ``worker_lost`` and ``failed`` outcomes
-   are violations except in kill scenarios, where ``worker_lost`` is
-   the documented post-replan residue.
+   are violations except ``worker_lost`` in kill scenarios, the
+   documented post-replan residue.
 3. **Oracle** — pinned generated instances whose every submission
    completed on an unkilled worker must verify bit-identically against
-   the generator's host-side replay (:class:`repro.gateway.messages.Verify`
-   round trip).
+   the generator's host-side replay.
 
-The sweep ends with a throughput comparison — frozen burst replays
-through the full pool vs. a single in-process executor of one
-worker's shape — reported with the host's CPU count, since the
-speedup is meaningless without it.  ``python -m repro soak --gateway
---json`` writes the whole report with schema
-:data:`GATEWAY_SOAK_SCHEMA` (the CI artifact
-``BENCH_gateway_soak.json``).
-
-:func:`run_gateway_gray_soak` (``--gray``) is the gray-failure
-variant: deterministic recv-loop stalls that must breaker-eject and
-re-admit (never kill), hedged submissions racing wedged primaries,
-and a retry-budget exhaustion drill — schema
-:data:`GATEWAY_GRAY_SOAK_SCHEMA` (``BENCH_gateway_gray_soak.json``).
+Run with ``python -m repro verify gateway`` / ``gateway-gray``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import random
 import signal
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+import zlib
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.gateway.gateway import Gateway, GraphHandle, Submission
+from repro.gateway.gateway import Gateway, Submission
 from repro.gateway.messages import OUTCOMES
 from repro.gateway.spec import BuiltinSpec, BurstSpec, GeneratedSpec
 from repro.gateway.worker import WorkerConfig
+from repro.harness import Report, Scenario, cadence, event_loop, unfired
 from repro.resilience import RetryBudget
-from repro.service.soak import _percentiles
 from repro.utils.rng import derive_seed
-
-#: schema identifier of the serialized report; bump on layout changes
-GATEWAY_SOAK_SCHEMA = "repro.gateway-soak-report/1"
-
-#: schema of the gray-failure soak report (``soak --gateway --gray``)
-GATEWAY_GRAY_SOAK_SCHEMA = "repro.gateway-gray-soak-report/1"
 
 #: per-scenario settle deadline — an unresolved awaitable past this is
 #: a stranded-submission violation
@@ -79,133 +65,50 @@ _SETTLE_TIMEOUT = 120.0
 #: how long a killed worker slot may take to come back
 _RESPAWN_TIMEOUT = 30.0
 
+#: injected recv-loop stall — comfortably past the gray row's stall
+#: window, comfortably under its death budget
+_STALL_S = 1.2
 
-@dataclass
-class GatewayScenario:
-    """One executed gateway soak scenario."""
+#: how long a stalled worker may take to trip its breaker open
+_BREAKER_OPEN_TIMEOUT = 5.0
 
-    index: int
-    seed: int
-    tenants: int
-    killed_wid: int = -1
-    respawn_s: float = 0.0
-    counts: Dict[str, int] = field(default_factory=dict)
-    submitted: int = 0
-    cancels: int = 0
-    verified_instances: int = 0
-    tainted_instances: int = 0
-    wall_latency: Dict[str, float] = field(default_factory=dict)
-    violations: List[str] = field(default_factory=list)
+#: how long a recovered worker may take to be re-admitted (cooldown
+#: escalation + half-open probes included)
+_READMIT_TIMEOUT = 15.0
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "seed": self.seed,
-            "tenants": self.tenants,
-            "killed_wid": self.killed_wid,
-            "respawn_s": self.respawn_s,
-            "submitted": self.submitted,
-            "cancels": self.cancels,
-            "counts": {k: self.counts.get(k, 0) for k in OUTCOMES},
-            "verified_instances": self.verified_instances,
-            "tainted_instances": self.tainted_instances,
-            "wall_latency_s": dict(self.wall_latency),
-            "violations": list(self.violations),
-        }
-
-
-@dataclass
-class GatewaySoakReport:
-    """Aggregated outcome of one gateway soak sweep."""
-
-    seed: int
-    workers: int
-    scenarios: List[GatewayScenario] = field(default_factory=list)
-    gateway_counters: Dict[str, float] = field(default_factory=dict)
-    throughput: Dict[str, float] = field(default_factory=dict)
-    wall_samples: List[float] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(s.ok for s in self.scenarios)
-
-    @property
-    def num_scenarios(self) -> int:
-        return len(self.scenarios)
-
-    @property
-    def totals(self) -> Dict[str, int]:
-        out = {k: 0 for k in OUTCOMES}
-        for s in self.scenarios:
-            for k in OUTCOMES:
-                out[k] += s.counts.get(k, 0)
-        out["submitted"] = sum(s.submitted for s in self.scenarios)
-        out["kills"] = sum(1 for s in self.scenarios if s.killed_wid >= 0)
-        return out
-
-    @property
-    def violations(self) -> List[str]:
-        out: List[str] = []
-        for s in self.scenarios:
-            out.extend(f"[#{s.index} seed={s.seed}] {v}" for v in s.violations)
-        return out
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": GATEWAY_SOAK_SCHEMA,
-            "seed": self.seed,
-            "workers": self.workers,
-            "cpu_count": os.cpu_count(),
-            "num_scenarios": self.num_scenarios,
-            "ok": self.ok,
-            "totals": self.totals,
-            "gateway_counters": {
-                k: v
-                for k, v in sorted(self.gateway_counters.items())
-                if not isinstance(v, dict)
-            },
-            "round_trip_s": _percentiles(self.wall_samples),
-            "throughput": dict(self.throughput),
-            "scenarios": [s.to_dict() for s in self.scenarios],
-        }
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+#: chaos family -> the scenario tally that counts it firing
+_FIRED = {"kill": "kills", "stall": "stalls"}
 
 
 async def _tenant(
     gw: Gateway,
     name: str,
     tseed: int,
-    subs: List[Submission],
-    instances: List[tuple],
+    mix: Tuple[float, float, float],
     frozen_pool: list,
-    cancels: List[int],
+    hedge_fh,
+    sc: Scenario,
+    subs: List[Submission],
+    instances: List[list],
 ) -> None:
-    """One tenant's scenario traffic: pinned instances, frozen replays,
-    one-shot corpus flows, deadlines, and racy cancels."""
+    """One tenant's traffic; *mix* is (P(pinned instance), P(frozen
+    burst), P(hedged | burst)), the rest one-shot corpus flows."""
+    p_instance, p_frozen, p_hedge = mix
     rng = random.Random(tseed)
     for g in range(rng.randint(2, 3)):
         roll = rng.random()
-        if roll < 0.45:
+        if roll < p_instance:
             # pinned generated instance: the oracle-bearing shape
             gseed = derive_seed(tseed, "graph", g) % (1 << 31)
-            gh = gw.instance(
-                GeneratedSpec(seed=gseed, num_gpus=1), tenant=name
-            )
+            gh = gw.instance(GeneratedSpec(seed=gseed, num_gpus=1), tenant=name)
             entry = [gh, 0, True]  # handle, expected passes, all-completed
             instances.append(entry)
             for _ in range(rng.randint(1, 2)):
-                repeats = rng.randint(1, 2)
                 sub = gw.submit(
                     gh,
                     tenant=name,
                     priority=rng.randint(0, 3),
-                    repeats=repeats,
+                    repeats=rng.randint(1, 2),
                 )
                 subs.append(sub)
                 res = await sub
@@ -213,13 +116,22 @@ async def _tenant(
                     entry[1] += res.passes
                 else:
                     entry[2] = False
-        elif roll < 0.8 and frozen_pool:
+        elif roll < p_instance + p_frozen:
             # frozen burst replays, racing concurrently
-            fh = rng.choice(frozen_pool)
-            batch = [
-                gw.submit(fh, tenant=name, priority=rng.randint(0, 3))
-                for _ in range(rng.randint(2, 4))
-            ]
+            batch = []
+            for _ in range(rng.randint(2, 4)):
+                if rng.random() < p_hedge:
+                    batch.append(gw.submit(
+                        hedge_fh,
+                        tenant=name,
+                        hedge_after=rng.choice((0.2, "p95")),
+                    ))
+                else:
+                    batch.append(gw.submit(
+                        rng.choice(frozen_pool),
+                        tenant=name,
+                        priority=rng.randint(0, 3),
+                    ))
             subs.extend(batch)
             await asyncio.gather(*(s.future for s in batch))
         else:
@@ -236,170 +148,201 @@ async def _tenant(
             if rng.random() < 0.3:
                 await asyncio.sleep(rng.random() * 0.004)
                 if gw.cancel(sub):
-                    cancels.append(sub.rid)
+                    sc.counts["cancels"] += 1
             await asyncio.wait({sub.future})
         if rng.random() < 0.3:
             await asyncio.sleep(rng.random() * 0.01)
 
 
-async def _run_scenario(
+def _live_victim(gw: Gateway, rng: random.Random):
+    victim = gw._workers[rng.randrange(gw.num_workers)]
+    if victim is None or victim.dead or not victim.proc.is_alive():
+        return None  # the sweep's planned_chaos_fired check reports it
+    return victim
+
+
+async def _kill(gw: Gateway, rng: random.Random, sc: Scenario) -> None:
+    """SIGKILL a live worker mid-flight and time its respawn."""
+    await asyncio.sleep(rng.random() * 0.05)
+    victim = _live_victim(gw, rng)
+    if victim is None:
+        return
+    sc.detail["killed_wid"] = victim.wid
+    t0 = time.monotonic()
+    os.kill(victim.proc.pid, signal.SIGKILL)
+    sc.counts["kills"] += 1
+    while time.monotonic() - t0 < _RESPAWN_TIMEOUT:
+        fresh = gw._workers[victim.wid]
+        if fresh is not victim and fresh is not None and fresh.ready:
+            sc.detail["respawn_s"] = round(time.monotonic() - t0, 4)
+            return
+        await asyncio.sleep(0.02)
+    sc.violations.append(
+        f"worker {victim.wid} not respawned within "
+        f"{_RESPAWN_TIMEOUT:.0f}s of SIGKILL"
+    )
+
+
+def _tenant_hashed_to(num_workers: int, wid: int) -> str:
+    """A tenant string whose crc32 affinity is worker *wid*."""
+    k = 0
+    while zlib.crc32(f"pin-{k}".encode()) % num_workers != wid:
+        k += 1
+    return f"pin-{k}"
+
+
+async def _stall(
+    gw: Gateway, rng: random.Random, sc: Scenario, hedge_fh, subs: List[Submission]
+) -> None:
+    """Wedge a live worker's recv loop: its breaker must open, and the
+    worker must be re-admitted — never respawned — once it recovers."""
+    await asyncio.sleep(0.02 + rng.random() * 0.03)
+    victim = _live_victim(gw, rng)
+    if victim is None:
+        return
+    wid = victim.wid
+    sc.detail["stalled_wid"] = wid
+    breaker = gw._breakers[wid]
+    opened0 = breaker.opened_total
+    t0 = time.monotonic()
+    gw.inject_chaos(wid, stall_s=_STALL_S)
+    sc.counts["stalls"] += 1
+    # aim one hedged submission at the wedged worker: its Submit sits
+    # unread behind the stall, so the hedge leg on a healthy worker
+    # should win the race
+    hs = gw.submit(
+        hedge_fh, tenant=_tenant_hashed_to(gw.num_workers, wid), hedge_after=0.15
+    )
+    subs.append(hs)
+    if hs.wid == wid:
+        sc.counts["hedged"] += 1
+    while time.monotonic() - t0 < _BREAKER_OPEN_TIMEOUT:
+        if breaker.opened_total > opened0:
+            sc.detail["stall_detect_s"] = round(time.monotonic() - t0, 4)
+            break
+        await asyncio.sleep(0.02)
+    else:
+        sc.violations.append(
+            f"worker {wid} stalled {_STALL_S:.1f}s but its breaker never "
+            f"opened within {_BREAKER_OPEN_TIMEOUT:.0f}s"
+        )
+        return
+    while time.monotonic() - t0 < _READMIT_TIMEOUT:
+        if gw._workers[wid] is not victim:
+            sc.violations.append(
+                f"stalled worker {wid} was respawned — a gray stall "
+                f"escalated to a death"
+            )
+            return
+        if breaker.routable:
+            sc.detail["readmit_s"] = round(time.monotonic() - t0, 4)
+            return
+        await asyncio.sleep(0.05)
+    sc.violations.append(
+        f"worker {wid} recovered but was not re-admitted within "
+        f"{_READMIT_TIMEOUT:.0f}s"
+    )
+
+
+async def _scenario(
     gw: Gateway,
+    label: str,
     index: int,
     seed: int,
+    kind: str,
+    mix: Tuple[float, float, float],
     frozen_pool: list,
-    kill: bool,
-) -> GatewayScenario:
-    sseed = derive_seed(seed, "gwsoak", index)
+    hedge_fh,
+) -> Scenario:
+    sseed = derive_seed(seed, label, index)
     rng = random.Random(sseed)
-    scenario = GatewayScenario(
-        index=index,
-        seed=sseed % (1 << 31),
-        tenants=rng.randint(2, 4),
+    sc = Scenario(
+        index, kind, sseed % (1 << 31),
+        counts=dict.fromkeys(
+            (*OUTCOMES, "submitted", "cancels", "kills", "stalls", "hedged",
+             "verified_instances", "tainted_instances"), 0,
+        ),
+        detail={"tenants": rng.randint(2, 4)},
     )
     before = gw.snapshot()
     subs: List[Submission] = []
-    instances: List[tuple] = []
-    cancels: List[int] = []
-    violations = scenario.violations
-
+    instances: List[list] = []
     tasks = [
-        asyncio.create_task(
-            _tenant(
-                gw,
-                f"tenant-{index}-{tid}",
-                derive_seed(sseed, "tenant", tid),
-                subs,
-                instances,
-                frozen_pool,
-                cancels,
-            )
-        )
-        for tid in range(scenario.tenants)
+        asyncio.create_task(_tenant(
+            gw, f"{label}-{index}-{tid}", derive_seed(sseed, "tenant", tid),
+            mix, frozen_pool, hedge_fh, sc, subs, instances,
+        ))
+        for tid in range(sc.detail["tenants"])
     ]
-
-    killer: Optional[asyncio.Task] = None
-    if kill:
-
-        async def _kill() -> None:
-            await asyncio.sleep(rng.random() * 0.05)
-            victim = gw._workers[rng.randrange(gw.num_workers)]
-            if victim is None or victim.dead or not victim.proc.is_alive():
-                return
-            scenario.killed_wid = victim.wid
-            t0 = time.monotonic()
-            os.kill(victim.proc.pid, signal.SIGKILL)
-            while time.monotonic() - t0 < _RESPAWN_TIMEOUT:
-                fresh = gw._workers[victim.wid]
-                if fresh is not victim and fresh is not None and fresh.ready:
-                    scenario.respawn_s = time.monotonic() - t0
-                    return
-                await asyncio.sleep(0.02)
-            violations.append(
-                f"worker {victim.wid} not respawned within "
-                f"{_RESPAWN_TIMEOUT:.0f}s of SIGKILL"
-            )
-
-        killer = asyncio.create_task(_kill())
-
+    chaos: Optional[asyncio.Task] = None
+    if kind == "kill":
+        chaos = asyncio.create_task(_kill(gw, rng, sc))
+    elif kind == "stall":
+        chaos = asyncio.create_task(_stall(gw, rng, sc, hedge_fh, subs))
     try:
         await asyncio.wait_for(asyncio.gather(*tasks), _SETTLE_TIMEOUT)
     except asyncio.TimeoutError:
-        violations.append(
-            f"scenario did not settle within {_SETTLE_TIMEOUT:.0f}s"
-        )
+        sc.violations.append(f"scenario did not settle within {_SETTLE_TIMEOUT:.0f}s")
         for t in tasks:
             t.cancel()
-    if killer is not None:
-        await killer
-
-    await _reconcile(gw, scenario, subs, instances, cancels, before, kill)
-    return scenario
+    if chaos is not None:
+        await chaos
+    await _reconcile(gw, sc, subs, instances, before)
+    return sc
 
 
 async def _reconcile(
-    gw: Gateway,
-    scenario: GatewayScenario,
-    subs: List[Submission],
-    instances: List[tuple],
-    cancels: List[int],
-    before: dict,
-    kill: bool,
+    gw: Gateway, sc: Scenario, subs: List[Submission], instances: List[list], before: dict
 ) -> None:
-    """Shared scenario epilogue: exactly-once settle reconciliation,
-    gateway-counter agreement, and the pinned-instance oracle."""
-    violations = scenario.violations
-
-    # -- reconciliation: every submission settles exactly once --------
+    """Exactly-once settle reconciliation, gateway-counter agreement,
+    and the pinned-instance oracle."""
+    violations = sc.violations
     pending = [s for s in subs if not s.done()]
     if pending:
-        done, still = await asyncio.wait(
-            [s.future for s in pending], timeout=30.0
-        )
+        _done, still = await asyncio.wait([s.future for s in pending], timeout=30.0)
         if still:
-            violations.append(
-                f"{len(still)} stranded submission(s) after settle sweep"
-            )
-    counts = {k: 0 for k in OUTCOMES}
-    for sub in subs:
-        if sub.done():
-            counts[sub.future.result().outcome] += 1
-    scenario.counts = counts
-    scenario.submitted = len(subs)
-    scenario.cancels = len(cancels)
-    settled = sum(counts.values())
-    if settled != len(subs):
+            violations.append(f"{len(still)} stranded submission(s) after settle sweep")
+    results = [s.future.result() for s in subs if s.done()]
+    for res in results:
+        sc.counts[res.outcome] += 1
+    sc.counts["submitted"] = len(subs)
+    if len(results) != len(subs):
         violations.append(
-            f"outcome reconciliation broke: {settled} settled vs "
+            f"outcome reconciliation broke: {len(results)} settled vs "
             f"{len(subs)} submitted"
         )
-    if counts["failed"]:
-        violations.append(f"{counts['failed']} submission(s) failed")
-    if counts["worker_lost"] and not kill:
-        violations.append(
-            f"{counts['worker_lost']} worker_lost outcome(s) without a kill"
-        )
+    if sc.counts["failed"]:
+        violations.append(f"{sc.counts['failed']} submission(s) failed")
+    if sc.counts["worker_lost"] and sc.kind != "kill":
+        violations.append(f"{sc.counts['worker_lost']} worker_lost outcome(s) without a kill")
 
     # gateway counters must agree with the harness exactly
     after = gw.snapshot()
     d_submits = after["gateway.submits"] - before["gateway.submits"]
     if d_submits != len(subs):
         violations.append(
-            f"gateway.submits moved by {d_submits}, harness submitted "
-            f"{len(subs)}"
+            f"gateway.submits moved by {d_submits}, harness submitted {len(subs)}"
         )
     d_settled = after["gateway.settled"] - before["gateway.settled"]
-    if d_settled != settled:
+    if d_settled != len(results):
         violations.append(
-            f"gateway.settled moved by {d_settled}, harness settled {settled}"
+            f"gateway.settled moved by {d_settled}, harness settled {len(results)}"
         )
 
-    # -- oracle over pinned instances ---------------------------------
     for gh, expected, all_completed in instances:
         if gh.tainted:
-            scenario.tainted_instances += 1
+            sc.counts["tainted_instances"] += 1
             continue
         if not all_completed or expected <= 0:
             continue
         for v in await gw.verify(gh, expected):
             violations.append(f"instance {gh.iid}: {v}")
-        scenario.verified_instances += 1
-
-    wall = [
-        s.future.result().wall_s
-        for s in subs
-        if s.done() and s.future.result().wall_s > 0
-    ]
-    scenario.wall_latency = _percentiles(wall)
-    scenario._wall_samples = wall  # type: ignore[attr-defined]
+        sc.counts["verified_instances"] += 1
+    sc.samples = [r.wall_s for r in results if r.wall_s > 0]
 
 
 async def _measure_throughput(
-    gw: Gateway,
-    config: WorkerConfig,
-    *,
-    repeats: int,
-    width: int,
-    spin_s: float = 0.002,
+    gw: Gateway, config: WorkerConfig, *, repeats: int, width: int, spin_s: float = 0.002
 ) -> Dict[str, float]:
     """Frozen burst replays: the full pool vs. one in-process executor
     of a single worker's shape.
@@ -407,8 +350,8 @@ async def _measure_throughput(
     The burst tasks *spin* (CPU-bound Python): the GIL serializes them
     inside one process no matter how many executor threads it has, but
     worker processes run them truly in parallel — the core claim of
-    the gateway.  The ratio still only means something on a multi-core
-    host, so the CPU count rides along in the report.
+    the gateway.  The ratio only means something on a multi-core host,
+    so the envelope carries the CPU count.
 
     Replays go out in waves sized to the pool's admission capacity
     (round-robin routing lands exactly ``max_topologies`` per worker
@@ -417,8 +360,7 @@ async def _measure_throughput(
     """
     from repro.core.executor import Executor
 
-    cap = config.max_topologies or 4
-    wave = max(1, gw.num_workers * cap)
+    wave = max(1, gw.num_workers * (config.max_topologies or 4))
     fh = await gw.freeze(BurstSpec(width=width, spin_s=spin_s))
     bad = 0
     t0 = time.monotonic()
@@ -451,7 +393,7 @@ async def _measure_throughput(
     finally:
         ex.shutdown(wait=False)
 
-    out = {
+    return {
         "repeats": float(repeats),
         "burst_width": float(width),
         "spin_s": spin_s,
@@ -462,587 +404,135 @@ async def _measure_throughput(
         "speedup": (single_wall / gw_wall) if gw_wall else 0.0,
         "errors": float(bad),
     }
+
+
+def scenarios(
+    report: Report,
+    n: int,
+    *,
+    workers: int,
+    worker: dict,
+    gateway: dict,
+    families: Tuple[str, ...],
+    frozen: Tuple[int, ...],
+    mix: Tuple[float, float, float],
+    hedge: Optional[Tuple[int, float]] = None,
+    throughput_per_scenario: int = 0,
+    budget_drill: bool = False,
+) -> Iterator[Scenario]:
+    """The sweep against one shared gateway shaped by the suite's row.
+
+    ``gateway["retry_budget"]`` is ``(capacity, refill_per_success)``.
+    With ``throughput_per_scenario`` the sweep ends with that many
+    burst replays per scenario (at least ten scenarios' worth, so the
+    ratio is not noise) through the pool and through one process; with
+    ``budget_drill``, once the shared gateway is down, with the
+    retry-budget exhaustion drill on a gateway of its own.
+    """
+    config = WorkerConfig(seed=report.seed, **worker)
+    kwargs = dict(gateway)
+    if "retry_budget" in kwargs:
+        capacity, refill = kwargs["retry_budget"]
+        kwargs["retry_budget"] = RetryBudget(capacity, refill_per_success=refill)
+    gw = Gateway(workers, worker=config, seed=report.seed, name=report.suite, **kwargs)
+    with event_loop() as loop:
+        loop.run_until_complete(gw.start())
+        try:
+            # a small shared pool of frozen shapes, shipped once
+            pool = [loop.run_until_complete(gw.freeze(BurstSpec(width=w))) for w in frozen]
+            hedge_fh = None
+            if hedge is not None:
+                hedge_fh = loop.run_until_complete(
+                    gw.freeze(BurstSpec(width=hedge[0], sleep_s=hedge[1]))
+                )
+            for i in range(n):
+                yield loop.run_until_complete(_scenario(
+                    gw, report.suite, i, report.seed,
+                    cadence(i, n, families, "serve"), mix, pool, hedge_fh,
+                ))
+            if throughput_per_scenario:
+                report.detail["throughput"] = loop.run_until_complete(_measure_throughput(
+                    gw, config, repeats=throughput_per_scenario * max(n, 10), width=8
+                ))
+            report.counters.update(
+                (k, v) for k, v in gw.snapshot().items() if not isinstance(v, dict)
+            )
+        finally:
+            loop.run_until_complete(gw.shutdown())
+        if budget_drill:
+            t0 = time.monotonic()
+            drill = loop.run_until_complete(_budget_drill(report.seed))
+            report.detail["budget_drill"] = {**drill, "wall_s": round(time.monotonic() - t0, 4)}
+
+
+# -- sweep-level checks (named in the suites' rows) -------------------------
+
+
+def planned_chaos_fired(report: Report) -> List[str]:
+    return unfired(report, _FIRED)
+
+
+def throughput_ok(report: Report) -> List[str]:
+    """Throughput replays must all succeed, and on a host with four or
+    more cores the worker pool must beat one process by more than 1.5x."""
+    t = report.detail.get("throughput", {})
+    out = []
+    if t.get("errors", 0) > 0:
+        out.append(f"{t['errors']:.0f} throughput replay(s) did not complete")
+    cores = os.cpu_count() or 1
+    if cores >= 4 and t.get("speedup", 0.0) <= 1.5:
+        out.append(f"gateway speedup {t.get('speedup', 0.0):.2f}x <= 1.5x on {cores} cores")
     return out
 
 
-async def _run_soak(
-    scenarios: int,
-    *,
-    workers: int,
-    seed: int,
-    kill_every: int,
-    throughput_repeats: int,
-    log: Optional[Callable[[str], None]],
-) -> GatewaySoakReport:
-    config = WorkerConfig(
-        threads=2,
-        gpus=1,
-        max_topologies=4,
-        policy="reject",
-        seed=seed,
-    )
-    report = GatewaySoakReport(seed=seed, workers=workers)
-    async with Gateway(
-        workers, worker=config, heartbeat_interval=0.25
-    ) as gw:
-        # a small shared pool of frozen shapes, shipped once
-        frozen_pool = [
-            await gw.freeze(BurstSpec(width=w)) for w in (8, 32)
-        ]
-        for i in range(scenarios):
-            kill = kill_every > 0 and i % kill_every == kill_every - 1
-            scenario = await _run_scenario(gw, i, seed, frozen_pool, kill)
-            report.scenarios.append(scenario)
-            report.wall_samples.extend(
-                getattr(scenario, "_wall_samples", ())
-            )
-            if log is not None:
-                c = scenario.counts
-                state = "ok" if scenario.ok else "VIOLATION"
-                chaos = (
-                    f" kill=w{scenario.killed_wid}"
-                    f"@{scenario.respawn_s * 1000:.0f}ms"
-                    if scenario.killed_wid >= 0
-                    else ""
-                )
-                log(
-                    f"  #{scenario.index:>3} seed={scenario.seed:<11} "
-                    f"{scenario.tenants}t  {scenario.submitted:>2} submitted "
-                    f"{c.get('completed', 0):>2} done "
-                    f"{c.get('rejected', 0)} rej {c.get('shed', 0)} shed "
-                    f"{c.get('deadline_exceeded', 0)} ddl "
-                    f"{c.get('cancelled', 0)} cancel "
-                    f"{c.get('worker_lost', 0)} lost{chaos}  {state}"
-                )
-        if throughput_repeats > 0:
-            if log is not None:
-                log("  measuring throughput (gateway vs single process)...")
-            report.throughput = await _measure_throughput(
-                gw, config, repeats=throughput_repeats, width=8
-            )
-        report.gateway_counters = {
-            k: v
-            for k, v in gw.snapshot().items()
-            if not isinstance(v, dict)
-        }
-    return report
-
-
-def run_gateway_soak(
-    scenarios: int = 50,
-    *,
-    workers: int = 4,
-    seed: int = 0,
-    kill_every: int = 5,
-    throughput_repeats: int = 200,
-    log: Optional[Callable[[str], None]] = None,
-) -> GatewaySoakReport:
-    """Sweep *scenarios* serving scenarios against one shared gateway.
-
-    Every ``kill_every``-th scenario SIGKILLs a worker mid-flight
-    (``kill_every=0`` disables chaos).  The sweep never raises on
-    violations — the caller decides (the CLI exits nonzero, tests
-    assert on :attr:`GatewaySoakReport.ok`).
-    """
-    return asyncio.run(
-        _run_soak(
-            scenarios,
-            workers=workers,
-            seed=seed,
-            kill_every=kill_every,
-            throughput_repeats=throughput_repeats,
-            log=log,
-        )
-    )
-
-
-# ---------------------------------------------------------------------------
-# gray-failure soak (``python -m repro soak --gateway --gray``)
-# ---------------------------------------------------------------------------
-#
-# The kill soak above exercises *black* failures (SIGKILL).  The gray
-# soak exercises the PR 9 machinery: deterministic recv-loop stalls
-# (ChaosInject) that must be detected as *stalled* — breaker-ejected
-# from routing, never killed, and re-admitted once heartbeats resume —
-# plus hedged frozen submissions racing wedged primaries, and a
-# scripted retry-budget-exhaustion drill.  Same exactly-once
-# reconciliation algebra as the kill soak, same counter-agreement
-# checks, plus the hedge accounting invariant
-# ``launched == wins + losses + dropped``.
-
-#: injected recv-loop stall length — comfortably past the gray
-#: gateway's stall window, comfortably under its death budget
-_GRAY_STALL_S = 1.2
-
-#: how long a stalled worker may take to trip its breaker open
-_BREAKER_OPEN_TIMEOUT = 5.0
-
-#: how long a recovered worker may take to be re-admitted (cooldown
-#: escalation + half-open probes included)
-_READMIT_TIMEOUT = 15.0
-
-
-@dataclass
-class GrayScenario(GatewayScenario):
-    """One gray-soak scenario: the base scenario checks plus the
-    stall → eject → re-admit lifecycle and hedge launches."""
-
-    stalled_wid: int = -1
-    breaker_opened: bool = False
-    readmitted: bool = False
-    stall_detect_s: float = 0.0
-    readmit_s: float = 0.0
-    hedged: int = 0
-
-    def to_dict(self) -> dict:
-        d = super().to_dict()
-        d.update(
-            stalled_wid=self.stalled_wid,
-            breaker_opened=self.breaker_opened,
-            readmitted=self.readmitted,
-            stall_detect_s=round(self.stall_detect_s, 4),
-            readmit_s=round(self.readmit_s, 4),
-            hedged=self.hedged,
-        )
-        return d
-
-
-@dataclass
-class GraySoakReport(GatewaySoakReport):
-    """Gray-soak sweep outcome: the base report plus the budget drill
-    and sweep-level (cross-scenario) violations."""
-
-    budget_drill: Dict[str, float] = field(default_factory=dict)
-    extra_violations: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    @property
-    def violations(self) -> List[str]:
-        out = GatewaySoakReport.violations.fget(self)  # type: ignore[attr-defined]
-        out.extend(f"[sweep] {v}" for v in self.extra_violations)
-        return out
-
-    @property
-    def totals(self) -> Dict[str, int]:
-        out = GatewaySoakReport.totals.fget(self)  # type: ignore[attr-defined]
-        out["stalls"] = sum(
-            1 for s in self.scenarios if getattr(s, "stalled_wid", -1) >= 0
-        )
-        out["hedged"] = sum(getattr(s, "hedged", 0) for s in self.scenarios)
-        return out
-
-    def to_dict(self) -> dict:
-        d = super().to_dict()
-        d["schema"] = GATEWAY_GRAY_SOAK_SCHEMA
-        d["budget_drill"] = dict(self.budget_drill)
-        d["sweep_violations"] = list(self.extra_violations)
-        d["violations"] = list(self.violations)
-        return d
-
-
-def _tenant_hashed_to(num_workers: int, wid: int) -> str:
-    """A tenant string whose crc32 affinity is worker *wid* (the gray
-    soak uses it to aim a submission at the worker it just wedged)."""
-    import zlib
-
-    k = 0
-    while True:
-        name = f"pin-{k}"
-        if zlib.crc32(name.encode()) % num_workers == wid:
-            return name
-        k += 1
-
-
-async def _gray_tenant(
-    gw: Gateway,
-    name: str,
-    tseed: int,
-    subs: List[Submission],
-    instances: List[tuple],
-    frozen_pool: list,
-    hedge_fh,
-    cancels: List[int],
-    hedged: List[int],
-) -> None:
-    """Gray-soak tenant traffic: the kill-soak mix plus hedged frozen
-    replays (``hedge_after`` as a float and as the ``"p95"`` quote)."""
-    rng = random.Random(tseed)
-    for g in range(rng.randint(2, 3)):
-        roll = rng.random()
-        if roll < 0.3:
-            gseed = derive_seed(tseed, "graph", g) % (1 << 31)
-            gh = gw.instance(
-                GeneratedSpec(seed=gseed, num_gpus=1), tenant=name
-            )
-            entry = [gh, 0, True]
-            instances.append(entry)
-            sub = gw.submit(gh, tenant=name, priority=rng.randint(0, 3))
-            subs.append(sub)
-            res = await sub
-            if res.outcome == "completed":
-                entry[1] += res.passes
-            else:
-                entry[2] = False
-        elif roll < 0.7:
-            batch = []
-            for _ in range(rng.randint(2, 4)):
-                if rng.random() < 0.4:
-                    s = gw.submit(
-                        hedge_fh,
-                        tenant=name,
-                        hedge_after=rng.choice((0.2, "p95")),
-                    )
-                    hedged.append(s.rid)
-                else:
-                    s = gw.submit(
-                        rng.choice(frozen_pool),
-                        tenant=name,
-                        priority=rng.randint(0, 3),
-                    )
-                batch.append(s)
-            subs.extend(batch)
-            await asyncio.gather(*(s.future for s in batch))
-        else:
-            droll = rng.random()
-            deadline = 0.003 if droll < 0.2 else 30.0 if droll < 0.4 else None
-            sub = gw.submit(
-                BuiltinSpec(rng.choice(("saxpy", "timing"))),
-                tenant=name,
-                priority=rng.randint(0, 3),
-                deadline=deadline,
-            )
-            subs.append(sub)
-            if rng.random() < 0.3:
-                await asyncio.sleep(rng.random() * 0.004)
-                if gw.cancel(sub):
-                    cancels.append(sub.rid)
-            await asyncio.wait({sub.future})
-        if rng.random() < 0.3:
-            await asyncio.sleep(rng.random() * 0.01)
-
-
-async def _run_gray_scenario(
-    gw: Gateway,
-    index: int,
-    seed: int,
-    frozen_pool: list,
-    hedge_fh,
-    *,
-    kill: bool,
-    stall: bool,
-) -> GrayScenario:
-    sseed = derive_seed(seed, "graysoak", index)
-    rng = random.Random(sseed)
-    scenario = GrayScenario(
-        index=index,
-        seed=sseed % (1 << 31),
-        tenants=rng.randint(2, 4),
-    )
-    before = gw.snapshot()
-    subs: List[Submission] = []
-    instances: List[tuple] = []
-    cancels: List[int] = []
-    hedged: List[int] = []
-    violations = scenario.violations
-
-    tasks = [
-        asyncio.create_task(
-            _gray_tenant(
-                gw,
-                f"gray-{index}-{tid}",
-                derive_seed(sseed, "tenant", tid),
-                subs,
-                instances,
-                frozen_pool,
-                hedge_fh,
-                cancels,
-                hedged,
-            )
-        )
-        for tid in range(scenario.tenants)
-    ]
-
-    chaos_task: Optional[asyncio.Task] = None
-    if stall:
-
-        async def _stall() -> None:
-            await asyncio.sleep(0.02 + rng.random() * 0.03)
-            victim = gw._workers[rng.randrange(gw.num_workers)]
-            if victim is None or victim.dead or not victim.proc.is_alive():
-                return
-            wid = victim.wid
-            scenario.stalled_wid = wid
-            breaker = gw._breakers[wid]
-            opened0 = breaker.opened_total
-            t0 = time.monotonic()
-            gw.inject_chaos(wid, stall_s=_GRAY_STALL_S)
-            # aim one hedged submission at the wedged worker: its
-            # Submit sits unread behind the stall, so the hedge leg
-            # on a healthy worker should win the race
-            hs = gw.submit(
-                hedge_fh,
-                tenant=_tenant_hashed_to(gw.num_workers, wid),
-                hedge_after=0.15,
-            )
-            subs.append(hs)
-            if hs.wid == wid:
-                scenario.hedged += 1
-            # the breaker must eject the stalled worker from routing
-            while time.monotonic() - t0 < _BREAKER_OPEN_TIMEOUT:
-                if breaker.opened_total > opened0:
-                    scenario.breaker_opened = True
-                    scenario.stall_detect_s = time.monotonic() - t0
-                    break
-                await asyncio.sleep(0.02)
-            if not scenario.breaker_opened:
-                violations.append(
-                    f"worker {wid} stalled {_GRAY_STALL_S:.1f}s but its "
-                    f"breaker never opened within "
-                    f"{_BREAKER_OPEN_TIMEOUT:.0f}s"
-                )
-                return
-            # ... and re-admit it once heartbeats resume — without
-            # ever having killed it (a stall is not a death)
-            while time.monotonic() - t0 < _READMIT_TIMEOUT:
-                if gw._workers[wid] is not victim:
-                    violations.append(
-                        f"stalled worker {wid} was respawned — a gray "
-                        f"stall escalated to a death"
-                    )
-                    return
-                if breaker.routable:
-                    scenario.readmitted = True
-                    scenario.readmit_s = time.monotonic() - t0
-                    return
-                await asyncio.sleep(0.05)
-            violations.append(
-                f"worker {wid} recovered but was not re-admitted within "
-                f"{_READMIT_TIMEOUT:.0f}s"
-            )
-
-        chaos_task = asyncio.create_task(_stall())
-    elif kill:
-
-        async def _kill() -> None:
-            await asyncio.sleep(rng.random() * 0.05)
-            victim = gw._workers[rng.randrange(gw.num_workers)]
-            if victim is None or victim.dead or not victim.proc.is_alive():
-                return
-            scenario.killed_wid = victim.wid
-            t0 = time.monotonic()
-            os.kill(victim.proc.pid, signal.SIGKILL)
-            while time.monotonic() - t0 < _RESPAWN_TIMEOUT:
-                fresh = gw._workers[victim.wid]
-                if fresh is not victim and fresh is not None and fresh.ready:
-                    scenario.respawn_s = time.monotonic() - t0
-                    return
-                await asyncio.sleep(0.02)
-            violations.append(
-                f"worker {victim.wid} not respawned within "
-                f"{_RESPAWN_TIMEOUT:.0f}s of SIGKILL"
-            )
-
-        chaos_task = asyncio.create_task(_kill())
-
-    try:
-        await asyncio.wait_for(asyncio.gather(*tasks), _SETTLE_TIMEOUT)
-    except asyncio.TimeoutError:
-        violations.append(
-            f"scenario did not settle within {_SETTLE_TIMEOUT:.0f}s"
-        )
-        for t in tasks:
-            t.cancel()
-    if chaos_task is not None:
-        await chaos_task
-
-    await _reconcile(gw, scenario, subs, instances, cancels, before, kill)
-    return scenario
+def hedges_balance(report: Report) -> List[str]:
+    """Every launched hedge leg either won, lost (cancelled at settle),
+    or was dropped with a dead worker."""
+    c = report.counters
+    launched = c.get("gateway.hedge.launched", 0)
+    settled = sum(c.get(f"gateway.hedge.{k}", 0) for k in ("wins", "losses", "dropped"))
+    if launched == settled:
+        return []
+    return [f"hedge accounting broke: {launched} launched vs {settled} wins+losses+dropped"]
 
 
 async def _budget_drill(seed: int) -> Dict[str, float]:
-    """Scripted retry-budget exhaustion: a gateway whose bucket starts
-    empty loses a worker with work in flight — every replay must be
-    denied and settle immediately as ``worker_lost`` with
-    ``reason="retry_budget"``, observable in the counters."""
-    config = WorkerConfig(threads=2, gpus=1, seed=seed)
-    out: Dict[str, float] = {}
+    """A gateway whose retry bucket starts empty loses a worker with
+    work in flight: every replay must be denied and settle at once as
+    ``worker_lost`` with ``reason="retry_budget"``."""
     async with Gateway(
         2,
-        worker=config,
+        worker=WorkerConfig(threads=2, gpus=1, seed=seed),
         heartbeat_interval=0.1,
         retry_budget=RetryBudget(1.0, initial=0.0, refill_per_success=0.0),
         seed=seed,
-        name="gray-budget",
+        name="budget-drill",
     ) as gw:
         fh = await gw.freeze(BurstSpec(width=4, sleep_s=0.6))
         batch = [gw.submit(fh) for _ in range(4)]  # round-robin: 2/worker
-        await asyncio.sleep(0.15)
-        victim = gw._workers[0]
-        os.kill(victim.proc.pid, signal.SIGKILL)
+        await asyncio.sleep(0.15)  # let the Submits land
+        os.kill(gw._workers[0].proc.pid, signal.SIGKILL)
         results = await asyncio.gather(*(s.future for s in batch))
-        snap = gw.snapshot()
-        out["submitted"] = float(len(batch))
-        out["worker_lost_budget"] = float(
-            sum(
-                1
-                for r in results
+        return {
+            "submitted": float(len(batch)),
+            "worker_lost_budget": float(sum(
+                1 for r in results
                 if r.outcome == "worker_lost" and r.reason == "retry_budget"
-            )
-        )
-        out["completed"] = float(
-            sum(1 for r in results if r.outcome == "completed")
-        )
-        out["denied"] = float(snap.get("gateway.retry_budget.exhausted", 0))
-        out["tokens_left"] = float(gw.retry_budget.tokens)
-    return out
-
-
-async def _run_gray_soak(
-    scenarios: int,
-    *,
-    workers: int,
-    seed: int,
-    stall_every: int,
-    kill_every: int,
-    log: Optional[Callable[[str], None]],
-) -> GraySoakReport:
-    config = WorkerConfig(
-        threads=2,
-        gpus=1,
-        max_topologies=4,
-        policy="reject",
-        seed=seed,
-    )
-    report = GraySoakReport(seed=seed, workers=workers)
-    async with Gateway(
-        workers,
-        worker=config,
-        heartbeat_interval=0.1,
-        stall_misses=3,       # stall window: 0.3s
-        heartbeat_misses=40,  # death budget: 4s — stalls never escalate
-        breaker_threshold=2,
-        breaker_cooldown=0.4,
-        breaker_probe_successes=2,
-        retry_budget=RetryBudget(32.0, refill_per_success=0.5),
-        seed=seed,
-        name="gray",
-    ) as gw:
-        frozen_pool = [await gw.freeze(BurstSpec(width=8))]
-        # the hedge shape runs ~50ms, so healthy-path hedges rarely
-        # fire while wedged-primary hedges reliably win
-        hedge_fh = await gw.freeze(BurstSpec(width=4, sleep_s=0.05))
-        for i in range(scenarios):
-            stall = stall_every > 0 and i % stall_every == stall_every // 2
-            kill = (
-                not stall
-                and kill_every > 0
-                and i % kill_every == kill_every - 1
-            )
-            scenario = await _run_gray_scenario(
-                gw, i, seed, frozen_pool, hedge_fh, kill=kill, stall=stall
-            )
-            report.scenarios.append(scenario)
-            report.wall_samples.extend(
-                getattr(scenario, "_wall_samples", ())
-            )
-            if log is not None:
-                c = scenario.counts
-                state = "ok" if scenario.ok else "VIOLATION"
-                chaos = ""
-                if scenario.stalled_wid >= 0:
-                    chaos = (
-                        f" stall=w{scenario.stalled_wid}"
-                        f" open@{scenario.stall_detect_s * 1000:.0f}ms"
-                        f" readmit@{scenario.readmit_s * 1000:.0f}ms"
-                    )
-                elif scenario.killed_wid >= 0:
-                    chaos = (
-                        f" kill=w{scenario.killed_wid}"
-                        f"@{scenario.respawn_s * 1000:.0f}ms"
-                    )
-                log(
-                    f"  #{scenario.index:>3} seed={scenario.seed:<11} "
-                    f"{scenario.tenants}t  {scenario.submitted:>2} submitted "
-                    f"{c.get('completed', 0):>2} done "
-                    f"{c.get('cancelled', 0)} cancel "
-                    f"{c.get('worker_lost', 0)} lost{chaos}  {state}"
-                )
-        report.gateway_counters = {
-            k: v
-            for k, v in gw.snapshot().items()
-            if not isinstance(v, dict)
+            )),
+            "completed": float(sum(1 for r in results if r.outcome == "completed")),
+            "denied": float(gw.snapshot().get("gateway.retry_budget.exhausted", 0)),
+            "tokens_left": float(gw.retry_budget.tokens),
         }
 
-    # hedge accounting must balance: every launched leg either won,
-    # lost (cancelled at settle), or was dropped with a dead worker
-    gc = report.gateway_counters
-    launched = gc.get("gateway.hedge.launched", 0)
-    settled_ways = (
-        gc.get("gateway.hedge.wins", 0)
-        + gc.get("gateway.hedge.losses", 0)
-        + gc.get("gateway.hedge.dropped", 0)
-    )
-    if launched != settled_ways:
-        report.extra_violations.append(
-            f"hedge accounting broke: {launched} launched vs "
-            f"{settled_ways} wins+losses+dropped"
-        )
 
-    if log is not None:
-        log("  running retry-budget exhaustion drill...")
-    report.budget_drill = await _budget_drill(seed)
-    if report.budget_drill.get("worker_lost_budget", 0) < 1:
-        report.extra_violations.append(
-            "budget drill: no worker_lost settlement carried "
-            "reason='retry_budget'"
-        )
-    if report.budget_drill.get("denied", 0) < 1:
-        report.extra_violations.append(
-            "budget drill: gateway.retry_budget.exhausted never moved"
-        )
-    return report
-
-
-def run_gateway_gray_soak(
-    scenarios: int = 50,
-    *,
-    workers: int = 4,
-    seed: int = 0,
-    stall_every: int = 5,
-    kill_every: int = 5,
-    log: Optional[Callable[[str], None]] = None,
-) -> GraySoakReport:
-    """Sweep *scenarios* gray-failure scenarios against one gateway.
-
-    Every ``stall_every``-th scenario wedges a live worker's recv loop
-    (a *gray* stall: the process stays alive, heartbeats stop) and
-    asserts the breaker ejects and then re-admits it; every
-    ``kill_every``-th scenario SIGKILLs a worker (offset so the two
-    never collide).  Ends with the retry-budget exhaustion drill.
-    Never raises on violations — the caller decides.
-    """
-    return asyncio.run(
-        _run_gray_soak(
-            scenarios,
-            workers=workers,
-            seed=seed,
-            stall_every=stall_every,
-            kill_every=kill_every,
-            log=log,
-        )
-    )
-
-
-__all__ = [
-    "GATEWAY_SOAK_SCHEMA",
-    "GATEWAY_GRAY_SOAK_SCHEMA",
-    "GatewayScenario",
-    "GatewaySoakReport",
-    "GrayScenario",
-    "GraySoakReport",
-    "run_gateway_soak",
-    "run_gateway_gray_soak",
-]
+def budget_drill_ok(report: Report) -> List[str]:
+    """The retry-budget exhaustion drill denied every replay."""
+    drill = report.detail.get("budget_drill")
+    if drill is None:
+        return ["budget drill did not run"]
+    out = []
+    if drill["worker_lost_budget"] < 1:
+        out.append("budget drill: no worker_lost settlement carried reason='retry_budget'")
+    if drill["denied"] < 1:
+        out.append("budget drill: gateway.retry_budget.exhausted never moved")
+    return out

@@ -10,10 +10,11 @@ Public surface:
   token-bucket retry budget) used by the gateway's worker health layer
   (docs/gateway.md);
 - :class:`FaultProfile` — seeded device fault plans, armed via
-  ``Device.configure_faults``;
-- :func:`run_chaos` — the seeded chaos sweep behind
-  ``python -m repro chaos`` (imported lazily: it drives the executor,
-  which itself imports this package).
+  ``Device.configure_faults``.
+
+The seeded chaos suite (:mod:`repro.resilience.chaos`, ``python -m
+repro verify chaos``) is not imported here: it drives the executor,
+which itself imports this package.
 
 See docs/resilience.md for the full model.
 """
@@ -43,14 +44,4 @@ __all__ = [
     "RetryBudget",
     "FaultProfile",
     "FaultState",
-    "ChaosReport",
-    "run_chaos",
 ]
-
-
-def __getattr__(name: str):
-    if name in ("run_chaos", "ChaosReport"):
-        from repro.resilience import chaos
-
-        return getattr(chaos, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

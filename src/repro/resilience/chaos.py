@@ -25,27 +25,23 @@ Every completed scenario is cross-checked by the schedule validator
 (exact-once must hold across retries and replays) and by the
 generator's host-side oracle — the recovered results must be
 bit-identical to a fault-free run.  Failed scenarios must still leave
-a partially-valid trace.  Exposed via ``python -m repro chaos``.
+a partially-valid trace.  Run with ``python -m repro verify chaos``.
 """
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, Iterator, Optional
 
 from repro.check.generator import generate_graph
 from repro.check.validate import validate_schedule
 from repro.core.executor import Executor
 from repro.core.observer import TraceObserver
 from repro.errors import TaskFailedError
+from repro.harness import Report, Scenario
 from repro.resilience.faults import FaultProfile
 from repro.resilience.policy import ResiliencePolicy, RetryPolicy
 from repro.utils.rng import derive_seed
-
-#: schema identifier of the serialized report; bump on layout changes
-CHAOS_REPORT_SCHEMA = "repro.chaos-report/1"
 
 #: fault classes, cycled over the scenario index
 KINDS = ("alloc", "kernel", "stall", "device", "degrade")
@@ -69,99 +65,6 @@ _COUNTER_KEYS = (
 )
 
 
-@dataclass
-class ScenarioOutcome:
-    """One executed fault scenario."""
-
-    index: int
-    kind: str
-    seed: int
-    workers: int
-    gpus: int
-    num_nodes: int
-    num_records: int = 0
-    expect_failure: bool = False
-    completed: bool = False
-    error: str = ""
-    num_events: int = 0
-    violations: List[str] = field(default_factory=list)
-    #: this scenario's ``resilience.*`` counter snapshot
-    counters: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "kind": self.kind,
-            "seed": self.seed,
-            "workers": self.workers,
-            "gpus": self.gpus,
-            "num_nodes": self.num_nodes,
-            "num_records": self.num_records,
-            "expect_failure": self.expect_failure,
-            "completed": self.completed,
-            "error": self.error,
-            "num_events": self.num_events,
-            "violations": list(self.violations),
-            "counters": dict(sorted(self.counters.items())),
-        }
-
-
-@dataclass
-class ChaosReport:
-    """Aggregated outcome of one chaos sweep."""
-
-    seed: int
-    scenarios: List[ScenarioOutcome] = field(default_factory=list)
-    counters: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return all(s.ok for s in self.scenarios)
-
-    @property
-    def num_scenarios(self) -> int:
-        return len(self.scenarios)
-
-    @property
-    def num_completed(self) -> int:
-        return sum(1 for s in self.scenarios if s.completed)
-
-    @property
-    def num_failed_as_expected(self) -> int:
-        return sum(
-            1 for s in self.scenarios if s.expect_failure and not s.completed
-        )
-
-    @property
-    def violations(self) -> List[str]:
-        out: List[str] = []
-        for s in self.scenarios:
-            out.extend(
-                f"[#{s.index} {s.kind} seed={s.seed}] {v}"
-                for v in s.violations
-            )
-        return out
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": CHAOS_REPORT_SCHEMA,
-            "seed": self.seed,
-            "num_scenarios": self.num_scenarios,
-            "num_completed": self.num_completed,
-            "num_failed_as_expected": self.num_failed_as_expected,
-            "ok": self.ok,
-            "counters": dict(sorted(self.counters.items())),
-            "scenarios": [s.to_dict() for s in self.scenarios],
-        }
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-
 def _profile_for(kind: str, rng: random.Random) -> FaultProfile:
     if kind == "alloc":
         return FaultProfile(alloc_failures=rng.randint(1, 2))
@@ -175,7 +78,7 @@ def _profile_for(kind: str, rng: random.Random) -> FaultProfile:
     return FaultProfile(die_at_op=rng.randint(1, 3))
 
 
-def run_scenario(index: int, seed: int = 0) -> ScenarioOutcome:
+def run_scenario(index: int, seed: int = 0) -> Scenario:
     """Run chaos scenario *index* of the sweep seeded with *seed*.
 
     Fully deterministic given ``(index, seed)``: the graph shape, the
@@ -198,15 +101,19 @@ def run_scenario(index: int, seed: int = 0) -> ScenarioOutcome:
     fallbacks = not (kind == "degrade" and (index // len(KINDS)) % 2 == 1)
     graph_seed = sseed % (1 << 31)
     gen = generate_graph(graph_seed, num_gpus=gpus, fallbacks=fallbacks)
-    outcome = ScenarioOutcome(
-        index=index,
-        kind=kind,
-        seed=graph_seed,
-        workers=workers,
-        gpus=gpus,
-        num_nodes=gen.num_nodes,
-        expect_failure=not fallbacks,
+    expect_failure = not fallbacks
+    outcome = Scenario(
+        index, kind, graph_seed,
+        detail={
+            "workers": workers,
+            "gpus": gpus,
+            "nodes": gen.num_nodes,
+            "expect_failure": expect_failure,
+            "error": "",
+        },
     )
+    completed = False
+    events = 0
 
     profile = _profile_for(kind, rng)
     if kind in ("device", "degrade"):
@@ -240,78 +147,57 @@ def run_scenario(index: int, seed: int = 0) -> ScenarioOutcome:
         fut = ex.run(gen.graph, metrics=True, policy=policy)
         try:
             fut.result(timeout=_RESULT_TIMEOUT)
-            outcome.completed = True
-            if outcome.expect_failure:
+            completed = True
+            if expect_failure:
                 outcome.violations.append(
                     "no-fallback degradation scenario completed; expected "
                     "TaskFailedError"
                 )
         except TaskFailedError as exc:
-            outcome.error = repr(exc)
-            if not outcome.expect_failure:
+            outcome.detail["error"] = repr(exc)
+            if not expect_failure:
                 outcome.violations.append(
                     f"scenario should have recovered, got {exc!r}"
                 )
         except Exception as exc:  # noqa: BLE001 - harness boundary
             # anything but a structured TaskFailedError is a contract
             # violation, whatever the scenario expected
-            outcome.error = repr(exc)
+            outcome.detail["error"] = repr(exc)
             outcome.violations.append(
                 f"unstructured failure escaped the resilience layer: {exc!r}"
             )
         report = getattr(fut, "run_report", None)
         if report is not None:
-            outcome.num_events = len(report.events)
+            events = len(report.events)
         schedule = validate_schedule(
             gen.graph,
             obs.records,
             passes=1,
             num_gpus=gpus,
-            allow_partial=not outcome.completed,
+            allow_partial=not completed,
         )
-        outcome.num_records = schedule.num_records
         outcome.violations.extend(str(v) for v in schedule.violations)
-        if outcome.completed:
+        if completed:
             # recovered results must be bit-identical to a fault-free
             # run: the oracle replays the exact chain arithmetic
             outcome.violations.extend(gen.verify(passes=1))
         snapshot = ex.metrics.snapshot()
     finally:
         ex.shutdown()
-    outcome.counters = {
-        k: snapshot[k] for k in _COUNTER_KEYS  # type: ignore[misc]
-        if isinstance(snapshot.get(k), int)
+    outcome.counts = {
+        "completed": int(completed),
+        "failed_as_expected": int(expect_failure and not completed),
+        "records": schedule.num_records,
+        "events": events,
     }
+    outcome.counts.update(
+        (k, snapshot[k]) for k in _COUNTER_KEYS
+        if isinstance(snapshot.get(k), int)
+    )
     return outcome
 
 
-def run_chaos(
-    scenarios: int = 50,
-    *,
-    seed: int = 0,
-    log: Optional[Callable[[str], None]] = None,
-) -> ChaosReport:
-    """Sweep *scenarios* seeded fault scenarios; returns a report.
-
-    The sweep never raises on violations — the caller decides (the CLI
-    exits nonzero, tests assert on :attr:`ChaosReport.ok`).
-    """
-    report = ChaosReport(seed=seed)
-    for i in range(scenarios):
-        outcome = run_scenario(i, seed)
-        for key, val in outcome.counters.items():
-            report.counters[key] = report.counters.get(key, 0) + val
-        report.scenarios.append(outcome)
-        if log is not None:
-            state = (
-                "ok" if outcome.ok and outcome.completed
-                else "failed-as-expected" if outcome.ok
-                else "VIOLATION"
-            )
-            log(
-                f"  #{outcome.index:>3} {outcome.kind:<8} "
-                f"seed={outcome.seed:<11} {outcome.workers}w x "
-                f"{outcome.gpus}g  {outcome.num_records:>3} records  "
-                f"{state}"
-            )
-    return report
+def scenarios(report: Report, n: int) -> Iterator[Scenario]:
+    """Chaos scenarios ``0 .. n-1`` of the sweep seeded ``report.seed``."""
+    for i in range(n):
+        yield run_scenario(i, report.seed)

@@ -11,10 +11,11 @@ The production-facing layer in front of the executor's submission path
 - deadlines and priorities ride on the executor itself:
   ``Executor.run(..., deadline=, priority=)``, plus
   ``Executor.drain(timeout=)`` and ``shutdown(drain_timeout=)`` for
-  graceful teardown;
-- :func:`run_soak` — the multi-tenant soak harness behind
-  ``python -m repro soak`` (imported lazily: it drives the executor,
-  which itself imports this package).
+  graceful teardown.
+
+The multi-tenant soak suite (:mod:`repro.service.soak`, ``python -m
+repro verify soak``) is not imported here: it drives the executor,
+which itself imports this package.
 
 Everything the layer does is observable through the ``service.*``
 metrics and structured events cataloged in docs/observability.md.
@@ -32,14 +33,4 @@ __all__ = [
     "AdmissionController",
     "POLICIES",
     "predicted_footprint_bytes",
-    "SoakReport",
-    "run_soak",
 ]
-
-
-def __getattr__(name: str):
-    if name in ("run_soak", "SoakReport"):
-        from repro.service import soak
-
-        return getattr(soak, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

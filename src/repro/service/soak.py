@@ -27,21 +27,20 @@ Every scenario is then checked three ways:
 3. **Oracle** — graphs whose every submission completed must produce
    bit-identical results to the generator's host-side replay.
 
-The harness records per-submission latency (submit call and
-end-to-end) and emits p50/p95/p99 percentiles; ``python -m repro soak
---json`` writes the whole report with schema
-:data:`SOAK_REPORT_SCHEMA` (the CI artifact
-``BENCH_service_soak.json``).
+The harness records per-submission latency (end-to-end as the
+scenario's samples, the submit call as p50/p95/p99 per scenario and
+over the sweep, in the report's ``detail``); run
+with ``python -m repro verify soak`` (the full-size report is the
+committed ``BENCH_service_soak.json`` record).
 """
 
 from __future__ import annotations
 
-import json
 import random
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional
 
 from concurrent.futures import CancelledError
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -50,12 +49,10 @@ from repro.check.generator import GeneratedGraph, generate_graph
 from repro.check.validate import validate_schedule
 from repro.core.executor import Executor
 from repro.core.observer import TraceObserver
-from repro.errors import AdmissionRejectedError, ExecutorError
+from repro.errors import AdmissionRejectedError
+from repro.harness import Report, Scenario, percentiles
 from repro.service.admission import POLICIES, AdmissionController
 from repro.utils.rng import derive_seed
-
-#: schema identifier of the serialized report; bump on layout changes
-SOAK_REPORT_SCHEMA = "repro.soak-report/1"
 
 #: per-future settle deadline — an unresolved future is itself a
 #: stranded-future violation
@@ -82,19 +79,6 @@ _COUNTER_KEYS = (
 )
 
 
-def _percentiles(samples: List[float]) -> Dict[str, float]:
-    """p50/p95/p99 by nearest-rank over *samples* (empty -> zeros)."""
-    if not samples:
-        return {"p50": 0.0, "p95": 0.0, "p99": 0.0}
-    ordered = sorted(samples)
-    last = len(ordered) - 1
-
-    def at(q: float) -> float:
-        return ordered[min(last, int(round(q * last)))]
-
-    return {"p50": at(0.50), "p95": at(0.95), "p99": at(0.99)}
-
-
 @dataclass
 class _Submission:
     """One ``run*`` call a submitter thread made (admitted or not)."""
@@ -110,114 +94,6 @@ class _Submission:
     cancel_requested: bool = False
     outcome: str = ""
     wall_latency: float = 0.0
-
-
-@dataclass
-class SoakScenario:
-    """One executed soak scenario."""
-
-    index: int
-    policy: str
-    seed: int
-    workers: int
-    gpus: int
-    max_topologies: int
-    submitters: int
-    num_graphs: int = 0
-    num_records: int = 0
-    counts: Dict[str, int] = field(default_factory=dict)
-    counters: Dict[str, int] = field(default_factory=dict)
-    submit_latency: Dict[str, float] = field(default_factory=dict)
-    wall_latency: Dict[str, float] = field(default_factory=dict)
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    @property
-    def submitted(self) -> int:
-        return sum(self.counts.values())
-
-    @property
-    def admitted(self) -> int:
-        return self.submitted - self.counts.get("rejected", 0)
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "policy": self.policy,
-            "seed": self.seed,
-            "workers": self.workers,
-            "gpus": self.gpus,
-            "max_topologies": self.max_topologies,
-            "submitters": self.submitters,
-            "num_graphs": self.num_graphs,
-            "num_records": self.num_records,
-            "submitted": self.submitted,
-            "admitted": self.admitted,
-            "counts": {k: self.counts.get(k, 0) for k in OUTCOMES},
-            "counters": dict(sorted(self.counters.items())),
-            "submit_latency_s": dict(self.submit_latency),
-            "wall_latency_s": dict(self.wall_latency),
-            "violations": list(self.violations),
-        }
-
-
-@dataclass
-class SoakReport:
-    """Aggregated outcome of one soak sweep."""
-
-    seed: int
-    scenarios: List[SoakScenario] = field(default_factory=list)
-    counters: Dict[str, int] = field(default_factory=dict)
-    #: end-to-end latencies of every admitted submission, sweep-wide
-    wall_samples: List[float] = field(default_factory=list)
-    submit_samples: List[float] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(s.ok for s in self.scenarios)
-
-    @property
-    def num_scenarios(self) -> int:
-        return len(self.scenarios)
-
-    @property
-    def totals(self) -> Dict[str, int]:
-        out = {k: 0 for k in OUTCOMES}
-        for s in self.scenarios:
-            for k in OUTCOMES:
-                out[k] += s.counts.get(k, 0)
-        out["submitted"] = sum(s.submitted for s in self.scenarios)
-        out["admitted"] = sum(s.admitted for s in self.scenarios)
-        return out
-
-    @property
-    def violations(self) -> List[str]:
-        out: List[str] = []
-        for s in self.scenarios:
-            out.extend(
-                f"[#{s.index} {s.policy} seed={s.seed}] {v}"
-                for v in s.violations
-            )
-        return out
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": SOAK_REPORT_SCHEMA,
-            "seed": self.seed,
-            "num_scenarios": self.num_scenarios,
-            "ok": self.ok,
-            "totals": self.totals,
-            "counters": dict(sorted(self.counters.items())),
-            "submit_latency_s": _percentiles(self.submit_samples),
-            "wall_latency_s": _percentiles(self.wall_samples),
-            "scenarios": [s.to_dict() for s in self.scenarios],
-        }
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def _classify(sub: _Submission, violations: List[str]) -> None:
@@ -264,8 +140,11 @@ def _classify(sub: _Submission, violations: List[str]) -> None:
         )
 
 
-def run_scenario(index: int, seed: int = 0) -> SoakScenario:
-    """Run soak scenario *index* of the sweep seeded with *seed*.
+def run_scenario(
+    index: int, seed: int = 0, submit_samples: Optional[List[float]] = None
+) -> Scenario:
+    """Run soak scenario *index* of the sweep seeded with *seed*; the
+    submit-call latencies are also appended to *submit_samples*.
 
     Graph shapes, workload mix, priorities, deadlines, and cancel
     choices all derive deterministically from ``(index, seed)``; only
@@ -279,14 +158,14 @@ def run_scenario(index: int, seed: int = 0) -> SoakScenario:
     max_topologies = rng.randint(3, 6)
     submitters = rng.randint(3, 5)
 
-    scenario = SoakScenario(
-        index=index,
-        policy=policy,
-        seed=sseed % (1 << 31),
-        workers=workers,
-        gpus=gpus,
-        max_topologies=max_topologies,
-        submitters=submitters,
+    scenario = Scenario(
+        index, policy, sseed % (1 << 31),
+        detail={
+            "workers": workers,
+            "gpus": gpus,
+            "max_topologies": max_topologies,
+            "submitters": submitters,
+        },
     )
     ctrl = AdmissionController(
         max_topologies=max_topologies,
@@ -423,7 +302,6 @@ def run_scenario(index: int, seed: int = 0) -> SoakScenario:
     counts = {k: 0 for k in OUTCOMES}
     for sub in submissions:
         counts[sub.outcome] += 1
-    scenario.counts = counts
     admitted = len(submissions) - counts["rejected"]
     settled = sum(counts[k] for k in OUTCOMES if k != "rejected")
     if settled != admitted:  # pragma: no cover - counts are exhaustive
@@ -431,33 +309,33 @@ def run_scenario(index: int, seed: int = 0) -> SoakScenario:
             f"outcome reconciliation broke: {settled} settled vs "
             f"{admitted} admitted"
         )
-    for key in _COUNTER_KEYS:
-        val = snapshot.get(key)
-        if isinstance(val, int):
-            scenario.counters[key] = val
+    counters = {
+        key: snapshot[key] for key in _COUNTER_KEYS
+        if isinstance(snapshot.get(key), int)
+    }
     for key, want in (
         ("service.admitted", admitted),
         ("service.rejected", counts["rejected"]),
         ("service.shed", counts["shed"]),
     ):
-        got = scenario.counters.get(key, 0)
+        got = counters.get(key, 0)
         if got != want:
             violations.append(
                 f"counter {key} = {got}, but the harness observed {want}"
             )
     # the deadline counter may exceed the classified count: a deadline
     # can fire in the race window where the run is completing anyway
-    if scenario.counters.get("service.deadline_exceeded", 0) < counts[
+    if counters.get("service.deadline_exceeded", 0) < counts[
         "deadline_exceeded"
     ]:
         violations.append(
             f"counter service.deadline_exceeded = "
-            f"{scenario.counters.get('service.deadline_exceeded', 0)} < "
+            f"{counters.get('service.deadline_exceeded', 0)} < "
             f"{counts['deadline_exceeded']} classified deadline outcomes"
         )
 
     # -- per-graph trace validation + oracle --------------------------
-    scenario.num_graphs = len(graphs)
+    num_records = 0
     by_graph: Dict[tuple, List[_Submission]] = {}
     for sub in submissions:
         by_graph.setdefault(sub.graph_key, []).append(sub)
@@ -465,7 +343,7 @@ def run_scenario(index: int, seed: int = 0) -> SoakScenario:
         subs = by_graph.get(key, [])
         nids = {n.nid for n in gen.graph.nodes}
         records = [r for r in obs.records if r.nid in nids]
-        scenario.num_records += len(records)
+        num_records += len(records)
         expected = sum(
             s.expected_passes for s in subs if s.outcome != "rejected"
         )
@@ -486,50 +364,28 @@ def run_scenario(index: int, seed: int = 0) -> SoakScenario:
             )
 
     scenario.violations = violations
-    wall = [s.wall_latency for s in submissions if s.future is not None]
+    scenario.counts = {
+        **counts,
+        "submitted": len(submissions),
+        "admitted": admitted,
+        "graphs": len(graphs),
+        "records": num_records,
+        **counters,
+    }
+    scenario.samples = [
+        s.wall_latency for s in submissions if s.future is not None
+    ]
     submit = [s.submit_latency for s in submissions]
-    scenario.wall_latency = _percentiles(wall)
-    scenario.submit_latency = _percentiles(submit)
-    # stash raw samples for sweep-wide percentiles via a side channel
-    scenario._wall_samples = wall  # type: ignore[attr-defined]
-    scenario._submit_samples = submit  # type: ignore[attr-defined]
+    scenario.detail["submit_latency_s"] = percentiles(submit)
+    if submit_samples is not None:
+        submit_samples.extend(submit)
     return scenario
 
 
-def run_soak(
-    scenarios: int = 50,
-    *,
-    seed: int = 0,
-    log: Optional[Callable[[str], None]] = None,
-) -> SoakReport:
-    """Sweep *scenarios* seeded overload scenarios; returns a report.
-
-    The sweep never raises on violations — the caller decides (the CLI
-    exits nonzero, tests assert on :attr:`SoakReport.ok`).
-    """
-    report = SoakReport(seed=seed)
-    for i in range(scenarios):
-        scenario = run_scenario(i, seed)
-        for key, val in scenario.counters.items():
-            report.counters[key] = report.counters.get(key, 0) + val
-        report.wall_samples.extend(
-            getattr(scenario, "_wall_samples", ())
-        )
-        report.submit_samples.extend(
-            getattr(scenario, "_submit_samples", ())
-        )
-        report.scenarios.append(scenario)
-        if log is not None:
-            c = scenario.counts
-            state = "ok" if scenario.ok else "VIOLATION"
-            log(
-                f"  #{scenario.index:>3} {scenario.policy:<7} "
-                f"seed={scenario.seed:<11} {scenario.workers}w x "
-                f"{scenario.gpus}g cap={scenario.max_topologies}  "
-                f"{scenario.submitted:>2} submitted "
-                f"{c.get('completed', 0):>2} done "
-                f"{c.get('rejected', 0)} rej {c.get('shed', 0)} shed "
-                f"{c.get('deadline_exceeded', 0)} ddl "
-                f"{c.get('cancelled', 0)} cancel  {state}"
-            )
-    return report
+def scenarios(report: Report, n: int) -> Iterator[Scenario]:
+    """Soak scenarios ``0 .. n-1`` of the sweep seeded ``report.seed``;
+    the sweep-wide submit-call percentiles go to the report's detail."""
+    submit: List[float] = []
+    for i in range(n):
+        yield run_scenario(i, report.seed, submit)
+    report.detail["submit_latency_s"] = percentiles(submit)

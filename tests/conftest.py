@@ -2,11 +2,49 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core import Executor, Heteroflow
 from repro.gpu.device import GpuRuntime
+
+#: every verification suite at its smallest size: one scenario per
+#: config (stress, replay) or fault class (chaos); two per gateway suite
+#: (serve + kill, stall + kill); and the crash suite's first full
+#: cadence period (three clean, one journal fault, one crash cycle)
+SMALLEST = {
+    "stress": 3,
+    "replay": 4,
+    "sanitize": 3,
+    "chaos": 5,
+    "soak": 3,
+    "gateway": 2,
+    "gateway-gray": 2,
+    "gateway-crash": 5,
+}
+
+
+@pytest.fixture(scope="session")
+def verify_run(tmp_path_factory):
+    """``verify_run(suite)`` -> ``(exit code, report envelope)`` of
+    ``python -m repro verify SUITE --scenarios N --json OUT`` at the
+    suite's smallest size, run once per session and shared by every
+    test that asserts on it."""
+    runs = {}
+
+    def get(suite):
+        if suite not in runs:
+            out = tmp_path_factory.mktemp("verify") / f"{suite}.json"
+            code = main(
+                ["verify", suite, "--scenarios", str(SMALLEST[suite]), "--json", str(out)]
+            )
+            runs[suite] = (code, json.loads(out.read_text()))
+        return runs[suite]
+
+    return get
 
 
 @pytest.fixture

@@ -8,10 +8,10 @@ from repro.check import (
     generate_graph,
     run_determinism_check,
     run_mutant_selftest,
-    run_stress,
     validate_schedule,
 )
 from repro.check.mutants import ROUTES
+from repro.check.stress import run_scenario
 from repro.core import Executor, Heteroflow, TraceObserver
 from repro.core.observer import TaskRecord
 from repro.errors import ValidationError
@@ -255,17 +255,26 @@ class TestMutantSelftest:
 
 
 class TestStressHarness:
-    def test_small_sweep_is_clean(self):
-        report = run_stress(seeds=3, configs=[(2, 1)])
-        assert report.ok, "\n".join(report.violations)
-        assert report.num_runs == 3
-        assert report.num_allocs == report.num_frees > 0
+    def test_small_sweep_is_clean(self, verify_run):
+        code, doc = verify_run("stress")
+        assert code == 0, doc["violations"]
+        # one scenario per default config
+        assert [s["kind"] for s in doc["scenarios"]] == ["1x1", "2x2", "4x2"]
+        assert doc["totals"]["allocs"] == doc["totals"]["frees"] > 0
 
-    def test_fault_injection_paths(self):
-        report = run_stress(seeds=1, configs=[(2, 2)], faults=True)
-        assert report.ok, "\n".join(report.violations)
-        modes = {o.mode for o in report.outcomes}
+    def test_fault_injection_paths(self, verify_run):
+        _code, doc = verify_run("stress")
+        modes = {m for s in doc["scenarios"] for m in s["detail"]["modes"]}
         assert modes == {"normal", "fault", "retry", "cancel"}
+
+    def test_two_workers_one_gpu(self):
+        """The 2x1 shape, outside the suite's configs: seeds 0-2, the
+        fault/retry/cancel modes on seed 0."""
+        for seed in range(3):
+            sc = run_scenario(seed, 2, 1, seed)
+            assert sc.ok, sc.violations
+            assert sc.kind == "2x1"
+            assert len(sc.detail["modes"]) == (4 if seed == 0 else 1)
 
     def test_determinism_single_worker_host_only(self):
         """Same graph + seed on one worker yields the identical
@@ -283,12 +292,3 @@ class TestCli:
         out = capsys.readouterr().out
         assert "caught" in out
         assert "check: OK" in out
-
-    def test_config_parsing(self):
-        from repro.cli import _parse_configs
-
-        assert _parse_configs("1x1,2x2,4x2") == [(1, 1), (2, 2), (4, 2)]
-        import argparse
-
-        with pytest.raises(argparse.ArgumentTypeError):
-            _parse_configs("nope")

@@ -242,15 +242,11 @@ class TestCancelAndMetrics:
 
 
 class TestGatewaySoakSmoke:
-    def test_tiny_sweep_reconciles(self):
-        from repro.gateway import run_gateway_soak
-
-        report = run_gateway_soak(
-            3, workers=2, seed=7, kill_every=3, throughput_repeats=20
-        )
-        assert report.ok, report.violations
-        assert report.num_scenarios == 3
-        totals = report.totals
+    def test_tiny_sweep_reconciles(self, verify_run):
+        code, doc = verify_run("gateway")
+        assert code == 0, doc["violations"]
+        assert [s["kind"] for s in doc["scenarios"]] == ["serve", "kill"]
+        totals = doc["totals"]
         assert totals["kills"] == 1
         assert totals["failed"] == 0
         settled = sum(
@@ -266,7 +262,5 @@ class TestGatewaySoakSmoke:
             )
         )
         assert settled == totals["submitted"]
-        assert report.throughput["errors"] == 0
-        doc = report.to_dict()
-        assert doc["schema"] == "repro.gateway-soak-report/1"
+        assert doc["detail"]["throughput"]["errors"] == 0
         assert doc["cpu_count"] == os.cpu_count()

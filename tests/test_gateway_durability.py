@@ -18,7 +18,6 @@ import time
 import pytest
 
 from repro.durability import FaultyOs, Journal, fsck
-from repro.durability.soak import run_gateway_crash_soak
 from repro.errors import GatewayError, JournalWriteError
 from repro.gateway import BurstSpec, Gateway, GeneratedSpec, WorkerConfig
 
@@ -227,18 +226,17 @@ class TestRecovery:
 
 
 class TestCrashSoakSmoke:
-    def test_five_scenarios_including_one_kill_cycle(self, tmp_path):
+    def test_five_scenarios_including_one_kill_cycle(self, verify_run):
         # indices 0-4: three clean, one journal fault, one full
-        # SIGKILL + recover cycle — the CI-smoke shape
-        report = run_gateway_crash_soak(
-            5, workers=2, seed=11, journal_dir=str(tmp_path)
-        )
-        assert report.ok, report.all_violations
-        totals = report.totals
+        # SIGKILL + recover cycle — the first full cadence period
+        code, doc = verify_run("gateway-crash")
+        assert code == 0, doc["violations"]
+        assert [s["kind"] for s in doc["scenarios"]] == [
+            "clean", "clean", "fault", "clean", "crash",
+        ]
+        totals = doc["totals"]
         assert totals["crash_cycles"] == 1
         assert totals["kills"] == 1
         assert totals["fault_injections"] >= 1
-        assert report.final_fsck["clean"]
-        doc = report.to_dict()
-        assert doc["schema"] == "repro.gateway-crash-soak-report/1"
-        assert doc["num_scenarios"] == 5
+        assert doc["detail"]["final_fsck"]["clean"]
+        assert doc["detail"]["final_fsck"]["unsettled"] == []

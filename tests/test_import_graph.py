@@ -21,12 +21,20 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 LAZY_PACKAGES = ("repro", "repro.core", "repro.gateway", "repro.analysis")
 
-#: never needed by a gateway worker process running an executor
+#: never needed by a gateway worker process running an executor: the
+#: scenario engine and every verification suite included
 WORKER_FORBIDDEN = (
     "networkx",
     "asyncio",
     "repro.gateway.gateway",
+    "repro.harness",
+    "repro.check.stress",
+    "repro.check.replay",
+    "repro.check.sanitize",
+    "repro.resilience.chaos",
+    "repro.service.soak",
     "repro.gateway.soak",
+    "repro.durability.soak",
     "repro.analysis.effects",
     "repro.analysis.linter",
     "repro.analysis.rules",
@@ -62,6 +70,19 @@ def _loaded_after(statement: str, names) -> list:
     )
 
 
+def _help_imports(*argv: str) -> set:
+    """Modules ``python -m repro ARGV`` imports (it must print usage)."""
+    proc = _python("-X", "importtime", "-m", "repro", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage:" in proc.stdout
+    # -X importtime lines: "import time: self | cumulative | name"
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:") and "|" in line
+    }
+
+
 class TestProcessImports:
     def test_worker_path_loads_only_what_a_worker_runs(self):
         loaded = _loaded_after(
@@ -73,17 +94,15 @@ class TestProcessImports:
         assert _loaded_after("import repro", ("numpy", "networkx")) == []
 
     def test_cli_help_loads_no_numpy_or_networkx(self):
-        proc = _python("-X", "importtime", "-m", "repro", "--help")
-        assert proc.returncode == 0, proc.stderr
-        assert "usage:" in proc.stdout
-        # -X importtime lines: "import time: self | cumulative | name"
-        loaded = {
-            line.rsplit("|", 1)[1].strip()
-            for line in proc.stderr.splitlines()
-            if line.startswith("import time:") and "|" in line
-        }
+        loaded = _help_imports("--help")
         assert "repro.cli" in loaded
         assert not {"numpy", "networkx"} & loaded
+
+    def test_verify_help_loads_no_numpy_or_suite(self):
+        loaded = _help_imports("verify", "--help")
+        assert not {"numpy", "networkx"} & loaded
+        # the SUITES table names its modules; none is imported for --help
+        assert set(WORKER_FORBIDDEN) & loaded == {"repro.harness"}
 
 
 @pytest.mark.parametrize("package", LAZY_PACKAGES)

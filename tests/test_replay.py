@@ -21,7 +21,7 @@ from concurrent.futures import CancelledError
 import numpy as np
 import pytest
 
-from repro.check.replay import REPLAY_CONFIGS, run_replay_check
+from repro.harness import SUITES, run
 from repro.check.validate import validate_schedule
 from repro.core import Executor, FrozenTopology, Heteroflow, TraceObserver
 from repro.core.placement import apply_assignment, snapshot_assignment
@@ -455,24 +455,23 @@ class TestDifferentialSweep:
         the two sides' terminal states are bitwise-compatible —
         including cancellation, deadline firing, and device fault
         injection through the replay path."""
-        report = run_replay_check()
-        assert report.num_scenarios >= 50
-        modes = {o.mode for o in report.outcomes}
+        report = run("replay")
+        assert len(report.scenarios) >= 50
+        modes = {sc.kind for sc in report.scenarios}
         assert modes == {"normal", "cancel", "deadline", "fault"}
-        assert any(o.fast for o in report.outcomes)  # slot fast path hit
-        assert any(o.gpus > 0 for o in report.outcomes)  # general path hit
+        assert any(sc.detail["fast"] for sc in report.scenarios)  # slot fast path hit
+        assert any(sc.detail["gpus"] > 0 for sc in report.scenarios)  # general path hit
         assert report.ok, "\n".join(report.violations)
 
-    def test_report_dict_schema(self):
-        report = run_replay_check(seeds=1, configs=[(2, 0)])
-        doc = report.to_dict()
-        assert doc["schema"] == "repro.replay-report/1"
-        assert doc["num_scenarios"] == 1
-        assert doc["ok"] is True
-        (scenario,) = doc["scenarios"]
-        assert scenario["mode"] == "normal"
-        assert scenario["records_fresh"] == scenario["records_frozen"] > 0
+    def test_report_dict_schema(self, verify_run):
+        code, doc = verify_run("replay")
+        assert code == 0, doc["violations"]
+        for scenario in doc["scenarios"]:
+            assert scenario["kind"] == "normal"
+            counts = scenario["counts"]
+            assert counts["records_fresh"] == counts["records_frozen"] > 0
 
     def test_configs_cover_fast_and_general_paths(self):
-        assert (2, 0) in REPLAY_CONFIGS
-        assert any(g > 0 for _, g in REPLAY_CONFIGS)
+        configs = SUITES["replay"].params["configs"]
+        assert (2, 0) in configs
+        assert any(g > 0 for _, g in configs)

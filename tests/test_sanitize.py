@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.sanitize import SCHEMA, SanitizerSession
-from repro.check import run_sanitize_sweep
 from repro.core import Executor, Heteroflow
 
 
@@ -150,13 +149,12 @@ class TestFrozenPath:
 
 
 class TestSweep:
-    def test_sweep_smoke_is_clean(self):
-        report = run_sanitize_sweep(3, num_workers=2, num_gpus=1)
-        assert report.ok, report.violations[:5]
-        assert report.num_runs == 3
-        assert report.num_divergences == 0
-        doc = report.as_dict()
-        assert doc["schema"] == "repro.sanitize-sweep/1"
+    def test_sweep_smoke_is_clean(self, verify_run):
+        code, doc = verify_run("sanitize")
+        assert code == 0, doc["violations"][:5]
+        assert doc["num_scenarios"] == 3
+        assert doc["totals"]["divergences"] == 0
+        assert doc["totals"]["checked_tasks"] > 0
 
 
 class TestFootprintSingleDefinition:

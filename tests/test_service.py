@@ -591,13 +591,11 @@ class TestMultiTenant:
 
 
 class TestSoakHarness:
-    def test_smoke_sweep_reconciles(self):
-        from repro.service import run_soak
-
-        report = run_soak(scenarios=3, seed=11)
-        assert report.ok, report.violations
-        assert report.violations == []
-        totals = report.totals
+    def test_smoke_sweep_reconciles(self, verify_run):
+        code, doc = verify_run("soak")
+        assert code == 0, doc["violations"]
+        assert doc["violations"] == []
+        totals = doc["totals"]
         assert totals["submitted"] == totals["rejected"] + totals["admitted"]
         assert totals["admitted"] == (
             totals["completed"]
@@ -606,10 +604,15 @@ class TestSoakHarness:
             + totals["cancelled"]
             + totals["failed"]
         )
-        doc = report.to_dict()
-        assert doc["schema"] == "repro.soak-report/1"
+        # the executor's service.* counters agree with the harness
+        assert doc["counters"]["service.admitted"] == totals["admitted"]
+        assert doc["counters"]["service.rejected"] == totals["rejected"]
         assert len(doc["scenarios"]) == 3
-        assert {"p50", "p95", "p99"} <= set(doc["wall_latency_s"])
+        assert doc["latency_s"]["p99"] >= doc["latency_s"]["p50"] > 0
+        # submit-call percentiles per scenario and over the sweep
+        for part in (doc, *doc["scenarios"]):
+            submit = part["detail"]["submit_latency_s"]
+            assert submit["p99"] >= submit["p50"] > 0
 
 
 class TestServiceMetrics:

@@ -57,11 +57,12 @@ REQUIRED_API = (
     "repro.resilience.RetryBudget",
     "repro.resilience.RetryDelay",
     # the durability surface (docs/durability.md): journal, fsck, the
-    # recovery entry point, and the crash soak harness
+    # recovery entry point, and the scenario engine behind the crash
+    # suite (docs/testing.md)
     "repro.durability.Journal",
     "repro.durability.fsck",
     "repro.durability.FaultyOs",
-    "repro.durability.run_gateway_crash_soak",
+    "repro.harness.run",
     "repro.gateway.Gateway.recover",
     "repro.gateway.RecoveryReport",
 )
