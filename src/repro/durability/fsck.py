@@ -29,7 +29,12 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.durability.journal import is_tmp_segment, scan_bytes, segment_index
+from repro.durability.journal import (
+    is_tmp_segment,
+    scan_bytes,
+    segment_index,
+    segment_is_compact,
+)
 
 
 @dataclass
@@ -128,20 +133,6 @@ class FsckReport:
         return "\n".join(lines)
 
 
-def _segment_is_compact(path: str) -> bool:
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(64 << 10)
-    except OSError:
-        return False
-    records, _end, _problem = scan_bytes(head)
-    return bool(
-        records
-        and records[0][1].get("kind") == "segment_header"
-        and records[0][1].get("compact")
-    )
-
-
 def fsck(path: str) -> FsckReport:
     """Validate the journal directory at *path* read-only."""
     report = FsckReport(path=str(path))
@@ -157,7 +148,7 @@ def fsck(path: str) -> FsckReport:
     # mirror open(): the newest compact segment supersedes older ones
     start = 0
     for i, name in enumerate(names):
-        if _segment_is_compact(os.path.join(path, name)):
+        if segment_is_compact(os.path.join(path, name)):
             start = i
     report.stale_segments = start
     names = names[start:]

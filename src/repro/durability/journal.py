@@ -89,8 +89,8 @@ _SEGMENT_RE = re.compile(r"^seg-(\d{8})\.wal$")
 #: its final name only once complete, removed as stale residue on open
 TMP_SUFFIX = ".tmp"
 
-#: largest first-frame payload open() will read to tell whether a
-#: segment is compact (a real ``segment_header`` is a few dozen bytes)
+#: largest first-frame payload segment_is_compact() will read (a real
+#: ``segment_header`` is a few dozen bytes)
 _HEADER_FRAME_MAX = 64 << 10
 
 #: record kinds a segment may carry
@@ -188,6 +188,30 @@ def scan_bytes(data: bytes) -> Tuple[List[Tuple[int, dict]], int, Optional[Tuple
         records.append((off, record))
         off = end
     return records, off, None
+
+
+def segment_is_compact(path: str) -> bool:
+    """Does the segment at *path* start a compacted generation?  True
+    when its first record is a compact ``segment_header``; reads and
+    decodes that one frame only.  :meth:`Journal.open` and
+    :func:`repro.durability.fsck.fsck` both start the live generation
+    at the newest such segment."""
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(FRAME_OVERHEAD)
+            if len(head) < FRAME_OVERHEAD or not head.startswith(MARKER):
+                return False
+            length, _crc = _HDR.unpack_from(head, len(MARKER))
+            if length > _HEADER_FRAME_MAX:
+                return False
+            head += fh.read(length)
+    except OSError:
+        return False
+    records, _end, _problem = scan_bytes(head)
+    if not records:
+        return False
+    first = records[0][1]
+    return first.get("kind") == "segment_header" and bool(first.get("compact"))
 
 
 @dataclass
@@ -413,7 +437,7 @@ class Journal:
         # ones" leaves harmless leftovers we drop (and remove) here
         start = 0
         for i, name in enumerate(names):
-            if self._segment_is_compact(name):
+            if segment_is_compact(os.path.join(self.path, name)):
                 start = i
         for name in names[:start]:
             self._os.unlink(os.path.join(self.path, name))
@@ -472,27 +496,6 @@ class Journal:
             self._open = True
             self._new_segment(1, compact=False)
         return self
-
-    def _segment_is_compact(self, name: str) -> bool:
-        """Is the first record of *name* a compact ``segment_header``?
-        Reads and decodes that one frame only."""
-        spath = os.path.join(self.path, name)
-        try:
-            with open(spath, "rb") as fh:
-                head = fh.read(FRAME_OVERHEAD)
-                if len(head) < FRAME_OVERHEAD or not head.startswith(MARKER):
-                    return False
-                length, _crc = _HDR.unpack_from(head, len(MARKER))
-                if length > _HEADER_FRAME_MAX:
-                    return False
-                head += fh.read(length)
-        except OSError:
-            return False
-        records, _end, _problem = scan_bytes(head)
-        if not records:
-            return False
-        first = records[0][1]
-        return first.get("kind") == "segment_header" and bool(first.get("compact"))
 
     def _apply(self, rec: dict, segment: str, offset: int) -> int:
         """Fold one scanned record into the state; returns its jid (0
@@ -945,4 +948,5 @@ __all__ = [
     "segment_name",
     "segment_index",
     "is_tmp_segment",
+    "segment_is_compact",
 ]

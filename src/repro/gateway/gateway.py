@@ -11,65 +11,32 @@ asyncio submission API over a pickle-framed pipe per worker:
   awaitable :class:`Submission` whose ``async for`` side streams
   structured progress events;
 - :meth:`Gateway.freeze` ships a spec to every worker once; later
-  submissions replay by ``fid``, so the PR 6 compiled-plan fast path
+  submissions replay by ``fid``, so the compiled-plan fast path
   survives the process boundary;
-- a **monitor task** heartbeats every worker, detects dead or
-  heartbeat-silent processes, respawns a replacement into the same
-  slot, and resolves the casualties' in-flight submissions through the
-  replan path (resubmit once to the replacement; a second loss settles
-  with a structured ``worker_lost`` outcome);
-- :meth:`Gateway.drain` / :meth:`Gateway.shutdown` compose the PR 5
-  per-executor guarantees across the pool, so every awaitable settles.
+- a **monitor task** heartbeats every worker, respawns dead or silent
+  ones into the same slot and replays their in-flight work once; a
+  worker that is alive but stalled is ejected from routing by its
+  circuit breaker instead, and ``hedge_after=`` races a duplicate of a
+  slow frozen submission on another worker (docs/gateway.md, "Failure
+  handling" and "Gray failures");
+- with a **durable journal** attached, every acceptance is journaled
+  before the client sees the Submission and every settlement before
+  the Result resolves; :meth:`Gateway.recover` replays the log after a
+  gateway crash (docs/durability.md).
 
-Gray failures get their own machinery (docs/gateway.md, "Gray
-failures"), because a worker that is *alive but sick* must not be
-killed — its in-flight work may still settle:
+All routing state lives in two tables (docs/gateway.md, "Legs and
+control calls").  The **leg table** maps each worker-side run of a
+submission — its primary, a reroute, a hedge, a death replay — to the
+submission and the worker running it; the first leg to settle wins and
+the rest are cancelled.  The **control-call table** holds each pending
+Freeze / Verify / MetricsPull / Drain with the worker it waits on, so a
+worker death resolves every call waiting on it.
 
-- every slot carries a :class:`~repro.gateway.health.WorkerHealth`
-  estimator (heartbeat round-trip EWMA + settle-latency quantiles) and
-  a per-worker :class:`~repro.resilience.CircuitBreaker`.  A worker
-  that stops answering heartbeats past the **stall window**
-  (``stall_misses`` intervals — well under the death budget) is marked
-  *stalled*; consecutive stalled ticks trip its breaker open, which
-  removes it from routing and reroutes its reroutable in-flight legs
-  to healthy workers.  Heartbeats keep flowing — they double as
-  half-open probes, and enough pongs close the breaker and re-admit
-  the worker;
-- a gateway-wide :class:`~repro.resilience.RetryBudget` token bucket
-  caps all retry-shaped amplification (death replays + breaker
-  reroutes); over-budget work settles immediately with a structured
-  ``worker_lost`` / ``reason="retry_budget"`` result instead of
-  feeding a retry storm.  Completed settlements refill the bucket;
-- :meth:`Gateway.submit` accepts ``hedge_after=`` for **frozen**
-  targets: if the primary has not settled by the delay (a float, or
-  ``"p95"`` to quote the primary worker's settle-latency quantile),
-  a duplicate leg launches on the healthiest other worker.  The first
-  Settled wins, every other leg is cancelled, and the caller observes
-  exactly one Result.
-
-The gateway process itself stops being a single point of failure once
-a **durable journal** is attached (``journal=`` / ``repro serve
---journal``; docs/durability.md): every acceptance is journaled before
-the client sees the Submission, every settlement before the Result
-resolves, and a client-supplied ``idempotency_key=`` dedupes
-resubmission after a crash — a replayed key returns the journaled
-settlement instead of re-running.  :meth:`Gateway.recover` replays the
-log on restart: frozen fids are re-shipped, unsettled spec/frozen work
-is resubmitted to the fresh pool, and pinned-instance entries settle
-``worker_lost`` / ``reason="not_replayable"`` (the PR 8 taint
-semantics, applied across a process boundary), so every journaled
-submission reaches **exactly one** settlement.
-
-The architecture follows vLLM's ``MultiprocessingGPUExecutor`` /
-``DistributedGPUExecutor`` split and StarPU's driver-per-device worker
-model: an asyncio front-end that fans control-plane messages out to
-per-device worker processes, with a result handler and worker monitor
-feeding completions back into the event loop.
-
-Everything is observable through the ``gateway.*`` metrics cataloged
-in docs/observability.md: the PR 8 counters plus
-``gateway.health.*``, ``gateway.breaker.*``, ``gateway.hedge.*``, and
-``gateway.retry_budget.*``.
+The architecture follows vLLM's multiprocess executor and StarPU's
+driver-per-device worker model: an asyncio front-end that fans control
+messages out to per-device worker processes, with a reader per worker
+and a monitor feeding completions back into the event loop.  The
+``gateway.*`` metrics are cataloged in docs/observability.md.
 """
 
 from __future__ import annotations
@@ -81,7 +48,7 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass, field, replace
-from typing import AsyncIterator, Dict, Iterable, List, Optional, Union
+from typing import AsyncIterator, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.durability.journal import Journal, JournalEntry
 from repro.errors import GatewayError, JournalError, WorkerDiedError
@@ -137,8 +104,9 @@ class Submission:
 
     One submission may fan out into several worker-side **legs**
     (reroutes off a breaker-opened worker, hedges): each leg has its
-    own rid, all map back here, and exactly one leg's Settled becomes
-    the Result — the rest are cancelled and their settles dropped.
+    own rid in the gateway's leg table, and exactly one leg's Settled
+    becomes the Result — the rest are cancelled and their settles
+    dropped.
     """
 
     def __init__(
@@ -150,7 +118,6 @@ class Submission:
         self.request = request
         self.replans = 0
         self.cancel_requested = False
-        self.accepted = False
         #: durable journal id (0 = unjournaled) and the client's key
         self.jid = 0
         self.idempotency_key = ""
@@ -159,14 +126,6 @@ class Submission:
         self.t0 = time.monotonic()
         self.future: asyncio.Future = loop.create_future()
         self._events: asyncio.Queue = asyncio.Queue()
-        #: active leg rids (primary + reroutes + hedges)
-        self.rids: set = {rid}
-        #: leg rid -> wid it was sent to
-        self.legs: Dict[int, int] = {rid: wid}
-        #: legs rerouted *away* — their "cancelled" settle is dropped
-        self.suppressed: set = set()
-        #: legs launched as hedges (for win/loss accounting)
-        self.hedge_rids: set = set()
 
     def __await__(self):
         return self.future.__await__()
@@ -238,32 +197,33 @@ class RecoveryReport:
         }
 
 
+class _Leg:
+    """One worker-side run of a submission: the primary, a reroute, a
+    hedge or a death replay.  *suppressed* marks a leg rerouted away,
+    whose own ``cancelled`` settle is dropped."""
+
+    __slots__ = ("sub", "worker", "hedge", "suppressed")
+
+    def __init__(self, sub: Submission, worker: "_WorkerHandle", hedge: bool) -> None:
+        self.sub = sub
+        self.worker = worker
+        self.hedge = hedge
+        self.suppressed = False
+
+
 class _WorkerHandle:
     """Gateway-side state for one worker slot occupant."""
 
-    __slots__ = (
-        "wid",
-        "proc",
-        "conn",
-        "reader",
-        "ready",
-        "ready_event",
-        "dead",
-        "last_pong",
-        "inflight",
-        "pings",
-    )
+    __slots__ = ("wid", "proc", "conn", "ready", "ready_event", "dead", "last_pong", "pings")
 
-    def __init__(self, wid: int, proc, conn, loop) -> None:
+    def __init__(self, wid: int, proc, conn) -> None:
         self.wid = wid
         self.proc = proc
         self.conn = conn
-        self.reader: Optional[threading.Thread] = None
         self.ready = False
         self.ready_event = asyncio.Event()
         self.dead = False
         self.last_pong = time.monotonic()
-        self.inflight: set = set()
         #: ping seq -> send timestamp (round-trip measurement)
         self.pings: Dict[int, float] = {}
 
@@ -331,8 +291,12 @@ class Gateway:
             )
             for wid in range(num_workers)
         ]
-        self._subs: Dict[int, Submission] = {}
-        self._pending: Dict[int, asyncio.Future] = {}
+        #: the leg table, rid -> _Leg: written by _launch_leg and
+        #: _retire_leg only
+        self._legs: Dict[int, _Leg] = {}
+        #: pending control calls, rid -> (worker, reply future): written
+        #: by _rpc only, resolved by replies and by _worker_died
+        self._calls: Dict[int, Tuple[_WorkerHandle, asyncio.Future]] = {}
         self._frozen: Dict[int, WorkSpec] = {}
         self._instances: Dict[int, GraphHandle] = {}
         #: durable journal (opened in start()); jid -> live Submission
@@ -369,26 +333,13 @@ class Gateway:
         self._m_hedge_dropped = self.metrics.counter("gateway.hedge.dropped")
         self._m_hedge_no_target = self.metrics.counter("gateway.hedge.no_target")
         self._m_budget_spent = self.metrics.counter("gateway.retry_budget.spent")
-        self._m_budget_exhausted = self.metrics.counter(
-            "gateway.retry_budget.exhausted"
-        )
+        self._m_budget_exhausted = self.metrics.counter("gateway.retry_budget.exhausted")
         self._m_dedup = self.metrics.counter("journal.dedup_hits")
-        self._m_recover_frozen = self.metrics.counter(
-            "gateway.recover.frozen_reshipped"
-        )
-        self._m_recover_resubmitted = self.metrics.counter(
-            "gateway.recover.resubmitted"
-        )
-        self._m_recover_not_replayable = self.metrics.counter(
-            "gateway.recover.not_replayable"
-        )
-        self.metrics.register_callback(
-            "gateway.workers_alive", self._workers_alive
-        )
-        self.metrics.register_callback(
-            "gateway.inflight",
-            lambda: len({id(s) for s in self._subs.values()}),
-        )
+        self._m_recover_frozen = self.metrics.counter("gateway.recover.frozen_reshipped")
+        self._m_recover_resubmitted = self.metrics.counter("gateway.recover.resubmitted")
+        self._m_recover_not_replayable = self.metrics.counter("gateway.recover.not_replayable")
+        self.metrics.register_callback("gateway.workers_alive", self._workers_alive)
+        self.metrics.register_callback("gateway.inflight", lambda: len(self._live_subs()))
         self.metrics.register_callback(
             "gateway.health.stalled",
             lambda: sum(1 for h in self._health if h.state == "stalled"),
@@ -452,14 +403,13 @@ class Gateway:
         )
         proc.start()
         child_conn.close()
-        handle = _WorkerHandle(wid, proc, parent_conn, self._loop)
-        handle.reader = threading.Thread(
+        handle = _WorkerHandle(wid, proc, parent_conn)
+        threading.Thread(
             target=self._read_loop,
             args=(handle,),
             name=f"{self.name}-reader{wid}",
             daemon=True,
-        )
-        handle.reader.start()
+        ).start()
         return handle
 
     async def _wait_ready(self) -> None:
@@ -474,16 +424,22 @@ class Gateway:
                 f"{_READY_TIMEOUT:.0f}s"
             ) from None
 
+    def _live_handles(self) -> List[_WorkerHandle]:
+        return [h for h in self._workers if h is not None and not h.dead]
+
     def _workers_alive(self) -> int:
-        return sum(
-            1
-            for h in self._workers
-            if h is not None and not h.dead and h.proc.is_alive()
-        )
+        return sum(1 for h in self._live_handles() if h.proc.is_alive())
 
     # -- pipe plumbing -------------------------------------------------
     def _read_loop(self, handle: _WorkerHandle) -> None:
-        """Reader thread: pump one worker's pipe into the event loop."""
+        """Reader thread: pump one worker's pipe into the event loop.
+
+        The pipe is drained off the loop on purpose.  Sends are
+        blocking ``conn.send`` calls, so a loop-side reader
+        (``loop.add_reader``) could deadlock: once both pipe buffers
+        fill, the loop blocks sending to a worker whose recv thread is
+        itself blocked sending a Pong that nobody reads.  A thread that
+        only ever reads keeps the worker's sends moving."""
         while True:
             try:
                 msg = handle.conn.recv()
@@ -504,6 +460,20 @@ class Gateway:
         except (OSError, ValueError, BrokenPipeError):
             self._worker_died(handle, "pipe")
 
+    async def _rpc(self, handle: _WorkerHandle, kind, **fields):
+        """Send one control request (``kind(rid=..., **fields)``) and
+        await its reply; None when the worker dies first.  The call is
+        registered before the send, so a send that kills the worker
+        still resolves it."""
+        rid = next(self._rids)
+        fut = self._loop.create_future()
+        self._calls[rid] = (handle, fut)
+        try:
+            self._send(handle, kind(rid=rid, **fields))
+            return await fut
+        finally:
+            del self._calls[rid]
+
     def _on_pipe_closed(self, handle: _WorkerHandle) -> None:
         if not self._closing:
             self._worker_died(handle, "pipe")
@@ -512,10 +482,9 @@ class Gateway:
         if isinstance(msg, m.Settled):
             self._on_settled(handle, msg)
         elif isinstance(msg, m.Accepted):
-            sub = self._subs.get(msg.rid)
-            if sub is not None:
-                sub.accepted = True
-                sub._push("accepted", wid=msg.wid)
+            leg = self._legs.get(msg.rid)
+            if leg is not None:
+                leg.sub._push("accepted", wid=msg.wid)
         elif isinstance(msg, m.Pong):
             self._on_pong(handle, msg)
         elif isinstance(msg, m.Ready):
@@ -525,14 +494,13 @@ class Gateway:
             handle.ready = True
             handle.ready_event.set()
         elif isinstance(msg, (m.Frozen, m.Drained, m.MetricsReply, m.Verified)):
-            fut = self._pending.pop(msg.rid, None)
-            if fut is not None and not fut.done():
-                fut.set_result(msg)
+            call = self._calls.get(msg.rid)
+            if call is not None and not call[1].done():
+                call[1].set_result(msg)
         elif isinstance(msg, m.EventMsg):
-            if msg.rid is not None:
-                sub = self._subs.get(msg.rid)
-                if sub is not None:
-                    sub._push(msg.kind, **msg.fields)
+            leg = self._legs.get(msg.rid)
+            if leg is not None:
+                leg.sub._push(msg.kind, **msg.fields)
 
     def _on_pong(self, handle: _WorkerHandle, msg: m.Pong) -> None:
         now = time.monotonic()
@@ -574,111 +542,148 @@ class Gateway:
         self._m_breaker_opened.inc()
         if self._closing or self._draining:
             return
-        for rid in sorted(handle.inflight):
-            sub = self._subs.get(rid)
+        for rid in self._worker_legs(handle):
+            leg = self._legs.get(rid)
             if (
-                sub is None
-                or sub.future.done()
-                or sub.cancel_requested
-                or len(sub.rids) > 1  # already redundant (hedge/reroute)
-                or sub.request.iid is not None  # pinned to this worker
+                leg is None
+                or leg.sub.future.done()
+                or leg.sub.cancel_requested
+                or len(self._legs_of(leg.sub)) > 1  # already redundant
+                or leg.sub.request.iid is not None  # pinned to this worker
             ):
                 continue
-            self._reroute_leg(sub, rid, handle)
+            self._reroute_leg(leg.sub, rid, handle)
 
-    def _reroute_leg(
-        self, sub: Submission, old_rid: int, old_handle: _WorkerHandle
-    ) -> bool:
+    def _reroute_leg(self, sub: Submission, old_rid: int, old_handle: _WorkerHandle) -> None:
         """Duplicate one leg onto the healthiest other worker and
         suppress the old leg's eventual cancel-settle.  The old leg is
         *not* force-settled: if the sick worker finishes first anyway,
         first-settle-wins still yields exactly one Result."""
         target = self._healthiest(exclude={old_handle.wid})
         if target is None:
-            return False
+            return
         if not self._retry_budget.try_spend():
             self._m_budget_exhausted.inc()
-            return False
+            return
         self._m_budget_spent.inc()
-        new_rid = next(self._rids)
-        request = replace(sub.request, rid=new_rid)
-        sub.rids.add(new_rid)
-        sub.legs[new_rid] = target.wid
-        sub.suppressed.add(old_rid)
-        self._subs[new_rid] = sub
-        target.inflight.add(new_rid)
         self._m_rerouted.inc()
         sub._push("rerouted", from_wid=old_handle.wid, to_wid=target.wid)
-        self._send(target, request)
+        self._launch_leg(sub, target, next(self._rids), supersedes=old_rid)
         self._send(old_handle, m.Cancel(rid=old_rid))
-        return True
+
+    # -- the leg table -------------------------------------------------
+    def _launch_leg(
+        self,
+        sub: Submission,
+        handle: _WorkerHandle,
+        rid: int,
+        *,
+        hedge: bool = False,
+        supersedes: Optional[int] = None,
+    ) -> None:
+        """Enter leg *rid* of *sub* in the leg table and send its Submit
+        to *handle*.  *supersedes* names the leg this one reroutes away
+        from: its eventual ``cancelled`` settle is suppressed."""
+        if supersedes is not None:
+            self._legs[supersedes].suppressed = True
+        self._legs[rid] = _Leg(sub, handle, hedge)
+        request = sub.request
+        self._send(handle, request if request.rid == rid else replace(request, rid=rid))
+
+    def _retire_leg(self, rid: int) -> None:
+        """Remove leg *rid* from the leg table (a no-op once gone)."""
+        self._legs.pop(rid, None)
+
+    def _legs_of(self, sub: Submission) -> List[Tuple[int, _Leg]]:
+        return [(rid, leg) for rid, leg in self._legs.items() if leg.sub is sub]
+
+    def _worker_legs(self, handle: _WorkerHandle) -> List[int]:
+        return sorted(rid for rid, leg in self._legs.items() if leg.worker is handle)
+
+    def _live_subs(self) -> List[Submission]:
+        """Every unsettled submission, once each (a sub may own several legs)."""
+        return list({id(leg.sub): leg.sub for leg in self._legs.values()}.values())
 
     # -- settlement ----------------------------------------------------
     def _drop_legs(self, sub: Submission, winner_rid: Optional[int]) -> None:
-        """Remove every leg of *sub* from the routing tables; cancel
-        the losers on their (live) workers and account hedge losses."""
-        for rid in list(sub.rids):
-            self._subs.pop(rid, None)
-            wid = sub.legs.pop(rid, sub.wid)
-            h = self._workers[wid] if 0 <= wid < self.num_workers else None
-            if h is not None:
-                h.inflight.discard(rid)
+        """Retire every leg of *sub*; cancel the losers on their (live)
+        workers and account hedge wins and losses.  Every leg leaves the
+        table before any Cancel is sent: a send that finds its worker
+        dead must not replay or settle a leg of this submission."""
+        legs = self._legs_of(sub)
+        for rid, _leg in legs:
+            self._retire_leg(rid)
+        for rid, leg in legs:
             if rid == winner_rid:
+                if leg.hedge:
+                    self._m_hedge_wins.inc()
                 continue
-            if h is not None and not h.dead and not self._closing:
-                self._send(h, m.Cancel(rid=rid))
-            if rid in sub.hedge_rids:
+            if not leg.worker.dead and not self._closing:
+                self._send(leg.worker, m.Cancel(rid=rid))
+            if leg.hedge:
                 self._m_hedge_losses.inc()
-        sub.rids.clear()
-        sub.suppressed.clear()
 
     def _on_settled(self, handle: _WorkerHandle, msg: m.Settled) -> None:
-        handle.inflight.discard(msg.rid)
-        sub = self._subs.get(msg.rid)
-        if sub is None:
+        leg = self._legs.get(msg.rid)
+        if leg is None:
             return
+        sub = leg.sub
         if sub.future.done():  # stale leg of an already-settled sub
-            self._subs.pop(msg.rid, None)
-            sub.rids.discard(msg.rid)
-            sub.legs.pop(msg.rid, None)
+            self._retire_leg(msg.rid)
             return
         self._health[handle.wid].on_settle(msg.wall_s)
         if (
-            msg.rid in sub.suppressed
+            leg.suppressed
             and msg.outcome == "cancelled"
             and not sub.cancel_requested
-            and len(sub.rids) > 1
+            and len(self._legs_of(sub)) > 1
         ):
             # a rerouted-away leg acknowledging its gateway-issued
             # Cancel: drop it silently — the live leg will settle
-            self._subs.pop(msg.rid, None)
-            sub.rids.discard(msg.rid)
-            sub.legs.pop(msg.rid, None)
-            sub.suppressed.discard(msg.rid)
+            self._retire_leg(msg.rid)
             return
         # first Settled wins; every other leg is cancelled and its
         # settle dropped — the caller observes exactly one Result
-        hedge_won = msg.rid in sub.hedge_rids
-        self._drop_legs(sub, winner_rid=msg.rid)
-        if hedge_won:
-            self._m_hedge_wins.inc()
-        self._m_settled.inc()
-        self._m_rt.observe(time.monotonic() - sub.t0)
-        if msg.outcome == "completed":
-            self._retry_budget.record_success()
         result = Result(
-            outcome=msg.outcome,
-            passes=msg.passes,
-            error=msg.error,
-            reason=msg.reason,
-            wall_s=msg.wall_s,
-            wid=handle.wid,
-            replans=sub.replans,
+            outcome=msg.outcome, passes=msg.passes, error=msg.error, reason=msg.reason,
+            wall_s=msg.wall_s, wid=handle.wid, replans=sub.replans,
         )
-        # settlement is journaled *before* the client's Result resolves:
-        # an outcome the client observed is never re-run after a crash
-        self._journal_settle(sub, result)
-        sub._push("settled", outcome=msg.outcome, wid=handle.wid)
+        self._settle(sub, result, winner_rid=msg.rid)
+
+    def _force_settle(self, sub: Submission, outcome: str, error: str, reason: str = "") -> None:
+        """Settle a submission gateway-side (worker loss, shutdown)."""
+        result = Result(
+            outcome=outcome, error=error, reason=reason, wall_s=time.monotonic() - sub.t0,
+            wid=sub.wid, replans=sub.replans,
+        )
+        self._settle(sub, result)
+
+    def _settle(
+        self,
+        sub: Submission,
+        result: Result,
+        *,
+        winner_rid: Optional[int] = None,
+        replayed: bool = False,
+    ) -> None:
+        """The one settle tail: retire *sub*'s legs, count, journal the
+        settlement *before* the client's Result resolves (an outcome the
+        client observed is never re-run after a crash), and resolve.
+        A *replayed* settlement is the journal's own: nothing to retire,
+        count or journal."""
+        event = {"outcome": result.outcome, "wid": result.wid}
+        if replayed:
+            event["replayed"] = True
+        else:
+            self._drop_legs(sub, winner_rid)
+            if sub.future.done():
+                return
+            self._m_settled.inc()
+            self._m_rt.observe(time.monotonic() - sub.t0)
+            if result.outcome == "completed":
+                self._retry_budget.record_success()
+            self._journal_settle(sub, result)
+        sub._push("settled", **event)
         sub._close_events()
         sub.future.set_result(result)
 
@@ -709,31 +714,12 @@ class Gateway:
         except JournalError:
             pass
 
-    def _force_settle(self, sub: Submission, outcome: str, error: str, reason: str = "") -> None:
-        """Settle a submission gateway-side (worker loss, shutdown)."""
-        self._drop_legs(sub, winner_rid=None)
-        if sub.future.done():
-            return
-        self._m_settled.inc()
-        self._m_rt.observe(time.monotonic() - sub.t0)
-        result = Result(
-            outcome=outcome,
-            error=error,
-            reason=reason,
-            wall_s=time.monotonic() - sub.t0,
-            wid=sub.wid,
-            replans=sub.replans,
-        )
-        self._journal_settle(sub, result)
-        sub._push("settled", outcome=outcome, wid=sub.wid)
-        sub._close_events()
-        sub.future.set_result(result)
-
     # -- worker failure handling (docs/gateway.md) ---------------------
     def _worker_died(self, handle: _WorkerHandle, reason: str) -> None:
-        """Reap one dead/silent worker: respawn a replacement into the
-        slot, replay its in-flight submissions once (budget allowing),
-        settle the rest with structured ``worker_lost`` results."""
+        """Reap one dead/silent worker: resolve its pending control
+        calls, respawn a replacement into the slot, replay its in-flight
+        legs once (budget allowing), settle the rest with structured
+        ``worker_lost`` results."""
         if handle.dead:
             return
         handle.dead = True
@@ -744,9 +730,13 @@ class Gateway:
         except OSError:  # pragma: no cover
             pass
         if handle.proc.is_alive():
-            handle.proc.terminate()
-        casualties = sorted(handle.inflight)
-        handle.inflight.clear()
+            # workers ignore SIGTERM (operator signals): a silent or
+            # cut-off worker left running would never exit
+            handle.proc.kill()
+        for h, fut in self._calls.values():
+            if h is handle and not fut.done():
+                fut.set_result(None)
+        casualties = self._worker_legs(handle)
 
         replacement: Optional[_WorkerHandle] = None
         if not self._closing:
@@ -771,29 +761,18 @@ class Gateway:
                     gh.tainted = True
 
         for rid in casualties:
-            sub = self._subs.get(rid)
-            if sub is None:
+            leg = self._legs.get(rid)
+            if leg is None:  # retired meanwhile with its submission
                 continue
+            sub = leg.sub
             if sub.future.done():
-                self._subs.pop(rid, None)
-                sub.rids.discard(rid)
-                sub.legs.pop(rid, None)
+                self._retire_leg(rid)
                 continue
             # a redundant leg (hedge or reroute twin) died with the
             # worker while a sibling is still live: drop just the leg
-            others_live = any(
-                r != rid
-                and sub.legs.get(r) != handle.wid
-                and self._leg_alive(sub.legs.get(r))
-                for r in sub.rids
-            )
-            if others_live:
-                self._subs.pop(rid, None)
-                sub.rids.discard(rid)
-                sub.legs.pop(rid, None)
-                sub.suppressed.discard(rid)
-                if rid in sub.hedge_rids:
-                    sub.hedge_rids.discard(rid)
+            if any(not other.worker.dead for _rid, other in self._legs_of(sub)):
+                self._retire_leg(rid)
+                if leg.hedge:
                     self._m_hedge_dropped.inc()
                 continue
             exc = WorkerDiedError(handle.wid, reason)
@@ -826,15 +805,7 @@ class Gateway:
             sub.replans += 1
             self._m_replans.inc()
             sub._push("replanned", wid=handle.wid, reason=reason)
-            replacement.inflight.add(rid)
-            sub.legs[rid] = replacement.wid
-            self._send(replacement, replace(sub.request, rid=rid))
-
-    def _leg_alive(self, wid: Optional[int]) -> bool:
-        if wid is None or not 0 <= wid < self.num_workers:
-            return False
-        h = self._workers[wid]
-        return h is not None and not h.dead
+            self._launch_leg(sub, replacement, rid, hedge=leg.hedge)
 
     async def _monitor(self) -> None:
         """Heartbeat every worker; reap the dead and the silent, mark
@@ -926,30 +897,33 @@ class Gateway:
         return gh
 
     async def freeze(self, spec: WorkSpec) -> FrozenHandle:
-        """Freeze *spec* on every worker; returns the replay handle."""
+        """Freeze *spec* on every worker; returns the replay handle.
+        Raises :class:`GatewayError` when a worker fails the freeze or
+        dies before acknowledging it."""
         self._check_open()
         fid = next(self._fids)
-        acks = []
-        for handle in self._workers:
-            if handle is None or handle.dead:
-                continue
-            rid = next(self._rids)
-            fut = self._loop.create_future()
-            self._pending[rid] = fut
-            self._send(handle, m.Freeze(rid=rid, fid=fid, spec=spec))
-            acks.append(fut)
-        replies = await asyncio.gather(*acks)
-        bad = [r for r in replies if not r.ok]
-        if bad:
-            raise GatewayError(
-                f"freeze failed on {len(bad)} worker(s): {bad[0].error}"
-            )
-        self._frozen[fid] = spec
+        await self._freeze_everywhere(fid, spec, "freeze")
         # journal the fid so a recovering gateway can re-ship it and
         # replay journaled fid-submissions against the same handle
         if self.journal is not None and fid not in self.journal.frozen_specs:
             self.journal.append_frozen(fid, spec)
         return FrozenHandle(fid=fid, spec=spec)
+
+    async def _freeze_everywhere(self, fid: int, spec: WorkSpec, what: str) -> None:
+        """Ship ``Freeze(fid, spec)`` to every live worker and wait for
+        every ack; *fid* is live only once all of them succeeded."""
+        handles = self._live_handles()
+        replies = await asyncio.gather(
+            *(self._rpc(h, m.Freeze, fid=fid, spec=spec) for h in handles)
+        )
+        errors = [
+            f"worker {h.wid} died" if r is None else r.error
+            for h, r in zip(handles, replies)
+            if r is None or not r.ok
+        ]
+        if errors:
+            raise GatewayError(f"{what} failed on {len(errors)} worker(s): {errors[0]}")
+        self._frozen[fid] = spec
 
     def frozen_handles(self) -> Dict[int, FrozenHandle]:
         """Live :class:`FrozenHandle` for every shipped fid — after
@@ -995,17 +969,37 @@ class Gateway:
         under its original jid, the caller's payload ignored; a fresh
         key is journaled **before** this method returns, so the
         acceptance survives any later crash (docs/durability.md).
+
+        Every argument is validated before anything is journaled or
+        sent: a refused call leaves no trace.
         """
         self._check_open()
-        if hedge_after is not None and not isinstance(target, FrozenHandle):
-            raise GatewayError(
-                "hedge_after requires a FrozenHandle: only frozen "
-                "topologies are replayable on every worker"
-            )
+        if hedge_after is not None:
+            if not isinstance(target, FrozenHandle):
+                raise GatewayError(
+                    "hedge_after requires a FrozenHandle: only frozen "
+                    "topologies are replayable on every worker"
+                )
+            if hedge_after != "p95" and not isinstance(hedge_after, (int, float)):
+                raise GatewayError(
+                    f"hedge_after={hedge_after!r}: expected a float "
+                    "delay or 'p95'"
+                )
         if idempotency_key and self.journal is None:
             raise GatewayError(
                 "idempotency_key requires a journal "
                 "(Gateway(journal=...) / repro serve --journal)"
+            )
+        if isinstance(target, FrozenHandle):
+            kind, spec, fid, iid = "frozen", None, target.fid, None
+        elif isinstance(target, GraphHandle):
+            kind, spec, fid, iid = "instance", target.spec, None, target.iid
+        elif isinstance(target, WorkSpec):
+            kind, spec, fid, iid = "spec", target, None, None
+        else:
+            raise GatewayError(
+                f"cannot submit {type(target).__name__}: expected a "
+                "WorkSpec, GraphHandle, or FrozenHandle"
             )
         jid: Optional[int] = None
         if idempotency_key:
@@ -1031,124 +1025,79 @@ class Gateway:
                     # another crash) is exactly what was journaled.
                     if entry.target == "instance":
                         # the pinned instance died with the journaling
-                        # gateway: settle it not_replayable, mirroring
-                        # recover()
-                        exc = WorkerDiedError(-1, "not_replayable")
-                        self.journal.append_settled(
-                            entry.jid,
-                            outcome="worker_lost",
-                            error=repr(exc),
-                            reason="not_replayable",
-                        )
-                        self._m_recover_not_replayable.inc()
+                        # gateway: settle it like recover() does
+                        self._settle_not_replayable(entry)
                         return self._replayed_submission(jid, entry)
                     return self._resubmit_entry(entry)
-        rid = next(self._rids)
-        if isinstance(target, FrozenHandle):
-            handle = self._route(tenant)
-            jkind, jspec, jfid, jiid = "frozen", None, target.fid, None
-            request = m.Submit(
-                rid=rid,
-                fid=target.fid,
-                repeats=repeats,
-                priority=priority,
-                deadline=deadline,
-                tenant=tenant,
-            )
-        elif isinstance(target, GraphHandle):
-            handle = self._slot(target.wid)
-            jkind, jspec, jfid, jiid = "instance", target.spec, None, target.iid
-            request = m.Submit(
-                rid=rid,
-                spec=target.spec,
-                iid=target.iid,
-                repeats=repeats,
-                priority=priority,
-                deadline=deadline,
-                tenant=tenant,
-            )
-        elif isinstance(target, WorkSpec):
-            handle = self._route(tenant)
-            jkind, jspec, jfid, jiid = "spec", target, None, None
-            request = m.Submit(
-                rid=rid,
-                spec=target,
-                repeats=repeats,
-                priority=priority,
-                deadline=deadline,
-                tenant=tenant,
-            )
-        else:
-            raise GatewayError(
-                f"cannot submit {type(target).__name__}: expected a "
-                "WorkSpec, GraphHandle, or FrozenHandle"
-            )
+        handle = self._slot(target.wid) if kind == "instance" else self._route(tenant)
         if self.journal is not None and jid is None:
             # journaled *before* any state mutates or bytes hit the
             # pipe: a JournalWriteError propagates to the caller with
             # nothing accepted — structured refusal, never silent loss
             jid = self.journal.append_accepted(
                 key=idempotency_key,
-                target=jkind,
-                spec=jspec,
-                fid=jfid,
-                iid=jiid,
+                target=kind,
+                spec=spec,
+                fid=fid,
+                iid=iid,
                 priority=priority,
                 deadline=deadline,
                 repeats=repeats,
                 tenant=tenant,
             )
-        if jid is not None:
-            request = replace(request, jid=jid)
-        sub = Submission(rid, handle.wid, tenant, request, self._loop)
-        if jid is not None:
-            sub.jid = jid
-            sub.idempotency_key = idempotency_key
-            self._jid_subs[jid] = sub
-        self._subs[rid] = sub
-        handle.inflight.add(rid)
-        self._m_submits.inc()
-        sub._push("submitted", wid=handle.wid)
-        self._send(handle, request)
+        sub = self._open_submission(
+            handle, idempotency_key, "submitted",
+            spec=spec, fid=fid, iid=iid, repeats=repeats, priority=priority,
+            deadline=deadline, tenant=tenant, jid=jid or 0,
+        )
         if hedge_after is not None:
-            if isinstance(hedge_after, str):
-                if hedge_after not in ("p95", "auto"):
-                    raise GatewayError(
-                        f"hedge_after={hedge_after!r}: expected a float "
-                        "delay or 'p95'"
-                    )
+            if hedge_after == "p95":
                 delay = self._health[handle.wid].settle_quantile(0.95)
             else:
                 delay = float(hedge_after)
             self._loop.call_later(max(0.0, delay), self._maybe_hedge, sub)
         return sub
 
+    def _open_submission(
+        self, handle: _WorkerHandle, key: str, event: str, **fields
+    ) -> Submission:
+        """Build a new submission's ``Submit`` from *fields* and launch
+        its primary leg on *handle*; *event* (``submitted`` or
+        ``resubmitted``) opens its event stream."""
+        rid = next(self._rids)
+        request = m.Submit(rid=rid, **fields)
+        sub = Submission(rid, handle.wid, request.tenant, request, self._loop)
+        if request.jid:
+            sub.jid = request.jid
+            sub.idempotency_key = key
+            self._jid_subs[request.jid] = sub
+        self._m_submits.inc()
+        if event == "resubmitted":
+            sub._push(event, wid=handle.wid, jid=request.jid)
+        else:
+            sub._push(event, wid=handle.wid)
+        self._launch_leg(sub, handle, rid)
+        return sub
+
     def _maybe_hedge(self, sub: Submission) -> None:
         """The hedge timer fired: if the primary is still out, launch
         a duplicate leg on the healthiest *other* routable worker."""
+        legs = self._legs_of(sub)
         if (
             sub.future.done()
             or sub.cancel_requested
             or self._draining
             or self._closing
-            or len(sub.rids) > 1  # already hedged or rerouted
+            or len(legs) != 1  # already hedged or rerouted
         ):
             return
-        primary_wid = sub.legs.get(sub.rid, sub.wid)
-        target = self._healthiest(exclude={primary_wid})
+        target = self._healthiest(exclude={legs[0][1].worker.wid})
         if target is None:
             self._m_hedge_no_target.inc()
             return
-        rid2 = next(self._rids)
-        request = replace(sub.request, rid=rid2)
-        sub.rids.add(rid2)
-        sub.legs[rid2] = target.wid
-        sub.hedge_rids.add(rid2)
-        self._subs[rid2] = sub
-        target.inflight.add(rid2)
         self._m_hedge_launched.inc()
         sub._push("hedged", wid=target.wid)
-        self._send(target, request)
+        self._launch_leg(sub, target, next(self._rids), hedge=True)
 
     def _replayed_submission(self, jid: int, entry: JournalEntry) -> Submission:
         """An already-resolved Submission carrying *entry*'s journaled
@@ -1160,20 +1109,30 @@ class Gateway:
         sub.jid = jid
         sub.idempotency_key = entry.key
         sub.journal_settled = True
-        sub.accepted = True
-        result = Result(
-            outcome=s.get("outcome", "failed"),
-            passes=s.get("passes", 0),
-            error=s.get("error", ""),
-            reason=s.get("reason", ""),
-            wall_s=s.get("wall_s", 0.0),
-            wid=s.get("wid", -1),
-            replans=s.get("replans", 0),
+        self._settle(
+            sub,
+            Result(
+                outcome=s.get("outcome", "failed"),
+                passes=s.get("passes", 0),
+                error=s.get("error", ""),
+                reason=s.get("reason", ""),
+                wall_s=s.get("wall_s", 0.0),
+                wid=s.get("wid", -1),
+                replans=s.get("replans", 0),
+            ),
+            replayed=True,
         )
-        sub._push("settled", outcome=result.outcome, wid=result.wid, replayed=True)
-        sub._close_events()
-        sub.future.set_result(result)
         return sub
+
+    def _settle_not_replayable(self, entry: JournalEntry) -> None:
+        """Journal a pinned-instance entry as ``worker_lost`` /
+        ``reason="not_replayable"``: its worker-local graph state died
+        with the gateway that accepted it."""
+        exc = WorkerDiedError(-1, "not_replayable")
+        self.journal.append_settled(
+            entry.jid, outcome="worker_lost", error=repr(exc), reason="not_replayable"
+        )
+        self._m_recover_not_replayable.inc()
 
     async def recover(self) -> RecoveryReport:
         """Replay the journal after a crash: re-ship frozen fids,
@@ -1189,9 +1148,7 @@ class Gateway:
         (``repro serve --journal PATH`` does both).
         """
         if self.journal is None:
-            raise GatewayError(
-                "recover() requires a journal (Gateway(journal=...))"
-            )
+            raise GatewayError("recover() requires a journal (Gateway(journal=...))")
         self._check_open()
         report = RecoveryReport()
         # 1. frozen topologies first: journaled fid-submissions replay
@@ -1200,24 +1157,9 @@ class Gateway:
         for fid in sorted(self.journal.frozen_specs):
             if fid in self._frozen:
                 continue
-            spec = self.journal.frozen_specs[fid]
-            acks = []
-            for handle in self._workers:
-                if handle is None or handle.dead:
-                    continue
-                rid = next(self._rids)
-                fut = self._loop.create_future()
-                self._pending[rid] = fut
-                self._send(handle, m.Freeze(rid=rid, fid=fid, spec=spec))
-                acks.append(fut)
-            replies = await asyncio.gather(*acks)
-            bad = [r for r in replies if not r.ok]
-            if bad:
-                raise GatewayError(
-                    f"recover: re-freeze of fid {fid} failed on "
-                    f"{len(bad)} worker(s): {bad[0].error}"
-                )
-            self._frozen[fid] = spec
+            await self._freeze_everywhere(
+                fid, self.journal.frozen_specs[fid], f"recover: re-freeze of fid {fid}"
+            )
             report.frozen_reshipped += 1
             self._m_recover_frozen.inc()
         # 2. unsettled entries: resubmit what is replayable, settle
@@ -1226,15 +1168,8 @@ class Gateway:
             if entry.jid in self._jid_subs:
                 continue  # already live (client raced us via its key)
             if entry.target == "instance":
-                exc = WorkerDiedError(-1, "not_replayable")
-                self.journal.append_settled(
-                    entry.jid,
-                    outcome="worker_lost",
-                    error=repr(exc),
-                    reason="not_replayable",
-                )
+                self._settle_not_replayable(entry)
                 report.not_replayable += 1
-                self._m_recover_not_replayable.inc()
                 continue
             sub = self._resubmit_entry(entry)
             report.resubmitted += 1
@@ -1246,78 +1181,53 @@ class Gateway:
     def _resubmit_entry(self, entry: JournalEntry) -> Submission:
         """Resubmit one journaled-but-unsettled entry under its
         original jid (a fresh rid, a fresh worker)."""
-        rid = next(self._rids)
-        handle = self._route(entry.tenant)
-        request = m.Submit(
-            rid=rid,
+        return self._open_submission(
+            self._route(entry.tenant), entry.key, "resubmitted",
             spec=entry.spec if entry.target == "spec" else None,
             fid=entry.fid if entry.target == "frozen" else None,
-            repeats=entry.repeats,
-            priority=entry.priority,
-            deadline=entry.deadline,
-            tenant=entry.tenant,
-            jid=entry.jid,
+            repeats=entry.repeats, priority=entry.priority,
+            deadline=entry.deadline, tenant=entry.tenant, jid=entry.jid,
         )
-        sub = Submission(rid, handle.wid, entry.tenant, request, self._loop)
-        sub.jid = entry.jid
-        sub.idempotency_key = entry.key
-        self._subs[rid] = sub
-        self._jid_subs[entry.jid] = sub
-        handle.inflight.add(rid)
-        self._m_submits.inc()
-        sub._push("resubmitted", wid=handle.wid, jid=entry.jid)
-        self._send(handle, request)
-        return sub
 
     def cancel(self, sub: Submission) -> bool:
         """Request cooperative cancellation of *sub* (every leg);
         False when it is already settled (or unknown)."""
-        if sub.future.done() or not any(r in self._subs for r in sub.rids):
+        legs = self._legs_of(sub)
+        if sub.future.done() or not legs:
             return False
         sub.cancel_requested = True
         self._m_cancels.inc()
-        for rid in list(sub.rids):
-            wid = sub.legs.get(rid, sub.wid)
-            handle = self._workers[wid] if 0 <= wid < self.num_workers else None
-            if handle is not None and not handle.dead:
-                self._send(handle, m.Cancel(rid=rid))
+        for rid, leg in legs:
+            if not leg.worker.dead:
+                self._send(leg.worker, m.Cancel(rid=rid))
         return True
 
     async def verify(self, gh: GraphHandle, passes: int):
         """Oracle-check a generated instance on its worker; returns the
         violation tuple (empty = clean).  A tainted handle (its worker
-        died) verifies vacuously."""
-        if gh.tainted:
-            return ()
+        died, before or during the call) verifies vacuously."""
         handle = self._workers[gh.wid]
-        if handle is None or handle.dead:
+        if gh.tainted or handle is None or handle.dead:
             return ()
-        rid = next(self._rids)
-        fut = self._loop.create_future()
-        self._pending[rid] = fut
-        self._send(handle, m.Verify(rid=rid, iid=gh.iid, passes=passes))
-        reply = await fut
-        return tuple(reply.violations)
+        reply = await self._rpc(handle, m.Verify, iid=gh.iid, passes=passes)
+        return () if reply is None else tuple(reply.violations)
 
     async def worker_metrics(self) -> Dict[int, dict]:
-        """Pull a full metrics snapshot from every live worker."""
-        acks = {}
-        for handle in self._workers:
-            if handle is None or handle.dead:
-                continue
-            rid = next(self._rids)
-            fut = self._loop.create_future()
-            self._pending[rid] = fut
-            self._send(handle, m.MetricsPull(rid=rid))
-            acks[handle.wid] = fut
-        out: Dict[int, dict] = {}
-        for wid, fut in acks.items():
+        """Pull a full metrics snapshot from every live worker; a
+        worker that dies (or wedges for 30 s) before replying is left
+        out."""
+
+        async def pull(handle: _WorkerHandle):
             try:
-                reply = await asyncio.wait_for(fut, 30.0)
+                return await asyncio.wait_for(self._rpc(handle, m.MetricsPull), 30.0)
             except asyncio.TimeoutError:  # pragma: no cover - wedged
-                continue
-            out[wid] = dict(reply.snapshot)
-        return out
+                return None
+
+        handles = self._live_handles()
+        replies = await asyncio.gather(*(pull(h) for h in handles))
+        return {
+            h.wid: dict(r.snapshot) for h, r in zip(handles, replies) if r is not None
+        }
 
     def snapshot(self) -> dict:
         """The gateway's own ``gateway.*`` metric snapshot."""
@@ -1381,28 +1291,28 @@ class Gateway:
                 return None
             return max(0.0, deadline - time.monotonic())
 
-        acks = []
-        for handle in self._workers:
-            if handle is None or handle.dead:
-                continue
-            rid = next(self._rids)
-            fut = self._loop.create_future()
-            self._pending[rid] = fut
-            self._send(handle, m.Drain(rid=rid, timeout=timeout))
-            acks.append(fut)
+        acks = [
+            asyncio.ensure_future(self._rpc(h, m.Drain, timeout=timeout))
+            for h in self._live_handles()
+        ]
         ok = True
         if acks:
             done, pending = await asyncio.wait(acks, timeout=remaining())
-            ok = not pending and all(f.result().ok for f in done)
+            for t in pending:
+                t.cancel()
+            # a worker that died before acking (None) did not drain
+            ok = not pending and all(
+                t.result() is not None and t.result().ok for t in done
+            )
         # worker drains settle worker-side futures; wait for the
         # corresponding Settled traffic to land — on the *same*
         # deadline, not a fresh grace on top of the ack wait
-        waiters = {s.future for s in self._subs.values()}
+        waiters = {sub.future for sub in self._live_subs()}
         if waiters:
             _, unsettled = await asyncio.wait(waiters, timeout=remaining())
             if unsettled:
                 ok = False
-        for sub in list({id(s): s for s in self._subs.values()}.values()):
+        for sub in self._live_subs():
             self._force_settle(
                 sub,
                 outcome="failed",
@@ -1425,9 +1335,7 @@ class Gateway:
             self._closing = True
             if self._monitor_task is not None:
                 self._monitor_task.cancel()
-            for handle in self._workers:
-                if handle is None or handle.dead:
-                    continue
+            for handle in self._live_handles():
                 self._send(handle, m.Shutdown())
             procs = [
                 h.proc
@@ -1453,17 +1361,15 @@ class Gateway:
                     handle.conn.close()
                 except OSError:  # pragma: no cover
                     pass
-            for sub in list({id(s): s for s in self._subs.values()}.values()):
+            for sub in self._live_subs():
                 self._force_settle(
                     sub,
                     outcome="worker_lost",
                     error="GatewayError('gateway shut down')",
                     reason="shutdown",
                 )
-            for fut in self._pending.values():
-                if not fut.done():
-                    fut.cancel()
-            self._pending.clear()
+            for _handle, fut in self._calls.values():
+                fut.cancel()
             if self.journal is not None:
                 self.journal.close()
 

@@ -29,7 +29,8 @@ Scenario checks:
    terminal outcome; the gateway's own ``gateway.submits`` /
    ``gateway.settled`` counters must agree with the harness's count
    *exactly*; a submission still pending after the settle sweep is a
-   stranded awaitable and a violation.
+   stranded awaitable and a violation, and so is a non-zero
+   ``gateway.inflight`` once everything settled (a leaked leg).
 2. **Failure accounting** — ``worker_lost`` and ``failed`` outcomes
    are violations except ``worker_lost`` in kill scenarios, the
    documented post-replan residue.
@@ -327,6 +328,13 @@ async def _reconcile(
     if d_settled != len(results):
         violations.append(
             f"gateway.settled moved by {d_settled}, harness settled {len(results)}"
+        )
+    # every harness submission has settled, so no leg may be left in
+    # the gateway's routing state: a live leg here outlived its Result
+    if len(results) == len(subs) and after["gateway.inflight"]:
+        violations.append(
+            f"gateway.inflight is {after['gateway.inflight']:.0f} after every "
+            "submission settled (leaked legs)"
         )
 
     for gh, expected, all_completed in instances:

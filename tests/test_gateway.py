@@ -166,6 +166,71 @@ class TestWorkerDeath:
         _run(main())
 
 
+class TestControlCallDeath:
+    """A worker that dies while a control call waits on it resolves the
+    call: freeze() raises, verify() is vacuous, worker_metrics() leaves
+    the worker out and drain() reports not-ok."""
+
+    @staticmethod
+    async def _kill_during(gw, wid, call):
+        """Wedge worker *wid* so *call*'s request sits unread, SIGKILL
+        the worker, and require *call* to resolve within 5 s."""
+        gw.inject_chaos(wid, stall_s=1.0)
+        task = asyncio.ensure_future(call)
+        await asyncio.sleep(0.1)
+        assert not task.done()
+        os.kill(gw._workers[wid].proc.pid, signal.SIGKILL)
+        return await asyncio.wait_for(task, 5.0)
+
+    def test_freeze_raises(self):
+        async def main():
+            async with Gateway(2, worker=_CONFIG) as gw:
+                with pytest.raises(GatewayError, match="worker 0 died"):
+                    await self._kill_during(gw, 0, gw.freeze(BurstSpec(width=2)))
+                assert gw.frozen_handles() == {}
+                # the healed pool freezes and replays again
+                fh = await gw.freeze(BurstSpec(width=2))
+                assert (await gw.submit(fh)).ok
+
+        _run(main())
+
+    def test_verify_is_vacuous(self):
+        async def main():
+            async with Gateway(2, worker=_CONFIG) as gw:
+                gh = gw.instance(GeneratedSpec(seed=11, num_gpus=1))
+                res = await gw.submit(gh)
+                assert res.ok
+                assert await self._kill_during(gw, gh.wid, gw.verify(gh, res.passes)) == ()
+                assert gh.tainted
+
+        _run(main())
+
+    def test_worker_metrics_leaves_the_worker_out(self):
+        async def main():
+            async with Gateway(2, worker=_CONFIG) as gw:
+                assert sorted(await self._kill_during(gw, 0, gw.worker_metrics())) == [1]
+
+        _run(main())
+
+    def test_drain_is_not_ok(self):
+        async def main():
+            async with Gateway(2, worker=_CONFIG) as gw:
+                assert await self._kill_during(gw, 0, gw.drain(timeout=None)) is False
+
+        _run(main())
+
+    def test_send_on_a_closed_pipe_resolves_the_call(self):
+        async def main():
+            # no heartbeat for 5 s: nothing but the call touches the pipe
+            async with Gateway(2, worker=_CONFIG, heartbeat_interval=5.0) as gw:
+                gw._workers[0].conn.close()
+                with pytest.raises(GatewayError, match="worker 0 died"):
+                    await asyncio.wait_for(gw.freeze(BurstSpec(width=2)), 5.0)
+                assert gw.snapshot()["gateway.worker_deaths"] == 1
+
+        _run(main())
+
+
 class TestDrainShutdown:
     def test_drain_under_load_settles_everything(self):
         """Mirror of the in-process drain guarantee: drain() with live

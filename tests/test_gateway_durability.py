@@ -57,6 +57,14 @@ class TestWriteThrough:
                 events = [ev async for ev in s1c.events()]
                 assert events[-1]["replayed"] is True
 
+                # a refused hedge is refused before it is journaled:
+                # no accepted entry, no key, nothing sent
+                with pytest.raises(GatewayError, match="p95"):
+                    gw.submit(fh, hedge_after="p42", idempotency_key="job-2")
+                assert gw.journal.counts()["entries"] == 1
+                assert gw.journal.lookup("job-2") is None
+                assert gw.snapshot()["gateway.submits"] == submits_before
+
                 # unkeyed submissions are journaled too
                 r2 = await gw.submit(BurstSpec(width=2))
                 assert r2.ok

@@ -320,11 +320,15 @@ class TestGrayFailures:
                 assert snap["gateway.settled"] == 1
 
                 # validation: hedging is frozen-only, and string delays
-                # are restricted to the quantile vocabulary
+                # are restricted to the quantile vocabulary; a refused
+                # call is refused before anything is sent
                 with pytest.raises(GatewayError, match="FrozenHandle"):
                     gw.submit(BurstSpec(width=2), hedge_after=0.1)
-                with pytest.raises(GatewayError, match="p95"):
-                    gw.submit(fh, hedge_after="p42")
+                assert gw.snapshot()["gateway.submits"] == 1
+                for bad in ("p42", "auto"):
+                    with pytest.raises(GatewayError, match="p95"):
+                        gw.submit(fh, hedge_after=bad)
+                    assert gw.snapshot()["gateway.submits"] == 1
                 # "p95" itself resolves via the primary's quantile
                 assert (await gw.submit(fh, hedge_after="p95")).ok
 

@@ -141,3 +141,30 @@ def test_unclean_final_journal_is_a_violation():
     assert journal_clean(_report("gateway-crash", final_fsck=fsck, reopen_counts=counts)) == []
     dirty = dict(fsck, clean=False, corruptions=[{"kind": "checksum"}], unsettled=[[1, "k"]])
     assert len(journal_clean(_report("gateway-crash", final_fsck=dirty, reopen_counts=counts))) == 2
+
+
+def test_a_leg_left_after_every_settle_is_a_violation():
+    """Once every harness submission has settled, a non-zero
+    ``gateway.inflight`` means a leg outlived its submission."""
+    import asyncio
+    from types import SimpleNamespace
+
+    from repro.gateway.gateway import Result
+    from repro.gateway.messages import OUTCOMES
+    from repro.gateway.soak import _reconcile
+
+    before = {"gateway.submits": 0, "gateway.settled": 0, "gateway.inflight": 0}
+
+    async def violations(inflight):
+        fut = asyncio.get_running_loop().create_future()
+        fut.set_result(Result("completed", passes=1, wall_s=0.01))
+        sub = SimpleNamespace(future=fut, done=fut.done)
+        after = {"gateway.submits": 1, "gateway.settled": 1, "gateway.inflight": inflight}
+        gw = SimpleNamespace(snapshot=lambda: after)
+        sc = Scenario(0, "serve", 0, counts=dict.fromkeys((*OUTCOMES, "submitted"), 0))
+        await _reconcile(gw, sc, [sub], [], before)
+        return sc.violations
+
+    assert asyncio.run(violations(0)) == []
+    leaked = asyncio.run(violations(1))
+    assert len(leaked) == 1 and "leaked" in leaked[0]
