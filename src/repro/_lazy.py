@@ -6,6 +6,11 @@ in a ``name -> submodule`` table, and hands that table to
 so ``import repro.gateway.worker`` loads what a worker runs and not the
 whole package around it.  Code inside ``src/`` imports from the
 defining submodule directly; the lazy surface is for users.
+
+:data:`np` is the same idea for one third-party module: the runtime
+modules that touch arrays (the executor's pull/push tasks, the GPU
+model, spans) name numpy through it, so a process that never builds an
+array — the gateway and a host-only worker — never imports numpy.
 """
 
 from __future__ import annotations
@@ -38,3 +43,24 @@ def attach(
         return sorted(set(vars(sys.modules[package])) | set(table))
 
     return __getattr__, __dir__, list(table)
+
+
+class LazyModule:
+    """Stand-in for the module *name*, imported on first attribute
+    access.  That access copies the module's namespace into this
+    object, so every later lookup is a plain attribute read, as cheap
+    as one on the module itself: no per-use import or check."""
+
+    def __init__(self, name: str) -> None:
+        self._lazy_module_name = name
+
+    def __getattr__(self, attr: str) -> object:
+        module = importlib.import_module(self._lazy_module_name)
+        vars(self).update(vars(module))
+        value = getattr(module, attr)  # a name the module loads lazily itself
+        setattr(self, attr, value)
+        return value
+
+
+#: numpy, imported on first attribute access (``from repro._lazy import np``)
+np = LazyModule("numpy")

@@ -77,8 +77,7 @@ from collections import deque
 from concurrent.futures import CancelledError, Future, InvalidStateError
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-import numpy as np
-
+from repro._lazy import np
 from repro.core.heteroflow import Heteroflow
 from repro.core.node import Node, TaskType
 from repro.core.notifier import Notifier

@@ -15,11 +15,16 @@ Frame layout (little-endian)::
     | 2 B    | u32      | u32     | `length` bytes  |
     +--------+----------+---------+-----------------+
 
-The payload is a pickled dict carrying ``kind`` and a strictly
-increasing ``seq``.  Four record kinds exist:
+The payload decodes to a dict carrying ``kind`` and a strictly
+increasing ``seq``.  It has one of two forms, told apart by its first
+byte (:func:`decode_payload`): the two per-op records — ``accepted``
+without a spec and ``settled`` — are struct-packed (a tag byte,
+fixed-width fields, length-prefixed UTF-8 strings); every other record
+is a restricted pickle, whose first byte is pickle's PROTO opcode
+``0x80``.  Four record kinds exist:
 
 ==================  ==================================================
-``segment_header``  first record of every segment (index, compact flag)
+``segment_header``  first record of every segment (index, compact flag, format)
 ``accepted``        one submission entered the gateway (jid, key, spec)
 ``settled``         terminal outcome of one jid — at most once per jid
 ``frozen``          a frozen topology's fid + spec (re-shipped on recover)
@@ -76,11 +81,11 @@ from repro.durability.osshim import OsFacade
 #: (final segment) or corrupt (anywhere else)
 MARKER = b"\xa6\x5c"
 
-#: frame header after the marker: payload length + crc32(payload)
-_HDR = struct.Struct("<II")
+#: the fixed frame prefix: marker, payload length, crc32(payload)
+_FRAME = struct.Struct("<2sII")
 
 #: full fixed overhead of one frame
-FRAME_OVERHEAD = len(MARKER) + _HDR.size
+FRAME_OVERHEAD = _FRAME.size
 
 #: segment file naming: seg-00000001.wal, strictly increasing indices
 _SEGMENT_RE = re.compile(r"^seg-(\d{8})\.wal$")
@@ -127,9 +132,150 @@ class _RestrictedUnpickler(pickle.Unpickler):
         )
 
 
-def decode_payload(payload: bytes):
-    """Decode one frame payload under the :data:`SAFE_GLOBALS` allowlist."""
-    return _RestrictedUnpickler(io.BytesIO(payload)).load()
+#: log format written into every ``segment_header``: 2 adds the
+#: struct-packed payloads.  A build that predates it reads a struct
+#: frame as an undecodable payload, so it must not open a format-2 log
+#: (docs/durability.md, "The log format")
+FORMAT = 2
+
+#: first byte of a pickled payload (pickle's PROTO opcode, protocol 2+)
+PICKLE_PROTO = 0x80
+_TAG_ACCEPTED = 0x01
+_TAG_SETTLED = 0x02
+
+#: accepted target names by their 2-bit code in the flags byte
+_TARGETS = ("spec", "frozen", "instance")
+#: flags-byte presence bits of the optional accepted fields
+_HAS_FID, _HAS_IID, _HAS_DEADLINE = 0x04, 0x08, 0x10
+
+#: tag, flags, seq, jid, fid, iid, priority, repeats, deadline, then
+#: the UTF-8 byte lengths of key and tenant, which follow in that order
+_ACCEPTED = struct.Struct("<BBQQqqiidHH")
+#: tag, seq, jid, passes, replans, wid, wall_s, then the UTF-8 byte
+#: lengths of outcome, error and reason, which follow in that order
+_SETTLED = struct.Struct("<BQQiiidHHH")
+
+#: target name -> its 2-bit code in the accepted flags byte
+_TARGET_CODES = {name: code for code, name in enumerate(_TARGETS)}
+
+
+def _pack(record: dict) -> Optional[bytes]:
+    """The struct-packed payload of *record*, or None when it is not a
+    per-op record or does not fit the packed layout exactly (the
+    caller pickles it instead).  A record fits when it has exactly the
+    keys its kind writes — the length check plus reading every one of
+    them — with ints of type int within their fields' widths, floats
+    of type float, and strings of type str that encode to UTF-8 (no
+    lone surrogates) within a u16 length."""
+    try:
+        kind = record["kind"]
+        if kind == "settled" and len(record) == 10:
+            seq, jid, wall_s = record["seq"], record["jid"], record["wall_s"]
+            passes, replans, wid = record["passes"], record["replans"], record["wid"]
+            outcome, error, reason = record["outcome"], record["error"], record["reason"]
+            if (type(seq) is type(jid) is type(passes) is type(replans)
+                    is type(wid) is int and type(wall_s) is float
+                    and type(outcome) is type(error) is type(reason) is str):
+                o, e, r = outcome.encode(), error.encode(), reason.encode()
+                return _SETTLED.pack(
+                    _TAG_SETTLED, seq, jid, passes, replans, wid, wall_s,
+                    len(o), len(e), len(r),
+                ) + o + e + r
+        elif kind == "accepted" and len(record) == 12 and record["spec"] is None:
+            seq, jid, fid, iid = record["seq"], record["jid"], record["fid"], record["iid"]
+            priority, repeats, deadline = (
+                record["priority"], record["repeats"], record["deadline"]
+            )
+            key, tenant = record["key"], record["tenant"]
+            flags = _TARGET_CODES[record["target"]]
+            if fid is not None:
+                flags |= _HAS_FID
+            else:
+                fid = 0
+            if iid is not None:
+                flags |= _HAS_IID
+            else:
+                iid = 0
+            if deadline is not None:
+                flags |= _HAS_DEADLINE
+            else:
+                deadline = 0.0
+            if (type(seq) is type(jid) is type(fid) is type(iid)
+                    is type(priority) is type(repeats) is int
+                    and type(deadline) is float
+                    and type(key) is type(tenant) is str):
+                k, t = key.encode(), tenant.encode()
+                return _ACCEPTED.pack(
+                    _TAG_ACCEPTED, flags, seq, jid, fid, iid, priority,
+                    repeats, deadline, len(k), len(t),
+                ) + k + t
+    except (KeyError, TypeError, struct.error, UnicodeEncodeError):
+        # a missing key, an unknown target, an int or string past its
+        # field's width, a lone surrogate: pickled instead
+        pass
+    return None
+
+
+def _unpack_accepted(payload: bytes) -> dict:
+    (_tag, flags, seq, jid, fid, iid, priority, repeats, deadline, klen,
+     tlen) = _ACCEPTED.unpack_from(payload)
+    start = _ACCEPTED.size
+    mid = start + klen
+    if mid + tlen != len(payload) or flags >> 5:
+        raise ValueError("inconsistent accepted payload")
+    return {
+        "kind": "accepted",
+        "jid": jid,
+        "key": payload[start:mid].decode() if klen else "",
+        "target": _TARGETS[flags & 3],
+        "spec": None,
+        "fid": fid if flags & _HAS_FID else None,
+        "iid": iid if flags & _HAS_IID else None,
+        "priority": priority,
+        "deadline": deadline if flags & _HAS_DEADLINE else None,
+        "repeats": repeats,
+        "tenant": payload[mid:].decode() if tlen else "",
+        "seq": seq,
+    }
+
+
+def _unpack_settled(payload: bytes) -> dict:
+    (_tag, seq, jid, passes, replans, wid, wall_s, olen, elen,
+     rlen) = _SETTLED.unpack_from(payload)
+    a = _SETTLED.size
+    b = a + olen
+    c = b + elen
+    if c + rlen != len(payload):
+        raise ValueError("inconsistent settled payload")
+    return {
+        "kind": "settled",
+        "jid": jid,
+        "outcome": payload[a:b].decode() if olen else "",
+        "passes": passes,
+        "error": payload[b:c].decode() if elen else "",
+        "reason": payload[c:].decode() if rlen else "",
+        "wall_s": wall_s,
+        "replans": replans,
+        "wid": wid,
+        "seq": seq,
+    }
+
+
+_UNPACKERS = {_TAG_ACCEPTED: _unpack_accepted, _TAG_SETTLED: _unpack_settled}
+
+
+def decode_payload(payload: bytes) -> dict:
+    """Decode one frame payload, whichever form its first byte names:
+    a restricted pickle (:data:`SAFE_GLOBALS` allowlist) or a
+    struct-packed per-op record.  Both yield the same record dict; any
+    undecodable payload raises."""
+    tag = payload[0]
+    unpack = _UNPACKERS.get(tag)
+    if unpack is not None:
+        return unpack(payload)
+    if tag == PICKLE_PROTO:
+        return _RestrictedUnpickler(io.BytesIO(payload)).load()
+    raise ValueError(f"unknown journal payload tag {tag:#04x}")
 
 
 def segment_name(index: int) -> str:
@@ -149,9 +295,13 @@ def is_tmp_segment(name: str) -> bool:
 
 
 def encode_record(record: dict) -> bytes:
-    """Frame one record dict: marker + length + crc32 + pickled payload."""
-    payload = pickle.dumps(record, protocol=4)
-    return MARKER + _HDR.pack(len(payload), zlib.crc32(payload)) + payload
+    """Frame one record dict: marker + length + crc32 + payload, the
+    payload struct-packed where the record fits that form and pickled
+    otherwise."""
+    payload = _pack(record)
+    if payload is None:
+        payload = pickle.dumps(record, protocol=4)
+    return _FRAME.pack(MARKER, len(payload), zlib.crc32(payload)) + payload
 
 
 def scan_bytes(data: bytes) -> Tuple[List[Tuple[int, dict]], int, Optional[Tuple[str, int]]]:
@@ -166,26 +316,29 @@ def scan_bytes(data: bytes) -> Tuple[List[Tuple[int, dict]], int, Optional[Tuple
     (final segment: truncate) or corruption (raise / report).
     """
     records: List[Tuple[int, dict]] = []
+    append = records.append
+    unpack_frame = _FRAME.unpack_from
+    crc32 = zlib.crc32
     off = 0
     n = len(data)
     while off < n:
-        if off + FRAME_OVERHEAD > n:
-            return records, off, ("frame", off)
-        if data[off : off + len(MARKER)] != MARKER:
-            return records, off, ("marker", off)
-        length, crc = _HDR.unpack_from(data, off + len(MARKER))
         start = off + FRAME_OVERHEAD
+        if start > n:
+            return records, off, ("frame", off)
+        marker, length, crc = unpack_frame(data, off)
+        if marker != MARKER:
+            return records, off, ("marker", off)
         end = start + length
         if end > n:
             return records, off, ("frame", off)
         payload = data[start:end]
-        if zlib.crc32(payload) != crc:
+        if crc32(payload) != crc:
             return records, off, ("checksum", off)
         try:
             record = decode_payload(payload)
         except Exception:
             return records, off, ("pickle", off)
-        records.append((off, record))
+        append((off, record))
         off = end
     return records, off, None
 
@@ -199,9 +352,11 @@ def segment_is_compact(path: str) -> bool:
     try:
         with open(path, "rb") as fh:
             head = fh.read(FRAME_OVERHEAD)
-            if len(head) < FRAME_OVERHEAD or not head.startswith(MARKER):
+            if len(head) < FRAME_OVERHEAD:
                 return False
-            length, _crc = _HDR.unpack_from(head, len(MARKER))
+            marker, length, _crc = _FRAME.unpack(head)
+            if marker != MARKER:
+                return False
             if length > _HEADER_FRAME_MAX:
                 return False
             head += fh.read(length)
@@ -214,7 +369,18 @@ def segment_is_compact(path: str) -> bool:
     return first.get("kind") == "segment_header" and bool(first.get("compact"))
 
 
-@dataclass
+#: the accepted-record fields a :class:`JournalEntry` keeps
+_ENTRY_FIELDS = (
+    "jid", "key", "target", "spec", "fid", "iid", "priority", "deadline",
+    "repeats", "tenant",
+)
+#: the settled-record fields kept as :attr:`JournalEntry.settled`
+_SETTLE_FIELDS = (
+    "outcome", "passes", "error", "reason", "wall_s", "replans", "wid",
+)
+
+
+@dataclass(slots=True)
 class JournalEntry:
     """In-memory view of one journaled submission (jid-keyed)."""
 
@@ -236,18 +402,17 @@ class JournalEntry:
 
     @classmethod
     def from_record(cls, rec: dict) -> "JournalEntry":
-        return cls(
-            jid=rec["jid"],
-            key=rec.get("key", ""),
-            target=rec.get("target", "spec"),
-            spec=rec.get("spec"),
-            fid=rec.get("fid"),
-            iid=rec.get("iid"),
-            priority=rec.get("priority", 0),
-            deadline=rec.get("deadline"),
-            repeats=rec.get("repeats", 1),
-            tenant=rec.get("tenant", ""),
-        )
+        try:
+            # every accepted record carries every field (struct-packed
+            # ones by construction)
+            return cls(
+                rec["jid"], rec["key"], rec["target"], rec["spec"],
+                rec["fid"], rec["iid"], rec["priority"], rec["deadline"],
+                rec["repeats"], rec["tenant"],
+            )
+        except KeyError:
+            # a sparse pickled record: absent fields take their defaults
+            return cls(**{k: rec[k] for k in _ENTRY_FIELDS if k in rec})
 
     def accepted_record(self) -> dict:
         """The (seq-less) accepted record this entry re-serializes to —
@@ -468,13 +633,16 @@ class Journal:
                         self._os.fsync(fd)
                 finally:
                     self._os.close(fd)
+            apply = self._apply
             for offset, rec in records:
                 seq = rec.get("seq", 0)
                 if seq <= max_seq:
                     raise JournalCorruptError("sequence", name, offset)
                 max_seq = seq
-                max_jid = max(max_jid, self._apply(rec, name, offset))
-                report.records += 1
+                jid = apply(rec, name, offset)
+                if jid > max_jid:
+                    max_jid = jid
+            report.records += len(records)
             report.segments += 1
 
         self._next_seq = max_seq + 1
@@ -501,8 +669,6 @@ class Journal:
         """Fold one scanned record into the state; returns its jid (0
         for non-submission records)."""
         kind = rec.get("kind")
-        if kind == "segment_header":
-            return 0
         if kind == "accepted":
             jid = rec["jid"]
             if jid in self.entries:
@@ -526,23 +692,22 @@ class Journal:
                     f"journal corrupt (settled orphan jid {jid}) in "
                     f"segment {segment!r} at byte {offset}",
                 )
-            if entry.is_settled:
+            if entry.settled is not None:
                 raise JournalCorruptError(
                     "duplicate", segment, offset,
                     f"journal corrupt (duplicate settle for jid {jid}) in "
                     f"segment {segment!r} at byte {offset}",
                 )
-            self._mark_settled(entry, {
-                k: rec[k]
-                for k in ("outcome", "passes", "error", "reason", "wall_s",
-                          "replans", "wid")
-                if k in rec
-            })
+            try:  # every field, as every build writes it
+                fields = {k: rec[k] for k in _SETTLE_FIELDS}
+            except KeyError:
+                fields = {k: rec[k] for k in _SETTLE_FIELDS if k in rec}
+            self._mark_settled(entry, fields)
             return jid
         if kind == "frozen":
             self.frozen_specs[rec["fid"]] = rec["spec"]
-            return 0
-        # unknown kinds are skipped (forward compatibility)
+        # segment headers carry no state; unknown kinds are skipped
+        # (forward compatibility)
         return 0
 
     def close(self) -> None:
@@ -769,7 +934,8 @@ class Journal:
         self._seg_index = index
         self._seg_size = 0
         self._append(
-            {"kind": "segment_header", "index": index, "compact": compact}
+            {"kind": "segment_header", "index": index, "compact": compact,
+             "format": FORMAT}
         )
         try:
             self._os.fsync_dir(self.path)
@@ -857,7 +1023,8 @@ class Journal:
             self._seg_index = index
             self._seg_size = 0
             self._append(
-                {"kind": "segment_header", "index": index, "compact": True}
+                {"kind": "segment_header", "index": index, "compact": True,
+                 "format": FORMAT}
             )
             for fid in sorted(self.frozen_specs):
                 self._append(
@@ -939,6 +1106,8 @@ __all__ = [
     "OpenReport",
     "MARKER",
     "FRAME_OVERHEAD",
+    "FORMAT",
+    "PICKLE_PROTO",
     "RECORD_KINDS",
     "SAFE_GLOBALS",
     "TMP_SUFFIX",

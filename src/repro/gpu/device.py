@@ -15,8 +15,7 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING, Callable, List, Optional
 
-import numpy as np
-
+from repro._lazy import np
 from repro.errors import DeviceError, DeviceFailedError
 from repro.gpu.memory import DeviceBuffer, DeviceHeap
 from repro.gpu.stream import Event, Stream
@@ -73,7 +72,7 @@ class Device:
             return list(self._streams)
 
     # -- convenience memory ops (synchronous wrappers) --------------
-    def allocate(self, nbytes: int, dtype: np.dtype = np.uint8) -> DeviceBuffer:
+    def allocate(self, nbytes: int, dtype: np.dtype | str = "uint8") -> DeviceBuffer:
         return self.heap.allocate(nbytes, dtype=dtype)
 
     def synchronize(self) -> None:

@@ -30,8 +30,7 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Tuple
 
-import numpy as np
-
+from repro._lazy import np
 from repro.errors import KernelError
 from repro.gpu.memory import DeviceBuffer
 from repro.gpu.stream import Stream

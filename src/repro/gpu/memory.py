@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
+from repro._lazy import np
 from repro.errors import AllocationError, DeviceError
 from repro.gpu.buddy import BuddyAllocator, _ceil_pow2
 
@@ -118,7 +117,7 @@ class DeviceHeap:
         """Live buffer count; nonzero at teardown indicates a leak."""
         return self._alloc_count - self._free_count
 
-    def allocate(self, nbytes: int, dtype: np.dtype = np.uint8) -> DeviceBuffer:
+    def allocate(self, nbytes: int, dtype: np.dtype | str = "uint8") -> DeviceBuffer:
         """Allocate *nbytes* from the pool and wrap it in a buffer."""
         dt = np.dtype(dtype)
         if nbytes < 0:

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-import numpy as np
-
+from repro._lazy import np
 from repro.core.node import Node, TaskType
 from repro.core.placement import CostMetric, PlacementResult
 from repro.core.task import PullTask

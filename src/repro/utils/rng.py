@@ -9,15 +9,19 @@ every generator takes a seed and derives child seeds through
 from __future__ import annotations
 
 import hashlib
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-SeedLike = Union[int, np.random.Generator, None]
+SeedLike = Union[int, "np.random.Generator", None]
 
 
 def seeded_rng(seed: SeedLike = None) -> np.random.Generator:
     """Return a numpy Generator for *seed* (pass-through if already one)."""
+    # imported here: derive_seed is used by processes that run no arrays
+    import numpy as np
+
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)

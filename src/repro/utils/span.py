@@ -26,8 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence, Tuple
 
-import numpy as np
-
+from repro._lazy import np
 from repro.errors import HeteroflowError
 
 

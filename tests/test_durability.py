@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import os
 import random
+import shutil
+import struct
 import sys
 import threading
 import time
+import zlib
 
 import pytest
 
@@ -29,8 +32,17 @@ from repro.durability import (
     segment_index,
     segment_name,
 )
-from repro.durability.journal import FRAME_OVERHEAD, TMP_SUFFIX
+from repro.durability.journal import (
+    FORMAT,
+    FRAME_OVERHEAD,
+    MARKER,
+    PICKLE_PROTO,
+    TMP_SUFFIX,
+)
 from repro.errors import JournalCorruptError, JournalError, JournalWriteError
+
+#: the format-1 (all-pickle) journal committed under tests/data/
+V1_JOURNAL = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "journal_v1")
 
 
 def _record(rng: random.Random, seq: int) -> dict:
@@ -150,6 +162,272 @@ class TestCodec:
         with pytest.raises(JournalCorruptError):
             Journal(str(jdir)).open()
         assert not pwned.exists()
+
+
+#: texts a struct-packed string field must carry exactly
+_TEXTS = ("", "k", "clé-ü", "雪" * 3, "\U0001f600", "a\x00b", "x" * 300)
+#: ints at and beyond the packed widths (i32 and i64 fields)
+_WIDE = (2**31 - 1, -(2**31), 2**31, 2**63 - 1, -(2**63), 2**63, 2**64)
+
+
+def _frame(payload: bytes) -> bytes:
+    """A CRC-valid frame around *payload*, whatever it holds."""
+    return MARKER + struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+
+
+def _per_op_record(rng: random.Random, seq: int) -> dict:
+    """A seeded accepted-without-spec or settled record, mostly
+    packable, sometimes with a lone surrogate or an over-wide int."""
+
+    def text():
+        return "\ud800" if rng.random() < 0.02 else rng.choice(_TEXTS)
+
+    def num(lo, hi):
+        return rng.choice(_WIDE) if rng.random() < 0.05 else rng.randint(lo, hi)
+
+    if rng.random() < 0.5:
+        return {
+            "kind": "accepted", "jid": seq, "key": text(),
+            "target": rng.choice(("spec", "frozen", "instance")), "spec": None,
+            "fid": rng.choice((None, num(0, 99))), "iid": rng.choice((None, num(0, 99))),
+            "priority": num(-5, 5), "deadline": rng.choice((None, rng.uniform(0, 60))),
+            "repeats": num(1, 4), "tenant": text(), "seq": seq,
+        }
+    return {
+        "kind": "settled", "jid": seq,
+        "outcome": rng.choice(("completed", "failed", "worker_lost", "")),
+        "passes": num(0, 3), "error": text(), "reason": text(),
+        "wall_s": rng.uniform(0, 1), "replans": num(0, 2), "wid": num(-1, 3),
+        "seq": seq,
+    }
+
+
+def _packable(rec: dict) -> bool:
+    """Does *rec* fit the struct layout (the codec must pack exactly
+    these and pickle the rest)?"""
+    texts = [v for v in rec.values() if isinstance(v, str)]
+    try:
+        for t in texts:
+            t.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    narrow = ("passes", "replans", "wid", "priority", "repeats")
+    for k, v in rec.items():
+        if k in narrow and not -(2**31) <= v < 2**31:
+            return False
+        if k in ("seq", "jid") and not 0 <= v < 2**64:
+            return False
+        if k in ("fid", "iid") and v is not None and not -(2**63) <= v < 2**63:
+            return False
+    return True
+
+
+def _payload_form(frame: bytes) -> str:
+    return "pickle" if frame[FRAME_OVERHEAD] == PICKLE_PROTO else "struct"
+
+
+class TestStructCodec:
+    """The two per-op records are struct-packed; every decoded record
+    equals the dict that was encoded, whichever form carried it."""
+
+    def test_seeded_roundtrip_equals_input(self):
+        forms = {"struct": 0, "pickle": 0}
+        for seed in range(20):
+            rng = random.Random(seed)
+            records = [_per_op_record(rng, s) for s in range(1, 60)]
+            frames = [encode_record(r) for r in records]
+            for rec, frame in zip(records, frames):
+                form = _payload_form(frame)
+                assert form == ("struct" if _packable(rec) else "pickle"), rec
+                forms[form] += 1
+            scanned, good_end, problem = scan_bytes(b"".join(frames))
+            assert problem is None and good_end == sum(map(len, frames))
+            assert [r for _off, r in scanned] == records
+        # both forms were exercised, the fallback included
+        assert forms["struct"] > 500 and forms["pickle"] > 50
+
+    def test_edge_values_roundtrip(self):
+        base = {
+            "kind": "accepted", "jid": 1, "key": "", "target": "frozen",
+            "spec": None, "fid": None, "iid": None, "priority": 0,
+            "deadline": None, "repeats": 1, "tenant": "", "seq": 1,
+        }
+        cases = [
+            (base, "struct"),
+            (dict(base, key="雪\U0001f600", tenant="t", deadline=2.5, fid=0, iid=-3), "struct"),
+            (dict(base, key="\udc80"), "pickle"),  # lone surrogate
+            (dict(base, priority=2**31), "pickle"),  # beyond i32
+            (dict(base, fid=2**63), "pickle"),  # beyond i64
+            (dict(base, seq=2**64), "pickle"),  # beyond u64
+            (dict(base, deadline=5), "pickle"),  # an int deadline stays an int
+            (dict(base, priority=True), "pickle"),  # a bool stays a bool
+            (dict(base, key="k" * 70_000), "pickle"),  # over the u16 length
+            (dict(base, target="elsewhere"), "pickle"),
+            (dict(base, spec={"width": 2}), "pickle"),
+            (dict(base, extra=1), "pickle"),
+            ({k: v for k, v in base.items() if k != "iid"}, "pickle"),
+            ({"kind": "settled", "jid": 2, "outcome": "completed", "passes": 1,
+              "error": "", "reason": "", "wall_s": 0.0, "replans": 0, "wid": -1,
+              "seq": 2}, "struct"),
+            ({"kind": "settled", "jid": 2, "outcome": "completed", "passes": 1,
+              "error": "", "reason": "", "wall_s": 0, "replans": 0, "wid": -1,
+              "seq": 2}, "pickle"),  # an int wall_s stays an int
+            ({"kind": "segment_header", "index": 1, "compact": False,
+              "format": FORMAT, "seq": 1}, "pickle"),
+        ]
+        for rec, form in cases:
+            frame = encode_record(rec)
+            assert _payload_form(frame) == form, rec
+            scanned, _good_end, problem = scan_bytes(frame)
+            assert problem is None
+            decoded = scanned[0][1]
+            assert decoded == rec
+            assert [type(v) for v in decoded.values()] == [type(v) for v in rec.values()]
+
+    def test_truncation_at_every_boundary(self):
+        rng = random.Random(42)
+        records = [_per_op_record(rng, s) for s in range(1, 9)]
+        frames = [encode_record(r) for r in records]
+        assert {_payload_form(f) for f in frames} == {"struct"}
+        blob = b"".join(frames)
+        ends = [0]
+        for f in frames:
+            ends.append(ends[-1] + len(f))
+        for cut in range(len(blob) + 1):
+            scanned, good_end, problem = scan_bytes(blob[:cut])
+            complete = sum(1 for e in ends[1:] if e <= cut)
+            assert len(scanned) == complete
+            assert good_end == ends[complete]
+            assert (problem is None) == (cut == ends[complete])
+
+    def test_bit_flips_rejected(self):
+        rng = random.Random(7)
+        records = [_per_op_record(rng, s) for s in range(1, 12)]
+        blob = bytearray(b"".join(encode_record(r) for r in records))
+        for _ in range(64):
+            pos = rng.randrange(len(blob))
+            flipped = bytearray(blob)
+            flipped[pos] ^= 1 << rng.randrange(8)
+            scanned, _good_end, problem = scan_bytes(bytes(flipped))
+            assert problem is not None
+            assert len(scanned) < len(records)
+
+    @staticmethod
+    def _bad_struct_payloads():
+        settled = encode_record({
+            "kind": "settled", "jid": 1, "outcome": "completed", "passes": 1,
+            "error": "", "reason": "", "wall_s": 0.0, "replans": 0, "wid": 0,
+            "seq": 3,
+        })[FRAME_OVERHEAD:]
+        accepted = encode_record({
+            "kind": "accepted", "jid": 1, "key": "k", "target": "frozen",
+            "spec": None, "fid": 1, "iid": None, "priority": 0,
+            "deadline": None, "repeats": 1, "tenant": "t", "seq": 2,
+        })[FRAME_OVERHEAD:]
+        assert settled[0] != PICKLE_PROTO and accepted[0] != PICKLE_PROTO
+        return {
+            "unknown tag": b"\x07" + settled[1:],
+            "empty": b"",
+            "lengths short": settled[:-1],
+            "lengths long": settled + b"x",
+            "accepted lengths long": accepted + b"x",
+            "accepted lengths short": accepted[:-1],
+            "unknown flag bits": accepted[:1] + bytes([accepted[1] | 0x80]) + accepted[2:],
+            "target code 3": accepted[:1] + bytes([accepted[1] | 0x03]) + accepted[2:],
+            "invalid utf-8": accepted[:-1] + b"\xff",
+        }
+
+    def test_malformed_struct_frame_is_a_pickle_problem(self):
+        for name, payload in self._bad_struct_payloads().items():
+            scanned, good_end, problem = scan_bytes(_frame(payload))
+            assert (scanned, good_end, problem) == ([], 0, ("pickle", 0)), name
+
+    def test_malformed_struct_frame_torn_in_final_segment_corrupt_elsewhere(self, tmp_path):
+        for i, (name, payload) in enumerate(self._bad_struct_payloads().items()):
+            path = str(tmp_path / f"j{i}")
+            j = Journal(path, fsync_policy="never")
+            j.open()
+            _fill(j, 3, settle=2)
+            j.rotate()
+            j.close()
+            final = os.path.join(path, segment_name(2))
+            sealed = os.path.join(path, segment_name(1))
+            clean_size = os.path.getsize(final)
+
+            # final segment: a torn tail, truncated by open
+            with open(final, "ab") as fh:
+                fh.write(_frame(payload))
+            report = fsck(path)
+            assert report.clean and report.torn_tail_bytes > 0, name
+            j2 = Journal(path)
+            j2.open()
+            assert j2.open_report.torn_truncations == 1, name
+            assert j2.counts() == {"entries": 3, "settled": 2, "unsettled": 1, "frozen": 0}
+            j2.close()
+            assert os.path.getsize(final) == clean_size
+
+            # a sealed segment: corruption, refused by open and fsck
+            with open(sealed, "ab") as fh:
+                fh.write(_frame(payload))
+            report = fsck(path)
+            assert [c.kind for c in report.corruptions] == ["pickle"], name
+            assert report.corruptions[0].segment == segment_name(1)
+            with pytest.raises(JournalCorruptError) as err:
+                Journal(path).open()
+            assert err.value.kind == "pickle"
+
+
+class TestFormatCompatibility:
+    """A format-1 journal (all pickle, written by an older build) opens
+    unchanged, takes struct-packed appends and reopens."""
+
+    def test_v1_journal_opens_and_takes_format_2_appends(self, tmp_path):
+        path = str(tmp_path / "j")
+        shutil.copytree(V1_JOURNAL, path)
+        (seg,) = os.listdir(path)
+        data = open(os.path.join(path, seg), "rb").read()
+        v1_records, _end, problem = scan_bytes(data)
+        assert problem is None
+        assert "format" not in v1_records[0][1]
+        assert v1_records[0][1]["compact"] is True
+
+        j = Journal(path)
+        j.open()
+        assert j.open_report.torn_truncations == 0
+        assert j.counts() == {"entries": 7, "settled": 6, "unsettled": 1, "frozen": 1}
+        assert [(e.jid, e.key, e.priority, e.deadline) for e in j.unsettled()] == [
+            (8, "pending", 2, 60.0)
+        ]
+        k4 = j.get(j.lookup("k4"))
+        assert k4.settled == {
+            "outcome": "failed", "passes": 0, "error": "RuntimeError('boom')",
+            "reason": "task_error", "wall_s": 0.003, "replans": 0, "wid": 0,
+        }
+        assert j.get(j.lookup("spec-1")).spec.width == 3
+        jid = j.append_accepted(key="new", target="frozen", fid=1, tenant="t0")
+        j.append_settled(jid, outcome="completed", passes=1, wall_s=0.01, wid=0)
+        j.append_settled(8, outcome="completed", passes=1, wall_s=0.02, wid=0)
+        j.close()
+
+        data = open(os.path.join(path, seg), "rb").read()
+        records, _end, problem = scan_bytes(data)
+        assert problem is None
+        new = [off for off, _rec in records[len(v1_records):]]
+        assert len(new) == 3
+        assert all(data[off + FRAME_OVERHEAD] != PICKLE_PROTO for off in new)
+
+        j2 = Journal(path)
+        j2.open()
+        assert j2.counts() == {"entries": 8, "settled": 8, "unsettled": 0, "frozen": 1}
+        assert j2.get(jid).settled["wall_s"] == 0.01
+        # a compaction carries the old entries forward in format 2
+        j2.compact()
+        j2.close()
+        report = fsck(path)
+        assert report.clean and report.drained
+        (seg2,) = os.listdir(path)
+        header = scan_bytes(open(os.path.join(path, seg2), "rb").read())[0][0][1]
+        assert header["format"] == FORMAT and header["compact"] is True
 
 
 class TestJournal:

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import asyncio
 import os
+import shutil
 import signal
 import time
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.durability import FaultyOs, Journal, fsck
 from repro.errors import GatewayError, JournalWriteError
 from repro.gateway import BurstSpec, Gateway, GeneratedSpec, WorkerConfig
@@ -24,6 +26,9 @@ from repro.gateway import BurstSpec, Gateway, GeneratedSpec, WorkerConfig
 pytestmark = pytest.mark.gateway
 
 _CONFIG = WorkerConfig(threads=2, gpus=1)
+
+#: the format-1 (all-pickle) journal committed under tests/data/
+V1_JOURNAL = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "journal_v1")
 
 
 def _run(coro):
@@ -231,6 +236,45 @@ class TestRecovery:
                 assert res.ok
                 assert gw.snapshot()["gateway.worker_deaths"] == 0
         _run(main())
+
+
+class TestFormatCompatibility:
+    def test_v1_journal_dedupes_recovers_and_appends(self, tmp_path, capsys):
+        """A format-1 (all-pickle) journal from an older build, committed
+        under tests/data/: the gateway recovers its unsettled entry,
+        replays a journaled key, appends format-2 records, and the
+        result reopens and checks clean."""
+        path = str(tmp_path / "j")
+        shutil.copytree(V1_JOURNAL, path)
+
+        async def main():
+            async with Gateway(1, worker=WorkerConfig(threads=2, gpus=0), journal=path) as gw:
+                report = await gw.recover()
+                assert report.frozen_reshipped == 1
+                assert report.jids == [8] and report.not_replayable == 0
+                (pending,) = report.submissions
+                assert pending.idempotency_key == "pending"
+                assert (await pending).ok
+                fh = gw.frozen_handles()[1]
+                submits = gw.snapshot()["gateway.submits"]
+                replay = await gw.submit(fh, idempotency_key="k4")
+                assert (replay.outcome, replay.error, replay.reason, replay.wall_s) == (
+                    "failed", "RuntimeError('boom')", "task_error", 0.003
+                )
+                assert (await gw.submit(fh, idempotency_key="k0")).wall_s == 0.001
+                assert gw.snapshot()["gateway.submits"] == submits
+                for i in range(3):
+                    assert (await gw.submit(fh, idempotency_key=f"new-{i}")).ok
+                assert await gw.drain(timeout=30.0)
+
+        _run(main())
+        j = Journal(path)
+        j.open()
+        assert j.counts() == {"entries": 10, "settled": 10, "unsettled": 0, "frozen": 1}
+        assert j.lookup("new-2") is not None
+        j.close()
+        assert cli_main(["fsck", path, "--strict"]) == 0
+        assert "clean: no corruption" in capsys.readouterr().out
 
 
 class TestCrashSoakSmoke:

@@ -3,8 +3,9 @@
 Each check runs in a fresh interpreter (the test process has long since
 imported everything), and each is a deterministic statement about
 ``sys.modules`` — no timings.  See docs/programming_model.md: the
-``repro``, ``repro.core``, ``repro.gateway`` and ``repro.analysis``
-package surfaces load their names on first use (PEP 562).
+``repro``, ``repro.core``, ``repro.gateway``, ``repro.analysis`` and
+``repro.utils`` package surfaces load their names on first use
+(PEP 562), and neither serving process imports numpy.
 """
 
 from __future__ import annotations
@@ -19,11 +20,13 @@ import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-LAZY_PACKAGES = ("repro", "repro.core", "repro.gateway", "repro.analysis")
+LAZY_PACKAGES = ("repro", "repro.core", "repro.gateway", "repro.analysis", "repro.utils")
 
-#: never needed by a gateway worker process running an executor: the
+#: never needed by a host-only gateway worker process running an
+#: executor (``WorkerConfig(gpus=0)``, which builds no array): the
 #: scenario engine and every verification suite included
 WORKER_FORBIDDEN = (
+    "numpy",
     "networkx",
     "asyncio",
     "repro.gateway.gateway",
@@ -87,6 +90,13 @@ class TestProcessImports:
     def test_worker_path_loads_only_what_a_worker_runs(self):
         loaded = _loaded_after(
             "import repro.gateway.worker, repro.core.executor", WORKER_FORBIDDEN
+        )
+        assert loaded == []
+
+    def test_gateway_front_end_loads_no_numpy(self):
+        loaded = _loaded_after(
+            "from repro.gateway import Gateway; import repro.durability",
+            ("numpy", "networkx"),
         )
         assert loaded == []
 

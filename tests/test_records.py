@@ -86,3 +86,23 @@ def test_replay_bench_record():
     assert doc["rows"], "empty benchmark table"
     for row in doc["rows"]:
         assert float(row[-1]) > 1.0, row
+
+
+def test_journal_open_record():
+    """The reopen-vs-log-size curve: format-2 frames are smaller at
+    every size and reopen within the CI gate's ratio at 10k entries."""
+    doc = _load("BENCH_journal_open.json")
+    assert doc["schema"] == "repro.bench/1"
+    assert isinstance(doc["cpu_count"], int) and doc["cpu_count"] >= 1
+    assert doc["python"].count(".") == 2
+    assert doc["regenerate"] == (
+        "PYTHONPATH=src python benchmarks/bench_journal_open.py "
+        "--json benchmarks/results/BENCH_journal_open.json"
+    )
+    rows = [dict(zip(doc["headers"], row)) for row in doc["rows"]]
+    assert [r["entries"] for r in rows] == [1_000, 10_000, 50_000]
+    for r in rows:
+        assert r["records"] == 2 * r["entries"] + 1
+        assert r["v2_bytes"] < r["v1_bytes"] / 2
+        assert r["ratio"] < 1.0
+    assert rows[1]["ratio"] <= 0.8
