@@ -8,6 +8,9 @@ uninstall after the run, the frozen path works, the check sweep is
 sound, and the footprint predictor stays a single shared definition.
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -146,6 +149,162 @@ class TestFrozenPath:
         fut.result(timeout=60)
         assert fut.sanitize_report.ok
         np.testing.assert_allclose(y, np.full(64, 4.0, dtype=np.float32))
+
+
+def _lifecycle_graph(gate, started=None):
+    """One host task that captures a proxyable dict and blocks on
+    *gate*; returns the graph, the task body and its closure contents
+    (to check the sanitizer put every captured object back)."""
+    state = {"hits": 0}
+
+    def body():
+        if started is not None:
+            started.set()
+        gate.wait(30)
+        state["hits"] += 1
+
+    hf = Heteroflow("lifecycle")
+    hf.host(body, name="h")
+    return hf, body, [c.cell_contents for c in body.__closure__]
+
+
+def _retry_parked_graph():
+    """One host task that always fails: under a long-backoff retry
+    policy its first submission parks on the timer wheel while later
+    submissions of the graph stay queued."""
+    state = {"hits": 0}
+
+    def body():
+        state["hits"] += 1
+        raise ZeroDivisionError("parked")
+
+    hf = Heteroflow("parked")
+    hf.host(body, name="h")
+    return hf, body, [c.cell_contents for c in body.__closure__]
+
+
+def _assert_settled_clean(ex, body, originals):
+    ex.wait_for_all()
+    assert ex._observers == []
+    assert ex._futures == {}
+    assert all(
+        c.cell_contents is o for c, o in zip(body.__closure__, originals)
+    )
+
+
+def _assert_reports(fut):
+    """Both reports are filled by the time the future resolves."""
+    assert fut.done()
+    assert fut.run_report is not None
+    assert fut.sanitize_report is not None
+
+
+class TestSubmissionLifecycle:
+    """A ``sanitize=True, metrics=True`` submission on every resolving
+    path: its future settles with the path's outcome, both reports are
+    set before it resolves (or the submission is refused and nothing
+    leaks), and afterwards the executor holds no observer and no
+    future, and the host closures hold their original objects."""
+
+    def test_cancelled_while_queued(self):
+        from concurrent.futures import CancelledError
+
+        gate, started = threading.Event(), threading.Event()
+        hf, body, originals = _lifecycle_graph(gate, started)
+        with Executor(2, 0) as ex:
+            front = ex.run(hf)
+            assert started.wait(10)
+            fut = ex.run(hf, sanitize=True, metrics=True)
+            assert ex.cancel(fut)
+            with pytest.raises(CancelledError):
+                fut.result(timeout=10)
+            _assert_reports(fut)
+            gate.set()
+            front.result(timeout=30)
+            _assert_settled_clean(ex, body, originals)
+
+    def test_deadline_fires_while_queued(self):
+        from concurrent.futures import CancelledError
+
+        gate, started = threading.Event(), threading.Event()
+        hf, body, originals = _lifecycle_graph(gate, started)
+        with Executor(2, 0) as ex:
+            front = ex.run(hf)
+            assert started.wait(10)
+            fut = ex.run(hf, sanitize=True, metrics=True, deadline=0.05)
+            with pytest.raises(CancelledError):
+                fut.result(timeout=10)
+            _assert_reports(fut)
+            kinds = [e["kind"] for e in fut.run_report.events]
+            assert "deadline_exceeded" in kinds
+            gate.set()
+            front.result(timeout=30)
+            _assert_settled_clean(ex, body, originals)
+
+    def test_refused_by_admission(self):
+        from repro.errors import AdmissionRejectedError
+        from repro.service import AdmissionController
+
+        gate, started = threading.Event(), threading.Event()
+        hf, body, originals = _lifecycle_graph(gate, started)
+        ctrl = AdmissionController(max_topologies=1, policy="reject")
+        with Executor(2, 0, admission=ctrl) as ex:
+            front = ex.run(hf)
+            assert started.wait(10)
+            with pytest.raises(AdmissionRejectedError):
+                ex.run(hf, sanitize=True, metrics=True)
+            # refused before anything ran: the trace observer and the
+            # sanitizer's proxies are gone already
+            assert ex._observers == []
+            assert all(
+                c.cell_contents is o
+                for c, o in zip(body.__closure__, originals)
+            )
+            assert ex.metrics.snapshot()["sanitize.runs"] == 0
+            gate.set()
+            front.result(timeout=30)
+            _assert_settled_clean(ex, body, originals)
+
+    def test_unwaited_shutdown_while_queued(self):
+        from concurrent.futures import CancelledError
+
+        from repro.resilience import RetryPolicy
+
+        hf, body, originals = _retry_parked_graph()
+        policy = RetryPolicy(max_attempts=3, base_delay=30.0, jitter=0.0)
+        ex = Executor(2, 0)
+        parked = ex.run(hf, policy=policy)
+        deadline = time.monotonic() + 10
+        while (
+            ex.metrics.snapshot()["resilience.retries"] < 1
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.005)
+        fut = ex.run(hf, sanitize=True, metrics=True)
+        ex.shutdown(wait=False)
+        for f in (parked, fut):
+            with pytest.raises(CancelledError):
+                f.result(timeout=5)
+        _assert_reports(fut)
+        _assert_settled_clean(ex, body, originals)
+
+    def test_drain_force_resolves_a_wedged_run(self):
+        from repro.errors import ExecutorError
+
+        gate, started = threading.Event(), threading.Event()
+        hf, body, originals = _lifecycle_graph(gate, started)
+        with Executor(2, 0) as ex:
+            fut = ex.run(hf, sanitize=True, metrics=True)
+            assert started.wait(10)
+            assert ex.drain(timeout=0.2, cancel_grace=0.2) is False
+            # the task is still wedged, yet the future has settled with
+            # both reports filled
+            assert not gate.is_set()
+            with pytest.raises(ExecutorError):
+                fut.result(timeout=0)
+            _assert_reports(fut)
+            gate.set()
+            _assert_settled_clean(ex, body, originals)
 
 
 class TestSweep:
