@@ -23,9 +23,9 @@ Reproduces the runtime of paper §III-B/C:
   itself, onto the same worker's streams (stream-ordered
   continuation); only host successors go back to the queues;
 - per-device **buddy-allocator memory pools** back all pull buffers;
-- ``run`` / ``run_n`` / ``run_until`` are non-blocking and return
-  futures; ``wait_for_all`` blocks until every submitted graph is done;
-  the whole interface is thread-safe.
+- ``run`` / ``run_n`` / ``run_until`` are non-blocking; each builds one
+  topology and returns its one future; ``wait_for_all`` blocks until
+  every submitted graph is done; the whole interface is thread-safe.
 
 Every executor also owns a :class:`~repro.metrics.MetricsRegistry`
 (``executor.metrics``) fed by the worker loops — tasks executed, steal
@@ -33,7 +33,12 @@ attempts/successes, sleep/wake transitions, queue high-water marks —
 plus pull-style snapshots of the GPU layer and the buddy pools; and
 ``run(..., metrics=True)`` profiles a single submission into a
 :class:`~repro.metrics.RunReport`.  The full metric catalog is in
-``docs/observability.md``.
+``docs/observability.md``.  Profiling and ``sanitize=True`` do not wrap
+the future: they attach *finishers* to the topology, which runs them
+exactly once just before its future resolves — on finalization, a
+withdrawn queued submission, drain's force-resolve and a stranded
+shutdown alike — so ``run_report`` / ``sanitize_report`` are filled
+whenever the future is.
 
 **Fault tolerance** (docs/resilience.md).  Submissions accept a
 :class:`~repro.resilience.RetryPolicy`/`ResiliencePolicy` via
@@ -55,9 +60,12 @@ construction (``Executor(admission=...)``) bounds outstanding
 submissions by topology count and predicted device-memory footprint
 (the hflint HF020 static model), with ``block``/``reject``/``shed``
 backpressure.  ``run(..., deadline=, priority=)`` arms a per-submission
-deadline on the shared timer wheel (firing takes the cooperative-cancel
-path and records a structured ``deadline_exceeded`` event) and orders
-both the graph FIFO and the cross-graph overflow queue by priority.
+deadline on the shared timer wheel (firing records a structured
+``deadline_exceeded`` event) and orders both the graph FIFO and the
+cross-graph overflow queue by priority.  ``cancel``, a firing deadline,
+drain's stragglers and a shed victim share one withdraw rule: a
+submission still queued is unlinked and resolved at once; a started one
+is cancelled cooperatively (its remaining tasks flush unrun).
 ``drain(timeout=)`` stops admission and settles every outstanding
 future; ``shutdown(wait=False)`` never strands a future — anything
 still unresolved after teardown resolves with ``CancelledError``.
@@ -74,7 +82,7 @@ import random
 import threading
 import time
 from collections import deque
-from concurrent.futures import CancelledError, Future, InvalidStateError
+from concurrent.futures import CancelledError, Future
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro._lazy import np
@@ -421,7 +429,8 @@ class Executor:
         # shared nodes)
         self._graph_queues: Dict[int, deque] = {}
         self._graph_lock = threading.Lock()
-        # outstanding future -> topology (for cancel)
+        # outstanding submission: its future -> its topology, one entry
+        # per topology (cancel, drain stragglers, stranding)
         self._futures: Dict[Future, Topology] = {}
 
         # outstanding-topology accounting for wait_for_all
@@ -538,9 +547,6 @@ class Executor:
             return graph.lint(gpu_memory_bytes=pool)
         return _lint(graph, gpu_memory_bytes=pool)
 
-    def _lint_gate(self, graph: Union[Heteroflow, FrozenTopology]) -> None:
-        self.lint(graph).raise_if_errors()
-
     def run(
         self,
         graph: Union[Heteroflow, FrozenTopology],
@@ -574,8 +580,9 @@ class Executor:
         predicted pool exhaustion before any task executes.
 
         With ``metrics=True`` the submission is traced and profiled:
-        once the returned future completes, its ``run_report``
-        attribute holds a :class:`~repro.metrics.RunReport` (per-lane
+        the returned future's ``run_report`` attribute is None at
+        submission and holds a :class:`~repro.metrics.RunReport` by the
+        time the future resolves, however it resolves (per-lane
         utilization, critical path with slack, steal/placement
         summaries — see docs/observability.md).  The report covers only
         this graph's tasks, but the steal/counter snapshot it embeds is
@@ -599,21 +606,17 @@ class Executor:
         With ``sanitize=True`` the submission runs under the hfsan
         runtime sanitizer (docs/analysis.md, "Sanitizer"): kernel span
         arguments and host-captured mutable objects are wrapped in
-        recording proxies, and once the returned future completes its
-        ``sanitize_report`` attribute holds a
+        recording proxies, and the returned future's
+        ``sanitize_report`` attribute (None at submission) holds a
         :class:`~repro.analysis.sanitize.SanitizeReport` cross-checking
-        every observed access against the static effect inference.
+        every observed access against the static effect inference by
+        the time the future resolves.  Either way the returned future
+        is the submission's own: ``cancel`` and every other path act on
+        it directly.
         """
-        return self.run_n(
-            graph,
-            1,
-            lint=lint,
-            metrics=metrics,
-            sanitize=sanitize,
-            policy=policy,
-            deadline=deadline,
-            priority=priority,
-            bindings=bindings,
+        return self._run(
+            graph, 1, None, lint, metrics, sanitize, policy, deadline,
+            priority, bindings,
         )
 
     def _make_topology(
@@ -638,23 +641,10 @@ class Executor:
         """Run *graph* *n* times back to back; non-blocking."""
         if n < 0:
             raise ExecutorError("repeat count must be non-negative")
-        if deadline is not None and deadline <= 0:
-            raise ExecutorError("deadline must be positive (seconds)")
-        if lint:
-            self._lint_gate(graph)
-        topology = self._make_topology(
-            graph,
-            bindings=bindings,
-            repeats=n,
-            policy=policy,
-            priority=priority,
-            deadline_s=deadline,
+        return self._run(
+            graph, n, None, lint, metrics, sanitize, policy, deadline,
+            priority, bindings,
         )
-        if sanitize:
-            return self._submit_sanitized(topology, metrics=metrics)
-        if metrics:
-            return self._submit_profiled(topology)
-        return self._submit(topology)
 
     def run_until(
         self,
@@ -676,24 +666,123 @@ class Executor:
         """
         if not callable(predicate):
             raise ExecutorError("run_until requires a callable predicate")
+        return self._run(
+            graph, None, predicate, lint, metrics, sanitize, policy,
+            deadline, priority, bindings,
+        )
+
+    def _run(
+        self,
+        graph: Union[Heteroflow, FrozenTopology],
+        repeats: Optional[int],
+        predicate: Optional[Callable[[], bool]],
+        lint: bool,
+        metrics: bool,
+        sanitize: bool,
+        policy: Optional[object],
+        deadline: Optional[float],
+        priority: int,
+        bindings: Optional[Dict[str, Callable]],
+    ) -> Future:
+        """The one submission entry behind ``run``/``run_n``/
+        ``run_until``: deadline check, lint gate, topology, submit.
+
+        ``metrics``/``sanitize`` attach finishers to the topology
+        instead of wrapping its future: the topology runs them once,
+        just before its own future resolves, on every resolving path
+        (docs/runtime.md, "Submission lifecycle").  A refused
+        submission detaches what they would have detached."""
         if deadline is not None and deadline <= 0:
             raise ExecutorError("deadline must be positive (seconds)")
         if lint:
-            self._lint_gate(graph)
+            self.lint(graph).raise_if_errors()
         topology = self._make_topology(
             graph,
-            bindings=bindings,
-            repeats=None,
+            repeats=repeats,
             predicate=predicate,
             policy=policy,
             priority=priority,
             deadline_s=deadline,
+            bindings=bindings,
         )
+        if not (metrics or sanitize):
+            return self._submit(topology)
+        finishers = []
         if sanitize:
-            return self._submit_sanitized(topology, metrics=metrics)
+            # built before submission: effect inference must see the
+            # original captured objects, and the recording proxies must
+            # sit in the host closures before the first pass dispatches
+            from repro.analysis.sanitize import SanitizerSession
+
+            topology.sanitizer = SanitizerSession(topology.graph)
+            topology.future.sanitize_report = None  # type: ignore[attr-defined]
         if metrics:
-            return self._submit_profiled(topology)
-        return self._submit(topology)
+            from repro.core.observer import TraceObserver
+
+            obs = TraceObserver()
+            topology.future.run_report = None  # type: ignore[attr-defined]
+            self.add_observer(obs)
+            t0 = time.perf_counter()
+            finishers.append(
+                lambda topo: self._finish_profile(topo, obs, t0)
+            )
+        if sanitize:
+            finishers.append(self._finish_sanitize)
+        topology.finishers = finishers
+        try:
+            return self._submit(topology)
+        except BaseException:
+            # refused (admission, drain, validation): nothing ran, so
+            # there is no report to build
+            if metrics:
+                self.remove_observer(obs)
+            if sanitize:
+                topology.sanitizer.uninstall()
+            raise
+
+    def _finish_profile(self, topology: Topology, obs, t0: float) -> None:
+        """Profile finisher: detach the submission's trace observer and
+        attach its :class:`~repro.metrics.RunReport` to the future.
+
+        The observer is executor-wide for the run's duration, but the
+        report filters records down to this graph's node ids, so
+        concurrent submissions of *other* graphs don't pollute it.
+        (Back-to-back submissions of the *same* graph share nodes and
+        would; profile those one at a time.)"""
+        from repro.metrics.profiler import build_run_report
+
+        wall = time.perf_counter() - t0
+        self.remove_observer(obs)
+        try:
+            report = build_run_report(
+                topology.graph,
+                obs.records,
+                wall_time=wall,
+                num_workers=self._num_workers,
+                num_gpus=self.num_gpus,
+                passes=max(topology.passes_done, 1),
+                counters=self.metrics.snapshot(),
+                events=list(topology.events),
+            )
+        except Exception:  # pragma: no cover - profiler bug
+            report = None
+        topology.future.run_report = report  # type: ignore[attr-defined]
+
+    def _finish_sanitize(self, topology: Topology) -> None:
+        """Sanitize finisher: uninstall the proxies, cross-check the
+        observed accesses and attach the
+        :class:`~repro.analysis.sanitize.SanitizeReport` to the future
+        (docs/analysis.md, "Sanitizer")."""
+        session = topology.sanitizer
+        report = None
+        try:
+            report = session.finish()
+        except Exception:  # pragma: no cover - sanitizer bug
+            session.uninstall()
+        self._m_sanitized.inc()
+        if report is not None and report.divergences:
+            self._m_divergences.inc(len(report.divergences))
+        topology.future.sanitize_report = report  # type: ignore[attr-defined]
 
     def cancel(self, future: Future) -> bool:
         """Request cancellation of a submission by its future.
@@ -708,27 +797,22 @@ class Executor:
         """
         with self._graph_lock:
             topology = self._futures.get(future)
-            if topology is None or future.done():
-                return False
-            removed = not topology.started and self._remove_queued_locked(
-                topology
-            )
-            if removed:
-                # drop the alias too when cancelling via a profiled
-                # outer future
-                self._futures.pop(future, None)
-        if removed:
-            # never dispatched: resolve the future here, right now
-            self._resolve_removed(topology, None)
-        else:
-            topology.cancel()
+        if topology is None or future.done():
+            return False
+        self._withdraw(topology)
         return True
 
     def wait_for_all(self) -> None:
         """Block until every topology submitted so far has finished."""
+        self._wait_idle(None)
+
+    def _wait_idle(self, timeout: Optional[float]) -> bool:
+        """Wait until no topology is outstanding, at most *timeout*
+        seconds (None = forever); True when none is."""
         with self._topology_cv:
-            while self._num_topologies > 0:
-                self._topology_cv.wait()
+            return self._topology_cv.wait_for(
+                lambda: self._num_topologies == 0, timeout
+            )
 
     def drain(self, timeout: Optional[float] = None, *, cancel_grace: float = 10.0) -> bool:
         """Stop admitting new work and settle every outstanding
@@ -752,53 +836,27 @@ class Executor:
         the wedged task eventually returns.  Returns False.
         """
         self._draining = True
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._topology_cv:
-            while self._num_topologies > 0:
-                if deadline is None:
-                    self._topology_cv.wait()
-                    continue
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._topology_cv.wait(remaining)
-            if self._num_topologies == 0:
-                return True
-        # timeout: cancel the stragglers (dedupe — a profiled
-        # submission maps two futures to one topology)
+        if self._wait_idle(timeout):
+            return True
         with self._graph_lock:
-            stragglers = list(dict.fromkeys(self._futures.values()))
+            stragglers = list(self._futures.values())
         for topo in stragglers:
-            removed = False
-            with self._graph_lock:
-                if not topo.started:
-                    removed = self._remove_queued_locked(topo)
-            self._m_drain_cancelled.inc()
-            topo.event("drain_cancelled", started=topo.started)
-            if removed:
-                self._resolve_removed(topo, None)
-            else:
-                topo.cancel()
-        self._notifier.notify_all()
-        grace_deadline = time.monotonic() + cancel_grace
-        with self._topology_cv:
-            while self._num_topologies > 0:
-                remaining = grace_deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._topology_cv.wait(remaining)
+
+            def note() -> None:
+                self._m_drain_cancelled.inc()
+                topo.event("drain_cancelled", started=topo.started)
+
+            self._withdraw(topo, note)
+        self._wait_idle(cancel_grace)
         # anything still unresolved is wedged: settle the futures (the
         # run itself finalizes whenever the stuck task returns)
         for topo in stragglers:
-            try:
-                topo.future.set_exception(
-                    ExecutorError(
-                        "drain timed out and the submission did not "
-                        "settle within the cancel grace period"
-                    )
+            topo.complete(
+                ExecutorError(
+                    "drain timed out and the submission did not "
+                    "settle within the cancel grace period"
                 )
-            except InvalidStateError:
-                pass
+            )
         return False
 
     def shutdown(
@@ -840,7 +898,7 @@ class Executor:
         such future resolves with ``CancelledError`` so no caller
         blocks forever."""
         with self._graph_lock:
-            stranded = list(dict.fromkeys(self._futures.values()))
+            stranded = list(self._futures.values())
             self._futures.clear()
             self._graph_queues.clear()
         for topo in stranded:
@@ -862,144 +920,6 @@ class Executor:
     # ------------------------------------------------------------------
     # submission / topology lifecycle
     # ------------------------------------------------------------------
-    def _submit_profiled(self, topology: Topology) -> Future:
-        """Submit under a per-run trace observer; the returned future
-        carries a ``run_report`` attribute once it completes.
-
-        The observer is executor-wide for the run's duration, but the
-        report filters records down to this graph's node ids, so
-        concurrent submissions of *other* graphs don't pollute it.
-        (Back-to-back submissions of the *same* graph share nodes and
-        would; profile those one at a time.)
-        """
-        from repro.core.observer import TraceObserver
-        from repro.metrics.profiler import build_run_report
-
-        obs = TraceObserver()
-        self.add_observer(obs)
-        t0 = time.perf_counter()
-        outer: Future = Future()
-        outer.run_report = None  # type: ignore[attr-defined]
-        try:
-            inner = self._submit(topology)
-        except BaseException:
-            # admission rejection / drain refusal: the done callback
-            # below will never run, so detach the observer here
-            try:
-                self.remove_observer(obs)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-            raise
-        # alias the outer future so Executor.cancel(outer) works; the
-        # done callback (which always runs after this mapping exists)
-        # cleans it up
-        with self._graph_lock:
-            self._futures[outer] = topology
-
-        def _done(f: Future) -> None:
-            wall = time.perf_counter() - t0
-            try:
-                self.remove_observer(obs)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-            # cleanup must be idempotent and unconditional: cancel paths
-            # may have popped these already, and nothing below may stop
-            # the mapping from being cleared
-            with self._graph_lock:
-                self._futures.pop(outer, None)
-                self._futures.pop(f, None)
-            exc = f.exception()
-            passes = topology.passes_done
-            try:
-                report = build_run_report(
-                    topology.graph,
-                    obs.records,
-                    wall_time=wall,
-                    num_workers=self._num_workers,
-                    num_gpus=self.num_gpus,
-                    passes=max(passes, 1),
-                    counters=self.metrics.snapshot(),
-                    events=list(topology.events),
-                )
-            except Exception:  # pragma: no cover - profiler bug
-                report = None
-            outer.run_report = report  # type: ignore[attr-defined]
-            try:
-                if exc is not None:
-                    outer.set_exception(exc)
-                else:
-                    outer.set_result(f.result())
-            except InvalidStateError:
-                # the outer future was cancelled/resolved independently
-                pass
-
-        inner.add_done_callback(_done)
-        return outer
-
-    def _submit_sanitized(
-        self, topology: Topology, *, metrics: bool = False
-    ) -> Future:
-        """Submit under the hfsan runtime sanitizer; the returned future
-        carries a ``sanitize_report`` attribute once it completes
-        (docs/analysis.md, "Sanitizer").
-
-        The session must be built *before* submission — effect
-        inference has to see the original captured objects, and the
-        recording proxies must already sit in the host closures when
-        the first pass dispatches.  The run takes the _Attempt route
-        (the inline route invokes host slots without the per-task
-        attribution hook); everything else — admission, deadlines,
-        retries, metrics profiling — composes unchanged.
-        """
-        from repro.analysis.sanitize import SanitizerSession
-
-        session = SanitizerSession(topology.graph)
-        topology.sanitizer = session
-        outer: Future = Future()
-        outer.sanitize_report = None  # type: ignore[attr-defined]
-        try:
-            if metrics:
-                inner = self._submit_profiled(topology)
-            else:
-                inner = self._submit(topology)
-        except BaseException:
-            # admission rejection / drain refusal: the done callback
-            # below will never run, so restore the closures here
-            session.uninstall()
-            raise
-        with self._graph_lock:
-            self._futures[outer] = topology
-
-        def _done(f: Future) -> None:
-            report = None
-            try:
-                report = session.finish()
-            except Exception:  # pragma: no cover - sanitizer bug
-                session.uninstall()
-            self._m_sanitized.inc()
-            if report is not None and report.divergences:
-                self._m_divergences.inc(len(report.divergences))
-            outer.sanitize_report = report  # type: ignore[attr-defined]
-            if metrics:
-                outer.run_report = getattr(  # type: ignore[attr-defined]
-                    f, "run_report", None
-                )
-            with self._graph_lock:
-                self._futures.pop(outer, None)
-                self._futures.pop(f, None)
-            exc = f.exception()
-            try:
-                if exc is not None:
-                    outer.set_exception(exc)
-                else:
-                    outer.set_result(f.result())
-            except InvalidStateError:
-                # the outer future was cancelled/resolved independently
-                pass
-
-        inner.add_done_callback(_done)
-        return outer
-
     def _submit(self, topology: Topology) -> Future:
         if self._done:
             raise ExecutorError("executor is shut down")
@@ -1008,7 +928,7 @@ class Executor:
         graph = topology.graph
         if topology.repeats == 0 or graph.empty:
             # nothing to execute: resolve immediately with zero passes
-            topology.future.set_result(0)
+            topology.complete()
             return topology.future
         if topology.frozen is None:
             # frozen graphs were lowered at freeze() and cannot have
@@ -1106,72 +1026,80 @@ class Executor:
         accepted work survives longest.  The victim's future resolves
         with a structured ``AdmissionRejectedError("shed")`` and its
         capacity returns to the ledger."""
-        victim: Optional[Topology] = None
-        with self._graph_lock:
-            for q in self._graph_queues.values():
-                for t in q:
-                    if t.started or t.priority >= priority:
-                        continue
-                    if (
-                        victim is None
-                        or t.priority < victim.priority
-                        or (
-                            t.priority == victim.priority
-                            and t.submit_seq > victim.submit_seq
-                        )
-                    ):
-                        victim = t
-            if victim is None:
-                return False
-            self._remove_queued_locked(victim)
-        self._m_shed.inc()
-        victim.event(
-            "admission_shed", priority=victim.priority, by_priority=priority
-        )
         assert self._admission is not None
-        exc = self._admission.rejection(
-            "shed",
-            priority=victim.priority,
-            footprint_bytes=victim.footprint_bytes,
-        )
-        self._resolve_removed(victim, exc)
-        return True
+        while True:
+            with self._graph_lock:
+                queued = [
+                    t
+                    for q in self._graph_queues.values()
+                    for t in q
+                    if not t.started and t.priority < priority
+                ]
+            if not queued:
+                return False
+            victim = min(queued, key=lambda t: (t.priority, -t.submit_seq))
 
-    def _remove_queued_locked(self, topology: Topology) -> bool:
-        """Unlink a not-yet-started topology from its graph queue and
-        the futures map; caller holds ``_graph_lock``.  False when it is
-        already started or already gone (another remover won)."""
-        if topology.started:
-            return False
-        q = self._graph_queues.get(id(topology.graph))
-        if q is None or topology not in q:
-            return False
-        q.remove(topology)
-        if not q:
-            del self._graph_queues[id(topology.graph)]
-        self._futures.pop(topology.future, None)
-        return True
+            def note() -> None:
+                self._m_shed.inc()
+                victim.event(
+                    "admission_shed",
+                    priority=victim.priority,
+                    by_priority=priority,
+                )
 
-    def _resolve_removed(
-        self, topology: Topology, exc: Optional[BaseException]
-    ) -> None:
-        """Settle a topology removed from its graph queue before it
-        started: cancel its deadline, resolve the future (*exc*, or
-        ``CancelledError`` when None), return its admission capacity,
-        and drop it from the outstanding count.  Must be called exactly
-        once, by whichever path's :meth:`_remove_queued_locked` returned
-        True, and never under ``_graph_lock`` (future callbacks run
-        inline and may take it)."""
+            exc = self._admission.rejection(
+                "shed",
+                priority=victim.priority,
+                footprint_bytes=victim.footprint_bytes,
+            )
+            # a victim promoted since the scan is started: never shed it
+            if self._withdraw(victim, note, exc, queued_only=True):
+                return True
+
+    def _withdraw(
+        self,
+        topology: Topology,
+        note: Optional[Callable[[], None]] = None,
+        error: Optional[BaseException] = None,
+        queued_only: bool = False,
+    ) -> bool:
+        """Take an outstanding submission back — the one path for
+        ``cancel``, drain's stragglers, a firing deadline and a shed
+        victim.
+
+        Still queued (never started): unlink it from its graph FIFO and
+        the futures map, and resolve it here with *error*
+        (``CancelledError`` when None), returning its admission
+        capacity.  Started: fail it cooperatively — tasks already
+        running finish, the rest flush unrun and finalization resolves
+        it.  *note* (the caller's event and counter) runs in between,
+        so the finishers' reports include it.  With *queued_only* a
+        started topology is left alone and False returned.  Never
+        called under ``_graph_lock`` (finishers and future callbacks
+        run inline and may take it)."""
+        with self._graph_lock:
+            q = self._graph_queues.get(id(topology.graph))
+            queued = not topology.started and q is not None and topology in q
+            if queued:
+                q.remove(topology)
+                if not q:
+                    del self._graph_queues[id(topology.graph)]
+                self._futures.pop(topology.future, None)
+            elif queued_only:
+                return False
+        if note is not None:
+            note()
+        topology.fail(CancelledError() if error is None else error)
+        if not queued:
+            self._notifier.notify_all()
+            return True
         self._cancel_topology_deadline(topology)
-        if exc is None:
-            topology.cancel()
-        else:
-            topology.fail(exc)
         topology.complete()
         self._release_admission(topology)
         with self._topology_cv:
             self._num_topologies -= 1
             self._topology_cv.notify_all()
+        return True
 
     def _release_admission(self, topology: Topology) -> None:
         """Return the topology's admission capacity, exactly once."""
@@ -1201,22 +1129,17 @@ class Executor:
         ``deadline_exceeded`` event is recorded."""
         if topology.future.done() or topology.failed:
             return
-        removed = False
-        with self._graph_lock:
-            if not topology.started:
-                removed = self._remove_queued_locked(topology)
-        self._m_deadline.inc()
-        topology.event(
-            "deadline_exceeded",
-            deadline_s=topology.deadline_s,
-            started=topology.started,
-            passes_done=topology.passes_done,
-        )
-        if removed:
-            self._resolve_removed(topology, None)
-        else:
-            topology.cancel()
-            self._notifier.notify_all()
+
+        def note() -> None:
+            self._m_deadline.inc()
+            topology.event(
+                "deadline_exceeded",
+                deadline_s=topology.deadline_s,
+                started=topology.started,
+                passes_done=topology.passes_done,
+            )
+
+        self._withdraw(topology, note)
 
     def _start_topology(self, topology: Topology) -> None:
         """Place the submission and seed its first pass.  A frozen
@@ -1515,7 +1438,7 @@ class Executor:
             return
         if gen != topology.gen:
             # recovery slipped in between the gen check and enter()
-            self._leave(topology)
+            topology.leave()
             return
         if topology.failed:
             # fast-cancel: flush remaining slots without running them
@@ -1524,7 +1447,7 @@ class Executor:
             else:
                 self._m_flushed.inc(wid)
             self._finish_node(topology, slot, gen)
-            self._leave(topology)
+            topology.leave()
             return
         node = topology.lowering.nodes[slot]
         if continued:
@@ -1622,7 +1545,7 @@ class Executor:
                 # a successful GPU attempt finishes in its stream callback
                 on_dispatcher=attempt.stream is not None,
             )
-            if self._leave(attempt.topology):
+            if attempt.topology.leave():
                 self._recover(attempt.topology)
         else:
             self._handle_failure(attempt, err)
@@ -1650,7 +1573,7 @@ class Executor:
             self._quarantine_device(err.ordinal)
             topology.event("device_failed", device=err.ordinal, task=node.name)
             topology.request_recovery(err.ordinal)
-            if self._leave(topology):
+            if topology.leave():
                 self._recover(topology)
             return
 
@@ -1681,7 +1604,7 @@ class Executor:
             dinfo = policy.delay_info(n_attempt, key=node.nid)
             delay = dinfo.seconds
             topology.record_retry_delay(node.nid, dinfo)
-            need_recovery = self._leave(topology)
+            need_recovery = topology.leave()
             if need_recovery:
                 # a device failure arrived mid-flight; recovery will
                 # reschedule this node (it is not done)
@@ -1701,7 +1624,7 @@ class Executor:
         # ops_executed as a stream_seq would collide with a real op
         stream = None if isinstance(err, TaskTimeoutError) else attempt.stream
         self._task_done(wid, topology, attempt.slot, stream=stream, gen=attempt.gen)
-        if self._leave(topology):
+        if topology.leave():
             self._recover(topology)
 
     def _fail_task(
@@ -1744,9 +1667,6 @@ class Executor:
         the normal cascade so the pass can finish."""
         if topology.gen == gen:
             self._schedule(topology, (slot,), gen)
-
-    def _leave(self, topology: Topology) -> bool:
-        return topology.leave()
 
     def _quarantine_stream(self, stream: Stream) -> None:
         """Retire one stream from the per-(worker, device) map; the
@@ -1946,12 +1866,6 @@ class Executor:
                     streams[device_ordinal] = s
         return s
 
-    def _attempt_callback(self, attempt: _Attempt) -> Callable:
-        def done(err: Optional[BaseException]) -> None:
-            self._attempt_finished(attempt, err)
-
-        return done
-
     def _snapshotting(self) -> bool:
         """Capture pull snapshots only when device failure is possible
         (a fault profile is armed or a device already died) — replay
@@ -1987,12 +1901,11 @@ class Executor:
             else:
                 buf.dtype = host.dtype
             capture = self._snapshotting()
-            inner = self._attempt_callback(attempt)
 
             def done(err: Optional[BaseException]) -> None:
                 if err is None and capture:
                     node.pull_snapshot = np.array(host, copy=True)
-                inner(err)
+                self._attempt_finished(attempt, err)
 
             self._gpu.memcpy_h2d_async(buf, host, stream, callback=done)
 
@@ -2015,7 +1928,6 @@ class Executor:
             attempt.stream = stream
             staging = np.empty(src.size, dtype=src.dtype)
             span = node.span
-            inner = self._attempt_callback(attempt)
 
             def done(err: Optional[BaseException]) -> None:
                 if err is None:
@@ -2023,7 +1935,7 @@ class Executor:
                         span.write_back(staging)
                     except BaseException as exc:  # noqa: BLE001
                         err = exc
-                inner(err)
+                self._attempt_finished(attempt, err)
 
             self._gpu.memcpy_d2h_async(staging, src, stream, callback=done)
 
@@ -2059,5 +1971,5 @@ class Executor:
                 node.launch,
                 kernel_fn,
                 *converted,
-                callback=self._attempt_callback(attempt),
+                callback=lambda err: self._attempt_finished(attempt, err),
             )

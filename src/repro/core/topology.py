@@ -5,9 +5,12 @@ called *topology* is created to marshal execution parameters and
 runtime metadata.  Each heteroflow object has a list of topologies to
 track individual execution status" (paper §III-C).
 
-A topology owns one promise/future pair for caller signalling, the
-repeat predicate implementing ``run``/``run_n``/``run_until``, the
-placement result, and the pass-completion counter.
+A topology owns one promise/future pair for caller signalling — the
+future ``run*`` returns — plus the *finishers* that fill its
+``run_report``/``sanitize_report`` once, just before it resolves
+(:meth:`Topology.complete`), the repeat predicate implementing
+``run``/``run_n``/``run_until``, the placement result, and the
+pass-completion counter.
 
 Since the resilience layer (docs/resilience.md) it also tracks:
 
@@ -58,6 +61,12 @@ PASS_DONE: Tuple[int, ...] = ()
 
 class Topology:
     """Runtime state for one ``Executor.run*`` submission."""
+
+    #: callables ``finish(topology)`` run once by :meth:`complete` just
+    #: before the future resolves (``run(metrics=/sanitize=)`` reports);
+    #: a plain submission keeps this shared empty tuple
+    finishers: Sequence[Callable[["Topology"], None]] = ()
+    _finishing = False
 
     def __init__(
         self,
@@ -262,16 +271,31 @@ class Topology:
         assert self.predicate is not None
         return bool(self.predicate())
 
-    def complete(self) -> None:
-        """Resolve the future (exception if any task failed).
+    def complete(self, error: Optional[BaseException] = None) -> None:
+        """Run the finishers, then resolve the future: with *error* if
+        given, else with the first task error, else with the pass count.
 
-        Tolerates an already-resolved future: a drain timeout or a
-        ``wait=False`` shutdown may have force-resolved it while the
-        flush cascade was still finishing (docs/runtime.md).
+        Every resolving path ends here — finalization, a withdrawn
+        queued submission, drain's force-resolve after its cancel grace
+        and a stranded shutdown — so the finishers run exactly once,
+        just before the future resolves: the first caller claims them
+        and resolves; a later caller returns.  Without finishers an
+        already-resolved future is tolerated instead (a drain timeout or
+        a ``wait=False`` shutdown may have force-resolved it while the
+        flush cascade was still finishing; docs/runtime.md).
         """
+        if self.finishers:
+            with self._lock:
+                claimed, self._finishing = self._finishing, True
+            if claimed:
+                return
+            for finish in self.finishers:
+                finish(self)
+        if error is None:
+            error = self.error
         try:
-            if self.error is not None:
-                self.future.set_exception(self.error)
+            if error is not None:
+                self.future.set_exception(error)
             else:
                 self.future.set_result(self.passes_done)
         except InvalidStateError:

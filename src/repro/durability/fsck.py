@@ -11,8 +11,11 @@ prove the log it is about to replay is internally consistent.
 Severity model:
 
 - ``corruptions`` (bad frame / checksum / marker mid-log, sequence
-  regression, duplicate accept or settle, orphan settle) — the journal
-  can no longer prove exactly-once settlement; ``repro fsck`` exits 1;
+  regression, duplicate accept or settle, orphan settle, a record
+  missing a field open() needs, a segment header of a newer format
+  than this build reads) — the journal can no longer prove
+  exactly-once settlement, or is not this build's to judge;
+  ``repro fsck`` exits 1;
 - ``torn_tail_bytes`` — expected crash residue at the end of the final
   segment; open() will truncate it; *not* an error;
 - ``tmp_segments`` — an uncommitted ``*.tmp`` compact segment left by
@@ -31,9 +34,10 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.durability.journal import (
     is_tmp_segment,
+    record_problem,
     scan_bytes,
+    segment_header,
     segment_index,
-    segment_is_compact,
 )
 
 
@@ -41,7 +45,7 @@ from repro.durability.journal import (
 class FsckFinding:
     """One corruption finding: where and what."""
 
-    kind: str  # checksum | frame | marker | pickle | sequence | duplicate | orphan
+    kind: str  # checksum | frame | marker | pickle | sequence | duplicate | orphan | format | field
     segment: str
     offset: int
     detail: str = ""
@@ -148,7 +152,7 @@ def fsck(path: str) -> FsckReport:
     # mirror open(): the newest compact segment supersedes older ones
     start = 0
     for i, name in enumerate(names):
-        if segment_is_compact(os.path.join(path, name)):
+        if segment_header(os.path.join(path, name)).get("compact"):
             start = i
     report.stale_segments = start
     names = names[start:]
@@ -186,6 +190,11 @@ def fsck(path: str) -> FsckReport:
                 )
             else:
                 max_seq = seq
+            problem = record_problem(rec)
+            if problem is not None:
+                bad, detail = problem
+                report.corruptions.append(FsckFinding(bad, name, offset, detail))
+                continue
             if kind == "accepted":
                 jid = rec.get("jid")
                 if jid in entries:

@@ -36,9 +36,12 @@ Crash-consistency rules, in the style of etcd's WAL:
   the *final* segment — is the expected residue of an interrupted
   append and is truncated away on :meth:`Journal.open`;
 - corruption anywhere else (bad frame mid-segment, checksum failure in
-  a non-final segment, a sequence regression, a duplicate settle)
-  cannot be explained by a crash and raises a structured
-  :class:`~repro.errors.JournalCorruptError` instead of guessing;
+  a non-final segment, a sequence regression, a duplicate settle, a
+  record missing a field open needs) cannot be explained by a crash
+  and raises a structured :class:`~repro.errors.JournalCorruptError`
+  instead of guessing — as does a segment header whose ``format`` is
+  newer than this build reads, before anything is removed or truncated
+  (:func:`record_problem` is the one rule, shared with ``repro fsck``);
 - every append is written as one frame and fsync'd (policy
   ``"always"``) before the caller proceeds; a failed write is rolled
   back by truncating to the pre-append offset, so torn bytes never
@@ -94,7 +97,7 @@ _SEGMENT_RE = re.compile(r"^seg-(\d{8})\.wal$")
 #: its final name only once complete, removed as stale residue on open
 TMP_SUFFIX = ".tmp"
 
-#: largest first-frame payload segment_is_compact() will read (a real
+#: largest first-frame payload segment_header() will read (a real
 #: ``segment_header`` is a few dozen bytes)
 _HEADER_FRAME_MAX = 64 << 10
 
@@ -343,30 +346,71 @@ def scan_bytes(data: bytes) -> Tuple[List[Tuple[int, dict]], int, Optional[Tuple
     return records, off, None
 
 
-def segment_is_compact(path: str) -> bool:
-    """Does the segment at *path* start a compacted generation?  True
-    when its first record is a compact ``segment_header``; reads and
-    decodes that one frame only.  :meth:`Journal.open` and
-    :func:`repro.durability.fsck.fsck` both start the live generation
-    at the newest such segment."""
+def segment_header(path: str) -> dict:
+    """The ``segment_header`` record that starts the segment at *path*,
+    or ``{}`` when its first frame is missing, unreadable or another
+    kind; reads and decodes that one frame only.  :meth:`Journal.open`
+    and :func:`repro.durability.fsck.fsck` both start the live
+    generation at the newest compact header, and both judge every
+    header's ``format`` before anything else (:func:`record_problem`)."""
     try:
         with open(path, "rb") as fh:
             head = fh.read(FRAME_OVERHEAD)
             if len(head) < FRAME_OVERHEAD:
-                return False
+                return {}
             marker, length, _crc = _FRAME.unpack(head)
             if marker != MARKER:
-                return False
+                return {}
             if length > _HEADER_FRAME_MAX:
-                return False
+                return {}
             head += fh.read(length)
     except OSError:
-        return False
+        return {}
     records, _end, _problem = scan_bytes(head)
-    if not records:
-        return False
-    first = records[0][1]
-    return first.get("kind") == "segment_header" and bool(first.get("compact"))
+    if not records or records[0][1].get("kind") != "segment_header":
+        return {}
+    return records[0][1]
+
+
+def _corrupt(problem: Tuple[str, str], segment: str, offset: int) -> JournalCorruptError:
+    kind, detail = problem
+    return JournalCorruptError(
+        kind, segment, offset,
+        f"journal corrupt ({kind}: {detail}) in segment {segment!r} at "
+        f"byte {offset}",
+    )
+
+
+#: the fields :meth:`Journal.open` needs of each submission record kind
+_REQUIRED_FIELDS = {
+    "accepted": ("jid",),
+    "settled": ("jid",),
+    "frozen": ("fid", "spec"),
+}
+
+
+def record_problem(rec: dict) -> Optional[Tuple[str, str]]:
+    """Why a decoded, CRC-valid record cannot be applied, as
+    ``(kind, detail)``, or None when it can: ``"format"`` for a segment
+    header written by a newer build, or with a ``format`` that is not
+    an int (its frames are not this build's to read, let alone
+    truncate), ``"field"`` for a submission record
+    without a field open() needs.  :meth:`Journal.open` raises
+    :class:`~repro.errors.JournalCorruptError` and ``repro fsck``
+    reports a finding by this one rule."""
+    kind = rec.get("kind")
+    if kind == "segment_header":
+        fmt = rec.get("format", 1)
+        if type(fmt) is not int or fmt > FORMAT:
+            return "format", (
+                f"segment format {fmt!r} is not one this build reads "
+                f"(format {FORMAT} or older)"
+            )
+        return None
+    missing = [f for f in _REQUIRED_FIELDS.get(kind, ()) if f not in rec]
+    if missing:
+        return "field", f"{kind} record without {', '.join(missing)}"
+    return None
 
 
 #: the accepted-record fields a :class:`JournalEntry` keeps
@@ -586,6 +630,16 @@ class Journal:
             return self
         os.makedirs(self.path, exist_ok=True)
         report = OpenReport()
+        names = sorted(
+            n for n in os.listdir(self.path) if segment_index(n) is not None
+        )
+        headers = [segment_header(os.path.join(self.path, n)) for n in names]
+        # a newer build's log is refused before anything is removed or
+        # truncated: its frames would otherwise read as a torn tail
+        for name, header in zip(names, headers):
+            problem = record_problem(header)
+            if problem is not None:
+                raise _corrupt(problem, name, 0)
         # an uncommitted compact segment (crash mid-compaction, before
         # the rename) is residue, never state — the superseded
         # generation it was replacing is still complete on disk
@@ -593,16 +647,13 @@ class Journal:
             if is_tmp_segment(name):
                 self._os.unlink(os.path.join(self.path, name))
                 report.tmp_removed += 1
-        names = sorted(
-            n for n in os.listdir(self.path) if segment_index(n) is not None
-        )
 
         # the newest compact segment supersedes everything before it;
         # a crash between "write compact segment" and "delete the old
         # ones" leaves harmless leftovers we drop (and remove) here
         start = 0
-        for i, name in enumerate(names):
-            if segment_is_compact(os.path.join(self.path, name)):
+        for i, header in enumerate(headers):
+            if header.get("compact"):
                 start = i
         for name in names[:start]:
             self._os.unlink(os.path.join(self.path, name))
@@ -639,7 +690,13 @@ class Journal:
                 if seq <= max_seq:
                     raise JournalCorruptError("sequence", name, offset)
                 max_seq = seq
-                jid = apply(rec, name, offset)
+                try:
+                    jid = apply(rec, name, offset)
+                except KeyError:
+                    problem = record_problem(rec)
+                    if problem is None:  # pragma: no cover - apply bug
+                        raise
+                    raise _corrupt(problem, name, offset) from None
                 if jid > max_jid:
                     max_jid = jid
             report.records += len(records)
@@ -1117,5 +1174,6 @@ __all__ = [
     "segment_name",
     "segment_index",
     "is_tmp_segment",
-    "segment_is_compact",
+    "segment_header",
+    "record_problem",
 ]

@@ -286,7 +286,9 @@ class JournalCorruptError(JournalError):
 
     Structured fields: :attr:`segment`, byte :attr:`offset`, and the
     finding :attr:`kind` (``"checksum"``, ``"frame"``, ``"marker"``,
-    or ``"sequence"``).
+    ``"sequence"``, ``"duplicate"``, ``"orphan"``, ``"field"`` for a
+    record missing a field open needs, or ``"format"`` for a segment
+    written by a newer build — refused before any byte is truncated).
     """
 
     def __init__(self, kind: str, segment: str, offset: int, message: str = "") -> None:

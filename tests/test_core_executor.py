@@ -387,10 +387,14 @@ def _gpu_chain(kernels=8):
 class TestGpuContinuation:
     """Stream-ordered continuation: on the healthy route a finished GPU
     task launches its ready GPU successors from its stream dispatcher,
-    so they never pass through a queue.  With one worker every pop is
-    deterministic: the submitter pushes the source pull to the shared
-    queue and, on the queue path, each stream callback pushes the next
-    GPU task there too."""
+    so they never pass through a queue — and only there (recovery,
+    host fallbacks and sanitized runs keep the queue path).  With one
+    worker every pop is deterministic: the submitter pushes the source
+    pull to the shared queue and, on the queue path, each stream
+    callback pushes the next GPU task there too.  Together with
+    ``test_metrics.py``'s exact-count tests for dispatcher-side lane
+    increments under a 1 us switch interval, this class is the route
+    gate for continuation; it runs in the tier-1 suite."""
 
     CHAIN = 10  # pull + 8 kernels + push
 

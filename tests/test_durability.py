@@ -430,6 +430,67 @@ class TestFormatCompatibility:
         assert header["format"] == FORMAT and header["compact"] is True
 
 
+    @pytest.mark.parametrize("fmt", [3, "3"])
+    def test_newer_format_is_refused_and_nothing_truncated(self, tmp_path, fmt):
+        """A format-3 header: this build cannot read the frames after
+        it, so open() refuses the log instead of truncating them as a
+        torn tail, and fsck calls it corrupt.  A ``format`` that is not
+        an int is refused the same way, not with a bare TypeError."""
+        path = tmp_path / "j"
+        path.mkdir()
+        seg = path / segment_name(1)
+        data = encode_record(
+            {"kind": "segment_header", "seq": 1, "index": 1,
+             "compact": False, "format": fmt}
+        )
+        # a record in a layout this build does not know
+        data += _frame(bytes([0x7F]) + b"format-3 record")
+        seg.write_bytes(data)
+        assert FORMAT < 3
+        with pytest.raises(JournalCorruptError) as err:
+            Journal(str(path)).open()
+        assert err.value.kind == "format"
+        assert (err.value.segment, err.value.offset) == (segment_name(1), 0)
+        assert seg.read_bytes() == data
+        assert os.listdir(path) == [segment_name(1)]
+        report = fsck(str(path))
+        assert not report.clean
+        assert [c.kind for c in report.corruptions] == ["format"]
+
+
+class TestRecordFields:
+    """A CRC-valid record without a field open() needs is corruption —
+    the same finding in open() and in fsck, never a bare KeyError."""
+
+    @pytest.mark.parametrize(
+        "rec",
+        [
+            {"kind": "accepted", "seq": 2},
+            {"kind": "settled", "seq": 2},
+            {"kind": "frozen", "seq": 2, "fid": 1},
+            {"kind": "frozen", "seq": 2, "spec": None},
+        ],
+        ids=["accepted-jid", "settled-jid", "frozen-spec", "frozen-fid"],
+    )
+    def test_missing_field_is_corruption(self, tmp_path, rec):
+        path = tmp_path / "j"
+        path.mkdir()
+        seg = path / segment_name(1)
+        data = encode_record(
+            {"kind": "segment_header", "seq": 1, "index": 1,
+             "compact": False, "format": FORMAT}
+        ) + encode_record(rec)
+        seg.write_bytes(data)
+        offset = len(data) - len(encode_record(rec))
+        with pytest.raises(JournalCorruptError) as err:
+            Journal(str(path)).open()
+        assert err.value.kind == "field"
+        assert (err.value.segment, err.value.offset) == (segment_name(1), offset)
+        assert seg.read_bytes() == data
+        report = fsck(str(path))
+        assert [(c.kind, c.offset) for c in report.corruptions] == [("field", offset)]
+
+
 class TestJournal:
     def test_append_reopen_rebuilds_state(self, tmp_path):
         path = str(tmp_path / "j")

@@ -5,7 +5,12 @@ imported everything), and each is a deterministic statement about
 ``sys.modules`` — no timings.  See docs/programming_model.md: the
 ``repro``, ``repro.core``, ``repro.gateway``, ``repro.analysis`` and
 ``repro.utils`` package surfaces load their names on first use
-(PEP 562), and neither serving process imports numpy.
+(PEP 562), and neither serving process imports numpy.  Concretely: a
+host-only gateway worker loads no numpy, networkx, asyncio or gateway
+front end; the gateway front end with its journal, ``import repro``
+and ``python -m repro --help`` load no numpy; and each of the five lazy
+surfaces resolves every exported name on first use.  The gate runs in
+the tier-1 suite.
 """
 
 from __future__ import annotations

@@ -4,10 +4,13 @@ The sanitizer swaps recording proxies into task callables, runs the
 graph normally, and cross-checks every observed access against the
 static effect inference.  These tests cover: clean runs stay clean and
 numerically intact, a deliberately-wrong declaration diverges, proxies
-uninstall after the run, the frozen path works, the check sweep is
-sound, and the footprint predictor stays a single shared definition.
+uninstall after the run, the frozen path works, a sanitized and
+profiled submission fills both reports on every resolving path and
+leaves nothing registered, the check sweep is sound, and the footprint
+predictor stays a single shared definition.
 """
 
+import sys
 import threading
 import time
 
@@ -305,6 +308,92 @@ class TestSubmissionLifecycle:
             _assert_reports(fut)
             gate.set()
             _assert_settled_clean(ex, body, originals)
+
+    def test_zero_passes_resolves_at_submission(self):
+        hf, body, originals = _lifecycle_graph(threading.Event())
+        with Executor(2, 0) as ex:
+            fut = ex.run_n(hf, 0, sanitize=True, metrics=True)
+            assert fut.result(timeout=0) == 0
+            _assert_reports(fut)
+            _assert_settled_clean(ex, body, originals)
+
+    def test_one_future_entry_per_outstanding_submission(self):
+        gate, started = threading.Event(), threading.Event()
+        hf, body, originals = _lifecycle_graph(gate, started)
+        with Executor(2, 0) as ex:
+            front = ex.run(hf)
+            try:
+                assert started.wait(10)
+                queued = [
+                    ex.run(hf, sanitize=True, metrics=True),
+                    ex.run(hf, sanitize=True, metrics=True),
+                    ex.run(hf, metrics=True),
+                    ex.run(hf, sanitize=True),
+                ]
+                with ex._graph_lock:
+                    entries = dict(ex._futures)
+                assert set(entries) == {front, *queued}
+                assert len(set(map(id, entries.values()))) == len(entries)
+                # each report attribute is None from submission on,
+                # exactly when it was requested
+                for f in queued[:3]:
+                    assert f.run_report is None
+                for f in (queued[0], queued[1], queued[3]):
+                    assert f.sanitize_report is None
+                assert not hasattr(queued[2], "sanitize_report")
+                assert not hasattr(queued[3], "run_report")
+            finally:
+                gate.set()
+            for f in (front, *queued):
+                f.result(timeout=30)
+            for f in queued[:3]:
+                assert f.run_report is not None
+            for f in (queued[0], queued[1], queued[3]):
+                assert f.sanitize_report is not None
+            _assert_settled_clean(ex, body, originals)
+
+
+    def test_finishers_run_once_under_withdraw_races(self):
+        """Cancels and deadlines race promotion and finalization of
+        profiled, sanitized siblings on more workers than cores, with a
+        1 us switch interval: every future resolves with both reports
+        set, each sanitize finisher ticks ``sanitize.runs`` exactly
+        once, and nothing is left registered."""
+        from concurrent.futures import CancelledError
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with Executor(4, 0) as ex:
+                futs = []
+                for i in range(60):
+                    hf = Heteroflow(f"race{i}")
+                    log = []
+                    hf.host(lambda: log.append(time.sleep(0.0005)), name="h")
+                    first = ex.run(hf, sanitize=True, metrics=True)
+                    second = ex.run(
+                        hf, sanitize=True, metrics=True,
+                        deadline=0.001 if i % 3 == 0 else None,
+                    )
+                    futs += [first, second]
+                    target = second if i % 2 == 0 else first
+                    canceller = threading.Thread(target=ex.cancel, args=(target,))
+                    canceller.start()
+                    canceller.join(10)
+                    assert not canceller.is_alive()
+                for f in futs:
+                    try:
+                        f.result(timeout=30)
+                    except CancelledError:
+                        pass
+                    _assert_reports(f)
+                ex.wait_for_all()
+                assert ex.metrics.snapshot()["sanitize.runs"] == len(futs)
+                assert ex._observers == []
+                with ex._graph_lock:
+                    assert ex._futures == {} and ex._graph_queues == {}
+        finally:
+            sys.setswitchinterval(old)
 
 
 class TestSweep:
