@@ -1,21 +1,22 @@
 """Read-only journal validation: ``repro fsck <journal>``.
 
-Walks every segment of a :class:`~repro.durability.Journal` directory
-without mutating a byte, re-deriving exactly the judgements
-:meth:`Journal.open` would make — checksums, frame structure, sequence
-monotonicity, settle-exactly-once — and reporting them instead of
-acting on them.  Operators run it before pointing a recovering gateway
-at a journal; the crash soak runs it after every SIGKILL cycle to
-prove the log it is about to replay is internally consistent.
+Runs the same fold over a :class:`~repro.durability.Journal` directory
+that :meth:`Journal.open` runs (:func:`~repro.durability.journal.fold_log`)
+— headers and their ``format``, frames and checksums, the record
+schema, sequence monotonicity, settle-exactly-once — without touching a
+byte, and reports every finding where open() raises at the first.
+Operators run it before pointing a recovering gateway at a journal;
+the crash soak runs it after every SIGKILL cycle to prove the log it
+is about to replay is internally consistent.
 
 Severity model:
 
-- ``corruptions`` (bad frame / checksum / marker mid-log, sequence
-  regression, duplicate accept or settle, orphan settle, a record
-  missing a field open() needs, a segment header of a newer format
-  than this build reads) — the journal can no longer prove
-  exactly-once settlement, or is not this build's to judge;
-  ``repro fsck`` exits 1;
+- ``corruptions`` (bad frame / checksum / marker mid-log, a record
+  that breaks :data:`~repro.durability.journal.RECORD_SCHEMA`, sequence
+  regression, duplicate accept or settle, orphan settle, a segment
+  header of a newer format than this build reads) — the journal can no
+  longer prove exactly-once settlement, or is not this build's to
+  judge; open() refuses it and ``repro fsck`` exits 1;
 - ``torn_tail_bytes`` — expected crash residue at the end of the final
   segment; open() will truncate it; *not* an error;
 - ``tmp_segments`` — an uncommitted ``*.tmp`` compact segment left by
@@ -30,22 +31,16 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.durability.journal import (
-    is_tmp_segment,
-    record_problem,
-    scan_bytes,
-    segment_header,
-    segment_index,
-)
+from repro.durability.journal import fold_log
 
 
 @dataclass
 class FsckFinding:
     """One corruption finding: where and what."""
 
-    kind: str  # checksum | frame | marker | pickle | sequence | duplicate | orphan | format | field
+    kind: str  # checksum | frame | marker | pickle | field | format | sequence | duplicate | orphan | missing
     segment: str
     offset: int
     detail: str = ""
@@ -139,92 +134,28 @@ class FsckReport:
 
 def fsck(path: str) -> FsckReport:
     """Validate the journal directory at *path* read-only."""
-    report = FsckReport(path=str(path))
     if not os.path.isdir(path):
-        report.corruptions.append(
-            FsckFinding("missing", "", 0, f"{path} is not a directory")
+        return FsckReport(
+            path=str(path),
+            corruptions=[FsckFinding("missing", "", 0, f"{path} is not a directory")],
         )
-        return report
-    listing = os.listdir(path)
-    report.tmp_segments = sum(1 for n in listing if is_tmp_segment(n))
-    names = sorted(n for n in listing if segment_index(n) is not None)
-
-    # mirror open(): the newest compact segment supersedes older ones
-    start = 0
-    for i, name in enumerate(names):
-        if segment_header(os.path.join(path, name)).get("compact"):
-            start = i
-    report.stale_segments = start
-    names = names[start:]
-
-    entries: Dict[int, bool] = {}  # jid -> settled?
-    keys: Dict[int, str] = {}
-    max_seq = 0
-    for pos, name in enumerate(names):
-        final = pos == len(names) - 1
-        spath = os.path.join(path, name)
-        with open(spath, "rb") as fh:
-            data = fh.read()
-        records, good_end, problem = scan_bytes(data)
-        report.segments += 1
-        report.bytes_scanned += good_end
-        if problem is not None:
-            kind, offset = problem
-            if final:
-                report.torn_tail_bytes += len(data) - good_end
-            else:
-                report.corruptions.append(
-                    FsckFinding(kind, name, offset, "in a non-final segment")
-                )
-        for offset, rec in records:
-            report.records += 1
-            kind = rec.get("kind", "?")
-            report.record_kinds[kind] = report.record_kinds.get(kind, 0) + 1
-            seq = rec.get("seq", 0)
-            if seq <= max_seq:
-                report.corruptions.append(
-                    FsckFinding(
-                        "sequence", name, offset,
-                        f"seq {seq} after {max_seq}",
-                    )
-                )
-            else:
-                max_seq = seq
-            problem = record_problem(rec)
-            if problem is not None:
-                bad, detail = problem
-                report.corruptions.append(FsckFinding(bad, name, offset, detail))
-                continue
-            if kind == "accepted":
-                jid = rec.get("jid")
-                if jid in entries:
-                    report.corruptions.append(
-                        FsckFinding("duplicate", name, offset, f"accepted jid {jid} twice")
-                    )
-                else:
-                    entries[jid] = False
-                    keys[jid] = rec.get("key", "")
-                    report.accepted += 1
-            elif kind == "settled":
-                jid = rec.get("jid")
-                if jid not in entries:
-                    report.corruptions.append(
-                        FsckFinding("orphan", name, offset, f"settle for unknown jid {jid}")
-                    )
-                elif entries[jid]:
-                    report.corruptions.append(
-                        FsckFinding("duplicate", name, offset, f"jid {jid} settled twice")
-                    )
-                else:
-                    entries[jid] = True
-                    report.settled += 1
-            elif kind == "frozen":
-                report.frozen += 1
-
-    report.unsettled = sorted(
-        (jid, keys.get(jid, "")) for jid, done in entries.items() if not done
+    corruptions: List[FsckFinding] = []
+    fold = fold_log(path, lambda *finding: corruptions.append(FsckFinding(*finding)))
+    return FsckReport(
+        path=str(path),
+        segments=len(fold.live),
+        records=fold.records,
+        record_kinds=fold.record_kinds,
+        bytes_scanned=fold.bytes_scanned,
+        torn_tail_bytes=fold.torn[2] if fold.torn else 0,
+        stale_segments=len(fold.stale),
+        tmp_segments=len(fold.tmp),
+        accepted=len(fold.entries),
+        settled=len(fold.entries) - len(fold.unsettled),
+        frozen=len(fold.frozen),
+        unsettled=[(jid, fold.entries[jid].key) for jid in sorted(fold.unsettled)],
+        corruptions=corruptions,
     )
-    return report
 
 
 __all__ = ["fsck", "FsckReport", "FsckFinding"]

@@ -36,12 +36,13 @@ Crash-consistency rules, in the style of etcd's WAL:
   the *final* segment — is the expected residue of an interrupted
   append and is truncated away on :meth:`Journal.open`;
 - corruption anywhere else (bad frame mid-segment, checksum failure in
-  a non-final segment, a sequence regression, a duplicate settle, a
-  record missing a field open needs) cannot be explained by a crash
-  and raises a structured :class:`~repro.errors.JournalCorruptError`
+  a non-final segment, a record that breaks :data:`RECORD_SCHEMA`, a
+  sequence regression, a duplicate settle) cannot be explained by a
+  crash and raises a structured :class:`~repro.errors.JournalCorruptError`
   instead of guessing — as does a segment header whose ``format`` is
-  newer than this build reads, before anything is removed or truncated
-  (:func:`record_problem` is the one rule, shared with ``repro fsck``);
+  newer than this build reads.  :func:`fold_log` is the one read of a
+  log, shared with ``repro fsck``: open() repairs nothing until it
+  found nothing, so a refused log is left byte for byte as it was;
 - every append is written as one frame and fsync'd (policy
   ``"always"``) before the caller proceeds; a failed write is rolled
   back by truncating to the pre-append offset, so torn bytes never
@@ -68,6 +69,7 @@ from __future__ import annotations
 
 import errno
 import io
+import operator
 import os
 import pickle
 import re
@@ -75,7 +77,7 @@ import struct
 import threading
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import JournalCorruptError, JournalError, JournalWriteError
 from repro.durability.osshim import OsFacade
@@ -100,9 +102,6 @@ TMP_SUFFIX = ".tmp"
 #: largest first-frame payload segment_header() will read (a real
 #: ``segment_header`` is a few dozen bytes)
 _HEADER_FRAME_MAX = 64 << 10
-
-#: record kinds a segment may carry
-RECORD_KINDS = ("segment_header", "accepted", "settled", "frozen")
 
 #: the only globals a journal payload may reference when decoded: the
 #: picklable spec classes plus a handful of benign builtins.  ``repro
@@ -161,18 +160,81 @@ _SETTLED = struct.Struct("<BQQiiidHHH")
 #: target name -> its 2-bit code in the accepted flags byte
 _TARGET_CODES = {name: code for code, name in enumerate(_TARGETS)}
 
+#: the default of a schema field that has none: a record without it
+#: is corrupt
+REQUIRED = object()
+
+_INT, _STR, _NONE = (int,), (str,), type(None)
+
+#: The one rule for what a record holds, shared by the codec, open()
+#: and ``repro fsck``: record kind -> its fields in write order, each
+#: ``name: (allowed, default)``.  *allowed* is a tuple of exact types
+#: (a bool is not an int) or of the str values the field may take, or
+#: None for any value; *default* fills a field a record omits, or is
+#: :data:`REQUIRED`.  Every kind also carries ``seq``, a required int.
+#: It describes what formats 1 and 2 write, so an int ``wall_s`` or
+#: ``deadline`` (which the struct form pickles rather than widen) is
+#: allowed.
+RECORD_SCHEMA: Dict[str, Dict[str, tuple]] = {
+    "segment_header": {
+        "index": (_INT, REQUIRED),
+        "compact": ((bool,), REQUIRED),
+        "format": (_INT, 1),
+    },
+    "accepted": {
+        "jid": (_INT, REQUIRED),
+        "key": (_STR, ""),
+        "target": (_TARGETS, "spec"),
+        "spec": (None, None),
+        "fid": ((int, _NONE), None),
+        "iid": ((int, _NONE), None),
+        "priority": (_INT, 0),
+        "deadline": ((float, int, _NONE), None),
+        "repeats": (_INT, 1),
+        "tenant": (_STR, ""),
+    },
+    "settled": {
+        "jid": (_INT, REQUIRED),
+        "outcome": (_STR, "failed"),
+        "passes": (_INT, 0),
+        "error": (_STR, ""),
+        "reason": (_STR, ""),
+        "wall_s": ((float, int), 0.0),
+        "replans": (_INT, 0),
+        "wid": (_INT, -1),
+    },
+    "frozen": {"fid": (_INT, REQUIRED), "spec": (None, REQUIRED)},
+}
+for _fields in RECORD_SCHEMA.values():
+    _fields["seq"] = (_INT, REQUIRED)
+
+#: record kinds a segment may carry
+RECORD_KINDS = tuple(RECORD_SCHEMA)
+#: keys of a record that carries every field of its kind (and ``kind``)
+_KEYS = {kind: len(fields) + 1 for kind, fields in RECORD_SCHEMA.items()}
+#: the defaults a pickled record's omitted fields take
+_DEFAULTS = {
+    kind: {name: d for name, (_a, d) in fields.items() if d is not REQUIRED}
+    for kind, fields in RECORD_SCHEMA.items()
+}
+#: the fields a :class:`JournalEntry` keeps, in its constructor's order,
+#: and those kept as :attr:`JournalEntry.settled`
+_ENTRY_NAMES = tuple(n for n in RECORD_SCHEMA["accepted"] if n != "seq")
+_SETTLED_NAMES = tuple(n for n in RECORD_SCHEMA["settled"] if n not in ("jid", "seq"))
+_entry_values = operator.itemgetter(*_ENTRY_NAMES)
+
 
 def _pack(record: dict) -> Optional[bytes]:
     """The struct-packed payload of *record*, or None when it is not a
     per-op record or does not fit the packed layout exactly (the
     caller pickles it instead).  A record fits when it has exactly the
-    keys its kind writes — the length check plus reading every one of
-    them — with ints of type int within their fields' widths, floats
-    of type float, and strings of type str that encode to UTF-8 (no
-    lone surrogates) within a u16 length."""
+    keys its kind declares in :data:`RECORD_SCHEMA` — the length check
+    plus reading every one of them — with ints of type int within
+    their fields' widths, floats of type float, and strings of type str
+    that encode to UTF-8 (no lone surrogates) within a u16 length."""
     try:
         kind = record["kind"]
-        if kind == "settled" and len(record) == 10:
+        if kind == "settled" and len(record) == _KEYS["settled"]:
             seq, jid, wall_s = record["seq"], record["jid"], record["wall_s"]
             passes, replans, wid = record["passes"], record["replans"], record["wid"]
             outcome, error, reason = record["outcome"], record["error"], record["reason"]
@@ -184,7 +246,8 @@ def _pack(record: dict) -> Optional[bytes]:
                     _TAG_SETTLED, seq, jid, passes, replans, wid, wall_s,
                     len(o), len(e), len(r),
                 ) + o + e + r
-        elif kind == "accepted" and len(record) == 12 and record["spec"] is None:
+        elif (kind == "accepted" and len(record) == _KEYS["accepted"]
+                and record["spec"] is None):
             seq, jid, fid, iid = record["seq"], record["jid"], record["fid"], record["iid"]
             priority, repeats, deadline = (
                 record["priority"], record["repeats"], record["deadline"]
@@ -348,96 +411,72 @@ def scan_bytes(data: bytes) -> Tuple[List[Tuple[int, dict]], int, Optional[Tuple
 
 def segment_header(path: str) -> dict:
     """The ``segment_header`` record that starts the segment at *path*,
-    or ``{}`` when its first frame is missing, unreadable or another
-    kind; reads and decodes that one frame only.  :meth:`Journal.open`
-    and :func:`repro.durability.fsck.fsck` both start the live
-    generation at the newest compact header, and both judge every
-    header's ``format`` before anything else (:func:`record_problem`)."""
+    or ``{}`` when its first frame is missing, unreadable or not a
+    header; reads and decodes that one frame only.  :func:`fold_log`
+    judges every segment's header by it, stale ones included, and
+    starts the live generation at the newest compact one."""
     try:
         with open(path, "rb") as fh:
             head = fh.read(FRAME_OVERHEAD)
-            if len(head) < FRAME_OVERHEAD:
-                return {}
-            marker, length, _crc = _FRAME.unpack(head)
-            if marker != MARKER:
-                return {}
-            if length > _HEADER_FRAME_MAX:
-                return {}
-            head += fh.read(length)
+            if len(head) == FRAME_OVERHEAD:
+                head += fh.read(min(_FRAME.unpack(head)[1], _HEADER_FRAME_MAX))
     except OSError:
         return {}
-    records, _end, _problem = scan_bytes(head)
-    if not records or records[0][1].get("kind") != "segment_header":
-        return {}
-    return records[0][1]
+    records = scan_bytes(head)[0]
+    rec = records[0][1] if records else None
+    return rec if type(rec) is dict and rec.get("kind") == "segment_header" else {}
 
 
-def _corrupt(problem: Tuple[str, str], segment: str, offset: int) -> JournalCorruptError:
-    kind, detail = problem
-    return JournalCorruptError(
-        kind, segment, offset,
-        f"journal corrupt ({kind}: {detail}) in segment {segment!r} at "
-        f"byte {offset}",
-    )
-
-
-#: the fields :meth:`Journal.open` needs of each submission record kind
-_REQUIRED_FIELDS = {
-    "accepted": ("jid",),
-    "settled": ("jid",),
-    "frozen": ("fid", "spec"),
-}
-
-
-def record_problem(rec: dict) -> Optional[Tuple[str, str]]:
-    """Why a decoded, CRC-valid record cannot be applied, as
-    ``(kind, detail)``, or None when it can: ``"format"`` for a segment
-    header written by a newer build, or with a ``format`` that is not
-    an int (its frames are not this build's to read, let alone
-    truncate), ``"field"`` for a submission record
-    without a field open() needs.  :meth:`Journal.open` raises
-    :class:`~repro.errors.JournalCorruptError` and ``repro fsck``
-    reports a finding by this one rule."""
+def record_problem(rec: object) -> Optional[Tuple[str, str]]:
+    """Why a decoded, CRC-valid record breaks :data:`RECORD_SCHEMA`, as
+    ``(kind, detail)``, or None when it keeps it: ``"format"`` for a
+    segment header whose ``format`` is not an int this build reads (its
+    frames are not this build's to read, let alone truncate), ``"field"``
+    for anything else — a record that is not a dict, of no or an
+    unknown kind, without a required field, or with a field of a type
+    or value its kind does not allow."""
+    if type(rec) is not dict:
+        return "field", f"a {type(rec).__name__} record, not a dict"
     kind = rec.get("kind")
+    fields = RECORD_SCHEMA.get(kind) if type(kind) is str else None
+    if fields is None:
+        return "field", f"a record of unknown kind {kind!r:.40}"
     if kind == "segment_header":
         fmt = rec.get("format", 1)
         if type(fmt) is not int or fmt > FORMAT:
             return "format", (
-                f"segment format {fmt!r} is not one this build reads "
+                f"segment format {fmt!r:.40} is not one this build reads "
                 f"(format {FORMAT} or older)"
             )
-        return None
-    missing = [f for f in _REQUIRED_FIELDS.get(kind, ()) if f not in rec]
-    if missing:
-        return "field", f"{kind} record without {', '.join(missing)}"
+    for name, (allowed, default) in fields.items():
+        if name not in rec:
+            if default is REQUIRED:
+                return "field", f"{kind} record without {name}"
+            continue
+        value = rec[name]
+        if allowed is not None and type(value) not in allowed and not (
+            type(value) is str and value in allowed
+        ):
+            return "field", f"{kind} record with {name}={value!r:.40}"
     return None
-
-
-#: the accepted-record fields a :class:`JournalEntry` keeps
-_ENTRY_FIELDS = (
-    "jid", "key", "target", "spec", "fid", "iid", "priority", "deadline",
-    "repeats", "tenant",
-)
-#: the settled-record fields kept as :attr:`JournalEntry.settled`
-_SETTLE_FIELDS = (
-    "outcome", "passes", "error", "reason", "wall_s", "replans", "wid",
-)
 
 
 @dataclass(slots=True)
 class JournalEntry:
-    """In-memory view of one journaled submission (jid-keyed)."""
+    """In-memory view of one journaled submission (jid-keyed): the
+    ``accepted`` fields of :data:`RECORD_SCHEMA`, in its order, plus
+    the settled fields once settled."""
 
     jid: int
-    key: str = ""
-    target: str = "spec"  # "spec" | "frozen" | "instance"
-    spec: object = None
-    fid: Optional[int] = None
-    iid: Optional[int] = None
-    priority: int = 0
-    deadline: Optional[float] = None
-    repeats: int = 1
-    tenant: str = ""
+    key: str
+    target: str  # "spec" | "frozen" | "instance"
+    spec: object
+    fid: Optional[int]
+    iid: Optional[int]
+    priority: int
+    deadline: Optional[float]
+    repeats: int
+    tenant: str
     settled: Optional[dict] = None
 
     @property
@@ -446,39 +485,139 @@ class JournalEntry:
 
     @classmethod
     def from_record(cls, rec: dict) -> "JournalEntry":
-        try:
-            # every accepted record carries every field (struct-packed
-            # ones by construction)
-            return cls(
-                rec["jid"], rec["key"], rec["target"], rec["spec"],
-                rec["fid"], rec["iid"], rec["priority"], rec["deadline"],
-                rec["repeats"], rec["tenant"],
-            )
-        except KeyError:
-            # a sparse pickled record: absent fields take their defaults
-            return cls(**{k: rec[k] for k in _ENTRY_FIELDS if k in rec})
+        """The entry of an accepted record that carries every field
+        (struct-packed ones by construction; :func:`fold_log` fills a
+        pickled one's omitted fields from the schema)."""
+        return cls(*_entry_values(rec))
 
     def accepted_record(self) -> dict:
         """The (seq-less) accepted record this entry re-serializes to —
         used by compaction to carry live entries forward."""
-        return {
-            "kind": "accepted",
-            "jid": self.jid,
-            "key": self.key,
-            "target": self.target,
-            "spec": self.spec,
-            "fid": self.fid,
-            "iid": self.iid,
-            "priority": self.priority,
-            "deadline": self.deadline,
-            "repeats": self.repeats,
-            "tenant": self.tenant,
-        }
+        return {"kind": "accepted", **{n: getattr(self, n) for n in _ENTRY_NAMES}}
 
     def settled_record(self) -> dict:
         """The (seq-less) settled record this entry re-serializes to —
         used by compaction to keep keyed settlements replayable."""
         return {"kind": "settled", "jid": self.jid, **(self.settled or {})}
+
+
+@dataclass
+class LogFold:
+    """What one read-only pass over a journal directory found
+    (:func:`fold_log`): the state :meth:`Journal.open` installs and
+    ``repro fsck`` reports, and the repairs open() makes once the pass
+    found nothing."""
+
+    live: List[str] = field(default_factory=list)  # from the newest compact header on
+    stale: List[str] = field(default_factory=list)  # superseded by a compact segment
+    tmp: List[str] = field(default_factory=list)  # uncommitted *.tmp compact residue
+    torn: Optional[Tuple[str, int, int]] = None  # (segment, good end, torn bytes)
+    records: int = 0
+    record_kinds: Dict[str, int] = field(default_factory=dict)
+    bytes_scanned: int = 0
+    max_seq: int = 0
+    entries: Dict[int, JournalEntry] = field(default_factory=dict)
+    by_key: Dict[str, int] = field(default_factory=dict)
+    unsettled: Set[int] = field(default_factory=set)
+    frozen: Dict[int, object] = field(default_factory=dict)
+
+
+def fold_log(
+    path: str, on_finding: Callable[[str, str, int, str], None]
+) -> LogFold:
+    """Read every segment of the journal directory *path* and fold its
+    records into one state, touching no file.
+
+    Every segment header, stale ones included, is judged first (a
+    segment whose header is refused is not read further); the live
+    generation starts at the newest compact header.  A bad frame is a
+    torn tail only at the end of the final segment.  Every pickled
+    record is checked against :data:`RECORD_SCHEMA` — struct-packed
+    ones are typed by construction — and a schema failure is corruption
+    wherever it is, since truncating a CRC-valid record would lose
+    data.  Then come the sequence, duplicate-accept, orphan-settle and
+    duplicate-settle rules.  Each finding goes to *on_finding* as
+    ``(kind, segment, offset, detail)``, and the record it names is not
+    applied: :meth:`Journal.open` raises at the first, ``repro fsck``
+    collects them all."""
+    fold = LogFold()
+    listing = os.listdir(path)
+    fold.tmp = sorted(n for n in listing if is_tmp_segment(n))
+    names = sorted(n for n in listing if segment_index(n) is not None)
+    refused: Set[str] = set()
+    start = 0
+    for i, name in enumerate(names):
+        header = segment_header(os.path.join(path, name))
+        problem = record_problem(header) if header else None
+        if problem is not None:
+            refused.add(name)
+            on_finding(problem[0], name, 0, problem[1])
+        elif header.get("compact"):
+            start = i
+    fold.stale, fold.live = names[:start], names[start:]
+
+    entries, by_key, unsettled = fold.entries, fold.by_key, fold.unsettled
+    kinds = fold.record_kinds
+    max_seq = 0
+    for pos, name in enumerate(fold.live):
+        if name in refused:
+            continue
+        with open(os.path.join(path, name), "rb") as fh:
+            data = fh.read()
+        records, good_end, problem = scan_bytes(data)
+        fold.records += len(records)
+        fold.bytes_scanned += good_end
+        for offset, rec in records:
+            if data[offset + FRAME_OVERHEAD] == PICKLE_PROTO:
+                bad = record_problem(rec)
+                if bad is not None:
+                    on_finding(bad[0], name, offset, bad[1])
+                    continue
+                rec = {**_DEFAULTS[rec["kind"]], **rec}
+            kind = rec["kind"]
+            kinds[kind] = kinds.get(kind, 0) + 1
+            seq = rec["seq"]
+            if seq <= max_seq:
+                on_finding("sequence", name, offset, f"seq {seq} after {max_seq}")
+                continue
+            max_seq = seq
+            if kind == "accepted":
+                jid = rec["jid"]
+                if jid in entries:
+                    on_finding("duplicate", name, offset, f"accepted jid {jid} twice")
+                    continue
+                entry = entries[jid] = JournalEntry.from_record(rec)
+                unsettled.add(jid)
+                if entry.key:
+                    by_key[entry.key] = jid
+            elif kind == "settled":
+                jid = rec["jid"]
+                entry = entries.get(jid)
+                if entry is None:
+                    on_finding("orphan", name, offset, f"settle for unknown jid {jid}")
+                elif entry.settled is not None:
+                    on_finding("duplicate", name, offset, f"jid {jid} settled twice")
+                else:
+                    entry.settled = {k: rec[k] for k in _SETTLED_NAMES}
+                    unsettled.discard(jid)
+            elif kind == "frozen":
+                fold.frozen[rec["fid"]] = rec["spec"]
+        if problem is not None:
+            if pos == len(fold.live) - 1:
+                fold.torn = (name, good_end, len(data) - good_end)
+            else:
+                on_finding(problem[0], name, problem[1], "in a non-final segment")
+    fold.max_seq = max_seq
+    return fold
+
+
+def _refuse(kind: str, segment: str, offset: int, detail: str) -> None:
+    """:meth:`Journal.open`'s answer to a finding."""
+    raise JournalCorruptError(
+        kind, segment, offset,
+        f"journal corrupt ({kind}: {detail}) in segment {segment!r} at "
+        f"byte {offset}",
+    )
 
 
 @dataclass
@@ -623,149 +762,63 @@ class Journal:
 
     # -- open / close --------------------------------------------------
     def open(self) -> "Journal":
-        """Open (or create) the journal: scan every segment, truncate
-        a torn tail, rebuild the in-memory state, and position the
-        write head.  Idempotent."""
+        """Open (or create) the journal: fold every segment into the
+        in-memory state (:func:`fold_log`), and only once the log proved
+        sound repair it — remove ``*.tmp`` residue and pre-compaction
+        segments, truncate a torn tail — and position the write head.
+        A refused log raises :class:`~repro.errors.JournalCorruptError`
+        with every file as it was.  Idempotent."""
         if self._open:
             return self
         os.makedirs(self.path, exist_ok=True)
-        report = OpenReport()
-        names = sorted(
-            n for n in os.listdir(self.path) if segment_index(n) is not None
-        )
-        headers = [segment_header(os.path.join(self.path, n)) for n in names]
-        # a newer build's log is refused before anything is removed or
-        # truncated: its frames would otherwise read as a torn tail
-        for name, header in zip(names, headers):
-            problem = record_problem(header)
-            if problem is not None:
-                raise _corrupt(problem, name, 0)
+        fold = fold_log(self.path, _refuse)
+        report = OpenReport(segments=len(fold.live), records=fold.records)
         # an uncommitted compact segment (crash mid-compaction, before
         # the rename) is residue, never state — the superseded
         # generation it was replacing is still complete on disk
-        for name in os.listdir(self.path):
-            if is_tmp_segment(name):
-                self._os.unlink(os.path.join(self.path, name))
-                report.tmp_removed += 1
-
-        # the newest compact segment supersedes everything before it;
+        for name in fold.tmp:
+            self._os.unlink(os.path.join(self.path, name))
+            report.tmp_removed += 1
         # a crash between "write compact segment" and "delete the old
-        # ones" leaves harmless leftovers we drop (and remove) here
-        start = 0
-        for i, header in enumerate(headers):
-            if header.get("compact"):
-                start = i
-        for name in names[:start]:
+        # ones" leaves harmless leftovers
+        for name in fold.stale:
             self._os.unlink(os.path.join(self.path, name))
             report.dropped_segments += 1
-        names = names[start:]
+        if fold.torn is not None:
+            # torn tail: the expected residue of an interrupted append
+            name, good_end, report.torn_tail_bytes = fold.torn
+            report.torn_truncations = 1
+            self._m_torn.inc()
+            fd = self._os.open(os.path.join(self.path, name), os.O_WRONLY)
+            try:
+                self._os.ftruncate(fd, good_end)
+                if self.fsync_policy != "never":
+                    self._os.fsync(fd)
+            finally:
+                self._os.close(fd)
 
-        max_seq = 0
-        max_jid = 0
-        for pos, name in enumerate(names):
-            final = pos == len(names) - 1
-            spath = os.path.join(self.path, name)
-            with open(spath, "rb") as fh:
-                data = fh.read()
-            records, good_end, problem = scan_bytes(data)
-            if problem is not None:
-                kind, offset = problem
-                if not final:
-                    raise JournalCorruptError(kind, name, offset)
-                # torn tail: the expected residue of an interrupted
-                # append — truncate it away and carry on
-                report.torn_tail_bytes += len(data) - good_end
-                report.torn_truncations += 1
-                self._m_torn.inc()
-                fd = self._os.open(spath, os.O_WRONLY)
-                try:
-                    self._os.ftruncate(fd, good_end)
-                    if self.fsync_policy != "never":
-                        self._os.fsync(fd)
-                finally:
-                    self._os.close(fd)
-            apply = self._apply
-            for offset, rec in records:
-                seq = rec.get("seq", 0)
-                if seq <= max_seq:
-                    raise JournalCorruptError("sequence", name, offset)
-                max_seq = seq
-                try:
-                    jid = apply(rec, name, offset)
-                except KeyError:
-                    problem = record_problem(rec)
-                    if problem is None:  # pragma: no cover - apply bug
-                        raise
-                    raise _corrupt(problem, name, offset) from None
-                if jid > max_jid:
-                    max_jid = jid
-            report.records += len(records)
-            report.segments += 1
-
-        self._next_seq = max_seq + 1
-        self._next_jid = max_jid + 1
-        counts = self.counts()
-        report.entries = counts["entries"]
-        report.unsettled = counts["unsettled"]
-        report.frozen = counts["frozen"]
+        self.entries, self.by_key = fold.entries, fold.by_key
+        self.frozen_specs, self._unsettled = fold.frozen, fold.unsettled
+        self._droppable_count = sum(
+            1 for e in self.entries.values() if self._droppable(e)
+        )
+        self._next_seq = fold.max_seq + 1
+        self._next_jid = max(self.entries, default=0) + 1
+        report.entries, report.unsettled, report.frozen = (
+            len(self.entries), len(self._unsettled), len(self.frozen_specs)
+        )
         self.open_report = report
 
-        if names:
-            self._seg_index = segment_index(names[-1])
-            spath = os.path.join(self.path, names[-1])
+        self._open = True
+        if fold.live:
+            self._seg_index = segment_index(fold.live[-1])
+            spath = os.path.join(self.path, fold.live[-1])
             self._seg_size = os.path.getsize(spath)
             self._fd = self._os.open(spath, os.O_WRONLY)
             os.lseek(self._fd, self._seg_size, os.SEEK_SET)
-            self._open = True
         else:
-            self._open = True
             self._new_segment(1, compact=False)
         return self
-
-    def _apply(self, rec: dict, segment: str, offset: int) -> int:
-        """Fold one scanned record into the state; returns its jid (0
-        for non-submission records)."""
-        kind = rec.get("kind")
-        if kind == "accepted":
-            jid = rec["jid"]
-            if jid in self.entries:
-                raise JournalCorruptError(
-                    "duplicate", segment, offset,
-                    f"journal corrupt (duplicate accepted jid {jid}) in "
-                    f"segment {segment!r} at byte {offset}",
-                )
-            entry = JournalEntry.from_record(rec)
-            self.entries[jid] = entry
-            self._unsettled.add(jid)
-            if entry.key:
-                self.by_key[entry.key] = jid
-            return jid
-        if kind == "settled":
-            jid = rec["jid"]
-            entry = self.entries.get(jid)
-            if entry is None:
-                raise JournalCorruptError(
-                    "orphan", segment, offset,
-                    f"journal corrupt (settled orphan jid {jid}) in "
-                    f"segment {segment!r} at byte {offset}",
-                )
-            if entry.settled is not None:
-                raise JournalCorruptError(
-                    "duplicate", segment, offset,
-                    f"journal corrupt (duplicate settle for jid {jid}) in "
-                    f"segment {segment!r} at byte {offset}",
-                )
-            try:  # every field, as every build writes it
-                fields = {k: rec[k] for k in _SETTLE_FIELDS}
-            except KeyError:
-                fields = {k: rec[k] for k in _SETTLE_FIELDS if k in rec}
-            self._mark_settled(entry, fields)
-            return jid
-        if kind == "frozen":
-            self.frozen_specs[rec["fid"]] = rec["spec"]
-        # segment headers carry no state; unknown kinds are skipped
-        # (forward compatibility)
-        return 0
 
     def close(self) -> None:
         with self._lock:
@@ -877,16 +930,11 @@ class Journal:
                 "wid": wid,
             }
             self._append({"kind": "settled", "jid": jid, **fields})
-            self._mark_settled(entry, fields)
+            entry.settled = fields
+            self._unsettled.discard(jid)
+            if self._droppable(entry):
+                self._droppable_count += 1
             self._maybe_compact()
-
-    def _mark_settled(self, entry: JournalEntry, fields: dict) -> None:
-        """Record *entry*'s durable settlement in memory and in the
-        summary counts."""
-        entry.settled = fields
-        self._unsettled.discard(entry.jid)
-        if self._droppable(entry):
-            self._droppable_count += 1
 
     def append_frozen(self, fid: int, spec: object) -> None:
         """Journal one frozen topology so recovery can re-ship it."""
@@ -908,6 +956,12 @@ class Journal:
         record = dict(record)
         record["seq"] = self._next_seq
         frame = encode_record(record)
+        if frame[FRAME_OVERHEAD] == PICKLE_PROTO:
+            # never commit a record open() would refuse the log for
+            problem = record_problem(record)
+            if problem is not None:
+                self._m_errors.inc()
+                raise JournalError(f"cannot journal {problem[1]}")
         if (
             not self._compacting  # a compact segment holds ALL live state
             and self._seg_size + len(frame) > self.segment_max_bytes
@@ -1176,4 +1230,8 @@ __all__ = [
     "is_tmp_segment",
     "segment_header",
     "record_problem",
+    "RECORD_SCHEMA",
+    "REQUIRED",
+    "LogFold",
+    "fold_log",
 ]

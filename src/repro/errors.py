@@ -282,13 +282,15 @@ class JournalCorruptError(JournalError):
     a checksum mismatch mid-segment, a bad frame in a non-final
     segment, a sequence regression — means the log can no longer prove
     exactly-once settlement, so open refuses with this error instead
-    of guessing (``repro fsck`` reports the same findings read-only).
+    of guessing, before it removes or truncates any file (``repro
+    fsck`` reports the same findings read-only, its first equal to this
+    one).
 
     Structured fields: :attr:`segment`, byte :attr:`offset`, and the
     finding :attr:`kind` (``"checksum"``, ``"frame"``, ``"marker"``,
-    ``"sequence"``, ``"duplicate"``, ``"orphan"``, ``"field"`` for a
-    record missing a field open needs, or ``"format"`` for a segment
-    written by a newer build — refused before any byte is truncated).
+    ``"pickle"``, ``"sequence"``, ``"duplicate"``, ``"orphan"``,
+    ``"field"`` for a record that breaks the journal's record schema,
+    or ``"format"`` for a segment written by a newer build).
     """
 
     def __init__(self, kind: str, segment: str, offset: int, message: str = "") -> None:

@@ -1102,26 +1102,14 @@ class Gateway:
     def _replayed_submission(self, jid: int, entry: JournalEntry) -> Submission:
         """An already-resolved Submission carrying *entry*'s journaled
         settlement — what a deduped idempotency key returns."""
-        s = entry.settled or {}
-        sub = Submission(
-            next(self._rids), s.get("wid", -1), entry.tenant, None, self._loop
-        )
+        # a settled entry carries every settled field of the journal's
+        # record schema, which are exactly the Result's
+        result = Result(**entry.settled)
+        sub = Submission(next(self._rids), result.wid, entry.tenant, None, self._loop)
         sub.jid = jid
         sub.idempotency_key = entry.key
         sub.journal_settled = True
-        self._settle(
-            sub,
-            Result(
-                outcome=s.get("outcome", "failed"),
-                passes=s.get("passes", 0),
-                error=s.get("error", ""),
-                reason=s.get("reason", ""),
-                wall_s=s.get("wall_s", 0.0),
-                wid=s.get("wid", -1),
-                replans=s.get("replans", 0),
-            ),
-            replayed=True,
-        )
+        self._settle(sub, result, replayed=True)
         return sub
 
     def _settle_not_replayable(self, entry: JournalEntry) -> None:

@@ -11,16 +11,20 @@ checksum, and every injected fault must surface as a structured
 
 from __future__ import annotations
 
+import dataclasses
 import os
+import pickle
 import random
 import shutil
 import struct
 import sys
+import tempfile
 import threading
 import time
 import zlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.durability import (
     FaultyOs,
@@ -37,7 +41,9 @@ from repro.durability.journal import (
     FRAME_OVERHEAD,
     MARKER,
     PICKLE_PROTO,
+    RECORD_SCHEMA,
     TMP_SUFFIX,
+    JournalEntry,
 )
 from repro.errors import JournalCorruptError, JournalError, JournalWriteError
 
@@ -458,9 +464,36 @@ class TestFormatCompatibility:
         assert [c.kind for c in report.corruptions] == ["format"]
 
 
+def _header(seq: int = 1, index: int = 1, *, compact: bool = False, fmt: object = FORMAT) -> bytes:
+    return encode_record(
+        {"kind": "segment_header", "seq": seq, "index": index,
+         "compact": compact, "format": fmt}
+    )
+
+
+def _accepted(seq: int, jid: object = 7, **extra) -> bytes:
+    return encode_record({"kind": "accepted", "seq": seq, "jid": jid, **extra})
+
+
+def _snapshot(path) -> dict:
+    return {n: (path / n).read_bytes() for n in sorted(os.listdir(path))}
+
+
+def _judge(path):
+    """fsck's findings and open()'s error on the log at *path*; open()
+    may raise nothing but JournalCorruptError."""
+    report = fsck(str(path))
+    try:
+        Journal(str(path)).open().close()
+    except JournalCorruptError as exc:
+        return report, (exc.kind, exc.segment, exc.offset)
+    return report, None
+
+
 class TestRecordFields:
-    """A CRC-valid record without a field open() needs is corruption —
-    the same finding in open() and in fsck, never a bare KeyError."""
+    """A CRC-valid record that breaks the record schema is corruption —
+    the same finding in open() and in fsck, never a bare exception,
+    and open() leaves every byte as it was."""
 
     @pytest.mark.parametrize(
         "rec",
@@ -489,6 +522,155 @@ class TestRecordFields:
         assert seg.read_bytes() == data
         report = fsck(str(path))
         assert [(c.kind, c.offset) for c in report.corruptions] == [("field", offset)]
+
+    #: hand-written CRC-valid logs, one list of segments each, that
+    #: open() once met with a bare exception or accepted while fsck
+    #: crashed or called them clean
+    ROWS = {
+        "jid-str": [_header() + _accepted(2, "7")],
+        "seq-str": [_header() + _accepted("2")],
+        "not-a-dict": [_header() + _frame(pickle.dumps([1, 2, 3], protocol=4))],
+        "no-kind": [_header() + encode_record({"seq": 2, "jid": 7})],
+        "key-int": [_header() + _accepted(2, key=5)],
+        "passes-str": [
+            _header() + _accepted(2)
+            + encode_record({"kind": "settled", "seq": 3, "jid": 7, "passes": "x"})
+        ],
+        "stale-format-99": [_header(fmt=99), _header(5, 2, compact=True)],
+    }
+
+    @pytest.mark.parametrize("row", sorted(ROWS))
+    def test_open_and_fsck_agree(self, tmp_path, row):
+        for index, data in enumerate(self.ROWS[row], 1):
+            (tmp_path / segment_name(index)).write_bytes(data)
+        before = _snapshot(tmp_path)
+        report, error = _judge(tmp_path)
+        assert error is not None and not report.clean
+        first = report.corruptions[0]
+        assert (first.kind, first.segment, first.offset) == error
+        assert error[0] == ("format" if row.startswith("stale") else "field")
+        assert _snapshot(tmp_path) == before
+
+    def test_refusal_touches_no_file(self, tmp_path):
+        """A log open() refuses keeps its residue, its stale segment
+        and its torn tail: repairs wait until the fold found nothing."""
+        (tmp_path / segment_name(1)).write_bytes(_header() + _accepted(2, 1))
+        (tmp_path / (segment_name(3) + TMP_SUFFIX)).write_bytes(_header(9, 3))
+        (tmp_path / segment_name(2)).write_bytes(
+            _header(3, 2, compact=True) + _accepted(4, 1) + _accepted(5, 1)
+        )
+        (tmp_path / segment_name(4)).write_bytes(_header(6, 4) + b"torn")
+        before = _snapshot(tmp_path)
+        report, error = _judge(tmp_path)
+        duplicate = len(_header(3, 2, compact=True) + _accepted(4, 1))
+        assert error == ("duplicate", segment_name(2), duplicate)
+        assert [c.kind for c in report.corruptions] == ["duplicate"]
+        assert (report.stale_segments, report.tmp_segments) == (1, 1)
+        assert report.torn_tail_bytes == 4
+        assert _snapshot(tmp_path) == before
+
+    def test_sparse_pickled_record_takes_schema_defaults(self, tmp_path):
+        (tmp_path / segment_name(1)).write_bytes(
+            _header() + _accepted(2)
+            + encode_record({"kind": "settled", "seq": 3, "jid": 7})
+        )
+        assert fsck(str(tmp_path)).clean
+        j = Journal(str(tmp_path))
+        j.open()
+        entry = j.get(7)
+        assert entry.accepted_record() == {
+            "kind": "accepted", "jid": 7, "key": "", "target": "spec",
+            "spec": None, "fid": None, "iid": None, "priority": 0,
+            "deadline": None, "repeats": 1, "tenant": "",
+        }
+        assert entry.settled == {
+            "outcome": "failed", "passes": 0, "error": "", "reason": "",
+            "wall_s": 0.0, "replans": 0, "wid": -1,
+        }
+        j.close()
+
+    def test_entry_fields_follow_the_schema(self):
+        names = [f.name for f in dataclasses.fields(JournalEntry)]
+        assert names == [n for n in RECORD_SCHEMA["accepted"] if n != "seq"] + ["settled"]
+
+    def test_writer_refuses_what_open_would(self, tmp_path):
+        path = str(tmp_path / "j")
+        j = Journal(path, fsync_policy="never")
+        j.open()
+        size = os.path.getsize(os.path.join(path, segment_name(1)))
+        with pytest.raises(JournalError, match="priority"):
+            j.append_accepted(key="odd", priority=1.5)
+        with pytest.raises(JournalError, match="fid"):
+            j.append_frozen("1", {"w": 2})
+        assert os.path.getsize(os.path.join(path, segment_name(1))) == size
+        assert j.counts()["entries"] == 0 and j.lookup("odd") is None
+        assert j.metrics.snapshot()["journal.errors"] == 2
+        jid = j.append_accepted(key="ok", deadline=5)
+        j.close()
+        j2 = Journal(path)
+        j2.open()
+        assert j2.get(jid).deadline == 5
+        j2.close()
+
+
+#: values a retyped field takes: str, int, None, bool and list
+_RETYPED = st.one_of(
+    st.text(max_size=3), st.integers(-2, 9), st.none(), st.booleans(),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    settle=st.integers(0, 5),
+    victim=st.integers(0, 10),
+    damage=st.one_of(
+        st.tuples(st.just("drop"), st.integers(0, 11)),
+        st.tuples(st.just("retype"), st.integers(0, 11), _RETYPED),
+        st.tuples(st.just("replace"), st.one_of(
+            st.lists(st.integers(0, 3), max_size=3), st.integers(), st.text(max_size=3),
+            st.none(), st.tuples(st.just("kind"), st.just("accepted")),
+        )),
+    ),
+)
+def test_open_and_fsck_agree_on_a_damaged_pickled_record(n, settle, victim, damage):
+    """One record of a ``_fill``-shaped log, re-framed as a pickle with
+    a field dropped or retyped or the whole record replaced: open()
+    raises nothing but JournalCorruptError, fsck never raises, and
+    fsck's first finding is open()'s error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "j")
+        j = Journal(path, fsync_policy="never")
+        j.open()
+        _fill(j, n, settle=min(settle, n))
+        j.close()
+        seg = os.path.join(path, segment_name(1))
+        with open(seg, "rb") as fh:
+            records = [rec for _off, rec in scan_bytes(fh.read())[0]]
+        victim %= len(records)
+        rec = dict(records[victim])
+        if damage[0] == "replace":
+            rec = damage[1]
+        else:
+            name = sorted(rec)[damage[1] % len(rec)]
+            if damage[0] == "drop":
+                del rec[name]
+            else:
+                rec[name] = damage[2]
+        frames = [encode_record(r) for r in records]
+        frames[victim] = _frame(pickle.dumps(rec, protocol=4))
+        data = b"".join(frames)
+        with open(seg, "wb") as fh:
+            fh.write(data)
+        report, error = _judge(path)
+        if error is None:
+            assert report.clean
+        else:
+            first = report.corruptions[0]
+            assert (first.kind, first.segment, first.offset) == error
+            with open(seg, "rb") as fh:
+                assert fh.read() == data
 
 
 class TestJournal:
