@@ -3,72 +3,34 @@
 "Unlike existing works, we do not dedicate a worker to manage a
 target GPU" (paper §III-C).  This ablation runs both evaluation
 workloads under the uniform discipline and under the StarPU-style
-dedicated discipline at several core counts.  Dedicated workers lose
-on CPU-heavy phases (the pinned cores idle) — exactly the effect the
+dedicated discipline at several core counts
+(:func:`repro.figures.abl_dedic_table`).  Dedicated workers lose on
+CPU-heavy phases (the pinned cores idle) — exactly the effect the
 paper's design avoids.
 """
 
-import pytest
-
-from repro.apps.placement import build_placement_flow
-from repro.apps.timing import build_timing_flow
-from repro.baselines import dedicated_sim_executor
-from repro.sim import SimExecutor, paper_testbed
+from repro.figures import abl_dedic_table
 
 from conftest import record_table
 
 
-@pytest.fixture(scope="module")
-def tflow():
-    return build_timing_flow(num_views=128, num_gates=40, paths_per_view=4)
-
-
-@pytest.fixture(scope="module")
-def pflow():
-    return build_placement_flow(num_cells=40, iterations=20, num_matchers=32, window_size=1)
-
-
-def test_ablation_dedicated_workers(tflow, pflow, benchmark):
-    def measure():
-        out = {}
-        for name, flow in (("timing", tflow), ("placement", pflow)):
-            for cores in (8, 16, 40):
-                m = paper_testbed(cores, 4)
-                out[(name, cores, "uniform")] = (
-                    SimExecutor(m, flow.cost_model).run(flow.graph).makespan
-                )
-                out[(name, cores, "dedicated")] = (
-                    dedicated_sim_executor(m, flow.cost_model).run(flow.graph).makespan
-                )
-        return out
-
-    res = benchmark.pedantic(measure, rounds=1, iterations=1)
-
-    rows = []
-    for name in ("timing", "placement"):
-        for cores in (8, 16, 40):
-            uni = res[(name, cores, "uniform")]
-            ded = res[(name, cores, "dedicated")]
-            rows.append((name, cores, uni, ded, ded / uni))
-    record_table(
-        "ABL-DEDIC: uniform vs dedicated GPU workers (4 GPUs)",
-        ["workload", "cores", "uniform_s", "dedicated_s", "ded/uni"],
-        rows,
-        notes="dedicated mode reserves 4 of the cores for GPU dispatch only; "
-        "the paper's uniform-worker design never idles them",
-    )
+def test_ablation_dedicated_workers(benchmark):
+    table = benchmark.pedantic(abl_dedic_table, rounds=1, iterations=1)
+    record_table(*table)
+    uni = {(name, cores): s for name, cores, s, _ded, _ratio in table.rows}
+    ded = {(name, cores): s for name, cores, _uni, s, _ratio in table.rows}
 
     # the paper's argument: pinning workers wastes cores whenever CPU
     # work dominates.  Placement is CPU-heavy (sequential partition +
     # parallel matching), so dedicated mode must lose there, and lose
     # hardest when cores are scarce.
     for cores in (8, 16, 40):
-        assert res[("placement", cores, "dedicated")] >= res[("placement", cores, "uniform")] - 1e-9
-    assert res[("placement", 8, "dedicated")] / res[("placement", 8, "uniform")] > 1.2
+        assert ded[("placement", cores)] >= uni[("placement", cores)] - 1e-9
+    assert ded[("placement", 8)] / uni[("placement", 8)] > 1.2
     # on the GPU-bound timing workload the penalty shrinks (and the
     # always-ready dispatchers can even edge ahead at mid core counts);
     # the point is it never helps where CPU work is the bottleneck
     assert (
-        res[("timing", 40, "dedicated")] / res[("timing", 40, "uniform")]
-        < res[("placement", 8, "dedicated")] / res[("placement", 8, "uniform")]
+        ded[("timing", 40)] / uni[("timing", 40)]
+        < ded[("placement", 8)] / uni[("placement", 8)]
     )

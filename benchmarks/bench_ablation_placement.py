@@ -3,80 +3,26 @@
 The paper packs each kernel+pull group onto the GPU bin with minimum
 load.  This ablation builds a skewed workload (a few heavy groups,
 many light ones) and compares load imbalance and simulated makespan
-against naive round-robin packing.
+against naive round-robin packing
+(:func:`repro.figures.abl_place_table`).
 """
 
-import numpy as np
-import pytest
-
-from repro.baselines import RoundRobinPlacement
 from repro.core import Heteroflow
 from repro.core.placement import DevicePlacement
-from repro.sim import CostModel, MachineSpec, SimExecutor
+from repro.figures import abl_place_table
 
 from conftest import record_table
 
-#: group kernel costs: heavy-tailed, the regime where balance matters.
-#: The two heavy groups sit 4 apart so creation-order round-robin over
-#: 4 GPUs stacks them on the same bin — the failure mode balanced
-#: packing is immune to (it packs heaviest-first onto the least-loaded
-#: bin regardless of arrival order).
-GROUP_COSTS = [8.0, 1.0, 1.0, 1.0, 8.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.5]
-
-
-def build_flow():
-    hf = Heteroflow("skewed")
-    cm = CostModel()
-    for cost in GROUP_COSTS:
-        p = hf.pull(np.zeros(int(cost * 1000)))
-        k = hf.kernel(lambda a: None, p)
-        p.precede(k)
-        cm.annotate_copy(p, cost * 1e6)
-        cm.annotate_kernel(k, cost)
-    return hf, cm
-
-
-def run_with(placement):
-    hf, cm = build_flow()
-    machine = MachineSpec(8, 4, kernel_slots=1)
-    sim = SimExecutor(machine, cm, placement=placement.place)
-    report = sim.run(hf)
-    return report
-
 
 def test_ablation_placement(benchmark):
-    def measure():
-        balanced = run_with(DevicePlacement())
-        rr = run_with(RoundRobinPlacement())
-        return balanced, rr
+    table = benchmark.pedantic(abl_place_table, rounds=1, iterations=1)
+    record_table(*table)
+    (_, balanced, balanced_imbalance, _), (_, rr, rr_imbalance, _) = table.rows
 
-    balanced, rr = benchmark.pedantic(measure, rounds=1, iterations=1)
-
-    record_table(
-        "ABL-PLACE: Algorithm 1 vs round-robin placement (skewed groups)",
-        ["policy", "makespan_s", "load_imbalance", "max_gpu_load"],
-        [
-            (
-                "algorithm-1",
-                balanced.makespan,
-                balanced.placement.load_imbalance,
-                max(balanced.placement.loads),
-            ),
-            (
-                "round-robin",
-                rr.makespan,
-                rr.placement.load_imbalance,
-                max(rr.placement.loads),
-            ),
-        ],
-        notes="balanced bin packing keeps the heavy groups apart; round-robin "
-        "stacks them by arrival order",
-    )
-
-    assert balanced.placement.load_imbalance <= rr.placement.load_imbalance
-    assert balanced.makespan <= rr.makespan + 1e-9
+    assert balanced_imbalance <= rr_imbalance
+    assert balanced <= rr + 1e-9
     # with this skew the gap is structural, not noise
-    assert rr.makespan / balanced.makespan > 1.3
+    assert rr / balanced > 1.3
 
 
 def test_ablation_placement_pass_cost(benchmark):

@@ -2,11 +2,12 @@
 
 Two measurements:
 
-1. On the virtual-time model: the Fig.-5 timing workload scheduled
-   depth-first (work-stealing owner-LIFO, the paper's discipline) vs
-   breadth-first (one central FIFO queue).  Depth-first reaches the
-   GPU stages of each view sooner, so the GPU fills earlier and the
-   makespan shrinks at low worker counts.
+1. On the virtual-time model (:func:`repro.figures.abl_steal_table`):
+   the Fig.-5 timing workload scheduled depth-first (work-stealing
+   owner-LIFO, the paper's discipline) vs breadth-first (one central
+   FIFO queue).  Depth-first reaches the GPU stages of each view
+   sooner, so the GPU fills earlier and the makespan shrinks at low
+   worker counts.
 2. On real threads: raw throughput of the work-stealing deque under
    an owner + thieves against a single shared locked queue.
 """
@@ -14,49 +15,21 @@ Two measurements:
 import queue
 import threading
 
-import pytest
-
-from repro.apps.timing import build_timing_flow
-from repro.baselines import central_queue_sim_executor
 from repro.core.wsq import WorkStealingQueue
-from repro.sim import MachineSpec, SimExecutor
+from repro.figures import abl_steal_table
 
 from conftest import record_table
 
 
-@pytest.fixture(scope="module")
-def flow():
-    return build_timing_flow(num_views=128, num_gates=40, paths_per_view=4)
+def test_ablation_stealing_schedule_quality(benchmark):
+    table = benchmark.pedantic(abl_steal_table, rounds=1, iterations=1)
+    record_table(*table)
+    lifo = {cores: s for cores, s, _fifo, _ratio in table.rows}
+    fifo = {cores: s for cores, _lifo, s, _ratio in table.rows}
 
-
-def test_ablation_stealing_schedule_quality(flow, benchmark):
-    def measure():
-        out = {}
-        for cores in (1, 2, 4):
-            m = MachineSpec(cores, 1)
-            out[("lifo", cores)] = SimExecutor(m, flow.cost_model).run(flow.graph).makespan
-            out[("fifo", cores)] = (
-                central_queue_sim_executor(m, flow.cost_model).run(flow.graph).makespan
-            )
-        return out
-
-    res = benchmark.pedantic(measure, rounds=1, iterations=1)
-
-    rows = [
-        (cores, res[("lifo", cores)], res[("fifo", cores)],
-         res[("fifo", cores)] / res[("lifo", cores)])
-        for cores in (1, 2, 4)
-    ]
-    record_table(
-        "ABL-STEAL: depth-first (stealing) vs breadth-first (central queue)",
-        ["cores", "lifo_s", "fifo_s", "fifo/lifo"],
-        rows,
-        notes="breadth-first drains all host tasks before any pull/kernel "
-        "reaches the GPU; depth-first pipelines each view immediately",
-    )
     for cores in (1, 2, 4):
-        assert res[("fifo", cores)] >= res[("lifo", cores)] - 1e-9
-    assert res[("fifo", 1)] / res[("lifo", 1)] > 1.2
+        assert fifo[cores] >= lifo[cores] - 1e-9
+    assert fifo[1] / lifo[1] > 1.2
 
 
 N_ITEMS = 20000

@@ -3,96 +3,43 @@
 Not a paper figure: §VI states "future work will focus on distributing
 our scheduler based on [46]" (DtCraft).  This bench records how the
 two evaluation workloads behave when their task graphs are partitioned
-across cluster nodes: the view-parallel timing workload scales
-near-linearly, the iteration-chained placement workload does not —
-distribution has the same structural limits as intra-node scaling.
+across cluster nodes (:func:`repro.figures.ext_dist_table` and
+:func:`repro.figures.ext_dist_net_table`): the view-parallel timing
+workload scales near-linearly, the iteration-chained placement
+workload does not — distribution has the same structural limits as
+intra-node scaling.
 """
 
-import pytest
-
-from repro.apps.placement import build_placement_flow
-from repro.apps.timing import build_timing_flow
-from repro.dist import ClusterSpec, DistSimExecutor
-from repro.sim import paper_testbed
+from repro.figures import ext_dist_net_table, ext_dist_table
 
 from conftest import record_table
 
 NODES = (1, 2, 4, 8)
 
 
-@pytest.fixture(scope="module")
-def tflow():
-    return build_timing_flow(num_views=256, num_gates=40, paths_per_view=4)
-
-
-@pytest.fixture(scope="module")
-def pflow():
-    return build_placement_flow(num_cells=30, iterations=20, num_matchers=32, window_size=1)
-
-
-def test_ext_dist_scaling(tflow, pflow, benchmark):
-    def sweep():
-        out = {}
-        for name, flow in (("timing", tflow), ("placement", pflow)):
-            for nn in NODES:
-                cl = ClusterSpec(nn, paper_testbed(10, 1))
-                rep = DistSimExecutor(cl, flow.cost_model).run(flow.graph)
-                out[(name, nn)] = rep
-        return out
-
-    res = benchmark.pedantic(sweep, rounds=1, iterations=1)
-
-    rows = []
-    for name in ("timing", "placement"):
-        base = res[(name, 1)].makespan
-        for nn in NODES:
-            r = res[(name, nn)]
-            rows.append(
-                (
-                    name,
-                    nn,
-                    r.makespan,
-                    base / r.makespan,
-                    r.messages,
-                    r.partition.cut_fraction,
-                )
-            )
-    record_table(
-        "EXT-DIST: distributed scheduling over N nodes (10 cores + 1 GPU each)",
-        ["workload", "nodes", "sim_s", "speedup", "messages", "cut_frac"],
-        rows,
-        notes="extension of paper SVI future work (DtCraft-based distribution); "
-        "view-parallel timing scales, iteration-chained placement does not",
-    )
+def test_ext_dist_scaling(benchmark):
+    table = benchmark.pedantic(ext_dist_table, rounds=1, iterations=1)
+    record_table(*table)
+    sim_s, messages, cut_frac = {}, {}, {}
+    for name, nn, seconds, _speedup, msgs, cut in table.rows:
+        sim_s[(name, nn)], messages[(name, nn)], cut_frac[(name, nn)] = seconds, msgs, cut
 
     # 1 node: no messages, matches the local simulator exactly
-    assert res[("timing", 1)].messages == 0
+    assert messages[("timing", 1)] == 0
     # timing scales: >= 2.8x at 4 nodes, >= 4.5x at 8
-    t = {nn: res[("timing", nn)].makespan for nn in NODES}
+    t = {nn: sim_s[("timing", nn)] for nn in NODES}
     assert t[1] / t[4] > 2.8
     assert t[1] / t[8] > 4.5
     # placement is chain-bound: < 1.5x at 8 nodes
-    p = {nn: res[("placement", nn)].makespan for nn in NODES}
+    p = {nn: sim_s[("placement", nn)] for nn in NODES}
     assert p[1] / p[8] < 1.5
     # partitioner keeps cuts modest on the parallel workload
-    assert res[("timing", 8)].partition.cut_fraction < 0.25
+    assert cut_frac[("timing", 8)] < 0.25
 
 
-def test_ext_dist_network_sensitivity(tflow, benchmark):
+def test_ext_dist_network_sensitivity(benchmark):
     """Makespan degrades gracefully as the fabric slows down."""
-
-    def sweep():
-        out = {}
-        for bw in (25e9, 3.1e9, 0.125e9):  # 200GbE, 25GbE, 1GbE
-            cl = ClusterSpec(4, paper_testbed(10, 1), net_bandwidth=bw)
-            out[bw] = DistSimExecutor(cl, tflow.cost_model).run(tflow.graph).makespan
-        return out
-
-    res = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    record_table(
-        "EXT-DIST-NET: 4-node timing makespan vs fabric bandwidth",
-        ["bandwidth_GBps", "sim_s"],
-        [(bw / 1e9, s) for bw, s in sorted(res.items(), reverse=True)],
-    )
-    ordered = [res[bw] for bw in sorted(res, reverse=True)]
+    table = benchmark.pedantic(ext_dist_net_table, rounds=1, iterations=1)
+    record_table(*table)
+    ordered = [seconds for _bandwidth, seconds in table.rows]  # fastest fabric first
     assert ordered[0] <= ordered[1] <= ordered[2]

@@ -2,55 +2,27 @@
 
 Not a paper figure: §VI names sparse-NN inference ([47]/[48]) as the
 next workload for the runtime, so this bench records its scaling
-behaviour on the same virtual-time machine used for Fig. 6/9.  The
-expected shape (from ref [48]): throughput scales with GPUs (weight
-shards are independent), CPUs contribute only dispatch, and block
-pipelining hides the layer-chain latency.
+behaviour on the same virtual-time machine used for Fig. 6/9
+(:func:`repro.figures.ext_snn_table`).  The expected shape (from ref
+[48]): throughput scales with GPUs (weight shards are independent),
+CPUs contribute only dispatch, and block pipelining hides the
+layer-chain latency.
 """
 
 import numpy as np
-import pytest
 
 from repro.apps.sparsenn import build_inference_flow
 from repro.apps.sparsenn.flow import reference_categories
 from repro.core import Executor
-from repro.sim import SimExecutor, paper_testbed
+from repro.figures import ext_snn_table
 
 from conftest import record_table
 
 
-@pytest.fixture(scope="module")
-def flow():
-    return build_inference_flow(
-        width=64,
-        num_layers=24,
-        batch_size=64,
-        num_blocks=16,
-        num_shards=4,
-        paper_nnz_scale=2e4,
-    )
-
-
-def test_ext_snn_scaling(flow, benchmark):
-    def sweep():
-        out = {}
-        for cores, gpus in [(1, 1), (4, 1), (8, 1), (4, 2), (4, 4), (8, 4), (40, 4)]:
-            out[(cores, gpus)] = (
-                SimExecutor(paper_testbed(cores, gpus), flow.cost_model)
-                .run(flow.graph)
-                .makespan
-            )
-        return out
-
-    res = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    rows = [(c, g, res[(c, g)]) for (c, g) in sorted(res)]
-    record_table(
-        "EXT-SNN: sparse-DNN inference runtime (seconds) vs cores x GPUs",
-        ["cores", "gpus", "sim_s"],
-        rows,
-        notes="extension of paper SVI future work; shards scale with GPUs, "
-        "CPUs only dispatch",
-    )
+def test_ext_snn_scaling(benchmark):
+    table = benchmark.pedantic(ext_snn_table, rounds=1, iterations=1)
+    record_table(*table)
+    res = {(c, g): seconds for c, g, seconds in table.rows}
     # GPU-bound scaling: GPUs help superlinearly vs CPUs
     assert res[(4, 4)] < res[(4, 2)] < res[(4, 1)]
     assert res[(4, 2)] / res[(4, 4)] > 1.5

@@ -7,34 +7,18 @@ advances (paper Fig. 4).
 
 import math
 
-from repro.apps.timing.views import FIG4_NODES, enumerate_views, views_for_node
+from repro.apps.timing.views import enumerate_views, views_for_node
+from repro.figures import fig4_table
 
 from conftest import record_table
 
 
 def test_fig4_view_growth(benchmark):
-    def compute():
-        return {node: views_for_node(node) for node in sorted(FIG4_NODES, reverse=True)}
-
-    counts = benchmark(compute)
-
-    rows = []
-    prev = None
-    for node, views in counts.items():
-        growth = "-" if prev is None else f"{views / prev:.2f}x"
-        spec = FIG4_NODES[node]
-        rows.append((f"{node}nm", spec["corners"], spec["modes"], views, growth))
-        prev = views
-    record_table(
-        "FIG4: analysis views vs technology node",
-        ["node", "corners", "modes", "views", "growth"],
-        rows,
-        notes="paper: views grow exponentially toward advanced nodes; "
-        "1024 views at the 2 most advanced nodes motivates the Fig.6 workload",
-    )
+    table = benchmark(fig4_table)
+    record_table(*table)
 
     # exponential shape: log(views) grows roughly linearly in node index
-    series = list(counts.values())
+    series = [views for _node, _corners, _modes, views, _growth in table.rows]
     assert all(b >= a for a, b in zip(series, series[1:]))
     assert series[-1] >= 1024  # the workload size used in Fig. 6
     ratios = [b / a for a, b in zip(series, series[1:])]

@@ -3,69 +3,25 @@
 Rebuilds the paper's primary scaling study: the Fig.-5 correlation
 graph over 1024 views with netcard-calibrated task costs, replayed on
 the virtual-time machine at every (cores, gpus) point of Fig. 6's
-upper plots.  Absolute numbers come from the calibrated cost model;
-the assertions pin the *shape* (see EXPERIMENTS.md for the
-paper-vs-measured discussion).
+upper plots (:func:`repro.figures.fig6a_table`).  Absolute numbers
+come from the calibrated cost model; the assertions pin the *shape*
+(see EXPERIMENTS.md for the paper-vs-measured discussion).
 """
 
 import pytest
 
-from repro.apps.timing import build_timing_flow
-from repro.sim import SimExecutor, paper_testbed
+from repro.figures import fig6a_aux_table, fig6a_table
 
 from conftest import record_table
-
-#: the paper's quoted minutes at the anchor points
-PAPER_ANCHORS = {
-    (1, 1): 99,
-    (1, 4): 51,
-    (8, 4): 23,
-    (16, 4): 18,
-    (24, 4): 15,
-    (32, 4): 14,
-    (40, 4): 13,
-    (40, 1): 36,
-    (40, 2): 21,
-    (40, 3): 15,
-}
 
 CORES = (1, 8, 16, 24, 32, 40)
 GPUS = (1, 2, 3, 4)
 
 
-@pytest.fixture(scope="module")
-def flow():
-    # full 1024-view workload; tiny functional payloads, paper-scale costs
-    return build_timing_flow(num_views=1024, num_gates=60, paths_per_view=8)
-
-
-def simulate(flow, cores, gpus):
-    return SimExecutor(paper_testbed(cores, gpus), flow.cost_model).run(flow.graph)
-
-
-def test_fig6_full_grid(flow, benchmark):
-    def sweep():
-        return {
-            (c, g): simulate(flow, c, g).makespan_minutes for c in CORES for g in GPUS
-        }
-
-    grid = benchmark.pedantic(sweep, rounds=1, iterations=1)
-
-    rows = []
-    for c in CORES:
-        for g in GPUS:
-            paper = PAPER_ANCHORS.get((c, g), "")
-            rows.append((c, g, grid[(c, g)], paper))
-    record_table(
-        "FIG6a: timing runtime (minutes) vs cores x GPUs, netcard 1024 views",
-        ["cores", "gpus", "sim_min", "paper_min"],
-        rows,
-        notes="shape claims: monotone in cores and GPUs; GPU scaling more "
-        "remarkable per unit; 99min @ (1,1) -> 13min @ (40,4) is 7.7x in the "
-        "paper, reproduced here as "
-        f"{grid[(1, 1)] / grid[(40, 4)]:.1f}x. Mid-range CPU points run "
-        "faster than the paper's (work-conserving simulator; see EXPERIMENTS.md).",
-    )
+def test_fig6_full_grid(benchmark):
+    table = benchmark.pedantic(fig6a_table, rounds=1, iterations=1)
+    record_table(*table)
+    grid = {(c, g): minutes for c, g, minutes, _paper in table.rows}
 
     # corner anchors within tolerance
     assert grid[(1, 1)] == pytest.approx(99, rel=0.15)
@@ -82,26 +38,9 @@ def test_fig6_full_grid(flow, benchmark):
         assert all(b <= a + 0.5 for a, b in zip(series, series[1:]))
 
 
-def test_fig6_gpu_speedup_dominates(flow, benchmark):
+def test_fig6_gpu_speedup_dominates(benchmark):
     """Paper: 'speed-up from multiple GPUs is more remarkable than CPUs'."""
-
-    def measure():
-        return (
-            simulate(flow, 40, 1).makespan,
-            simulate(flow, 40, 4).makespan,
-            simulate(flow, 1, 4).makespan,
-            simulate(flow, 40, 4).makespan,
-        )
-
-    t_g1, t_g4, t_c1, t_c40 = benchmark.pedantic(measure, rounds=1, iterations=1)
-    per_gpu = (t_g1 / t_g4) / 4
-    per_cpu = (t_c1 / t_c40) / 40
-    record_table(
-        "FIG6a-aux: per-unit speed-up",
-        ["resource", "speedup", "units", "per-unit"],
-        [
-            ("GPUs 1->4 @40c", t_g1 / t_g4, 4, per_gpu),
-            ("cores 1->40 @4g", t_c1 / t_c40, 40, per_cpu),
-        ],
-    )
+    table = benchmark.pedantic(fig6a_aux_table, rounds=1, iterations=1)
+    record_table(*table)
+    (_, _, _, per_gpu), (_, _, _, per_cpu) = table.rows
     assert per_gpu > per_cpu

@@ -1,15 +1,13 @@
 """FIG6b — timing-analysis runtime vs problem size (number of views).
 
 The lower half of Fig. 6: runtime against 32/64/128/256/512/1024
-views at fixed hardware points.  The paper's claim: "at any point,
-increasing the number of CPUs or GPUs can all reduce the runtime",
-and runtime grows with the view count.
+views at fixed hardware points (:func:`repro.figures.fig6b_table`).
+The paper's claim: "at any point, increasing the number of CPUs or
+GPUs can all reduce the runtime", and runtime grows with the view
+count.
 """
 
-import pytest
-
-from repro.apps.timing import build_timing_flow
-from repro.sim import SimExecutor, paper_testbed
+from repro.figures import fig6b_table
 
 from conftest import record_table
 
@@ -17,38 +15,10 @@ VIEW_COUNTS = (32, 64, 128, 256, 512, 1024)
 HW_POINTS = ((8, 1), (8, 4), (40, 1), (40, 4))
 
 
-@pytest.fixture(scope="module")
-def flows():
-    return {
-        v: build_timing_flow(num_views=v, num_gates=60, paths_per_view=8)
-        for v in VIEW_COUNTS
-    }
-
-
-def test_fig6_views_sweep(flows, benchmark):
-    def sweep():
-        out = {}
-        for v, flow in flows.items():
-            for c, g in HW_POINTS:
-                out[(v, c, g)] = (
-                    SimExecutor(paper_testbed(c, g), flow.cost_model)
-                    .run(flow.graph)
-                    .makespan_minutes
-                )
-        return out
-
-    res = benchmark.pedantic(sweep, rounds=1, iterations=1)
-
-    rows = [
-        (v, c, g, res[(v, c, g)]) for v in VIEW_COUNTS for (c, g) in HW_POINTS
-    ]
-    record_table(
-        "FIG6b: timing runtime (minutes) vs number of views",
-        ["views", "cores", "gpus", "sim_min"],
-        rows,
-        notes="paper claim: runtime grows with views; at any size, more CPUs "
-        "or GPUs reduce runtime",
-    )
+def test_fig6_views_sweep(benchmark):
+    table = benchmark.pedantic(fig6b_table, rounds=1, iterations=1)
+    record_table(*table)
+    res = {(v, c, g): minutes for v, c, g, minutes in table.rows}
 
     # runtime grows with the view count at every hardware point
     for c, g in HW_POINTS:

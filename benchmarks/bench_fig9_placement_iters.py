@@ -1,59 +1,25 @@
 """FIG9b — detailed-placement runtime vs problem size (iterations).
 
 The lower half of Fig. 9: runtime against the iteration count used to
-flatten the task graph.  Paper anchors: 5 iterations under 4 GPUs run
-in 6.35s with 1 core and 1.44s with 40 cores.
+flatten the task graph (:func:`repro.figures.fig9b_table`).  Paper
+anchors: 5 iterations under 4 GPUs run in 6.35s with 1 core and 1.44s
+with 40 cores.
 """
 
 import pytest
 
-from repro.apps.placement import build_placement_flow
-from repro.sim import SimExecutor, paper_testbed
+from repro.figures import fig9b_table
 
 from conftest import record_table
 
 ITER_COUNTS = (5, 10, 20, 30, 40, 50)
 HW_POINTS = ((1, 4), (8, 4), (40, 4))
 
-PAPER_ANCHORS = {(5, 1, 4): 6.35, (5, 40, 4): 1.44}
 
-
-@pytest.fixture(scope="module")
-def flows():
-    return {
-        i: build_placement_flow(
-            num_cells=40, iterations=i, num_matchers=32, window_size=1
-        )
-        for i in ITER_COUNTS
-    }
-
-
-def test_fig9_iterations_sweep(flows, benchmark):
-    def sweep():
-        out = {}
-        for i, flow in flows.items():
-            for c, g in HW_POINTS:
-                out[(i, c, g)] = (
-                    SimExecutor(paper_testbed(c, g), flow.cost_model)
-                    .run(flow.graph)
-                    .makespan
-                )
-        return out
-
-    res = benchmark.pedantic(sweep, rounds=1, iterations=1)
-
-    rows = [
-        (i, c, g, res[(i, c, g)], PAPER_ANCHORS.get((i, c, g), ""))
-        for i in ITER_COUNTS
-        for (c, g) in HW_POINTS
-    ]
-    record_table(
-        "FIG9b: placement runtime (seconds) vs iterations",
-        ["iters", "cores", "gpus", "sim_s", "paper_s"],
-        rows,
-        notes="paper: 6.35s @ (5 iters, 1 core) and 1.44s @ (5 iters, 40 cores); "
-        "CPU cores reduce runtime at every size, GPUs do not",
-    )
+def test_fig9_iterations_sweep(benchmark):
+    table = benchmark.pedantic(fig9b_table, rounds=1, iterations=1)
+    record_table(*table)
+    res = {(i, c, g): seconds for i, c, g, seconds, _paper in table.rows}
 
     # anchors
     assert res[(5, 1, 4)] == pytest.approx(6.35, rel=0.15)

@@ -1,61 +1,29 @@
 """FIG9a — detailed-placement runtime vs CPU cores x GPUs (bigblue4).
 
 The upper plots of Fig. 9: the 50-iteration flattened placement graph
-with bigblue4-calibrated costs, swept over cores and GPUs.  Key paper
-claims: 58.41s @ (1 core, 1 GPU) vs 14.02s @ (40, 1); concurrency
-saturates around 20 cores; 4 GPUs buy almost nothing (13.61s vs
-14.02s) because the workload has one GPU placement group.
+with bigblue4-calibrated costs, swept over cores and GPUs
+(:func:`repro.figures.fig9a_table`).  Key paper claims: 58.41s @
+(1 core, 1 GPU) vs 14.02s @ (40, 1); concurrency saturates around 20
+cores; 4 GPUs buy almost nothing (13.61s vs 14.02s) because the
+workload has one GPU placement group.
 """
 
 import pytest
 
 from repro.apps.placement import build_placement_flow
-from repro.sim import SimExecutor, paper_testbed
+from repro.core.placement import DevicePlacement
+from repro.figures import fig9a_table
 
 from conftest import record_table
-
-PAPER_ANCHORS = {
-    (1, 1): 58.41,
-    (40, 1): 14.02,
-    (40, 4): 13.61,
-}
 
 CORES = (1, 8, 16, 20, 24, 32, 40)
 GPUS = (1, 4)
 
 
-@pytest.fixture(scope="module")
-def flow():
-    # 50 iterations (the paper's typical convergence count), 32
-    # matching windows per iteration, bigblue4-scale cost annotations
-    return build_placement_flow(
-        num_cells=40, iterations=50, num_matchers=32, window_size=1
-    )
-
-
-def test_fig9_scaling_grid(flow, benchmark):
-    def sweep():
-        return {
-            (c, g): SimExecutor(paper_testbed(c, g), flow.cost_model)
-            .run(flow.graph)
-            .makespan
-            for c in CORES
-            for g in GPUS
-        }
-
-    grid = benchmark.pedantic(sweep, rounds=1, iterations=1)
-
-    rows = [
-        (c, g, grid[(c, g)], PAPER_ANCHORS.get((c, g), ""))
-        for c in CORES
-        for g in GPUS
-    ]
-    record_table(
-        "FIG9a: placement runtime (seconds) vs cores x GPUs, bigblue4 50 iters",
-        ["cores", "gpus", "sim_s", "paper_s"],
-        rows,
-        notes="claims: CPU scaling saturates ~20 cores; 1 GPU is enough",
-    )
+def test_fig9_scaling_grid(benchmark):
+    table = benchmark.pedantic(fig9a_table, rounds=1, iterations=1)
+    record_table(*table)
+    grid = {(c, g): seconds for c, g, seconds, _paper in table.rows}
 
     # anchors
     assert grid[(1, 1)] == pytest.approx(58.41, rel=0.15)
@@ -73,11 +41,10 @@ def test_fig9_scaling_grid(flow, benchmark):
         assert all(b <= a + 0.25 for a, b in zip(series, series[1:]))
 
 
-def test_fig9_single_gpu_group(flow, benchmark):
+def test_fig9_single_gpu_group(benchmark):
     """Structural check behind the no-multi-GPU-gain claim: Algorithm 1
     packs the whole flow into one placement group."""
-    from repro.core.placement import DevicePlacement
-
+    flow = build_placement_flow(num_cells=40, iterations=50, num_matchers=32, window_size=1)
     res = benchmark(lambda: DevicePlacement().place(flow.graph.nodes, 4))
     assert res.num_groups == 1
     busy = [l for l in res.loads if l > 0]

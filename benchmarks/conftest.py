@@ -1,10 +1,11 @@
 """Benchmark harness plumbing.
 
 Each bench module regenerates one paper artifact (table/figure series)
-and registers a human-readable table via :func:`record_table`; a
-``pytest_terminal_summary`` hook prints every table after the
-benchmark run (so the series survive pytest's output capture) and
-mirrors them into ``benchmarks/results/`` — twice per table: a
+and registers a human-readable table via :func:`record_table`.  The
+virtual-time tables are defined in :mod:`repro.figures`, whose
+renderer every table shares.  A ``pytest_terminal_summary`` hook
+prints every table after the benchmark run (so the series survive
+pytest's output capture), and :func:`record_table` mirrors them into ``benchmarks/results/`` — twice per table: a
 ``<name>.txt`` rendering for humans and a structured
 ``BENCH_<name>.json`` record (schema ``repro.bench/1``) for scripts
 and regression tooling.  The JSON record carries the same headers and
@@ -18,6 +19,8 @@ from __future__ import annotations
 import json
 import os
 from typing import Dict, List, Optional, Sequence
+
+from repro.figures import Table, format_table
 
 #: schema identifier stamped into every BENCH_*.json record
 BENCH_SCHEMA = "repro.bench/1"
@@ -55,18 +58,7 @@ def record_table(
     machine-readable context the table itself elides (RunReport dicts,
     counter snapshots, config parameters).
     """
-    widths = [
-        max(len(str(h)), *(len(_fmt(r[i])) for r in rows)) if rows else len(str(h))
-        for i, h in enumerate(headers)
-    ]
-    lines = [f"== {title} =="]
-    lines.append("  ".join(str(h).rjust(w) for h, w in zip(headers, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for r in rows:
-        lines.append("  ".join(_fmt(v).rjust(w) for v, w in zip(r, widths)))
-    if notes:
-        lines.append(notes)
-    text = "\n".join(lines)
+    text = format_table(Table(title, headers, rows, notes))
     _TABLES.append(text)
     os.makedirs(_RESULTS_DIR, exist_ok=True)
     fname = title.split(":")[0].strip().lower().replace(" ", "_").replace("/", "-")
@@ -85,12 +77,6 @@ def record_table(
         json.dump(record, fh, indent=2)
         fh.write("\n")
     return text
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.2f}"
-    return str(v)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -5,23 +5,20 @@
   GPU runtime; the correctness oracle for differential tests and the
   "1 core" discipline of the scaling studies;
 - :class:`~repro.baselines.roundrobin.RoundRobinPlacement` — naive
-  device placement ignoring load (ablation against Algorithm 1);
-- :func:`~repro.baselines.dedicated.dedicated_sim_executor` — the
-  StarPU-style dedicated-GPU-worker scheduler (the design the paper
-  explicitly rejects), as a simulator configuration;
-- :func:`~repro.baselines.centralqueue.central_queue_sim_executor` —
-  breadth-first central-queue scheduling (ablation against the
-  work-stealing LIFO discipline).
+  device placement ignoring load (ablation against Algorithm 1).
+
+The two scheduler baselines are flags of the virtual-time model,
+:class:`~repro.sim.simulator.SimExecutor`: ``dedicated_gpu_workers=True``
+pins one worker per GPU as its manager, the StarPU-style design the
+paper rejects (ABL-DEDIC), and ``ready_policy="fifo"`` serves ready
+tasks from one breadth-first central queue instead of the
+work-stealing owner's depth-first LIFO pop (ABL-STEAL).
 """
 
-from repro.baselines.centralqueue import central_queue_sim_executor
-from repro.baselines.dedicated import dedicated_sim_executor
 from repro.baselines.roundrobin import RoundRobinPlacement
 from repro.baselines.sequential import SequentialExecutor
 
 __all__ = [
     "RoundRobinPlacement",
     "SequentialExecutor",
-    "central_queue_sim_executor",
-    "dedicated_sim_executor",
 ]

@@ -3,8 +3,9 @@
 Commands:
 
 - ``info`` — library version and system inventory;
-- ``figures [names...] [--views N]`` — regenerate the paper's
-  evaluation tables on the virtual-time model (all by default);
+- ``figures [names...] [--views N]`` — regenerate the virtual-time
+  evaluation tables of :mod:`repro.figures` (all by default), each
+  byte for byte as committed under ``benchmarks/results/``;
 - ``saxpy`` — run the Listing-1 program on the threaded runtime;
 - ``dot {saxpy,timing,placement,sparsenn}`` — print a workload's task
   graph in GraphViz DOT;
@@ -77,13 +78,15 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         print(f"unknown figures: {', '.join(unknown)}", file=sys.stderr)
         print(f"available: {', '.join(ALL_FIGURES)}", file=sys.stderr)
         return 2
-    for name in names:
+    for i, name in enumerate(names):
         if name == "fig6a" and args.views:
             table = fig6a_table(num_views=args.views)
         else:
             table = ALL_FIGURES[name]()
-        print(format_table(name.upper(), table))
-        print()
+        if i:
+            print()
+        # one table prints exactly its benchmarks/results/<name>.txt
+        print(format_table(table), flush=True)
     return 0
 
 
@@ -485,7 +488,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("info", help="version and subsystem inventory")
 
     figures = sub.add_parser("figures", help="regenerate evaluation tables")
-    figures.add_argument("names", nargs="*", help="fig4 fig6a fig6b fig9a fig9b")
+    figures.add_argument(
+        "names", nargs="*",
+        help="fig4 fig6a fig6a-aux fig6b fig9a fig9b abl-steal abl-dedic "
+        "abl-place ext-dist ext-dist-net ext-snn",
+    )
     figures.add_argument(
         "--views", type=int, default=0,
         help="view count for fig6a (default 1024; smaller is faster)",

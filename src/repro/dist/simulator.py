@@ -1,19 +1,21 @@
 """Multi-node discrete-event execution of Heteroflow graphs.
 
-Each cluster node runs the single-node scheduling model of
-:class:`repro.sim.simulator.SimExecutor` (free-worker pool, LIFO ready
-stack, per-slot streams, per-device kernel/copy engines); a dependency
-edge whose endpoints live on different nodes pays a network message
-through the producer node's egress NIC (a capacity-1 server), after
-which the consumer's join counter decrements — the DtCraft-style
-stream-on-edge execution model of the paper's ref [46].
+Each cluster node is one :class:`repro.sim.simulator.SimMachine`, the
+same model :class:`~repro.sim.simulator.SimExecutor` runs: its free
+workers serve one LIFO ready list (no per-worker deques, no
+stealing), GPU ops go to per-slot streams and per-device kernel/copy
+engines.  This module adds what is distributed: partitioning,
+per-node device placement, and routing.  A dependency edge whose
+endpoints live on different nodes pays a network message through the
+producer node's egress NIC (a capacity-1 server), after which the
+consumer's join counter decrements — the DtCraft-style stream-on-edge
+execution model of the paper's ref [46].
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.core.heteroflow import Heteroflow
 from repro.core.node import Node, TaskType
@@ -21,9 +23,9 @@ from repro.core.placement import DevicePlacement
 from repro.dist.cluster import ClusterSpec
 from repro.dist.partition import GraphPartition, partition_graph
 from repro.errors import SimulationError
-from repro.sim.cost import CostModel, TaskCost
+from repro.sim.cost import CostModel
 from repro.sim.events import EventQueue
-from repro.sim.simulator import _Server, _Stream
+from repro.sim.simulator import SimMachine, _Server
 
 
 @dataclass
@@ -70,29 +72,19 @@ class DistSimExecutor:
         cm = self.cost_model
 
         part = self._fixed_partition or partition_graph(nodes, N, cm)
+        owner = part.assignment
 
         # per-node device placement over the node's local GPUs
         placer = DevicePlacement()
         for cn in range(N):
-            local = [n for n in nodes if part.assignment[n.nid] == cn]
-            placer.place(local, m.num_gpus)
+            placer.place([n for n in nodes if owner[n.nid] == cn], m.num_gpus)
 
-        q = EventQueue()
+        clock = EventQueue()
         join: Dict[int, int] = {n.nid: len(n.dependents) for n in nodes}
-        done_count = 0
-
-        node_core_busy = [0.0] * N
-        node_gpu_busy = [0.0] * N
+        done = 0
         net_busy = [0.0] * N
         messages = 0
         bytes_moved = 0.0
-
-        workers: List[Deque[int]] = [deque(range(m.num_cores)) for _ in range(N)]
-        ready: List[List[Node]] = [[] for _ in range(N)]  # LIFO stacks
-        streams: Dict[Tuple[int, int, int, str], _Stream] = {}
-        kernel_engines = [[_Server(m.kernel_slots) for _ in range(m.num_gpus)] for _ in range(N)]
-        h2d_engines = [[_Server(m.h2d_engines) for _ in range(m.num_gpus)] for _ in range(N)]
-        d2h_engines = [[_Server(m.d2h_engines) for _ in range(m.num_gpus)] for _ in range(N)]
         nics = [_Server(1) for _ in range(N)]
 
         def message_bytes(node: Node) -> float:
@@ -104,15 +96,15 @@ class DistSimExecutor:
         def release(succ: Node) -> None:
             join[succ.nid] -= 1
             if join[succ.nid] == 0:
-                task_ready(succ)
+                machines[owner[succ.nid]].ready(succ)
 
         def complete(node: Node) -> None:
-            nonlocal done_count, messages, bytes_moved
-            done_count += 1
-            src_cn = part.assignment[node.nid]
+            nonlocal done, messages, bytes_moved
+            done += 1
+            src_cn = owner[node.nid]
             remote: List[Node] = []
             for succ in node.successors:
-                if part.assignment[succ.nid] == src_cn:
+                if owner[succ.nid] == src_cn:
                     release(succ)
                 else:
                     remote.append(succ)
@@ -122,9 +114,9 @@ class DistSimExecutor:
                 for succ in remote:
                     messages += 1
                     bytes_moved += nbytes
-                    _send(src_cn, duration, nbytes, succ)
+                    send(src_cn, duration, succ)
 
-        def _send(src_cn: int, duration: float, nbytes: float, succ: Node) -> None:
+        def send(src_cn: int, duration: float, succ: Node) -> None:
             nic = nics[src_cn]
 
             def start() -> None:
@@ -133,114 +125,26 @@ class DistSimExecutor:
                     nic.release()
                     release(succ)
 
-                q.schedule_after(duration, finish)
+                clock.schedule_after(duration, finish)
 
             nic.acquire(start)
 
-        # -- per-node scheduling (mirrors SimExecutor) ----------------
-        def task_ready(node: Node) -> None:
-            cn = part.assignment[node.nid]
-            ready[cn].append(node)
-            pump(cn)
-
-        def pump(cn: int) -> None:
-            while workers[cn] and ready[cn]:
-                _start(cn, workers[cn].popleft(), ready[cn].pop())
-
-        def op_duration(node: Node, cost: TaskCost) -> float:
-            if node.type is TaskType.PULL:
-                return m.h2d_seconds(cost.copy_bytes)
-            if node.type is TaskType.PUSH:
-                return m.d2h_seconds(cost.copy_bytes)
-            return m.kernel_launch_overhead + cost.gpu_seconds
-
-        def engine_for(cn: int, node: Node) -> _Server:
-            dev = node.device
-            assert dev is not None
-            if node.type is TaskType.PULL:
-                return h2d_engines[cn][dev]
-            if node.type is TaskType.PUSH:
-                return d2h_engines[cn][dev]
-            return kernel_engines[cn][dev]
-
-        def pick_stream(cn: int, dev: int, klass: str) -> _Stream:
-            best: Optional[_Stream] = None
-            best_load = -1
-            for slot in range(m.num_cores):
-                s = streams.get((cn, slot, dev, klass))
-                if s is None:
-                    s = streams[(cn, slot, dev, klass)] = _Stream()
-                load = len(s.ops) + (1 if s.active else 0)
-                if load == 0:
-                    return s
-                if best is None or load < best_load:
-                    best, best_load = s, load
-            assert best is not None
-            return best
-
-        def advance_stream(cn: int, stream: _Stream) -> None:
-            if stream.active or not stream.ops:
-                return
-            stream.active = True
-            node, duration = stream.ops.popleft()
-            engine = engine_for(cn, node)
-
-            def start() -> None:
-                def finish() -> None:
-                    node_gpu_busy[cn] += duration
-                    complete(node)
-                    engine.release()
-                    stream.active = False
-                    advance_stream(cn, stream)
-
-                q.schedule_after(duration, finish)
-
-            engine.acquire(start)
-
-        def _start(cn: int, worker: int, node: Node) -> None:
-            cost = cm.cost_of(node)
-            if node.type is TaskType.HOST:
-                duration = cost.cpu_seconds
-
-                def host_done() -> None:
-                    node_core_busy[cn] += duration
-                    complete(node)
-                    workers[cn].append(worker)
-                    pump(cn)
-
-                q.schedule_after(duration, host_done)
-            else:
-                dev = node.device
-                if dev is None:
-                    raise SimulationError(f"GPU task {node.name!r} unplaced on node {cn}")
-                duration = op_duration(node, cost)
-                klass = "kernel" if node.type is TaskType.KERNEL else "copy"
-
-                def dispatched() -> None:
-                    node_core_busy[cn] += m.dispatch_overhead
-                    stream = pick_stream(cn, dev, klass)
-                    stream.ops.append((node, duration))
-                    advance_stream(cn, stream)
-                    workers[cn].append(worker)
-                    pump(cn)
-
-                q.schedule_after(m.dispatch_overhead, dispatched)
-
+        machines = [SimMachine(m, cm, clock, complete) for _ in range(N)]
         for n in nodes:
             if not n.dependents:
-                task_ready(n)
-        makespan = q.run()
-        if done_count != len(nodes):
+                machines[owner[n.nid]].ready(n)
+        makespan = clock.run()
+        if done != len(nodes):
             raise SimulationError(
-                f"distributed simulation stalled: {done_count}/{len(nodes)} done"
+                f"distributed simulation stalled: {done}/{len(nodes)} done"
             )
         return DistSimReport(
             makespan=makespan,
             num_tasks=len(nodes),
             cluster=cluster,
             partition=part,
-            node_core_busy=node_core_busy,
-            node_gpu_busy=node_gpu_busy,
+            node_core_busy=[sum(sim.core_busy) for sim in machines],
+            node_gpu_busy=[sum(sim.gpu_busy) for sim in machines],
             net_busy=net_busy,
             messages=messages,
             bytes_moved=bytes_moved,

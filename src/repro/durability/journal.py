@@ -24,7 +24,7 @@ is a restricted pickle, whose first byte is pickle's PROTO opcode
 ``0x80``.  Four record kinds exist:
 
 ==================  ==================================================
-``segment_header``  first record of every segment (index, compact flag, format)
+``segment_header``  first record of every segment (index, compact flag, format, next jid)
 ``accepted``        one submission entered the gateway (jid, key, spec)
 ``settled``         terminal outcome of one jid — at most once per jid
 ``frozen``          a frozen topology's fid + spec (re-shipped on recover)
@@ -180,6 +180,10 @@ RECORD_SCHEMA: Dict[str, Dict[str, tuple]] = {
         "index": (_INT, REQUIRED),
         "compact": ((bool,), REQUIRED),
         "format": (_INT, 1),
+        # the jid high-water mark a compact segment carries, so that
+        # the jids of the settled entries it drops are never handed out
+        # again; format-2 readers that predate it ignore it
+        "next_jid": (_INT, 1),
     },
     "accepted": {
         "jid": (_INT, REQUIRED),
@@ -516,6 +520,7 @@ class LogFold:
     record_kinds: Dict[str, int] = field(default_factory=dict)
     bytes_scanned: int = 0
     max_seq: int = 0
+    next_jid: int = 1  # the live generation's compact-header mark
     entries: Dict[int, JournalEntry] = field(default_factory=dict)
     by_key: Dict[str, int] = field(default_factory=dict)
     unsettled: Set[int] = field(default_factory=set)
@@ -554,6 +559,7 @@ def fold_log(
             on_finding(problem[0], name, 0, problem[1])
         elif header.get("compact"):
             start = i
+            fold.next_jid = header.get("next_jid", 1)
     fold.stale, fold.live = names[:start], names[start:]
 
     entries, by_key, unsettled = fold.entries, fold.by_key, fold.unsettled
@@ -803,7 +809,7 @@ class Journal:
             1 for e in self.entries.values() if self._droppable(e)
         )
         self._next_seq = fold.max_seq + 1
-        self._next_jid = max(self.entries, default=0) + 1
+        self._next_jid = max(fold.next_jid, max(self.entries, default=0) + 1)
         report.entries, report.unsettled, report.frozen = (
             len(self.entries), len(self._unsettled), len(self.frozen_specs)
         )
@@ -1135,7 +1141,7 @@ class Journal:
             self._seg_size = 0
             self._append(
                 {"kind": "segment_header", "index": index, "compact": True,
-                 "format": FORMAT}
+                 "format": FORMAT, "next_jid": self._next_jid}
             )
             for fid in sorted(self.frozen_specs):
                 self._append(

@@ -7,10 +7,11 @@ unobservable here; instead this package replays a Heteroflow graph on a
 calibrated discrete-event machine model that mirrors the real runtime's
 semantics:
 
-- every task is dispatched by a CPU *worker* (host tasks occupy the
-  worker for their full duration; GPU tasks occupy it only for the
-  dispatch overhead, matching the asynchronous stream semantics);
-- each GPU op runs on the dispatching worker's per-device *stream*
+- every task is dispatched by a CPU *worker* taking the newest task
+  from its machine's one ready list (host tasks occupy the worker for
+  their full duration; GPU tasks occupy it only for the dispatch
+  overhead, matching the asynchronous stream semantics);
+- each GPU op runs on one of the per-(worker slot, device) *streams*
   (ops on one stream serialize — this is what couples GPU concurrency
   to worker count, the effect behind Fig. 6's 40-core × 1-GPU point);
 - each device caps concurrent kernels (``kernel_slots``) and has one
@@ -25,7 +26,6 @@ from repro.sim.cost import CostModel, TaskCost
 from repro.sim.events import EventQueue
 from repro.sim.machine import MachineSpec, paper_testbed
 from repro.sim.simulator import SimExecutor, SimReport
-from repro.sim.sweep import SweepResult, sweep_machines, sweep_workloads
 
 __all__ = [
     "CostModel",
@@ -33,9 +33,6 @@ __all__ = [
     "MachineSpec",
     "SimExecutor",
     "SimReport",
-    "SweepResult",
     "TaskCost",
     "paper_testbed",
-    "sweep_machines",
-    "sweep_workloads",
 ]

@@ -3,15 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    RoundRobinPlacement,
-    SequentialExecutor,
-    central_queue_sim_executor,
-    dedicated_sim_executor,
-)
+from repro.baselines import RoundRobinPlacement, SequentialExecutor
 from repro.core import Executor, Heteroflow
 from repro.errors import ExecutorError, KernelError
-from repro.sim import CostModel, MachineSpec
+from repro.sim import CostModel, MachineSpec, SimExecutor
 from tests.conftest import saxpy_kernel
 
 
@@ -98,19 +93,15 @@ class TestSimBaselines:
         for _ in range(16):
             cm.annotate_host(hf.host(lambda: None), 1.0)
         m = MachineSpec(4, 2)
-        from repro.sim import SimExecutor
-
         uni = SimExecutor(m, cm).run(hf).makespan
-        ded = dedicated_sim_executor(m, cm).run(hf).makespan
+        ded = SimExecutor(m, cm, dedicated_gpu_workers=True).run(hf).makespan
         assert ded >= uni
 
     def test_central_queue_never_beats_lifo_on_pipelines(self):
         hf, cm = _mixed_graph(12)
         m = MachineSpec(1, 1)
-        from repro.sim import SimExecutor
-
         lifo = SimExecutor(m, cm).run(hf).makespan
-        fifo = central_queue_sim_executor(m, cm).run(hf).makespan
+        fifo = SimExecutor(m, cm, ready_policy="fifo").run(hf).makespan
         assert fifo >= lifo - 1e-9
 
     def test_round_robin_correctness_preserved(self):

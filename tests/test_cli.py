@@ -1,11 +1,14 @@
 """Tests for the ``python -m repro`` CLI and the figures module."""
 
 import json
+import os
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.figures import ALL_FIGURES, fig4_table, fig6a_table, format_table
+from repro.figures import ALL_FIGURES, Table, fig4_table, fig6a_table, format_table
+
+RESULTS = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "results")
 
 
 class TestParser:
@@ -38,6 +41,14 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "FIG4" in out and "7nm" in out
 
+    @pytest.mark.parametrize("name", ["fig4", "fig9a"])
+    def test_figures_print_the_committed_table(self, capsys, name):
+        """The CLI and the benchmarks render one definition: a table
+        prints exactly its committed benchmarks/results copy."""
+        assert main(["figures", name]) == 0
+        with open(os.path.join(RESULTS, f"{name}.txt")) as fh:
+            assert capsys.readouterr().out == fh.read()
+
     def test_figures_fig6a_scaled(self, capsys):
         assert main(["figures", "fig6a", "--views", "32"]) == 0
         out = capsys.readouterr().out
@@ -57,26 +68,30 @@ class TestCommands:
 
 class TestFiguresModule:
     def test_all_figures_registry(self):
-        assert set(ALL_FIGURES) == {"fig4", "fig6a", "fig6b", "fig9a", "fig9b"}
+        assert list(ALL_FIGURES) == [
+            "fig4", "fig6a", "fig6a-aux", "fig6b", "fig9a", "fig9b",
+            "abl-steal", "abl-dedic", "abl-place", "ext-dist", "ext-dist-net", "ext-snn",
+        ]
 
     def test_fig4_rows(self):
-        headers, rows, _ = fig4_table()
+        _, headers, rows, _ = fig4_table()
         assert len(rows) == 10
         assert headers[0] == "node"
 
     def test_fig6a_small(self):
-        headers, rows, notes = fig6a_table(num_views=16)
+        _, headers, rows, notes = fig6a_table(num_views=16)
         assert len(rows) == 24
         # scaled (1,1) point lands near the paper's 99 minutes
         point = next(r for r in rows if r[0] == 1 and r[1] == 1)
         assert 80 < point[2] < 120
 
     def test_format_table_alignment(self):
-        text = format_table("T", (("a", "bb"), [(1, 22), (333, 4)], "note"))
+        text = format_table(Table("T", ("a", "bb"), [(1, 22), (333, 4.5)], "note"))
         lines = text.splitlines()
         assert lines[0] == "== T =="
         assert lines[-1] == "note"
-        assert all(len(l) == len(lines[1]) for l in lines[1:4])
+        assert all(len(l) == len(lines[1]) for l in lines[1:5])
+        assert lines[4] == "333  4.50"
 
 
 class TestGantt:

@@ -135,14 +135,19 @@ class TestPartition:
 
 class TestDistSimulator:
     def test_one_node_matches_local_sim(self):
+        """A 1-node cluster runs the very machine model SimExecutor runs,
+        so it reproduces the local schedule exactly, busy times included."""
         from repro.apps.timing import build_timing_flow
 
         flow = build_timing_flow(num_views=16, num_gates=40, paths_per_view=4)
-        local = SimExecutor(paper_testbed(4, 1), flow.cost_model).run(flow.graph)
-        cl = ClusterSpec(1, paper_testbed(4, 1))
-        dist = DistSimExecutor(cl, flow.cost_model).run(flow.graph)
-        assert dist.makespan == pytest.approx(local.makespan)
-        assert dist.messages == 0
+        for gpus in (1, 2):
+            local = SimExecutor(paper_testbed(4, gpus), flow.cost_model).run(flow.graph)
+            cl = ClusterSpec(1, paper_testbed(4, gpus))
+            dist = DistSimExecutor(cl, flow.cost_model).run(flow.graph)
+            assert dist.makespan == local.makespan
+            assert dist.node_core_busy == [sum(local.core_busy)]
+            assert dist.node_gpu_busy == [sum(local.gpu_busy)]
+            assert dist.messages == 0
 
     def test_parallel_workload_scales_with_nodes(self):
         from repro.apps.timing import build_timing_flow

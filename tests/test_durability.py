@@ -767,6 +767,27 @@ class TestJournal:
         j2.close()
         assert fsck(path).clean
 
+    def test_jids_are_not_reused_after_compaction(self, tmp_path):
+        # compaction drops the newest settled unkeyed entries; the
+        # compact header's jid mark keeps a reopened journal from
+        # handing their jids out again
+        path = str(tmp_path / "j")
+        j = Journal(path, fsync_policy="never", auto_compact=False)
+        j.open()
+        jids = [j.append_accepted(target="spec") for _ in range(3)]
+        assert jids == [1, 2, 3]
+        for jid in jids:
+            j.append_settled(jid, outcome="completed")
+        assert j.compact() == 3
+        j.close()
+
+        j2 = Journal(path, fsync_policy="never")
+        j2.open()
+        assert j2.counts()["entries"] == 0
+        assert j2.append_accepted(target="spec") == 4
+        j2.close()
+        assert fsck(path).clean
+
     def test_crash_mid_compaction_residue_is_harmless(self, tmp_path):
         # a crash between "start writing the compact segment" and the
         # commit rename leaves only a *.tmp file: the old generation is
