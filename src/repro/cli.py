@@ -51,6 +51,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -699,4 +700,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command is None:
         parser.print_help()
         return 2
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except BrokenPipeError:
+        # the reader of stdout went away (``repro figures | head``):
+        # stop quietly, with stdout pointed at devnull so the
+        # interpreter's exit-time flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1

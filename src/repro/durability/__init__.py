@@ -3,8 +3,9 @@
 The gateway (PR 8/9) survives *worker* death; this package makes it
 survive its *own* death.  A :class:`Journal` is an append-only,
 checksummed, fsync'd write-ahead log the gateway writes through:
-``accepted`` is journaled before the client sees a submission handle,
-``settled`` is journaled before the client's Result resolves, and a
+``accepted`` is written before the client sees a submission handle,
+``settled`` is journaled — and its fsync makes both records durable —
+before the client's Result resolves, and a
 client-supplied ``idempotency_key=`` dedupes resubmission after a
 crash — a replayed key returns the journaled settlement instead of
 re-running.  :meth:`repro.gateway.Gateway.recover` replays the log on
@@ -16,7 +17,8 @@ Layout:
 - :mod:`~repro.durability.journal` — segment files, CRC-framed
   records, torn-tail truncation, rotation + compaction;
 - :mod:`~repro.durability.osshim` — injectable system-call surface
-  (:class:`FaultyOs` schedules fsync failures, short writes, ENOSPC);
+  (:class:`FaultyOs` schedules fsync failures, short writes, ENOSPC,
+  and copies the journal a power cut would leave);
 - :mod:`~repro.durability.fsck` — read-only validation
   (``repro fsck <journal>``);
 - :mod:`~repro.durability.soak` — the gateway crash suite

@@ -3,8 +3,9 @@
 The crash-consistency backbone of the gateway (docs/durability.md).  A
 :class:`Journal` is a directory of **segment files** filled with
 CRC-framed records; the gateway writes *through* it so that every
-accepted submission and every settlement is on disk — fsync'd — before
-the client observes it.  After a gateway crash,
+accepted submission is written before the client holds its handle, and
+its acceptance and settlement are both on disk — fsync'd — before the
+client observes its Result.  After a gateway crash,
 :meth:`repro.gateway.Gateway.recover` replays the journal and
 guarantees every journaled submission reaches exactly one settlement.
 
@@ -44,7 +45,9 @@ Crash-consistency rules, in the style of etcd's WAL:
   log, shared with ``repro fsck``: open() repairs nothing until it
   found nothing, so a refused log is left byte for byte as it was;
 - every append is written as one frame and fsync'd (policy
-  ``"always"``) before the caller proceeds; a failed write is rolled
+  ``"always"``) before the caller proceeds — except an
+  ``append_accepted(sync=False)``, whose frame the next fsync of the
+  segment covers; a failed write is rolled
   back by truncating to the pre-append offset, so torn bytes never
   masquerade as a committed record — the caller gets a structured
   :class:`~repro.errors.JournalWriteError`;
@@ -863,12 +866,15 @@ class Journal:
         deadline: Optional[float] = None,
         repeats: int = 1,
         tenant: str = "",
+        sync: bool = True,
     ) -> int:
-        """Journal one accepted submission; returns its durable jid.
+        """Journal one accepted submission; returns its jid.
 
-        The record is on disk (and fsync'd, policy permitting) before
-        this returns — the gateway calls it before the client sees the
-        submission handle, so a crash can never lose accepted work."""
+        The record is written before this returns and, with *sync*
+        (policy permitting), fsync'd.  The gateway passes
+        ``sync=False``: the settle's fsync covers the accept, so a
+        submission's Result still resolves only once both of its
+        records are on disk (docs/durability.md)."""
         with self._lock:
             self._check_writable()
             if key and key in self.by_key:
@@ -890,7 +896,7 @@ class Journal:
                 "repeats": repeats,
                 "tenant": tenant,
             }
-            self._append(rec)
+            self._append(rec, sync=sync)
             self._next_jid = jid + 1
             entry = JournalEntry.from_record(rec)
             self.entries[jid] = entry
@@ -955,10 +961,11 @@ class Journal:
         if not self._open or self._fd is None:
             raise JournalError("journal is not open")
 
-    def _append(self, record: dict) -> None:
-        """Frame, write, and (policy permitting) fsync one record; the
-        caller holds the lock.  A failed write rolls the segment back
-        to its pre-append offset and raises a structured error."""
+    def _append(self, record: dict, *, sync: bool = True) -> None:
+        """Frame, write, and (*sync* and policy permitting) fsync one
+        record; the caller holds the lock.  A failed write rolls the
+        segment back to its pre-append offset and raises a structured
+        error."""
         record = dict(record)
         record["seq"] = self._next_seq
         frame = encode_record(record)
@@ -992,7 +999,7 @@ class Journal:
             self._rollback(offset)
             self._m_errors.inc()
             raise JournalWriteError("short_write", segment=seg)
-        if self.fsync_policy == "always":
+        if sync and self.fsync_policy == "always":
             try:
                 self._os.fsync(self._fd)
             except OSError as exc:

@@ -15,6 +15,10 @@ scriptable failures:
 - **disk full** — ``ENOSPC`` raised from ``write``;
 - **hard write errors** — ``EIO`` raised from ``write``.
 
+It also remembers each file's length at its last successful fsync, so
+:meth:`FaultyOs.power_cut_copy` can build the journal a power cut would
+leave behind: every byte written but not yet fsync'd is gone.
+
 Faults are *scheduled by call count* (fail the k-th write / fsync), so
 a test or soak scenario derives the schedule from its seed and the
 failure lands deterministically mid-batch.  After the scheduled
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 import errno
 import os
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 
 class OsFacade:
@@ -91,6 +95,9 @@ class FaultyOs(OsFacade):
         self.writes = 0
         self.fsyncs = 0
         self.injected: List[str] = []
+        #: path -> its length at its last successful fsync
+        self.synced: Dict[str, int] = {}
+        self._paths: Dict[int, str] = {}
 
     def _fire(self, kind: str, at: Optional[int], count: int) -> bool:
         if at is None:
@@ -117,6 +124,51 @@ class FaultyOs(OsFacade):
         if self._fire("fsync", self.fail_fsync_at, self.fsyncs):
             raise OSError(errno.EIO, "fsync failed (injected)")
         os.fsync(fd)
+        path = self._paths.get(fd)
+        if path is not None:
+            self.synced[path] = os.fstat(fd).st_size
+
+    # -- what a power cut keeps ------------------------------------------
+    def open(self, path: str, flags: int, mode: int = 0o644) -> int:
+        fd = os.open(path, flags, mode)
+        self._paths[fd] = path
+        return fd
+
+    def close(self, fd: int) -> None:
+        self._paths.pop(fd, None)
+        os.close(fd)
+
+    def ftruncate(self, fd: int, length: int) -> None:
+        os.ftruncate(fd, length)
+        path = self._paths.get(fd)
+        if path in self.synced:
+            self.synced[path] = min(self.synced[path], length)
+
+    def rename(self, src: str, dst: str) -> None:
+        os.rename(src, dst)
+        if src in self.synced:
+            self.synced[dst] = self.synced.pop(src)
+        for fd, path in self._paths.items():
+            if path == src:
+                self._paths[fd] = dst
+
+    def unlink(self, path: str) -> None:
+        os.unlink(path)
+        self.synced.pop(path, None)
+
+    def power_cut_copy(self, src_dir: str, dst_dir: str) -> None:
+        """Copy the journal directory *src_dir* to *dst_dir* as a power
+        cut would leave it: each file cut to its length at its last
+        successful fsync, a file never fsync'd left out."""
+        os.makedirs(dst_dir)
+        for name in sorted(os.listdir(src_dir)):
+            length = self.synced.get(os.path.join(src_dir, name))
+            if length is None:
+                continue
+            with open(os.path.join(src_dir, name), "rb") as src, open(
+                os.path.join(dst_dir, name), "wb"
+            ) as dst:
+                dst.write(src.read(length))
 
 
 __all__ = ["OsFacade", "FaultyOs"]

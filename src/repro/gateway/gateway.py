@@ -19,10 +19,11 @@ asyncio submission API over a pickle-framed pipe per worker:
   circuit breaker instead, and ``hedge_after=`` races a duplicate of a
   slow frozen submission on another worker (docs/gateway.md, "Failure
   handling" and "Gray failures");
-- with a **durable journal** attached, every acceptance is journaled
-  before the client sees the Submission and every settlement before
-  the Result resolves; :meth:`Gateway.recover` replays the log after a
-  gateway crash (docs/durability.md).
+- with a **durable journal** attached, every acceptance is written
+  before the client sees the Submission, and the settlement's fsync
+  makes both durable before the Result resolves;
+  :meth:`Gateway.recover` replays the log after a gateway crash
+  (docs/durability.md).
 
 All routing state lives in two tables (docs/gateway.md, "Legs and
 control calls").  The **leg table** maps each worker-side run of a
@@ -34,9 +35,11 @@ worker death resolves every call waiting on it.
 
 The architecture follows vLLM's multiprocess executor and StarPU's
 driver-per-device worker model: an asyncio front-end that fans control
-messages out to per-device worker processes, with a reader per worker
-and a monitor feeding completions back into the event loop.  The
-``gateway.*`` metrics are cataloged in docs/observability.md.
+messages out to per-device worker processes.  Every worker pipe is
+read and written on the event loop itself (``add_reader`` /
+``add_writer``), so a completion reaches its future without a thread
+hop and a full pipe never blocks the loop.  The ``gateway.*`` metrics
+are cataloged in docs/observability.md.
 """
 
 from __future__ import annotations
@@ -44,7 +47,9 @@ from __future__ import annotations
 import asyncio
 import itertools
 import multiprocessing
-import threading
+import os
+import pickle
+import struct
 import time
 import zlib
 from dataclasses import dataclass, field, replace
@@ -69,6 +74,12 @@ _HEARTBEAT_MISSES = 20
 #: default missed-heartbeat budget before a worker is considered
 #: *stalled* (alive but wedged) — must be < the death budget
 _STALL_MISSES = 4
+#: multiprocessing.Connection's frame header, the payload length.  Its
+#: form for payloads over 2 GiB (-1, then a 64-bit length) never occurs
+#: here: a control message is at most a few KiB
+_LEN = struct.Struct("!i")
+#: most bytes one readable callback reads from a worker pipe
+_READ_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -214,12 +225,23 @@ class _Leg:
 class _WorkerHandle:
     """Gateway-side state for one worker slot occupant."""
 
-    __slots__ = ("wid", "proc", "conn", "ready", "ready_event", "dead", "last_pong", "pings")
+    __slots__ = (
+        "wid", "proc", "conn", "fd", "inbuf", "outbuf",
+        "ready", "ready_event", "dead", "last_pong", "pings",
+    )
 
     def __init__(self, wid: int, proc, conn) -> None:
         self.wid = wid
         self.proc = proc
         self.conn = conn
+        #: the pipe's descriptor, kept past conn.close() so the loop
+        #: can stop watching it; non-blocking, read and written on the
+        #: event loop only
+        self.fd = conn.fileno()
+        os.set_blocking(self.fd, False)
+        #: bytes read but not yet a whole frame / framed but not yet sent
+        self.inbuf = bytearray()
+        self.outbuf = bytearray()
         self.ready = False
         self.ready_event = asyncio.Event()
         self.dead = False
@@ -404,12 +426,7 @@ class Gateway:
         proc.start()
         child_conn.close()
         handle = _WorkerHandle(wid, proc, parent_conn)
-        threading.Thread(
-            target=self._read_loop,
-            args=(handle,),
-            name=f"{self.name}-reader{wid}",
-            daemon=True,
-        ).start()
+        self._loop.add_reader(handle.fd, self._on_readable, handle)
         return handle
 
     async def _wait_ready(self) -> None:
@@ -431,34 +448,80 @@ class Gateway:
         return sum(1 for h in self._live_handles() if h.proc.is_alive())
 
     # -- pipe plumbing -------------------------------------------------
-    def _read_loop(self, handle: _WorkerHandle) -> None:
-        """Reader thread: pump one worker's pipe into the event loop.
-
-        The pipe is drained off the loop on purpose.  Sends are
-        blocking ``conn.send`` calls, so a loop-side reader
-        (``loop.add_reader``) could deadlock: once both pipe buffers
-        fill, the loop blocks sending to a worker whose recv thread is
-        itself blocked sending a Pong that nobody reads.  A thread that
-        only ever reads keeps the worker's sends moving."""
-        while True:
-            try:
-                msg = handle.conn.recv()
-            except (EOFError, OSError):
-                break
-            try:
-                self._loop.call_soon_threadsafe(self._on_message, handle, msg)
-            except RuntimeError:  # loop closed during teardown
-                return
+    # The worker side speaks multiprocessing.Connection (send / recv);
+    # the gateway side reads and writes the same length-prefixed pickle
+    # frames itself, without blocking, on the event loop.  Neither side
+    # can wedge the other: the loop never blocks in a send, and it
+    # reads whenever the worker writes.
+    def _on_readable(self, handle: _WorkerHandle) -> None:
+        """Read what the pipe holds and dispatch every whole frame."""
         try:
-            self._loop.call_soon_threadsafe(self._on_pipe_closed, handle)
-        except RuntimeError:
-            pass
+            chunk = os.read(handle.fd, _READ_CHUNK)
+        except BlockingIOError:
+            return
+        except OSError:
+            chunk = b""
+        if not chunk:  # EOF: the worker exited or closed its end
+            if self._closing:
+                self._loop.remove_reader(handle.fd)
+            else:
+                self._worker_died(handle, "pipe")
+            return
+        buf = handle.inbuf
+        buf += chunk
+        pos, end = 0, len(buf)
+        while not handle.dead and end - pos >= _LEN.size:
+            (size,) = _LEN.unpack_from(buf, pos)
+            start = pos + _LEN.size
+            if end - start < size:
+                break
+            pos = start + size
+            self._on_message(handle, pickle.loads(buf[start:pos]))
+        del buf[:pos]
 
     def _send(self, handle: _WorkerHandle, msg) -> None:
+        """Frame *msg* onto *handle*'s pipe without blocking: what the
+        pipe cannot take now waits in the handle's outbound buffer,
+        which an ``add_writer`` callback flushes in order."""
+        if handle.dead:
+            return
+        payload = pickle.dumps(msg, pickle.HIGHEST_PROTOCOL)
+        frame = _LEN.pack(len(payload)) + payload
+        if handle.outbuf:  # earlier frames still queued: keep FIFO
+            handle.outbuf += frame
+            return
         try:
-            handle.conn.send(msg)
-        except (OSError, ValueError, BrokenPipeError):
+            sent = os.write(handle.fd, frame)
+        except BlockingIOError:
+            sent = 0
+        except OSError:
             self._worker_died(handle, "pipe")
+            return
+        if sent < len(frame):
+            handle.outbuf += frame[sent:]
+            self._loop.add_writer(handle.fd, self._on_writable, handle)
+
+    def _on_writable(self, handle: _WorkerHandle) -> None:
+        try:
+            sent = os.write(handle.fd, handle.outbuf)
+        except BlockingIOError:
+            return
+        except OSError:
+            self._worker_died(handle, "pipe")
+            return
+        del handle.outbuf[:sent]
+        if not handle.outbuf:
+            self._loop.remove_writer(handle.fd)
+
+    def _close_pipe(self, handle: _WorkerHandle) -> None:
+        """Stop watching *handle*'s pipe, then close it (in that order:
+        a closed descriptor's number is reused by the next pipe)."""
+        self._loop.remove_reader(handle.fd)
+        self._loop.remove_writer(handle.fd)
+        try:
+            handle.conn.close()
+        except OSError:  # pragma: no cover
+            pass
 
     async def _rpc(self, handle: _WorkerHandle, kind, **fields):
         """Send one control request (``kind(rid=..., **fields)``) and
@@ -473,10 +536,6 @@ class Gateway:
             return await fut
         finally:
             del self._calls[rid]
-
-    def _on_pipe_closed(self, handle: _WorkerHandle) -> None:
-        if not self._closing:
-            self._worker_died(handle, "pipe")
 
     def _on_message(self, handle: _WorkerHandle, msg) -> None:
         if isinstance(msg, m.Settled):
@@ -694,7 +753,9 @@ class Gateway:
         and swallowed: the settlement already happened worker-side, so
         blocking the client would strand a completed awaitable.  The
         degradation is honest — a crash before the next successful
-        append replays the entry at-least-once (docs/durability.md,
+        append replays the entry at-least-once, and since this append's
+        fsync is the one that makes the acceptance durable, a power cut
+        may lose the acceptance as well (docs/durability.md,
         "Exactly-once matrix")."""
         if self.journal is None or not sub.jid or sub.journal_settled:
             return
@@ -725,10 +786,7 @@ class Gateway:
         handle.dead = True
         self._m_deaths.inc()
         self._health[handle.wid].mark_dead()
-        try:
-            handle.conn.close()
-        except OSError:  # pragma: no cover
-            pass
+        self._close_pipe(handle)
         if handle.proc.is_alive():
             # workers ignore SIGTERM (operator signals): a silent or
             # cut-off worker left running would never exit
@@ -967,8 +1025,9 @@ class Gateway:
         key journaled but orphaned by a crash (restart without
         :meth:`recover`) is resubmitted from the **journaled** entry
         under its original jid, the caller's payload ignored; a fresh
-        key is journaled **before** this method returns, so the
-        acceptance survives any later crash (docs/durability.md).
+        key is written to the journal **before** this method returns,
+        so the acceptance survives a gateway crash, and is durable
+        before its Result resolves (docs/durability.md).
 
         Every argument is validated before anything is journaled or
         sent: a refused call leaves no trace.
@@ -1031,9 +1090,11 @@ class Gateway:
                     return self._resubmit_entry(entry)
         handle = self._slot(target.wid) if kind == "instance" else self._route(tenant)
         if self.journal is not None and jid is None:
-            # journaled *before* any state mutates or bytes hit the
-            # pipe: a JournalWriteError propagates to the caller with
-            # nothing accepted — structured refusal, never silent loss
+            # written *before* any state mutates or bytes hit the pipe:
+            # a JournalWriteError propagates to the caller with nothing
+            # accepted — structured refusal, never silent loss.  No
+            # fsync here: the settle's fsync covers this record, so the
+            # Result still waits for both (docs/durability.md)
             jid = self.journal.append_accepted(
                 key=idempotency_key,
                 target=kind,
@@ -1044,6 +1105,7 @@ class Gateway:
                 deadline=deadline,
                 repeats=repeats,
                 tenant=tenant,
+                sync=False,
             )
         sub = self._open_submission(
             handle, idempotency_key, "submitted",
@@ -1342,13 +1404,9 @@ class Gateway:
 
             await asyncio.to_thread(_join_all)
             for handle in self._workers:
-                if handle is None:
-                    continue
-                handle.dead = True
-                try:
-                    handle.conn.close()
-                except OSError:  # pragma: no cover
-                    pass
+                if handle is not None and not handle.dead:
+                    handle.dead = True
+                    self._close_pipe(handle)
             for sub in self._live_subs():
                 self._force_settle(
                     sub,

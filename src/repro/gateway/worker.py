@@ -9,12 +9,13 @@ PR 6 frozen replay) holds *inside* each worker unchanged; the gateway
 composes those guarantees across processes (docs/gateway.md).
 
 The main loop is intentionally tiny: it blocks on ``conn.recv()``,
-dispatches one message, and returns to the pipe.  Submissions hop to a
-dedicated submitter thread, so even a *blocking* admission policy
-(``block`` at capacity) never starves the loop — heartbeats keep
-flowing while a submission waits for capacity.  Terminal outcomes are
-sent from future done-callbacks, which run on executor threads — the
-single shared ``send`` lock keeps the pipe's frame stream intact.
+dispatches one message, and returns to the pipe.  Submissions are
+admitted inline, on that loop, in arrival order — except under a
+*blocking* admission policy (``block`` at capacity), where they hop to
+a dedicated submitter thread so a submission waiting for capacity
+never starves the loop and heartbeats keep flowing.  Terminal outcomes
+are sent from future done-callbacks, which run on executor threads —
+the single shared ``send`` lock keeps the pipe's frame stream intact.
 
 Outcome classification mirrors the in-process soak harness exactly
 (``completed``/``rejected``/``shed``/``deadline_exceeded``/
@@ -107,14 +108,16 @@ class _WorkerState:
         self._inflight_lock = threading.Lock()
         #: Cancel messages that raced ahead of their Submit's admission
         self._precancelled: set = set()
-        # submissions run on a dedicated thread so a blocking admission
-        # policy ("block" at capacity) never starves the recv loop —
-        # heartbeats keep flowing while a submission waits for capacity
-        self._submit_q: "queue.Queue[Optional[m.Submit]]" = queue.Queue()
-        self._submit_thread = threading.Thread(
-            target=self._submit_loop, name=f"gw{wid}-submit", daemon=True
-        )
-        self._submit_thread.start()
+        # only a blocking admission policy ("block" at capacity) can
+        # park a submission; then submissions run on a dedicated thread
+        # so the recv loop keeps answering heartbeats meanwhile.  Every
+        # other worker admits inline, on the recv loop
+        self._submit_q: "Optional[queue.Queue[Optional[m.Submit]]]" = None
+        if admission is not None and config.policy == "block":
+            self._submit_q = queue.Queue()
+            threading.Thread(
+                target=self._submit_loop, name=f"gw{wid}-submit", daemon=True
+            ).start()
 
     # -- plumbing ------------------------------------------------------
     def send(self, msg) -> None:
@@ -154,7 +157,10 @@ class _WorkerState:
 
     # -- request handlers ---------------------------------------------
     def handle_submit(self, req: m.Submit) -> None:
-        self._submit_q.put(req)
+        if self._submit_q is None:
+            self._submit_one(req)
+        else:
+            self._submit_q.put(req)
 
     def _submit_loop(self) -> None:
         while True:
@@ -265,8 +271,10 @@ class _WorkerState:
         self.send(m.EventMsg(rid=None, kind="worker_draining", fields={"wid": self.wid}))
         # every Submit the gateway sent before this Drain must reach
         # the executor before admission closes — drain never rejects
-        # work the gateway already accepted
-        self._submit_q.join()
+        # work the gateway already accepted.  Inline admission already
+        # ran each of them, in arrival order; queued ones are awaited
+        if self._submit_q is not None:
+            self._submit_q.join()
         ok = self.executor.drain(timeout=req.timeout)
         self.send(m.Drained(rid=req.rid, ok=ok))
 
@@ -354,7 +362,8 @@ def worker_main(wid: int, conn, config: WorkerConfig) -> None:
             if handler is not None:
                 handler(msg)
     finally:
-        state._submit_q.put(None)
+        if state._submit_q is not None:
+            state._submit_q.put(None)
         # wait=False never strands a future; anything unresolved
         # resolves with CancelledError before teardown returns
         state.executor.shutdown(wait=False)

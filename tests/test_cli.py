@@ -2,6 +2,9 @@
 
 import json
 import os
+import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -48,6 +51,21 @@ class TestCommands:
         assert main(["figures", name]) == 0
         with open(os.path.join(RESULTS, f"{name}.txt")) as fh:
             assert capsys.readouterr().out == fh.read()
+
+    def test_figures_into_a_closed_pipe_exit_quietly(self):
+        """``repro figures fig4 fig9a | head -1``: head exits after the
+        first line, so printing fig9a hits a closed pipe; the CLI stops
+        without a traceback."""
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        cmd = f"{shlex.quote(sys.executable)} -m repro figures fig4 fig9a | head -1"
+        proc = subprocess.run(
+            ["sh", "-c", cmd], env=env, capture_output=True, text=True, timeout=120
+        )
+        with open(os.path.join(RESULTS, "fig4.txt")) as fh:
+            assert proc.stdout == fh.readline()
+        assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
 
     def test_figures_fig6a_scaled(self, capsys):
         assert main(["figures", "fig6a", "--views", "32"]) == 0

@@ -1216,6 +1216,29 @@ class TestFaultInjection:
         assert j2.counts()["entries"] == 1
         j2.close()
 
+    def test_unsynced_accept_is_covered_by_the_settle_fsync(self, tmp_path):
+        path = str(tmp_path / "j")
+        shim = FaultyOs()
+        j = Journal(path, os_impl=shim, fsync_policy="always")
+        j.open()
+        synced = shim.fsyncs
+        jid = j.append_accepted(key="k", target="spec", sync=False)
+        # written, not fsync'd: the page cache has it, a power cut not
+        assert shim.fsyncs == synced and j.lookup("k") == jid
+        shim.power_cut_copy(path, str(tmp_path / "cut-before"))
+        j.append_settled(jid, outcome="completed", passes=1)
+        assert shim.fsyncs == synced + 1
+        shim.power_cut_copy(path, str(tmp_path / "cut-after"))
+        j.close()
+        for name, settled in (("cut-before", False), ("cut-after", True)):
+            img = Journal(str(tmp_path / name))
+            img.open()
+            assert img.counts()["entries"] == int(settled)
+            if settled:
+                assert img.get(img.lookup("k")).settled["outcome"] == "completed"
+            img.close()
+            assert fsck(str(tmp_path / name)).clean
+
 
 class TestFsck:
     def test_clean_and_drained(self, tmp_path):

@@ -14,6 +14,8 @@ from __future__ import annotations
 import asyncio
 import os
 import signal
+import socket
+import threading
 import time
 
 import pytest
@@ -26,6 +28,8 @@ from repro.gateway import (
     GeneratedSpec,
     WorkerConfig,
 )
+from repro.gateway import messages as m
+from repro.gateway.worker import _WorkerState
 
 pytestmark = pytest.mark.gateway
 
@@ -229,6 +233,104 @@ class TestControlCallDeath:
                 assert gw.snapshot()["gateway.worker_deaths"] == 1
 
         _run(main())
+
+
+class TestPipePlumbing:
+    def test_full_pipe_never_blocks_the_loop(self):
+        """A stalled worker stops reading; the gateway keeps queueing
+        Submits past what the socket pair buffers, and its event loop
+        stays responsive the whole time."""
+
+        async def main():
+            # no heartbeat during the stall: nothing reroutes the work
+            async with Gateway(2, worker=_CONFIG, heartbeat_interval=5.0) as gw:
+                fh = await gw.freeze(BurstSpec(width=1))
+                # a long tenant pads every Submit frame to ~8 KiB and
+                # pins them all to one worker (tenant-hash routing)
+                tenant = "t" * 8192
+                wid = gw._route(tenant).wid
+                conn = gw._workers[wid].conn
+                with socket.fromfd(conn.fileno(), socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+                    buffered = sock.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+                    buffered += sock.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)
+                gw.inject_chaos(wid, stall_s=1.5)
+                await asyncio.sleep(0.1)  # the worker is inside the stall
+                loop = asyncio.get_running_loop()
+                fired = loop.create_future()
+                t0 = time.monotonic()
+                loop.call_later(0.05, lambda: fired.set_result(time.monotonic() - t0))
+                subs = [
+                    gw.submit(fh, tenant=tenant)
+                    for _ in range(2 * buffered // len(tenant) + 1)
+                ]
+                assert await asyncio.wait_for(fired, 5.0) < 0.5
+                assert gw._workers[wid].outbuf  # the pipe really is full
+                results = await asyncio.wait_for(asyncio.gather(*subs), 60.0)
+                assert all(r.ok and r.wid == wid for r in results)
+                assert not gw._workers[wid].outbuf
+
+        _run(main())
+
+    def test_gateway_runs_no_reader_thread(self):
+        async def main():
+            async with Gateway(2, worker=_CONFIG) as gw:
+                assert (await gw.submit(BurstSpec(width=2))).ok
+                names = [t.name for t in threading.enumerate()]
+                assert not [n for n in names if "-reader" in n], names
+
+        _run(main())
+
+
+class _RecordingPipe:
+    """Stands in for a worker's Connection: records what it sends."""
+
+    def __init__(self) -> None:
+        self.sent = []
+
+    def send(self, msg) -> None:
+        self.sent.append(msg)
+
+
+def _submit_threads(wid: int):
+    return [t for t in threading.enumerate() if t.name == f"gw{wid}-submit"]
+
+
+class TestWorkerAdmission:
+    @pytest.mark.parametrize("config", [
+        WorkerConfig(threads=1, gpus=0),
+        WorkerConfig(threads=1, gpus=0, max_topologies=4, policy="reject"),
+    ])
+    def test_admission_is_inline_without_a_blocking_policy(self, config):
+        pipe = _RecordingPipe()
+        state = _WorkerState(71, pipe, config)
+        try:
+            assert _submit_threads(71) == []
+            state.handle_submit(m.Submit(rid=1, spec=BurstSpec(width=1)))
+            # admitted on the calling (recv) thread before it returned
+            assert any(isinstance(x, m.Accepted) and x.rid == 1 for x in pipe.sent)
+        finally:
+            state.executor.shutdown(wait=True)
+
+    def test_blocking_policy_keeps_the_submit_thread_and_drain_waits(self):
+        pipe = _RecordingPipe()
+        config = WorkerConfig(threads=1, gpus=0, max_topologies=1, policy="block")
+        state = _WorkerState(72, pipe, config)
+        try:
+            assert len(_submit_threads(72)) == 1
+            rids = range(1, 5)
+            for rid in rids:
+                state.handle_submit(
+                    m.Submit(rid=rid, spec=BurstSpec(width=1, sleep_s=0.02))
+                )
+            state.handle_drain(m.Drain(rid=99, timeout=10.0))
+            drained = next(i for i, x in enumerate(pipe.sent) if isinstance(x, m.Drained))
+            assert pipe.sent[drained].ok
+            settled = {x.rid: x.outcome for x in pipe.sent[:drained] if isinstance(x, m.Settled)}
+            # every Submit queued before the Drain was admitted and settled
+            assert settled == {rid: "completed" for rid in rids}
+        finally:
+            state._submit_q.put(None)
+            state.executor.shutdown(wait=True)
 
 
 class TestDrainShutdown:

@@ -2,7 +2,8 @@
 
 Spawns real worker pools like tests/test_gateway.py, so tests stay
 bundled and pools stay at 2 processes.  Covers the write-through
-contract (accepted before the handle, settled before the Result),
+contract (written before the handle, durable before the Result; one
+fsync per submission, checked on power-cut images),
 idempotency-key dedupe, crash recovery via :meth:`Gateway.recover`,
 structured refusal when the journal device fails, worker immunity to
 operator signals, and a smoke run of the crash soak harness.
@@ -109,6 +110,64 @@ class TestWriteThrough:
                 )
                 assert res.ok
         _run(main())
+
+
+class TestOneFsync:
+    """The accept is written unsynced; the settle's fsync covers it."""
+
+    def test_one_fsync_per_fresh_keyed_submission(self, tmp_path):
+        n = 8
+
+        async def main():
+            async with Gateway(2, worker=_CONFIG, journal=str(tmp_path / "j")) as gw:
+                fh = await gw.freeze(BurstSpec(width=2))
+                before = gw.snapshot()["journal.fsyncs"]
+                subs = [gw.submit(fh, idempotency_key=f"k{i}") for i in range(n)]
+                assert all(r.ok for r in await asyncio.gather(*subs))
+                assert gw.snapshot()["journal.fsyncs"] - before == n
+        _run(main())
+
+    def test_power_cut_image_after_every_result(self, tmp_path):
+        """After each Result resolves, cut the journal to what its fsyncs
+        made durable: the image opens, fscks clean, and holds every key
+        resolved so far settled with exactly its Result."""
+        path = str(tmp_path / "j")
+        shim = FaultyOs()
+        journal = Journal(path, os_impl=shim, fsync_policy="always")
+        images = []  # (image dir, {key: Result resolved by then})
+        resolved = {}
+
+        def cut(key, fut):
+            resolved[key] = fut.result()
+            img = str(tmp_path / f"img{len(images)}")
+            shim.power_cut_copy(path, img)
+            images.append((img, dict(resolved)))
+
+        async def main():
+            async with Gateway(2, worker=_CONFIG, journal=journal) as gw:
+                fh = await gw.freeze(BurstSpec(width=2))
+                subs = []
+                for i in range(12):
+                    target = fh if i % 2 else BurstSpec(width=2)
+                    sub = gw.submit(target, idempotency_key=f"k{i}")
+                    sub.future.add_done_callback(lambda f, key=f"k{i}": cut(key, f))
+                    subs.append(sub)
+                await asyncio.gather(*subs)
+        _run(main())
+
+        assert len(images) == 12
+        for img, results in images:
+            report = fsck(img)
+            assert report.clean, report.corruptions
+            j = Journal(img)
+            j.open()
+            for key, res in results.items():
+                entry = j.get(j.lookup(key))
+                assert entry.is_settled, (img, key)
+                assert entry.settled == {
+                    f: getattr(res, f) for f in entry.settled
+                }, (img, key)
+            j.close()
 
 
 class TestRecovery:
