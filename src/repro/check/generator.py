@@ -217,8 +217,7 @@ def generate_graph(
 
                 return fill
 
-            node = filler.node
-            node.callable = make_filler(node.callable)
+            filler.host(make_filler(filler.node.callable))
             filler.precede(pull)
         ordered.append(pull)
 

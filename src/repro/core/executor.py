@@ -6,15 +6,20 @@ Reproduces the runtime of paper §III-B/C:
   threads — no worker is dedicated to a GPU ("we do not dedicate a
   worker to manage a target GPU"); GPU work is dispatched by whichever
   worker picks up the task;
-- every submission is **lowered** to slots (a fresh graph once per
-  submission, a frozen graph once at ``freeze()``), goes through
-  **device placement** (Algorithm 1; cached for frozen graphs), then
-  enters one **work-stealing** loop over chunks of ready slots: each
-  worker drains its local queue and turns thief when empty, stealing
-  from a random victim.  Host-only, unpolicied slots run inline;
-  every other slot takes the ``_Attempt`` route (GPU visitors,
-  retries, watchdogs, recovery).  Readiness lives on the topology,
-  whose slot-join step releases successors on both routes;
+- every submission is **lowered** to slots (a fresh graph when it
+  changed since its last submission — an unchanged one reuses that
+  lowering and its placement groups — a frozen graph once at
+  ``freeze()``), goes through **device placement** (Algorithm 1: the
+  groups are packed afresh every fresh submission; the whole plan is
+  cached for frozen graphs), then enters one **work-stealing** loop
+  over chunks of ready slots: each worker drains its local queue and
+  turns thief when empty, stealing from a random victim.  Host-only,
+  unpolicied topologies run their slots inline; in any other
+  topology, unpolicied host slots still run in the worker loop
+  without an attempt token, and GPU and policied slots take the
+  ``_Attempt`` route (GPU visitors, retries, watchdogs, recovery).
+  Readiness lives on the topology, whose slot-join step releases
+  successors on every route;
 - GPU tasks are invoked under an RAII :class:`ScopedDeviceContext`, on a
   **per-(worker, device) stream**, and complete asynchronously — the
   dispatching worker moves on immediately, and the stream callback
@@ -232,7 +237,9 @@ class _Attempt:
     timer, or a synchronous raise before enqueue.  Whichever path calls
     :meth:`resolve` first owns the outcome; the others become no-ops,
     so a timed-out op that later drains cannot double-complete the
-    task.
+    task.  Only a deadline's watchdog races another resolver, so the
+    lock exists only when the attempt has a deadline: without one, the
+    stream callback and a raise before enqueue exclude each other.
     """
 
     __slots__ = (
@@ -267,14 +274,20 @@ class _Attempt:
         self.timer_entry: Optional[list] = None
         self.fallback = False
         self._resolved = False
-        self._lock = threading.Lock()
+        self._lock = None if timeout_s is None else threading.Lock()
 
     @property
     def node(self):
         return self.topology.lowering.nodes[self.slot]
 
     def resolve(self) -> bool:
-        with self._lock:
+        lock = self._lock
+        if lock is None:
+            if self._resolved:
+                return False
+            self._resolved = True
+            return True
+        with lock:
             if self._resolved:
                 return False
             self._resolved = True
@@ -399,6 +412,14 @@ class Executor:
         self._m_fast_path = self.metrics.counter("replay.fast_path")
         self._m_replay_latency = self.metrics.histogram(
             "replay.latency_seconds"
+        )
+        # fresh-lowering cache (docs/runtime.md "Submission pipeline");
+        # sharded Counters — any thread may submit
+        self._m_lowering_builds = self.metrics.counter(
+            "executor.lowering_builds"
+        )
+        self._m_lowering_reuses = self.metrics.counter(
+            "executor.lowering_reuses"
         )
         # hfsan counters (docs/analysis.md, "Sanitizer"); sharded
         # Counters — the finish cross-check may run on any thread
@@ -561,8 +582,9 @@ class Executor:
     ) -> Future:
         """Run *graph* once; non-blocking, returns a future.
 
-        A fresh graph is validated and lowered to slots at submission:
-        the run sees the graph as it was then.  *graph* may instead be
+        A fresh graph is validated and lowered to slots at submission
+        (an unchanged graph reuses its last lowering): the run sees the
+        graph as it was then.  *graph* may instead be
         a :class:`~repro.core.topology.FrozenTopology` (from
         ``Heteroflow.freeze()``): the submission then replays the
         stored lowering and the cached plan — no validation, no
@@ -932,9 +954,13 @@ class Executor:
             return topology.future
         if topology.frozen is None:
             # frozen graphs were lowered at freeze() and cannot have
-            # changed since; fresh graphs are validated and lowered
-            # every submission
-            topology.lower()
+            # changed since; a fresh graph is validated and lowered
+            # again only when some graph changed since its last
+            # lowering (the structure version moved)
+            if topology.lower():
+                self._m_lowering_builds.inc()
+            else:
+                self._m_lowering_reuses.inc()
         else:
             topology.t_submit = time.perf_counter()
         self._admit(topology)
@@ -1202,9 +1228,10 @@ class Executor:
         self._dispatch_pass(topology)
 
     def _place(self, lowering: Lowering, alive: frozenset):
-        """Algorithm-1 placement; groups of devices that died before
-        this submission are re-packed onto the survivors."""
-        placement = self._placement.place(lowering.nodes, self.num_gpus)
+        """Algorithm-1 placement: the lowering's union-find groups are
+        packed afresh (cost metric, span sizes); groups of devices that
+        died before this submission are re-packed onto the survivors."""
+        placement = self._placement.pack(lowering.placement_groups, self.num_gpus)
         if lowering.has_gpu and len(alive) < self.num_gpus:
             replan(
                 lowering.nodes,
@@ -1365,9 +1392,9 @@ class Executor:
         and a lane counter store; a completed slot's ready successors
         continue in this loop with no queue or notifier round trip
         (one chunk stays local, the excess spills as stealable chunk
-        items).  Every other slot takes the _Attempt route: GPU
-        visitors, retries, watchdogs and quiescence recovery, with its
-        successors released by :meth:`_finish_node`.  A failed or
+        items).  Every other slot goes through :meth:`_invoke_attempt`
+        (GPU visitors, retries, watchdogs and quiescence recovery), with
+        its successors released by :meth:`_finish_node`.  A failed or
         cancelled topology flushes its remaining slots unrun.
         """
         if gen != topology.gen:
@@ -1428,6 +1455,10 @@ class Executor:
         continued: bool = False,
     ) -> None:
         """The _Attempt route for one slot (visitor over task types).
+        An unpolicied host slot (no retry policy, no deadline, no
+        sanitizer) runs without an attempt token unless it fails; it
+        still enters and leaves the in-flight set, is marked done and
+        fires the task observers.
 
         *continued* marks a launch made by a stream dispatcher on
         behalf of worker *wid* (stream-ordered continuation, see
@@ -1455,6 +1486,29 @@ class Executor:
         else:
             self._m_tasks.inc(wid)
         timeout_s = node.timeout_s if node.timeout_s is not None else topology.timeout_s
+        if (
+            node.type is TaskType.HOST
+            and timeout_s is None
+            and node.retry_policy is None
+            and topology.retry_policy is None
+            and topology.sanitizer is None
+        ):
+            # an unpolicied host slot: nothing races the call's
+            # synchronous outcome, so only a failure needs an attempt
+            # token (for the failure route)
+            try:
+                for obs in self._observers:
+                    obs.on_task_begin(wid, node)
+                topology.callables[slot]()
+            except BaseException as exc:  # noqa: BLE001 - routed to policy
+                self._attempt_finished(
+                    _Attempt(topology, slot, wid, gen, None), exc
+                )
+                return
+            self._task_done(wid, topology, slot, gen=gen)
+            if topology.leave():
+                self._recover(topology)
+            return
         attempt = _Attempt(topology, slot, wid, gen, timeout_s)
         try:
             if node.type.is_gpu and not topology.degraded:
@@ -1871,9 +1925,8 @@ class Executor:
         (a fault profile is armed or a device already died) — replay
         needs the H2D-time bytes, which a completed push may since have
         overwritten on the host."""
-        if len(self._alive_gpus) < self.num_gpus:
-            return True
-        return any(d.fault_state is not None for d in self._gpu.devices)
+        gpu = self._gpu
+        return len(self._alive_gpus) < gpu.device_count or gpu.faults_armed
 
     def _invoke_pull(self, attempt: _Attempt) -> None:
         topology, node, wid = attempt.topology, attempt.node, attempt.wid

@@ -13,7 +13,7 @@ import io
 import itertools
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
-from repro.core.node import Node, TaskType
+from repro.core.node import Node, TaskType, bump_structure_version
 from repro.core.task import HostTask, KernelTask, PullTask, PushTask, Task, handle_for
 from repro.errors import CycleError, FrozenTopologyError, GraphError
 from repro.utils.dot import DotWriter
@@ -38,6 +38,10 @@ class Heteroflow:
         self._nodes: List[Node] = []
         #: compiled form, set by :meth:`freeze` (docs/runtime.md)
         self._frozen = None
+        #: ``(structure version, Lowering)`` of the last fresh
+        #: submission, reused while no graph changed
+        #: (:meth:`~repro.core.topology.Topology.lower`)
+        self._lowered = None
 
     # -- task creation ---------------------------------------------
     def _add(self, type_: TaskType, name: str = "") -> Node:
@@ -45,6 +49,7 @@ class Heteroflow:
             raise FrozenTopologyError("add a task", self.name)
         node = Node(type_, name)
         self._nodes.append(node)
+        bump_structure_version()
         return node
 
     def host(self, callable_: Callable[[], Any], name: str = "") -> HostTask:
@@ -110,6 +115,7 @@ class Heteroflow:
         if self._frozen is not None:
             raise FrozenTopologyError("clear", self.name)
         self._nodes.clear()
+        bump_structure_version()
 
     # -- validation --------------------------------------------------
     def _kahn(self) -> Tuple[List[int], List[List[int]]]:

@@ -3,7 +3,10 @@
 A node stores its task type, a polymorphic work payload, dependency
 edges, and per-run device state (assigned device, device buffer for
 pull tasks).  Readiness is not tracked here: join counters live on the
-submission's topology (:mod:`repro.core.topology`).  User code never
+submission's topology (:mod:`repro.core.topology`).  Every graph
+mutation bumps one process-wide *structure version*
+(:func:`structure_version`) after it lands; a fresh submission reuses a
+graph's lowering while the version has not moved.  User code never
 touches nodes directly; the task-handle layer (:mod:`repro.core.task`)
 wraps them, exactly as the paper's handle layer wraps graph-node
 pointers to "prevent users from direct access to the internal graph
@@ -13,6 +16,7 @@ storage".
 from __future__ import annotations
 
 import itertools
+import threading
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
@@ -24,6 +28,26 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.utils.span import Span
 
 _node_ids = itertools.count()
+
+_version_lock = threading.Lock()
+_structure_version = 0
+
+
+def structure_version() -> int:
+    """The graph-structure version: it moves after every mutation of
+    any graph (task creation, an edge, rebinding or configuring a task,
+    ``clear()``), so an unchanged value means no graph changed."""
+    return _structure_version
+
+
+def bump_structure_version() -> None:
+    """Record that a graph mutation has landed.  Called after the
+    mutation, never before: a lowering built concurrently with the
+    mutation must not be cached under the new version.  The lock keeps
+    two concurrent bumps from losing one."""
+    global _structure_version
+    with _version_lock:
+        _structure_version += 1
 
 
 class TaskType(Enum):
@@ -120,6 +144,7 @@ class Node:
             raise FrozenTopologyError("precede", self.name)
         self.successors.append(other)
         other.dependents.append(self)
+        bump_structure_version()
 
     @property
     def num_successors(self) -> int:

@@ -13,6 +13,10 @@ Maps every GPU task to a concrete device before execution:
    matching the paper's "can expose this strategy to a pluggable
    interface for custom cost metrics".
 
+The grouping depends only on the graph's structure, so it is built
+once per lowering (:class:`PlacementGroups`); packing runs on every
+placement, reading the cost metric's inputs fresh.
+
 Push tasks are not packed: they inherit the device of their source pull
 task (their stream "is guaranteed to live in the same GPU context as
 the source pull task", Listing 6 discussion).
@@ -102,6 +106,43 @@ class PlacementResult:
         return max(self.loads) / mean if mean > 0 else 1.0
 
 
+class PlacementGroups:
+    """Algorithm 1's grouping step (lines 1-7) over one node list.
+
+    Union-find unions each kernel with its source pull tasks; the
+    groups and the push tasks depend only on the graph's structure, so
+    a :class:`~repro.core.topology.Lowering` computes them once and
+    every submission of it packs them afresh
+    (:meth:`DevicePlacement.pack`).
+    """
+
+    __slots__ = ("groups", "pushes")
+
+    def __init__(self, nodes: Sequence[Node]) -> None:
+        uf: UnionFind = UnionFind()
+        pushes = []
+        for n in nodes:
+            t = n.type
+            if t is TaskType.PULL:
+                uf.add(n)
+            elif t is TaskType.KERNEL:
+                uf.add(n)
+                for p in n.kernel_sources:
+                    uf.union(n, p)
+            elif t is TaskType.PUSH:
+                pushes.append(n)
+        #: (root, members) per group, in first-member order
+        self.groups: Tuple[Tuple[Node, Tuple[Node, ...]], ...] = tuple(
+            (root, tuple(members)) for root, members in uf.groups().items()
+        )
+        #: push tasks, which inherit their source pull's device
+        self.pushes: Tuple[Node, ...] = tuple(pushes)
+
+    @property
+    def has_gpu(self) -> bool:
+        return bool(self.groups or self.pushes)
+
+
 class DevicePlacement:
     """Union-find grouping + balanced-load bin packing (Algorithm 1)."""
 
@@ -114,49 +155,45 @@ class DevicePlacement:
         Raises :class:`ExecutorError` if GPU tasks exist but
         ``num_gpus == 0``.
         """
-        gpu_nodes = [n for n in nodes if n.type.is_gpu]
+        return self.pack(PlacementGroups(nodes), num_gpus)
+
+    def pack(self, grouping: PlacementGroups, num_gpus: int) -> PlacementResult:
+        """Algorithm 1's packing step (lines 8-14) over precomputed
+        groups, plus push inheritance.  The cost metric runs on every
+        call, so span sizes and metric inputs are read fresh."""
         result = PlacementResult(loads=[0.0] * num_gpus)
-        if not gpu_nodes:
+        if not grouping.has_gpu:
             return result
         if num_gpus <= 0:
             raise ExecutorError(
                 "graph contains GPU tasks but the executor has no GPUs"
             )
 
-        # lines 1-7: union each kernel with its source pull tasks
-        uf: UnionFind = UnionFind()
-        for n in gpu_nodes:
-            if n.type in (TaskType.PULL, TaskType.KERNEL):
-                uf.add(n)
-            if n.type is TaskType.KERNEL:
-                for p in n.kernel_sources:
-                    uf.union(n, p)
-
         # lines 8-14: pack each unique group onto the least-loaded bin.
         # Pack larger groups first (best-fit-decreasing) for tighter
         # balance; the greedy choice per group is the paper's
         # set_bin_packing_with_balanced_load.
-        groups = uf.groups()
+        cost_metric = self.cost_metric
         weighted = sorted(
-            ((self.cost_metric(members), root, members) for root, members in groups.items()),
+            ((cost_metric(members), root, members) for root, members in grouping.groups),
             key=lambda t: (-t[0], t[1].nid),
         )
+        loads = result.loads
         for cost, root, members in weighted:
-            bin_ = min(range(num_gpus), key=lambda g: (result.loads[g], g))
-            result.loads[bin_] += cost
+            bin_ = min(range(num_gpus), key=lambda g: (loads[g], g))
+            loads[bin_] += cost
             result.groups[root.nid] = [m.nid for m in members]
             for m in members:
                 m.device = bin_
                 result.assignment[m.nid] = bin_
 
         # push tasks inherit their source pull task's device
-        for n in gpu_nodes:
-            if n.type is TaskType.PUSH:
-                src = n.source
-                if src is None or src.device is None:
-                    raise ExecutorError(
-                        f"push task {n.name!r} has no placed source pull task"
-                    )
-                n.device = src.device
-                result.assignment[n.nid] = src.device
+        for n in grouping.pushes:
+            src = n.source
+            if src is None or src.device is None:
+                raise ExecutorError(
+                    f"push task {n.name!r} has no placed source pull task"
+                )
+            n.device = src.device
+            result.assignment[n.nid] = src.device
         return result

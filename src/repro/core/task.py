@@ -4,17 +4,34 @@ A task handle is a lightweight object wrapping a node pointer (paper
 §III-A-1).  Handles compare equal when they wrap the same node, can be
 *empty* (placeholders), and expose the fluent dependency methods
 ``precede``/``succeed`` plus type-specific configuration (kernel shape,
-work rebinding).
+work rebinding).  Every mutating method is a :func:`_mutator`: it bumps
+the graph-structure version once its mutation has landed.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, Optional, Tuple
 
-from repro.core.node import Node, TaskType
+from repro.core.node import Node, TaskType, bump_structure_version
 from repro.errors import EmptyTaskError, FrozenTopologyError, GraphError
 from repro.gpu.kernel import LaunchConfig
 from repro.utils.span import Span
+
+
+def _mutator(method: Callable) -> Callable:
+    """Bump the graph-structure version after *method* ran, even when
+    it raised part-way through its mutation: a fresh submission's
+    cached lowering must never outlive a change to the graph."""
+
+    @functools.wraps(method)
+    def mutate(self, *args: Any, **kwargs: Any) -> Any:
+        try:
+            return method(self, *args, **kwargs)
+        finally:
+            bump_structure_version()
+
+    return mutate
 
 
 class Task:
@@ -37,7 +54,8 @@ class Task:
         return self._node
 
     def _mutable(self, operation: str) -> Node:
-        """Resolve the node for a mutating method; raises
+        """Resolve the node for a mutating method (a :func:`_mutator`,
+        which bumps the structure version after it); raises
         :class:`~repro.errors.FrozenTopologyError` once the owning graph
         was frozen (docs/runtime.md, "Freeze and replay")."""
         node = self._require()
@@ -61,6 +79,7 @@ class Task:
     def name(self) -> str:
         return self._require().name
 
+    @_mutator
     def rename(self, name: str) -> "Task":
         """Set a human-readable name; returns self for chaining."""
         self._mutable("rename").name = str(name)
@@ -79,6 +98,7 @@ class Task:
         return self._require().num_dependents
 
     # -- dependencies ---------------------------------------------------
+    @_mutator
     def precede(self, *tasks: "Task") -> "Task":
         """Force this task to run before every task in *tasks*."""
         me = self._mutable("precede")
@@ -86,6 +106,7 @@ class Task:
             me.precede(t._require())
         return self
 
+    @_mutator
     def succeed(self, *tasks: "Task") -> "Task":
         """Force this task to run after every task in *tasks*."""
         me = self._mutable("succeed")
@@ -94,6 +115,7 @@ class Task:
         return self
 
     # -- resilience (docs/resilience.md) -----------------------------
+    @_mutator
     def retry(self, policy: Optional[Any] = None, **kwargs: Any) -> "Task":
         """Attach a per-task :class:`~repro.resilience.RetryPolicy`.
 
@@ -117,6 +139,7 @@ class Task:
         node.retry_policy = policy
         return self
 
+    @_mutator
     def timeout(self, seconds: float) -> "Task":
         """Attach a per-task deadline in seconds (overrides the
         run-level policy timeout for this task)."""
@@ -148,6 +171,7 @@ class HostTask(Task):
 
     __slots__ = ()
 
+    @_mutator
     def host(self, callable_: Callable[[], Any]) -> "HostTask":
         """(Re)bind the callable; used to fill placeholders."""
         if not callable(callable_):
@@ -163,6 +187,7 @@ class PullTask(Task):
 
     __slots__ = ()
 
+    @_mutator
     def pull(self, *args: Any) -> "PullTask":
         """(Re)bind the host span; arguments follow :class:`Span` forms."""
         node = self._mutable("pull")
@@ -181,6 +206,7 @@ class PushTask(Task):
 
     __slots__ = ()
 
+    @_mutator
     def push(self, source: PullTask, *args: Any) -> "PushTask":
         """(Re)bind the source pull task and target span."""
         if not isinstance(source, PullTask) or source.empty:
@@ -197,6 +223,7 @@ class KernelTask(Task):
 
     __slots__ = ()
 
+    @_mutator
     def kernel(self, fn: Callable, *args: Any) -> "KernelTask":
         """(Re)bind the kernel function and arguments.
 
@@ -217,6 +244,7 @@ class KernelTask(Task):
         return self
 
     # -- access-mode declarations (consumed by repro.analysis) -------
+    @_mutator
     def _declare(self, attr: str, pulls: Tuple["PullTask", ...]) -> "KernelTask":
         node = self._mutable(attr.replace("kernel_", ""))
         for p in pulls:
@@ -252,6 +280,7 @@ class KernelTask(Task):
         """
         return self._declare("kernel_writes", pulls)
 
+    @_mutator
     def host_fallback(self, fn: Optional[Callable] = None) -> "KernelTask":
         """Register a CPU fallback for graceful degradation.
 
@@ -277,6 +306,7 @@ class KernelTask(Task):
         return self
 
     # -- launch-shape builders (paper: .block_x(...) etc.) ----------
+    @_mutator
     def _update(self, **kw: int) -> "KernelTask":
         node = self._mutable("update the launch shape of")
         grid = list(node.launch.grid)
@@ -309,16 +339,19 @@ class KernelTask(Task):
     def block_z(self, v: int) -> "KernelTask":
         return self._update(block_z=v)
 
+    @_mutator
     def shm(self, nbytes: int) -> "KernelTask":
         node = self._mutable("shm")
         node.launch = LaunchConfig(node.launch.grid, node.launch.block, int(nbytes))
         return self
 
+    @_mutator
     def grid(self, gx: int, gy: int = 1, gz: int = 1) -> "KernelTask":
         node = self._mutable("grid")
         node.launch = LaunchConfig((int(gx), int(gy), int(gz)), node.launch.block, node.launch.shm)
         return self
 
+    @_mutator
     def block(self, bx: int, by: int = 1, bz: int = 1) -> "KernelTask":
         node = self._mutable("block")
         node.launch = LaunchConfig(node.launch.grid, (int(bx), int(by), int(bz)), node.launch.shm)

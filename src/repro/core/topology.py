@@ -46,6 +46,8 @@ import threading
 from concurrent.futures import Future, InvalidStateError
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
+from repro.core.node import structure_version
+from repro.core.placement import PlacementGroups
 from repro.errors import ExecutorError, GraphError
 from repro.resilience.policy import normalize_policy
 
@@ -175,13 +177,27 @@ class Topology:
             self.frozen = None
             self.graph = graph
 
-    def lower(self) -> None:
+    def lower(self) -> bool:
         """Validate and lower a fresh graph as it is right now; later
-        edits to the graph do not reach this submission.  Frozen
-        submissions already hold their stored lowering."""
-        if self.lowering is None:
-            self.lowering = Lowering(self.graph)
-            self.callables = self.lowering.callables
+        edits to the graph do not reach this submission.  While no
+        graph has changed since the graph's last lowering (the
+        structure version has not moved), that lowering is reused
+        as is.  Returns True when a new lowering was built.  Frozen
+        submissions hold their stored lowering and never call this."""
+        graph = self.graph
+        # read before lowering: a mutation landing mid-way bumps the
+        # version past this value, so the entry is never reused
+        version = structure_version()
+        cached = graph._lowered
+        built = cached is None or cached[0] != version
+        if built:
+            lowering = Lowering(graph)
+            graph._lowered = (version, lowering)
+        else:
+            lowering = cached[1]
+        self.lowering = lowering
+        self.callables = lowering.callables
+        return built
 
     # -- failure handling ----------------------------------------------
     def fail(self, error: BaseException) -> None:
@@ -407,9 +423,13 @@ class Lowering:
     :meth:`Heteroflow.topological_order`) validates the graph and
     lowers it to *slots* — a topological order where slot *s*'s
     successors and initial join counter are plain tuple lookups.  A
-    fresh submission lowers its graph once (:meth:`Topology.lower`); a
-    :class:`FrozenTopology` is a lowering kept for every replay.
+    fresh submission lowers its graph, or reuses the last lowering of
+    an unchanged graph (:meth:`Topology.lower`); a
+    :class:`FrozenTopology` is a lowering kept for every replay.  A
+    lowering is never mutated, so concurrent submissions share it.
     """
+
+    _groups: Optional[PlacementGroups] = None
 
     def __init__(self, graph: "Heteroflow") -> None:
         order, succ = graph._kahn()
@@ -442,6 +462,15 @@ class Lowering:
         self.fast_capable = not self.has_gpu and all(
             n.retry_policy is None and n.timeout_s is None for n in self.nodes
         )
+
+    @property
+    def placement_groups(self) -> PlacementGroups:
+        """Algorithm 1's union-find groups over the GPU slots, built on
+        first use; every placement of this lowering packs them."""
+        groups = self._groups
+        if groups is None:
+            groups = self._groups = PlacementGroups(self.nodes)
+        return groups
 
     @property
     def name(self) -> str:

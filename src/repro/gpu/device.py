@@ -13,7 +13,7 @@ thread; exiting restores the previous device.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional, Set
 
 from repro._lazy import np
 from repro.errors import DeviceError, DeviceFailedError
@@ -40,12 +40,20 @@ def current_device() -> Optional["Device"]:
 class Device:
     """One simulated GPU: an ordinal, a memory heap, and streams."""
 
-    def __init__(self, ordinal: int, memory_bytes: int = DEFAULT_MEMORY_BYTES) -> None:
+    def __init__(
+        self,
+        ordinal: int,
+        memory_bytes: int = DEFAULT_MEMORY_BYTES,
+        armed: Optional[Set[int]] = None,
+    ) -> None:
+        """*armed*: the owning runtime's set of ordinals with a fault
+        profile armed (see :attr:`GpuRuntime.faults_armed`)."""
         self.ordinal = ordinal
         # liveness/fault state must exist before the heap: the heap's
         # allocation path consults pre_alloc()
         self._alive = True
         self._fault_state: Optional["FaultState"] = None
+        self._armed: Set[int] = set() if armed is None else armed
         self.heap = DeviceHeap(self, memory_bytes)
         self._streams: List[Stream] = []
         self._lock = threading.Lock()
@@ -116,12 +124,14 @@ class Device:
 
         state = FaultState(profile, derive_seed(seed, "gpu", self.ordinal))
         self._fault_state = state
+        self._armed.add(self.ordinal)
         return state
 
     def clear_faults(self) -> None:
         """Disarm fault injection (releases any held stall)."""
         fs = self._fault_state
         self._fault_state = None
+        self._armed.discard(self.ordinal)
         if fs is not None:
             fs.release()
 
@@ -218,7 +228,10 @@ class GpuRuntime:
     ) -> None:
         if num_devices < 0:
             raise DeviceError("device count must be non-negative")
-        self._devices = [Device(i, memory_bytes) for i in range(num_devices)]
+        self._armed: Set[int] = set()
+        self._devices = [
+            Device(i, memory_bytes, self._armed) for i in range(num_devices)
+        ]
         self._destroyed = False
 
     @property
@@ -236,6 +249,12 @@ class GpuRuntime:
     @property
     def devices(self) -> List[Device]:
         return list(self._devices)
+
+    @property
+    def faults_armed(self) -> bool:
+        """True while any device has a fault profile armed; O(1), so
+        the executor can ask on every GPU completion."""
+        return bool(self._armed)
 
     def scoped(self, ordinal: int) -> ScopedDeviceContext:
         """Context manager scoping the caller under device *ordinal*."""

@@ -391,7 +391,8 @@ class TestFormatCompatibility:
         path = str(tmp_path / "j")
         shutil.copytree(V1_JOURNAL, path)
         (seg,) = os.listdir(path)
-        data = open(os.path.join(path, seg), "rb").read()
+        with open(os.path.join(path, seg), "rb") as f:
+            data = f.read()
         v1_records, _end, problem = scan_bytes(data)
         assert problem is None
         assert "format" not in v1_records[0][1]
@@ -415,7 +416,8 @@ class TestFormatCompatibility:
         j.append_settled(8, outcome="completed", passes=1, wall_s=0.02, wid=0)
         j.close()
 
-        data = open(os.path.join(path, seg), "rb").read()
+        with open(os.path.join(path, seg), "rb") as f:
+            data = f.read()
         records, _end, problem = scan_bytes(data)
         assert problem is None
         new = [off for off, _rec in records[len(v1_records):]]
@@ -432,7 +434,8 @@ class TestFormatCompatibility:
         report = fsck(path)
         assert report.clean and report.drained
         (seg2,) = os.listdir(path)
-        header = scan_bytes(open(os.path.join(path, seg2), "rb").read())[0][0][1]
+        with open(os.path.join(path, seg2), "rb") as f:
+            header = scan_bytes(f.read())[0][0][1]
         assert header["format"] == FORMAT and header["compact"] is True
 
 
