@@ -71,6 +71,30 @@ def test_overhead_gpu_roundtrip(benchmark):
         benchmark.pedantic(lambda: ex.run(hf).result(), rounds=5, iterations=1)
 
 
+GPU_CHAIN = 64
+
+
+def test_overhead_gpu_chain(benchmark):
+    """Per-task cost of the healthy GPU route: a pull, a chain of
+    GPU_CHAIN kernels and a push on 1 worker and 1 GPU, no policy.
+    ``extra_info["us_per_gpu_task"]`` is the median run over its
+    GPU_CHAIN + 2 tasks."""
+    hf = Heteroflow("gpu-chain")
+    data = np.zeros(16)
+    prev = p = hf.pull(data)
+    for _ in range(GPU_CHAIN):
+        k = hf.kernel(lambda a: None, p)
+        prev.precede(k)
+        prev = k
+    prev.precede(hf.push(p, data))
+    with Executor(1, 1) as ex:
+        ex.run(hf).result()  # lower and compile outside the timing
+        benchmark.pedantic(lambda: ex.run(hf).result(), rounds=30, iterations=1)
+    us = benchmark.stats.stats.median * 1e6 / (GPU_CHAIN + 2)
+    benchmark.extra_info["us_per_gpu_task"] = us
+    print(f"\ngpu chain: {us:.1f} us per healthy GPU task")
+
+
 def test_overhead_counter_record():
     """Structured record: throughput per shape + executor counters."""
     import time

@@ -38,6 +38,7 @@ import dis
 import sys
 import threading
 import types
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -354,6 +355,23 @@ def _analyzable(fn) -> Optional[types.FunctionType]:
     return fn
 
 
+#: code object -> (its instructions, offset -> instruction index).
+#: Both are read-only, so every frame over one code object shares one
+#: decoding; weak keys let code that is no longer loaded go.
+_DECODED: "weakref.WeakKeyDictionary[types.CodeType, Tuple[List[dis.Instruction], Dict[int, int]]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _decode(code: types.CodeType) -> Tuple[List[dis.Instruction], Dict[int, int]]:
+    decoded = _DECODED.get(code)
+    if decoded is None:
+        instrs = list(dis.get_instructions(code))
+        decoded = (instrs, {ins.offset: i for i, ins in enumerate(instrs)})
+        _DECODED[code] = decoded
+    return decoded
+
+
 class _Frame:
     """One symbolic walk over one code object."""
 
@@ -375,8 +393,7 @@ class _Frame:
         self.free_map = free_map
         self.guards = set(guards)
         self.depth = depth
-        self.instrs = list(dis.get_instructions(code))
-        self.by_offset = {ins.offset: i for i, ins in enumerate(self.instrs)}
+        self.instrs, self.by_offset = _decode(code)
 
     # -- deref resolution ---------------------------------------------
     def _load_deref(self, name: str) -> Optional[_V]:

@@ -11,17 +11,16 @@ runtime bug, not a shared-code artifact.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from repro.core.heteroflow import Heteroflow
 from repro.core.node import Node, TaskType
 from repro.core.placement import CostMetric, DevicePlacement
-from repro.core.task import PullTask
+from repro.core.topology import kernel_launch
 from repro.errors import KernelError
 from repro.gpu.device import DEFAULT_MEMORY_BYTES, GpuRuntime, ScopedDeviceContext
-from repro.gpu.kernel import launch_async
 
 
 class SequentialExecutor:
@@ -96,19 +95,10 @@ class SequentialExecutor:
 
     def _invoke_kernel(self, node: Node) -> None:
         device = self._gpu.device(node.device)
-        converted: List[Any] = []
-        for arg in node.kernel_args:
-            if isinstance(arg, PullTask):
-                if arg.node.buffer is None:
-                    raise KernelError(
-                        f"kernel {node.name!r} ordered before pull {arg.node.name!r}"
-                    )
-                converted.append(arg.node.buffer)
-            else:
-                converted.append(arg)
+        launch = kernel_launch(node)
         with ScopedDeviceContext(device):
             stream = self._stream(node.device)
-            launch_async(stream, node.launch, node.kernel_fn, *converted)
+            launch.enqueue(stream, launch.bind(device))
             stream.synchronize()
 
     def _invoke_push(self, node: Node) -> None:

@@ -8,16 +8,22 @@ as soon as its **first** predecessor finishes, instead of its last.
 Each task still runs exactly once (the pass accounting stays intact),
 so the bug is invisible to result-less smoke tests; only a
 happens-before check over the trace can see it.  The bug sits in the
-topology's slot-join step, which both executor routes (inline and
-_Attempt) release successors through.
+topology's slot-join step — both :meth:`Topology.release` (the inline
+route) and :meth:`Topology.finish` (the worker loop's routes, a GPU
+slot's stream callback included) — which every route releases
+successors through.
 
 :func:`run_mutant_selftest` runs a graph engineered to expose the bug
 deterministically — a diamond whose second predecessor sleeps, so the
 join task provably begins while that predecessor is still running —
 frozen, under both the mutant and the reference executor, once per
-route (``replay.fast_path`` shows which route ran), and
-reports whether the validator caught the mutant (it must) while
-passing the reference run (it must, too).
+route, and reports whether the validator caught the mutant (it must)
+while passing the reference run (it must, too).  The routes are the
+inline loop (``replay.fast_path`` shows it ran), the ``_Attempt``
+route (forced by a retry policy) and the token-free GPU route: an
+unpolicied GPU diamond whose join kernel the slow kernel's stream
+callback would release and launch on the dispatcher
+(``executor.continued_launches`` shows it ran).
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
+from repro._lazy import np
 from repro.core.executor import Executor
 from repro.core.heteroflow import Heteroflow
 from repro.core.observer import TraceObserver
@@ -33,26 +40,30 @@ from repro.core.topology import PASS_DONE, Topology
 from repro.check.validate import ScheduleReport, validate_schedule
 from repro.resilience.policy import RetryPolicy
 
-#: the executor routes the self-test covers, with the run policy that
-#: selects each one (a retry policy forces the _Attempt route)
-ROUTES = {"inline": None, "attempt": RetryPolicy(max_attempts=2)}
-
 
 class _PrematureReleaseTopology(Topology):
     def release(self, slot: int) -> Optional[Sequence[int]]:
+        with self._lock:
+            return self._premature(slot)
+
+    def finish(self, slot: int) -> Optional[Sequence[int]]:
+        with self._lock:
+            self.done_nodes.add(self.lowering.nodes[slot].nid)
+            return self._premature(slot)
+
+    def _premature(self, slot: int) -> Optional[Sequence[int]]:
         ready = None
         join_init = self.lowering.join_init
-        with self._lock:
-            joins = self.joins
-            for t in self.lowering.succ_slots[slot]:
-                joins[t] -= 1
-                # BUG (deliberate): multi-dependency successors are
-                # released one decrement early — after their first
-                # finished predecessor instead of their last
-                if joins[t] == (1 if join_init[t] >= 2 else 0):
-                    ready = (ready or []) + [t]
-            self.pending -= 1
-            return PASS_DONE if self.pending == 0 else ready
+        joins = self.joins
+        for t in self.lowering.succ_slots[slot]:
+            joins[t] -= 1
+            # BUG (deliberate): multi-dependency successors are
+            # released one decrement early — after their first
+            # finished predecessor instead of their last
+            if joins[t] == (1 if join_init[t] >= 2 else 0):
+                ready = (ready or []) + [t]
+        self.pending -= 1
+        return PASS_DONE if self.pending == 0 else ready
 
 
 class MutantExecutor(Executor):
@@ -78,15 +89,44 @@ def _diamond_graph(delay: float) -> Heteroflow:
     return hf
 
 
+def _gpu_diamond_graph(delay: float) -> Heteroflow:
+    """The diamond as GPU tasks: a pull feeding a fast and a slow
+    kernel, a join kernel after both, and a push."""
+    data = np.zeros(8)
+    hf = Heteroflow("mutant-selftest-gpu")
+    src = hf.pull(data, name="src")
+    fast = hf.kernel(lambda v: None, src, name="fast")
+    slow = hf.kernel(lambda v: time.sleep(delay), src, name="slow")
+    join = hf.kernel(lambda v: None, src, name="join")
+    tail = hf.push(src, data, name="tail")
+    src.precede(fast, slow)
+    join.succeed(fast, slow)
+    join.precede(tail)
+    return hf
+
+
+#: the executor routes the self-test covers: route -> (graph builder,
+#: GPU count, run policy); a retry policy forces the _Attempt route,
+#: and an unpolicied GPU graph takes the token-free GPU route
+ROUTES = {
+    "inline": (_diamond_graph, 0, None),
+    "attempt": (_diamond_graph, 0, RetryPolicy(max_attempts=2)),
+    "gpu": (_gpu_diamond_graph, 1, None),
+}
+
+
 @dataclass
 class SelftestResult:
     """Validator verdicts keyed ``"<executor>/<route>"``: executor is
     ``mutant`` or ``reference``, route one of :data:`ROUTES`.
     *fast_path* holds each run's ``replay.fast_path`` count (1 when
-    the frozen diamond took the inline route, 0 otherwise)."""
+    the frozen diamond took the inline route, 0 otherwise) and
+    *continued* its ``executor.continued_launches`` total (GPU tasks a
+    stream callback launched)."""
 
     reports: Dict[str, ScheduleReport]
     fast_path: Dict[str, float]
+    continued: Dict[str, float]
 
     @property
     def caught(self) -> bool:
@@ -100,7 +140,7 @@ class SelftestResult:
 
 
 def run_mutant_selftest(delay: float = 0.25) -> SelftestResult:
-    """Run the seeded-bug graph under both executors on both routes
+    """Run the seeded-bug graphs under both executors on every route
     and validate.
 
     *delay* is the slow predecessor's sleep; the mutant schedules the
@@ -110,16 +150,18 @@ def run_mutant_selftest(delay: float = 0.25) -> SelftestResult:
     """
     reports: Dict[str, ScheduleReport] = {}
     fast_path: Dict[str, float] = {}
-    for route, policy in ROUTES.items():
+    continued: Dict[str, float] = {}
+    for route, (build, num_gpus, policy) in ROUTES.items():
         for label, cls in (("mutant", MutantExecutor), ("reference", Executor)):
-            hf = _diamond_graph(delay)
+            key = f"{label}/{route}"
+            hf = build(delay)
             obs = TraceObserver()
-            with cls(num_workers=2, num_gpus=0, observers=[obs]) as ex:
+            with cls(num_workers=2, num_gpus=num_gpus, observers=[obs]) as ex:
                 ex.run(hf.freeze(), policy=policy).result(timeout=60)
-                fast_path[f"{label}/{route}"] = ex.metrics.snapshot()[
-                    "replay.fast_path"
-                ]
-            reports[f"{label}/{route}"] = validate_schedule(
-                hf, obs.records, passes=1, num_gpus=0
+                snap = ex.metrics.snapshot()
+            fast_path[key] = snap["replay.fast_path"]
+            continued[key] = sum(snap["executor.continued_launches"])
+            reports[key] = validate_schedule(
+                hf, obs.records, passes=1, num_gpus=num_gpus
             )
-    return SelftestResult(reports=reports, fast_path=fast_path)
+    return SelftestResult(reports=reports, fast_path=fast_path, continued=continued)

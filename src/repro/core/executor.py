@@ -15,18 +15,21 @@ Reproduces the runtime of paper §III-B/C:
   over chunks of ready slots: each worker drains its local queue and
   turns thief when empty, stealing from a random victim.  Host-only,
   unpolicied topologies run their slots inline; in any other
-  topology, unpolicied host slots still run in the worker loop
-  without an attempt token, and GPU and policied slots take the
-  ``_Attempt`` route (GPU visitors, retries, watchdogs, recovery).
-  Readiness lives on the topology, whose slot-join step releases
-  successors on every route;
+  topology, unpolicied slots still run in the worker loop without an
+  attempt token (a GPU slot's stream callback completes it), and
+  policied and degraded slots take the ``_Attempt`` route (retries,
+  watchdogs, host fallbacks); a failure builds the token on any
+  route.  Readiness lives on the topology, whose slot-join step
+  releases successors on every route;
 - GPU tasks are invoked under an RAII :class:`ScopedDeviceContext`, on a
   **per-(worker, device) stream**, and complete asynchronously — the
   dispatching worker moves on immediately, and the stream callback
   releases successors (the event-synchronized pattern of Listing 13).
   On the healthy route the callback launches the ready GPU successors
   itself, onto the same worker's streams (stream-ordered
-  continuation); only host successors go back to the queues;
+  continuation); only host successors go back to the queues.  Each
+  kernel's launch is compiled once per lowering
+  (:attr:`Lowering.kernel_launches`);
 - per-device **buddy-allocator memory pools** back all pull buffers;
 - ``run`` / ``run_n`` / ``run_until`` are non-blocking; each builds one
   topology and returns its one future; ``wait_for_all`` blocks until
@@ -80,6 +83,7 @@ Progress is observable through the ``service.*`` metrics
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import os
@@ -101,7 +105,6 @@ from repro.core.placement import (
     apply_assignment,
     snapshot_assignment,
 )
-from repro.core.task import PullTask
 from repro.core.topology import PASS_DONE, FrozenTopology, Lowering, Topology
 from repro.core.wsq import PriorityOverflowQueue, WorkStealingQueue
 from repro.errors import (
@@ -113,7 +116,6 @@ from repro.errors import (
     TaskTimeoutError,
 )
 from repro.gpu.device import DEFAULT_MEMORY_BYTES, GpuRuntime, ScopedDeviceContext
-from repro.gpu.kernel import launch_async
 from repro.gpu.stream import Stream
 from repro.metrics.registry import MetricsRegistry
 from repro.resilience.degrade import (
@@ -240,6 +242,9 @@ class _Attempt:
     task.  Only a deadline's watchdog races another resolver, so the
     lock exists only when the attempt has a deadline: without one, the
     stream callback and a raise before enqueue exclude each other.
+
+    Only policied and degraded slots get one up front; an unpolicied
+    slot gets one when it fails, to take the failure route.
     """
 
     __slots__ = (
@@ -317,6 +322,7 @@ class Executor:
         self._num_workers = num_workers
         self._gpu_memory_bytes = gpu_memory_bytes
         self._gpu = GpuRuntime(num_gpus, gpu_memory_bytes)
+        self._devices = self._gpu.devices
         self._placement = DevicePlacement(cost_metric)
         self._observers: List[ExecutorObserver] = list(observers)
 
@@ -463,7 +469,7 @@ class Executor:
         self._stream_lock = threading.Lock()
         # per-worker launch locks: serialize the launches onto worker
         # i's streams made by worker i and by dispatchers continuing
-        # its lane (_invoke_attempt, _finish_node)
+        # its lane (_invoke_attempt, _release_ready)
         self._lane_locks = [threading.Lock() for _ in range(num_workers)]
 
         # device liveness (docs/resilience.md): ordinals not yet failed
@@ -1177,12 +1183,14 @@ class Executor:
         nodes = lowering.nodes
         for obs in self._observers:
             obs.on_topology_begin(topology.graph.name, len(nodes))
-        topology.inline = (
-            lowering.fast_capable
-            and topology.retry_policy is None
+        topology.unpolicied = (
+            topology.retry_policy is None
             and topology.timeout_s is None
             and topology.sanitizer is None
         )
+        topology.inline = lowering.fast_capable and topology.unpolicied
+        if lowering.has_gpu:
+            topology.launches = lowering.kernel_launches
         if frozen is not None and topology.inline:
             self._m_fast_path.inc()
         try:
@@ -1394,7 +1402,7 @@ class Executor:
         (one chunk stays local, the excess spills as stealable chunk
         items).  Every other slot goes through :meth:`_invoke_attempt`
         (GPU visitors, retries, watchdogs and quiescence recovery), with
-        its successors released by :meth:`_finish_node`.  A failed or
+        its successors released by :meth:`_task_done`.  A failed or
         cancelled topology flushes its remaining slots unrun.
         """
         if gen != topology.gen:
@@ -1454,16 +1462,18 @@ class Executor:
         gen: int,
         continued: bool = False,
     ) -> None:
-        """The _Attempt route for one slot (visitor over task types).
-        An unpolicied host slot (no retry policy, no deadline, no
-        sanitizer) runs without an attempt token unless it fails; it
+        """The worker loop's route for one slot (visitor over task
+        types).  A plain slot of an unpolicied submission (no retry
+        policy, no deadline, no sanitizer; a GPU slot also not
+        degraded) runs without an attempt token unless it fails: it
         still enters and leaves the in-flight set, is marked done and
-        fires the task observers.
+        fires the task observers.  Every other slot gets an
+        :class:`_Attempt`.
 
         *continued* marks a launch made by a stream dispatcher on
         behalf of worker *wid* (stream-ordered continuation, see
-        :meth:`_finish_node`): lane *wid* belongs to another thread, so
-        its counts go to the lane counters' thread-sharded cells."""
+        :meth:`_release_ready`): lane *wid* belongs to another thread,
+        so its counts go to the lane counters' thread-sharded cells."""
         if not topology.enter():
             # a device failure awaits quiescence; recovery reschedules
             return
@@ -1471,61 +1481,62 @@ class Executor:
             # recovery slipped in between the gen check and enter()
             topology.leave()
             return
-        if topology.failed:
+        if topology.error is not None:
             # fast-cancel: flush remaining slots without running them
             if continued:
                 self._m_flushed.inc_sharded(wid)
             else:
                 self._m_flushed.inc(wid)
-            self._finish_node(topology, slot, gen)
+            self._release_ready(topology, topology.release(slot), gen)
             topology.leave()
             return
-        node = topology.lowering.nodes[slot]
         if continued:
             self._m_tasks.inc_sharded(wid)
         else:
             self._m_tasks.inc(wid)
-        timeout_s = node.timeout_s if node.timeout_s is not None else topology.timeout_s
+        lowering = topology.lowering
+        node = lowering.nodes[slot]
+        host = not lowering.gpu_slots[slot]
         if (
-            node.type is TaskType.HOST
-            and timeout_s is None
-            and node.retry_policy is None
-            and topology.retry_policy is None
-            and topology.sanitizer is None
+            topology.unpolicied
+            and lowering.plain_slots[slot]
+            and (host or not topology.degraded)
         ):
-            # an unpolicied host slot: nothing races the call's
-            # synchronous outcome, so only a failure needs an attempt
-            # token (for the failure route)
+            # nothing races the outcome, so only a failure needs an
+            # attempt token (for the failure route)
             try:
-                for obs in self._observers:
-                    obs.on_task_begin(wid, node)
-                topology.callables[slot]()
+                if host:
+                    for obs in self._observers:
+                        obs.on_task_begin(wid, node)
+                    topology.callables[slot]()
+                else:
+                    # the stream callback completes the slot
+                    # (_gpu_done); the lane lock as below
+                    with self._lane_locks[wid]:
+                        for obs in self._observers:
+                            obs.on_task_begin(wid, node)
+                        self._launch_gpu(wid, topology, node, slot, gen)
             except BaseException as exc:  # noqa: BLE001 - routed to policy
                 self._attempt_finished(
                     _Attempt(topology, slot, wid, gen, None), exc
                 )
                 return
-            self._task_done(wid, topology, slot, gen=gen)
-            if topology.leave():
-                self._recover(topology)
+            if host:
+                self._task_done(wid, topology, slot, gen)
             return
+        timeout_s = node.timeout_s if node.timeout_s is not None else topology.timeout_s
         attempt = _Attempt(topology, slot, wid, gen, timeout_s)
         try:
             if node.type.is_gpu and not topology.degraded:
                 # worker wid's streams are fed by the worker and by the
-                # dispatchers continuing its lane (_finish_node): stamp
-                # and enqueue under the lane lock, so every stream's
-                # dispatch stamps stay in its FIFO order
+                # dispatchers continuing its lane (_release_ready):
+                # stamp and enqueue under the lane lock, so every
+                # stream's dispatch stamps stay in its FIFO order
                 with self._lane_locks[wid]:
                     for obs in self._observers:
                         obs.on_task_begin(wid, node)
                     self._arm_deadline(attempt)
-                    if node.type is TaskType.PULL:
-                        self._invoke_pull(attempt)
-                    elif node.type is TaskType.PUSH:
-                        self._invoke_push(attempt)
-                    else:
-                        self._invoke_kernel(attempt)
+                    self._launch_gpu(wid, topology, node, slot, gen, attempt)
                 return
             for obs in self._observers:
                 obs.on_task_begin(wid, node)
@@ -1553,7 +1564,7 @@ class Executor:
         if node.type is TaskType.PULL:
             run_degraded_pull(node, node.nid in attempt.topology.replayed)
         elif node.type is TaskType.KERNEL:
-            run_degraded_kernel(node)
+            run_degraded_kernel(node, attempt.topology.launches[attempt.slot])
             self._m_fallbacks.inc()
         else:
             run_degraded_push(node)
@@ -1589,18 +1600,17 @@ class Executor:
         if attempt.timer_entry is not None:
             _TimerThread.cancel(attempt.timer_entry)
         if err is None:
+            # a successful GPU attempt finishes in its stream callback
+            stream = attempt.stream
             self._task_done(
                 attempt.wid,
                 attempt.topology,
                 attempt.slot,
-                stream=attempt.stream,
-                fallback=attempt.fallback,
-                gen=attempt.gen,
-                # a successful GPU attempt finishes in its stream callback
-                on_dispatcher=attempt.stream is not None,
+                attempt.gen,
+                stream,
+                attempt.fallback,
+                stream is not None,
             )
-            if attempt.topology.leave():
-                self._recover(attempt.topology)
         else:
             self._handle_failure(attempt, err)
 
@@ -1677,9 +1687,7 @@ class Executor:
         # a timed-out op never completed on its stream: committing its
         # ops_executed as a stream_seq would collide with a real op
         stream = None if isinstance(err, TaskTimeoutError) else attempt.stream
-        self._task_done(wid, topology, attempt.slot, stream=stream, gen=attempt.gen)
-        if topology.leave():
-            self._recover(topology)
+        self._task_done(wid, topology, attempt.slot, attempt.gen, stream)
 
     def _fail_task(
         self,
@@ -1830,58 +1838,73 @@ class Executor:
         wid: int,
         topology: Topology,
         slot: int,
+        gen: int,
         stream: Optional[Stream] = None,
         fallback: bool = False,
-        gen: Optional[int] = None,
         on_dispatcher: bool = False,
     ) -> None:
-        # for GPU tasks this runs on the stream dispatcher thread, so
-        # ops_executed is stable and identifies the completing op
-        seq = stream.ops_executed if stream is not None else None
-        node = topology.lowering.nodes[slot]
-        replayed = node.nid in topology.replayed
-        topology.mark_done(node.nid)
-        for obs in self._observers:
-            obs.on_task_end(
-                wid,
-                node,
-                stream=stream,
-                stream_seq=seq,
-                fallback=fallback,
-                replayed=replayed,
-            )
-        self._finish_node(topology, slot, gen, wid if on_dispatcher else None)
+        """Commit a finished slot off the inline route: fire
+        ``on_task_end`` (before any successor can begin), mark it done
+        and release its successors under one lock, and leave the
+        in-flight set (running recovery if that reached quiescence)."""
+        observers = self._observers
+        if observers:
+            node = topology.lowering.nodes[slot]
+            # for GPU tasks this runs on the stream dispatcher thread,
+            # so ops_executed is stable and identifies the completing op
+            seq = stream.ops_executed if stream is not None else None
+            replayed = node.nid in topology.replayed
+            for obs in observers:
+                obs.on_task_end(
+                    wid,
+                    node,
+                    stream=stream,
+                    stream_seq=seq,
+                    fallback=fallback,
+                    replayed=replayed,
+                )
+        self._release_ready(
+            topology, topology.finish(slot), gen, wid if on_dispatcher else None
+        )
+        if topology.leave():
+            self._recover(topology)
 
-    def _finish_node(
+    def _release_ready(
         self,
         topology: Topology,
-        slot: int,
-        gen: Optional[int] = None,
+        ready: Optional[Sequence[int]],
+        gen: int,
         lane: Optional[int] = None,
     ) -> None:
-        """_Attempt-route completion: release the slot's successors
-        through the topology's slot-join step and schedule the ready
-        ones.
+        """Schedule the successors a slot-join step released (or end
+        the pass).
 
-        *lane* is set when the stream callback of a successful GPU
-        attempt finishes the slot, on that stream's dispatcher thread.
-        On the healthy route (see :meth:`_continues`) the ready GPU
-        successors then launch right here, onto the streams of worker
-        *lane* — stream-ordered continuation: a GPU chain stays on its
-        worker's streams instead of waking a worker through the shared
-        queue after every task.  A launch only enqueues; no payload runs
-        on this thread.  Each successor enters the in-flight set before
-        the finishing attempt leaves it, so quiescence stays exact.
-        Host successors are scheduled as usual."""
-        ready = topology.release(slot)
+        *lane* is set when the stream callback of a successful GPU slot
+        finished it, on that stream's dispatcher thread.  On the
+        healthy route — current generation, no sanitizer, no armed
+        fault profile and every GPU alive (so not degraded either) —
+        the ready GPU successors then launch right here, onto the
+        streams of worker *lane*: stream-ordered continuation, so a GPU
+        chain stays on its worker's streams instead of waking a worker
+        through the shared queue after every task.  A launch only
+        enqueues; no payload runs on this thread.  Each successor
+        enters the in-flight set before the finishing slot leaves it,
+        so quiescence stays exact.  Host successors, and every
+        successor off the healthy route (recovery, host fallbacks,
+        sanitized runs), are scheduled as usual."""
         if ready is PASS_DONE:
             self._pass_done(topology)
         elif ready is not None:
-            if lane is not None and self._continues(topology, gen):
-                nodes = topology.lowering.nodes
+            if (
+                lane is not None
+                and gen == topology.gen
+                and topology.sanitizer is None
+                and not self._snapshotting()
+            ):
+                gpu = topology.lowering.gpu_slots
                 host = []
                 for s in ready:
-                    if nodes[s].type.is_gpu:
+                    if gpu[s]:
                         self._m_continued.inc_sharded(lane)
                         self._invoke_attempt(lane, topology, s, gen, continued=True)
                     else:
@@ -1889,18 +1912,6 @@ class Executor:
                 ready = host
             if ready:
                 self._schedule(topology, ready, gen)
-
-    def _continues(self, topology: Topology, gen: Optional[int]) -> bool:
-        """May GPU successors continue on the dispatcher?  Only on the
-        healthy route: current generation, no sanitizer, no armed fault
-        profile and every GPU alive (so the topology is not degraded
-        either).  Recovery, host fallbacks and sanitized runs keep the
-        queue path."""
-        return (
-            gen == topology.gen
-            and topology.sanitizer is None
-            and not self._snapshotting()
-        )
 
     def _pass_done(self, topology: Topology) -> None:
         if topology.pass_completed():
@@ -1928,101 +1939,114 @@ class Executor:
         gpu = self._gpu
         return len(self._alive_gpus) < gpu.device_count or gpu.faults_armed
 
-    def _invoke_pull(self, attempt: _Attempt) -> None:
-        topology, node, wid = attempt.topology, attempt.node, attempt.wid
-        assert node.span is not None and node.device is not None
-        device = self._gpu.device(node.device)
+    def _launch_gpu(
+        self,
+        wid: int,
+        topology: Topology,
+        node: Node,
+        slot: int,
+        gen: int,
+        attempt: Optional[_Attempt] = None,
+    ) -> None:
+        """Enqueue GPU slot *slot* (*node*) on worker *wid*'s stream
+        for its device (the visitor over pull, push and kernel slots).
+        The enqueue is the last thing done here, so a raise means
+        nothing was enqueued.  The stream callback completes the slot:
+        through *attempt* when it has one, token-free
+        (:meth:`_gpu_done`) otherwise."""
+        kind = node.type
+        if kind is TaskType.PUSH:
+            src = node.source.buffer
+            if src is None:
+                raise KernelError(
+                    f"push task {node.name!r} ran before its pull task "
+                    f"{node.source.name!r}; add the missing dependency"
+                )
+            ordinal = node.device if node.device is not None else src.device.ordinal
+        else:
+            ordinal = node.device
+        device = self._devices[ordinal]
         if not device.alive:
-            raise DeviceFailedError(node.device)
+            raise DeviceFailedError(ordinal)
+        if kind is TaskType.KERNEL:
+            launch = topology.launches[slot]
+            args = launch.bind(device)
         with ScopedDeviceContext(device):
-            stream = self._stream_for(wid, node.device)
-            attempt.stream = stream
-            # a replayed pull re-reads its snapshot, not the live span:
-            # a completed push may have overwritten the host array
-            if node.nid in topology.replayed and node.pull_snapshot is not None:
-                host = node.pull_snapshot
+            stream = self._stream_for(wid, ordinal)
+            if attempt is None:
+                done = functools.partial(
+                    self._gpu_done, topology, slot, wid, gen, stream
+                )
             else:
-                host = node.span.host_array()
-            need = max(int(host.nbytes), 1)
-            buf = node.buffer
-            if buf is not None and (buf.device is not device or buf.nbytes < need):
-                buf.free()
-                buf = None
-            if buf is None:
-                buf = device.heap.allocate(need, dtype=host.dtype)
-                node.buffer = buf
+                attempt.stream = stream
+                done = functools.partial(self._attempt_finished, attempt)
+            if kind is TaskType.KERNEL:
+                sanitizer = topology.sanitizer
+                # the shim substitutes recording views for the span
+                # arguments after buffer-to-view decay (docs/analysis.md)
+                fn = None if sanitizer is None else sanitizer.wrap_kernel(node)
+                launch.enqueue(stream, args, done, fn)
+            elif kind is TaskType.PULL:
+                self._enqueue_pull(topology, node, device, stream, done)
             else:
-                buf.dtype = host.dtype
-            capture = self._snapshotting()
+                self._enqueue_push(node, src, stream, done)
 
-            def done(err: Optional[BaseException]) -> None:
-                if err is None and capture:
-                    node.pull_snapshot = np.array(host, copy=True)
-                self._attempt_finished(attempt, err)
-
-            self._gpu.memcpy_h2d_async(buf, host, stream, callback=done)
-
-    def _invoke_push(self, attempt: _Attempt) -> None:
-        topology, node, wid = attempt.topology, attempt.node, attempt.wid
-        assert node.span is not None and node.source is not None
-        src = node.source.buffer
-        if src is None:
-            raise KernelError(
-                f"push task {node.name!r} ran before its pull task "
-                f"{node.source.name!r}; add the missing dependency"
-            )
-        device = self._gpu.device(
-            node.device if node.device is not None else src.device.ordinal
-        )
-        if not device.alive:
-            raise DeviceFailedError(device.ordinal)
-        with ScopedDeviceContext(device):
-            stream = self._stream_for(wid, device.ordinal)
+    def _gpu_done(
+        self,
+        topology: Topology,
+        slot: int,
+        wid: int,
+        gen: int,
+        stream: Stream,
+        err: Optional[BaseException],
+    ) -> None:
+        """Stream callback of a token-free GPU slot: commit it, or build
+        its attempt token only now, for the failure route."""
+        if err is None:
+            self._task_done(wid, topology, slot, gen, stream, False, True)
+        else:
+            attempt = _Attempt(topology, slot, wid, gen, None)
             attempt.stream = stream
-            staging = np.empty(src.size, dtype=src.dtype)
-            span = node.span
+            self._attempt_finished(attempt, err)
+
+    def _enqueue_pull(self, topology, node, device, stream, done) -> None:
+        assert node.span is not None
+        # a replayed pull re-reads its snapshot, not the live span: a
+        # completed push may have overwritten the host array
+        if node.nid in topology.replayed and node.pull_snapshot is not None:
+            host = node.pull_snapshot
+        else:
+            host = node.span.host_array()
+        need = max(int(host.nbytes), 1)
+        buf = node.buffer
+        if buf is not None and (buf.device is not device or buf.nbytes < need):
+            buf.free()
+            buf = None
+        if buf is None:
+            buf = device.heap.allocate(need, dtype=host.dtype)
+            node.buffer = buf
+        else:
+            buf.dtype = host.dtype
+        if self._snapshotting():
+            finish = done
 
             def done(err: Optional[BaseException]) -> None:
                 if err is None:
-                    try:
-                        span.write_back(staging)
-                    except BaseException as exc:  # noqa: BLE001
-                        err = exc
-                self._attempt_finished(attempt, err)
+                    node.pull_snapshot = np.array(host, copy=True)
+                finish(err)
 
-            self._gpu.memcpy_d2h_async(staging, src, stream, callback=done)
+        self._gpu.memcpy_h2d_async(buf, host, stream, callback=done)
 
-    def _invoke_kernel(self, attempt: _Attempt) -> None:
-        node, wid = attempt.node, attempt.wid
-        assert node.kernel_fn is not None and node.device is not None
-        device = self._gpu.device(node.device)
-        if not device.alive:
-            raise DeviceFailedError(node.device)
-        converted: List[Any] = []
-        for arg in node.kernel_args:
-            if isinstance(arg, PullTask):
-                buf = arg.node.buffer
-                if buf is None:
-                    raise KernelError(
-                        f"kernel {node.name!r} ran before pull task "
-                        f"{arg.node.name!r}; add the missing dependency"
-                    )
-                converted.append(buf)
-            else:
-                converted.append(arg)
-        kernel_fn = node.kernel_fn
-        sanitizer = attempt.topology.sanitizer
-        if sanitizer is not None:
-            # the shim substitutes recording views for the span
-            # arguments after buffer-to-view decay (docs/analysis.md)
-            kernel_fn = sanitizer.wrap_kernel(node)
-        with ScopedDeviceContext(device):
-            stream = self._stream_for(wid, node.device)
-            attempt.stream = stream
-            launch_async(
-                stream,
-                node.launch,
-                kernel_fn,
-                *converted,
-                callback=lambda err: self._attempt_finished(attempt, err),
-            )
+    def _enqueue_push(self, node, src, stream, done) -> None:
+        staging = np.empty(src.size, dtype=src.dtype)
+        span = node.span
+
+        def written(err: Optional[BaseException]) -> None:
+            if err is None:
+                try:
+                    span.write_back(staging)
+                except BaseException as exc:  # noqa: BLE001
+                    err = exc
+            done(err)
+
+        self._gpu.memcpy_d2h_async(staging, src, stream, callback=written)

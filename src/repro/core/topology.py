@@ -46,13 +46,16 @@ import threading
 from concurrent.futures import Future, InvalidStateError
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.core.node import structure_version
+from repro.core.node import TaskType, structure_version
 from repro.core.placement import PlacementGroups
+from repro.core.task import PullTask
 from repro.errors import ExecutorError, GraphError
+from repro.gpu.kernel import KernelLaunch
 from repro.resilience.policy import normalize_policy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.heteroflow import Heteroflow
+    from repro.core.node import Node
     from repro.core.placement import PlacementResult
     from repro.resilience.policy import ResiliencePolicy, RetryPolicy
 
@@ -151,8 +154,12 @@ class Topology:
         #: attached :class:`repro.analysis.sanitize.SanitizerSession`
         #: for ``run(..., sanitize=True)`` submissions; None otherwise
         self.sanitizer: Optional[object] = None
-        #: True when slots run inline (set at start: host-only, no
-        #: retry/timeout policy, no sanitizer); False = _Attempt route
+        #: True when the submission has no retry policy, no timeout and
+        #: no sanitizer (set at start): its plain slots (see
+        #: :attr:`Lowering.plain_slots`) run without an attempt token
+        self.unpolicied = False
+        #: True when slots run inline (set at start: host-only and
+        #: unpolicied); False = the worker loop's _Attempt route
         self.inline = False
         # -- slot state (docs/runtime.md, "Submission pipeline") --------
         #: the slot form this submission runs (None until lower());
@@ -161,6 +168,9 @@ class Topology:
         #: slot -> host callable: the lowering's table, or a copy
         #: patched by ``bindings=``
         self.callables: Tuple = ()
+        #: slot -> compiled kernel launch (the lowering's
+        #: :attr:`Lowering.kernel_launches`, set at start)
+        self.launches: Tuple = ()
         #: per-slot join counters, reset from the lowering each pass
         self.joins: List[int] = []
         if isinstance(graph, FrozenTopology):
@@ -244,6 +254,29 @@ class Topology:
         with self._lock:
             joins = self.joins
             for t in self.lowering.succ_slots[slot]:
+                n = joins[t] - 1
+                joins[t] = n
+                if n == 0:
+                    if ready is None:
+                        ready = [t]
+                    else:
+                        ready.append(t)
+            self.pending -= 1
+            if self.pending == 0:
+                return PASS_DONE
+            return ready
+
+    def finish(self, slot: int) -> Optional[Sequence[int]]:
+        """:meth:`release` for a slot off the inline route, which also
+        marks its node done (the set recovery retracts from) under the
+        same one lock.  The join loop is written out in both: a call
+        per task costs the inline route."""
+        ready = None
+        lowering = self.lowering
+        with self._lock:
+            self.done_nodes.add(lowering.nodes[slot].nid)
+            joins = self.joins
+            for t in lowering.succ_slots[slot]:
                 n = joins[t] - 1
                 joins[t] = n
                 if n == 0:
@@ -354,10 +387,6 @@ class Topology:
         with self._lock:
             return [dict(e) for e in self.attempt_log.get(nid, ())]
 
-    def mark_done(self, nid: int) -> None:
-        with self._lock:
-            self.done_nodes.add(nid)
-
     def event(self, kind: str, **fields: object) -> None:
         """Record a structured failure/recovery event (JSON-ready)."""
         ev = {"kind": kind}
@@ -430,6 +459,7 @@ class Lowering:
     """
 
     _groups: Optional[PlacementGroups] = None
+    _launches: Optional[Tuple[Optional[KernelLaunch], ...]] = None
 
     def __init__(self, graph: "Heteroflow") -> None:
         order, succ = graph._kahn()
@@ -455,13 +485,17 @@ class Lowering:
         )
         #: slot -> host callable (None for GPU slots)
         self.callables: Tuple = tuple([n.callable for n in self.nodes])
-        self.has_gpu = any(n.type.is_gpu for n in self.nodes)
-        #: slots can run inline: host-only, no per-task resilience
-        #: overrides (GPU slots and retry/timeout routing take the
-        #: executor's _Attempt route)
-        self.fast_capable = not self.has_gpu and all(
-            n.retry_policy is None and n.timeout_s is None for n in self.nodes
+        #: slot -> True for a pull, push or kernel slot
+        self.gpu_slots: Tuple[bool, ...] = tuple([n.type.is_gpu for n in self.nodes])
+        #: slot -> no per-task retry policy or timeout override
+        self.plain_slots: Tuple[bool, ...] = tuple(
+            [n.retry_policy is None and n.timeout_s is None for n in self.nodes]
         )
+        self.has_gpu = any(self.gpu_slots)
+        #: slots can run inline: host-only, no per-task resilience
+        #: overrides (otherwise every slot takes the worker loop's
+        #: _Attempt route)
+        self.fast_capable = not self.has_gpu and all(self.plain_slots)
 
     @property
     def placement_groups(self) -> PlacementGroups:
@@ -473,6 +507,18 @@ class Lowering:
         return groups
 
     @property
+    def kernel_launches(self) -> Tuple[Optional[KernelLaunch], ...]:
+        """slot -> the kernel slot's compiled launch (None for other
+        slots), built on first use like :attr:`placement_groups`; every
+        run of this lowering launches its kernels from them."""
+        launches = self._launches
+        if launches is None:
+            launches = self._launches = tuple(
+                [kernel_launch(n) if n.type is TaskType.KERNEL else None for n in self.nodes]
+            )
+        return launches
+
+    @property
     def name(self) -> str:
         return self.graph.name
 
@@ -482,6 +528,18 @@ class Lowering:
 
     def __len__(self) -> int:
         return len(self.nodes)
+
+
+def kernel_launch(node: "Node") -> KernelLaunch:
+    """Compile kernel *node*'s launch: its pull-handle arguments become
+    lookups of the pull's buffer at each launch."""
+    return KernelLaunch(
+        node.launch,
+        node.kernel_fn,
+        node.kernel_args,
+        [(i, a.node) for i, a in enumerate(node.kernel_args) if isinstance(a, PullTask)],
+        node.name,
+    )
 
 
 _frozen_ids = itertools.count()

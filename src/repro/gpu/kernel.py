@@ -25,10 +25,11 @@ callables onto a device stream:
 
 from __future__ import annotations
 
+import functools
 import inspect
 import weakref
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 from repro._lazy import np
 from repro.errors import KernelError
@@ -165,7 +166,7 @@ def convert_argument(arg: Any) -> Any:
     """Paper Listing 9: device buffers decay to views, :class:`Late`
     arguments resolve, everything else is forwarded untouched."""
     if isinstance(arg, DeviceBuffer):
-        return PointerCaster(arg).cast()
+        return arg.view()
     if isinstance(arg, PointerCaster):
         return arg.cast()
     if isinstance(arg, Late):
@@ -212,6 +213,93 @@ def wants_context(fn: Callable) -> bool:
     return wants
 
 
+class KernelLaunch:
+    """A kernel launch compiled once: *fn* under *config* over *args*,
+    each argument sorted by what a launch must do to it.
+
+    *pulls* are ``(position, pull)`` pairs: that argument is the buffer
+    ``pull.buffer`` holds at each launch.  Other device buffers,
+    :class:`PointerCaster` and :class:`Late` arguments are converted
+    when the op runs; the rest pass through.  The executor compiles one
+    per kernel slot per graph lowering; :func:`launch_async` one per call.
+    """
+
+    __slots__ = ("name", "config", "fn", "args", "pulls", "convert", "devptrs", "wants_ctx")
+
+    def __init__(
+        self,
+        config: LaunchConfig,
+        fn: Callable,
+        args: Sequence[Any],
+        pulls: Sequence[Tuple[int, Any]] = (),
+        name: str = "kernel",
+    ) -> None:
+        self.name = name
+        self.config = config
+        self.fn = fn
+        self.args = tuple(args)
+        self.pulls = tuple(pulls)
+        taken = [i for i, _ in self.pulls]
+        kinds = (DeviceBuffer, PointerCaster, Late)
+        self.convert = tuple(
+            i for i, a in enumerate(self.args) if i not in taken and isinstance(a, kinds)
+        )
+        #: positions holding a device buffer at launch: device-checked
+        self.devptrs = tuple(taken) + tuple(
+            i for i in self.convert if isinstance(self.args[i], DeviceBuffer)
+        )
+        self.wants_ctx = wants_context(fn)
+
+    def bind(self, device) -> list:
+        """This launch's arguments, each pull's buffer in place.  Every
+        device buffer must live on *device* (CUDA's unified-addressing
+        check), else :class:`KernelError` — before anything is enqueued."""
+        args = list(self.args)
+        for i, pull in self.pulls:
+            args[i] = pull.buffer
+            if args[i] is None:
+                raise KernelError(
+                    f"kernel {self.name!r} ran before pull task "
+                    f"{pull.name!r}; add the missing dependency"
+                )
+        for i in self.devptrs:
+            if args[i].device is not device:
+                raise KernelError(
+                    f"kernel argument lives on GPU {args[i].device.ordinal} "
+                    f"but the launch targets GPU {device.ordinal}"
+                )
+        return args
+
+    def enqueue(self, stream: Stream, args: list, callback=None, fn=None) -> None:
+        """Enqueue the op over *args* from :meth:`bind` (non-blocking);
+        *fn* replaces the kernel (the sanitizer's shim, same leading
+        parameters)."""
+        device = stream.device
+        device.kernel_launches.inc()
+        run = functools.partial(self.run, device, args, self.fn if fn is None else fn)
+        stream.enqueue(run, callback=callback)
+
+    def run(self, device, args: list, fn: Callable) -> None:
+        """The op body, on the dispatcher: pull buffers decay to views,
+        the other arguments convert (:class:`Late` ones resolve) on
+        every launch, then *fn* runs."""
+        # kernel-level fault-injection gate (docs/resilience.md)
+        device.pre_kernel()
+        for i, _ in self.pulls:
+            args[i] = args[i].view()
+        for i in self.convert:
+            args[i] = convert_argument(args[i])
+        self.call(fn, args, device.ordinal, self.wants_ctx)
+
+    def call(self, fn: Callable, args: list, ordinal: int, wants_ctx: bool) -> None:
+        """Invoke *fn*, given a :class:`KernelContext` first when
+        *wants_ctx* (a host fallback passes its own answer, ordinal -1)."""
+        if wants_ctx:
+            fn(KernelContext(self.config, ordinal), *args)
+        else:
+            fn(*args)
+
+
 def launch_async(
     stream: Stream,
     config: LaunchConfig,
@@ -220,31 +308,10 @@ def launch_async(
     callback: Optional[Callable[[Optional[BaseException]], None]] = None,
 ) -> None:
     """Enqueue kernel *fn* on *stream* with *config* (non-blocking).
-
-    Device-buffer arguments must live on the stream's device — the
-    analogue of CUDA's unified-addressing checks; violating this raises
-    :class:`KernelError` eagerly, before anything is enqueued.
-    """
-    for a in args:
-        if isinstance(a, DeviceBuffer) and a.device is not stream.device:
-            raise KernelError(
-                f"kernel argument lives on GPU {a.device.ordinal} but the "
-                f"launch targets GPU {stream.device.ordinal}"
-            )
-    wants_ctx = wants_context(fn)
-    ordinal = stream.device.ordinal
-    stream.device.kernel_launches.inc()
-
-    def op() -> None:
-        # kernel-level fault-injection gate (docs/resilience.md)
-        stream.device.pre_kernel()
-        converted = [convert_argument(a) for a in args]
-        if wants_ctx:
-            fn(KernelContext(config, ordinal), *converted)
-        else:
-            fn(*converted)
-
-    stream.enqueue(op, callback=callback)
+    A device buffer argument on another device raises
+    :class:`KernelError` before anything is enqueued."""
+    launch = KernelLaunch(config, fn, args)
+    launch.enqueue(stream, launch.bind(stream.device), callback)
 
 
 def launch_sync(stream: Stream, config: LaunchConfig, fn: Callable, *args: Any) -> None:

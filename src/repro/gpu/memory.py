@@ -38,13 +38,14 @@ def pooled_bytes(nbytes: int, min_block: int = DEFAULT_MIN_BLOCK) -> int:
 class DeviceBuffer:
     """A device-pointer analogue: a typed slice of a device heap."""
 
-    __slots__ = ("device", "offset", "nbytes", "dtype", "_freed")
+    __slots__ = ("device", "offset", "nbytes", "dtype", "_view", "_freed")
 
     def __init__(self, device: "Device", offset: int, nbytes: int, dtype: np.dtype) -> None:
         self.device = device
         self.offset = offset
         self.nbytes = nbytes
         self.dtype = np.dtype(dtype)
+        self._view: Optional[np.ndarray] = None
         self._freed = False
 
     @property
@@ -56,11 +57,20 @@ class DeviceBuffer:
         """Typed numpy view of the device bytes (no copy).
 
         This is the "dereference" operation kernels use; it is only
-        valid while the buffer is live.
+        valid while the buffer is live.  The default-dtype view is kept
+        until :attr:`dtype` changes: every kernel launch decays its
+        pull buffers through here.
         """
         if self._freed:
             raise DeviceError("use of freed device buffer")
-        dt = self.dtype if dtype is None else np.dtype(dtype)
+        if dtype is None:
+            v = self._view
+            if v is None or v.dtype is not self.dtype:
+                v = self._view = self._typed(self.dtype)
+            return v
+        return self._typed(np.dtype(dtype))
+
+    def _typed(self, dt: np.dtype) -> np.ndarray:
         raw = self.device.heap.raw[self.offset : self.offset + self.nbytes]
         n = self.nbytes - (self.nbytes % dt.itemsize)
         return raw[:n].view(dt)

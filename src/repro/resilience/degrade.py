@@ -25,9 +25,8 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 from repro._lazy import np
 from repro.core.node import Node, TaskType
 from repro.core.placement import CostMetric, PlacementResult
-from repro.core.task import PullTask
 from repro.errors import KernelError
-from repro.gpu.kernel import KernelContext, wants_context
+from repro.gpu.kernel import KernelLaunch, wants_context
 from repro.gpu.memory import DeviceBuffer
 from repro.utils.span import Late
 
@@ -108,36 +107,32 @@ def run_degraded_pull(node: Node, use_snapshot: bool) -> None:
     node.host_shadow = np.array(src, copy=True)
 
 
-def run_degraded_kernel(node: Node) -> None:
-    """Run the kernel's registered host fallback over shadow arrays."""
+def run_degraded_kernel(node: Node, launch: KernelLaunch) -> None:
+    """Run the kernel's registered host fallback over shadow arrays,
+    with the arguments its compiled *launch* sorted: pull positions
+    take the pulls' shadows and :class:`Late` arguments resolve."""
     fn = node.fallback_fn
     if fn is None:
         raise KernelError(
             f"kernel task {node.name!r} has no host fallback registered"
         )
-    converted = []
-    for a in node.kernel_args:
-        if isinstance(a, PullTask):
-            shadow = a.node.host_shadow
-            if shadow is None:
-                raise KernelError(
-                    f"kernel task {node.name!r} reads pull task "
-                    f"{a.node.name!r}, which has no degraded host data"
-                )
-            converted.append(shadow)
-        elif isinstance(a, DeviceBuffer):
+    args = list(launch.args)
+    for i, pull in launch.pulls:
+        if pull.host_shadow is None:
+            raise KernelError(
+                f"kernel task {node.name!r} reads pull task "
+                f"{pull.name!r}, which has no degraded host data"
+            )
+        args[i] = pull.host_shadow
+    for i in launch.convert:
+        if isinstance(args[i], DeviceBuffer):
             raise KernelError(
                 f"kernel task {node.name!r} takes a raw device buffer "
                 f"argument and cannot degrade to host execution"
             )
-        elif isinstance(a, Late):
-            converted.append(a.resolve())
-        else:
-            converted.append(a)
-    if wants_context(fn):
-        fn(KernelContext(node.launch, -1), *converted)
-    else:
-        fn(*converted)
+        if isinstance(args[i], Late):
+            args[i] = args[i].resolve()
+    launch.call(fn, args, -1, wants_context(fn))
 
 
 def run_degraded_push(node: Node) -> None:

@@ -238,11 +238,11 @@ class TestAuditor:
 class TestMutantSelftest:
     def test_validator_catches_seeded_scheduler_bug(self):
         """The checker has teeth: a premature-dependency-release mutant
-        is flagged while the reference executor passes — on both the
-        inline route and the _Attempt route."""
+        is flagged while the reference executor passes — on the inline
+        route, the _Attempt route and the token-free GPU route."""
         result = run_mutant_selftest(delay=0.2)
         assert result.caught
-        assert set(ROUTES) == {"inline", "attempt"}
+        assert set(ROUTES) == {"inline", "attempt", "gpu"}
         for route in ROUTES:
             kinds = {v.kind for v in result.reports[f"mutant/{route}"].violations}
             assert "happens-before" in kinds, route
@@ -251,7 +251,12 @@ class TestMutantSelftest:
         assert result.fast_path == {
             "mutant/inline": 1, "reference/inline": 1,
             "mutant/attempt": 0, "reference/attempt": 0,
+            "mutant/gpu": 0, "reference/gpu": 0,
         }
+        # on the GPU route, stream callbacks launched the kernels
+        assert result.continued["reference/gpu"] > 0
+        assert result.continued["mutant/gpu"] > 0
+        assert result.continued["reference/attempt"] == 0
 
 
 class TestStressHarness:

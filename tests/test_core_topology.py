@@ -36,10 +36,10 @@ class TestTopology:
         nodes = t.lowering.nodes
         assert [n.name for n in nodes] == ["a", "b", "c", "d"]
         t.begin_pass()
-        assert t.release(0) == [1, 2]
-        assert t.release(1) is None
-        t.mark_done(nodes[0].nid)
-        t.mark_done(nodes[1].nid)
+        # finish() is release() that also marks the slot's node done
+        assert t.finish(0) == [1, 2]
+        assert t.finish(1) is None
+        assert t.done_nodes == {nodes[0].nid, nodes[1].nid}
         # b is done, c is not: d waits on c alone, c is ready now;
         # done slots are parked at -1
         assert t.rebuild_joins() == [2]
@@ -62,8 +62,7 @@ class TestTopology:
         assert [n.name for n in nodes] == ["p", "k", "s", "h"]
         t.begin_pass()
         for slot in range(3):
-            t.release(slot)
-            t.mark_done(nodes[slot].nid)
+            t.finish(slot)
         # p and k retracted (their device died), s stays done; h was
         # released by s but its item went stale, so it is ready again
         t.done_nodes -= {nodes[0].nid, nodes[1].nid}

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import DeviceError
 from repro.gpu.device import GpuRuntime, ScopedDeviceContext, current_device
-from repro.gpu import runtime as rt_api
+from repro.gpu.stream import Event
 
 
 class TestRuntime:
@@ -100,21 +100,23 @@ class TestMemcpy:
         assert sorted(flags) == [0, 1]
 
 
-class TestFacade:
+class TestRoundTrip:
     def test_cuda_style_roundtrip(self, gpu2):
-        s = rt_api.stream_create(gpu2, 0)
-        buf = rt_api.malloc(gpu2, 0, 32, dtype=np.float32)
+        """The cudaMalloc / cudaMemcpyAsync / cudaEventRecord round trip
+        of the paper's listings, through the object API."""
+        s = gpu2.device(0).create_stream()
+        buf = gpu2.device(0).allocate(32, dtype=np.float32)
         src = np.arange(8, dtype=np.float32)
-        rt_api.memcpy_h2d_async(gpu2, buf, src, s)
-        ev = rt_api.event_create()
-        rt_api.event_record(ev, s)
-        rt_api.event_synchronize(ev)
+        gpu2.memcpy_h2d_async(buf, src, s)
+        ev = Event()
+        s.record_event(ev)
+        ev.synchronize()
         out = np.zeros(8, dtype=np.float32)
-        rt_api.memcpy_d2h_async(gpu2, out, buf, s)
-        rt_api.stream_synchronize(s)
+        gpu2.memcpy_d2h_async(out, buf, s)
+        s.synchronize()
         assert np.array_equal(out, src)
-        rt_api.free(buf)
-        assert rt_api.device_count(gpu2) == 2
+        buf.free()
+        assert gpu2.device_count == 2
 
 
 class TestMemset:

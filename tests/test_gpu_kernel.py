@@ -133,6 +133,10 @@ class TestLaunch:
         s1 = gpu2.device(1).create_stream()
         with pytest.raises(KernelError):
             launch_sync(s1, LaunchConfig(), lambda a: None, buf0)
+        # nothing was enqueued: the stream ran only the synchronize marker
+        s1.synchronize()
+        assert s1.ops_executed == 1
+        assert gpu2.device(1).kernel_launches.value == 0
 
     def test_kernel_exception_propagates(self, gpu2):
         s = gpu2.device(0).create_stream()
