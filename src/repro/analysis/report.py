@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
-from repro.analysis.diagnostics import Diagnostic, LintReport, Severity
+from repro.analysis.diagnostics import LintReport, Severity
 from repro.core.node import TaskType
 from repro.utils.dot import DotWriter
 
@@ -53,10 +53,6 @@ def render_text(report: LintReport, *, verbose: bool = False) -> str:
     if not report.diagnostics:
         lines.append("  clean")
     return "\n".join(lines)
-
-
-def report_as_dict(report: LintReport) -> Dict:
-    return report.as_dict()
 
 
 def render_json(reports: List[LintReport], *, indent: int = 2) -> str:
@@ -110,8 +106,3 @@ def render_dot(report: LintReport, graph) -> str:
             else:
                 w.add_edge(id(n), id(s))
     return w.render()
-
-
-def format_diagnostic(d: Diagnostic) -> str:
-    """One-line rendering (CLI/log form)."""
-    return str(d)

@@ -154,15 +154,6 @@ def cppr_credit(
     return (late_derate - early_derate) * common
 
 
-def cppr_credits_for_pairs(
-    tree: ClockTree,
-    pairs: Sequence[Tuple[int, int]],
-    **kw: float,
-) -> np.ndarray:
-    """Vector of credits for many (launch, capture) pairs."""
-    return np.asarray([cppr_credit(tree, a, b, **kw) for a, b in pairs])
-
-
 def setup_slack_with_cppr(
     tree: ClockTree,
     clock_period: float,

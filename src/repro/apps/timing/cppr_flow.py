@@ -204,13 +204,6 @@ def build_cppr_flow(
     return state
 
 
-def _root_of(tree: ClockTree) -> int:
-    node = next(iter(tree.leaf_of.values()))
-    while tree.parent[node] >= 0:
-        node = int(tree.parent[node])
-    return node
-
-
 def reference_credits(state: CpprFlowState) -> np.ndarray:
     """Host-only oracle using the scalar per-pair CPPR implementation."""
     res = analyze_sequential(

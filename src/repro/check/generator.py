@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -121,6 +121,32 @@ class GeneratedGraph:
                     f"from the reference result"
                 )
         return problems
+
+    def reset(self) -> None:
+        """Forget every earlier run: empty the host log and restore each
+        chain's initial data, so the oracle judges the next run alone."""
+        self.host_log.clear()
+        for c in self.chains:
+            c.array[:] = c.init
+
+    def check(
+        self, records: Sequence, *, passes: int, num_gpus: int, completed: bool
+    ) -> Tuple[List[str], int]:
+        """The run check every suite applies to a run of this graph:
+        *records* (its :class:`~repro.core.observer.TaskRecord` trace)
+        through the schedule validator, partial unless the run
+        *completed*, and, only if it completed, the results through the
+        host-replay oracle.  Returns ``(violations, num_records)``."""
+        from repro.check.validate import validate_schedule
+
+        schedule = validate_schedule(
+            self.graph, records, passes=passes, num_gpus=num_gpus,
+            allow_partial=not completed,
+        )
+        violations = [str(v) for v in schedule.violations]
+        if completed:
+            violations.extend(self.verify(passes))
+        return violations, schedule.num_records
 
 
 def _affine_kernel(cmul: float, dadd: float) -> Callable:

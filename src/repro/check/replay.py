@@ -1,11 +1,13 @@
 """Differential replay harness: frozen-graph replays vs fresh runs.
 
-The freeze-and-replay fast path (docs/runtime.md, "Freeze and replay")
-re-implements dispatch for frozen graphs: a compiled slot table, a
-cached placement plan, and (for host-only graphs) a chunked slot loop
-that bypasses the per-node scheduling machinery entirely.  That is
-exactly the kind of duplicated logic that drifts, so this harness runs
-every stress-generator graph **both ways** and cross-checks them:
+A fresh submission and a replay of a frozen graph (docs/runtime.md,
+"Freeze and replay") run on the same slot loop and differ in what they
+reuse: a replay re-applies the plan cached on the frozen topology
+(placement and device assignment from its first submission) and reads
+its host callables from the frozen table that ``bindings=`` patches
+(this harness binds nothing), where a fresh run packs its placement per
+submission.  This harness runs every stress-generator graph **both
+ways** and cross-checks them:
 
 1. generate the same seeded graph twice (identical structure and
    arithmetic — everything derives from the seed);
@@ -13,16 +15,13 @@ every stress-generator graph **both ways** and cross-checks them:
    (``freeze()`` + N serialized ``run(frozen)`` submissions), each
    under its own :class:`~repro.core.executor.Executor` with a
    :class:`~repro.core.observer.TraceObserver` attached;
-3. feed **both** trace streams through
-   :func:`~repro.check.validate.validate_schedule` (exact-once,
-   happens-before, stream FIFO, placement consistency) — N serialized
-   one-pass replays must validate exactly like one N-pass run;
-4. check **both** result sets against the generator's host-replay
-   oracle, then compare the two runs' final chain arrays and host-task
-   counts against each other;
-5. require the two validator verdicts to agree (both clean, or the
-   fresh path already broken — a frozen-only violation is a replay
-   bug by construction).
+3. give **both** sides the generator's run check
+   (:meth:`~repro.check.generator.GeneratedGraph.check`: exact-once,
+   happens-before, stream FIFO, placement consistency, then the
+   host-replay oracle) — N serialized one-pass replays must check
+   exactly like one N-pass run;
+4. compare the two runs' final chain arrays, host-task counts and trace
+   lengths against each other.
 
 Scenario modes (``seed % 4``) also drive cancellation, submission
 deadlines, and device fault injection *through the replay path*, plus
@@ -42,7 +41,6 @@ import numpy as np
 
 from repro.check.generator import GeneratedGraph, generate_graph
 from repro.check.stress import STRESS_POOL_BYTES, _RESULT_TIMEOUT
-from repro.check.validate import validate_schedule
 from repro.core.executor import Executor
 from repro.core.observer import TraceObserver
 from repro.harness import Report, Scenario
@@ -55,15 +53,6 @@ _MODES = ("normal", "cancel", "deadline", "fault")
 #: deadline armed for deadline-mode scenarios; the gate holds the graph
 #: at the starting line well past this
 _DEADLINE_S = 0.05
-
-
-def _make_executor(workers: int, gpus: int, seed: int) -> Executor:
-    return Executor(
-        num_workers=workers,
-        num_gpus=gpus,
-        gpu_memory_bytes=STRESS_POOL_BYTES,
-        seed=seed,
-    )
 
 
 def _inject_faults(ex: Executor, gpus: int, seed: int) -> None:
@@ -136,33 +125,28 @@ def run_scenario(index: int, workers: int, gpus: int, seed: int) -> Scenario:
         obs: TraceObserver,
         side: str,
         submit: Callable,
-    ) -> None:
-        """Run one side through the scenario mode."""
+    ) -> int:
+        """Run one side through the scenario mode; *submit* is
+        ``(ex, passes, policy, deadline) -> futures``.  Returns the
+        number of trace records it checked."""
         if mode in ("normal", "fault"):
             if mode == "fault":
                 _inject_faults(ex, gpus, seed)
-            for fut in submit(passes, policy):
+            for fut in submit(ex, passes, policy, None):
                 try:
                     fut.result(timeout=_RESULT_TIMEOUT)
                 except Exception as exc:  # noqa: BLE001 - harness boundary
                     outcome.violations.append(
                         f"{side}: unexpected failure: {exc!r}"
                     )
-            report = validate_schedule(
-                gen.graph,
-                obs.records,
-                passes=passes,
-                num_gpus=gpus,
+            checked, num_records = gen.check(
+                obs.records, passes=passes, num_gpus=gpus, completed=True
             )
-            outcome.violations.extend(f"{side}: {v}" for v in report.violations)
-            outcome.violations.extend(
-                f"{side}: oracle: {p}" for p in gen.verify(passes)
-            )
-            _record(side, report.num_records)
-            return
+            outcome.violations.extend(f"{side}: {v}" for v in checked)
+            return num_records
         # cancel/deadline: one gated submission is killed mid-flight,
         # then a clean follow-up run proves the graph still replays
-        (fut,) = submit(1, None) if mode == "cancel" else submit(1, None, True)
+        (fut,) = submit(ex, 1, None, None if mode == "cancel" else _DEADLINE_S)
         if mode == "cancel":
             ex.cancel(fut)
             gen.gate.set()
@@ -184,79 +168,49 @@ def run_scenario(index: int, workers: int, gpus: int, seed: int) -> Scenario:
             pass
         except Exception as exc:  # noqa: BLE001 - harness boundary
             outcome.violations.append(f"{side}: unexpected failure: {exc!r}")
-        partial = validate_schedule(
-            gen.graph,
-            obs.records,
-            passes=1,
-            num_gpus=gpus,
-            allow_partial=True,
+        partial, partial_records = gen.check(
+            obs.records, passes=1, num_gpus=gpus, completed=False
         )
-        outcome.violations.extend(f"{side}: {v}" for v in partial.violations)
-        # the gate stays set, so the follow-up runs unimpeded
+        outcome.violations.extend(f"{side}: {v}" for v in partial)
+        # the gate stays set, so the follow-up runs unimpeded; the
+        # oracle judges it alone, whatever the killed run left behind
+        gen.reset()
         obs2 = TraceObserver()
         ex.remove_observer(obs)
         ex.add_observer(obs2)
-        (fut2,) = submit(1, None)
+        (fut2,) = submit(ex, 1, None, None)
         try:
             fut2.result(timeout=_RESULT_TIMEOUT)
         except Exception as exc:  # noqa: BLE001 - harness boundary
             outcome.violations.append(
                 f"{side}: follow-up after {mode} failed: {exc!r}"
             )
-        strict = validate_schedule(
-            gen.graph, obs2.records, passes=1, num_gpus=gpus
+        strict, strict_records = gen.check(
+            obs2.records, passes=1, num_gpus=gpus, completed=True
         )
-        outcome.violations.extend(f"{side}: {v}" for v in strict.violations)
-        _record(side, partial.num_records + strict.num_records)
+        outcome.violations.extend(f"{side}: {v}" for v in strict)
+        return partial_records + strict_records
 
-    def _record(side: str, n: int) -> None:
-        outcome.counts[f"records_{side}"] = n
-
-    # fresh side: classic run_n submission
-    obs_a = TraceObserver()
-    ex_a = _make_executor(workers, gpus, seed)
-    ex_a.add_observer(obs_a)
-    try:
-        drive(
-            fresh,
-            ex_a,
-            obs_a,
-            "fresh",
-            lambda n, pol, dl=False: [
-                ex_a.run_n(
-                    fresh.graph,
-                    n,
-                    policy=pol,
-                    deadline=_DEADLINE_S if dl else None,
-                )
-            ],
+    # the fresh side submits run_n(graph, N); the frozen side N
+    # serialized single-pass replays of the compiled topology, which the
+    # graph FIFO orders, so its trace must check like one N-pass run
+    for side, gen, submit in (
+        ("fresh", fresh, lambda ex, n, pol, dl: [
+            ex.run_n(fresh.graph, n, policy=pol, deadline=dl)
+        ]),
+        ("frozen", frozen_gen, lambda ex, n, pol, dl: [
+            ex.run(frozen, policy=pol, deadline=dl) for _ in range(n)
+        ]),
+    ):
+        obs = TraceObserver()
+        ex = Executor(
+            num_workers=workers, num_gpus=gpus, gpu_memory_bytes=STRESS_POOL_BYTES,
+            observers=[obs], seed=seed,
         )
-    finally:
-        ex_a.shutdown()
-
-    # frozen side: N serialized single-pass replays of the compiled
-    # topology — the graph FIFO orders them, so the trace must
-    # validate exactly like one N-pass run
-    obs_b = TraceObserver()
-    ex_b = _make_executor(workers, gpus, seed)
-    ex_b.add_observer(obs_b)
-    try:
-        drive(
-            frozen_gen,
-            ex_b,
-            obs_b,
-            "frozen",
-            lambda n, pol, dl=False: [
-                ex_b.run(
-                    frozen,
-                    policy=pol,
-                    deadline=_DEADLINE_S if dl else None,
-                )
-                for _ in range(n)
-            ],
-        )
-    finally:
-        ex_b.shutdown()
+        try:
+            outcome.counts[f"records_{side}"] = drive(gen, ex, obs, side, submit)
+        finally:
+            ex.shutdown()
 
     if mode in ("normal", "fault"):
         _cross_compare(fresh, frozen_gen, outcome)

@@ -38,10 +38,9 @@ from repro.analysis.diagnostics import Severity
 from repro.analysis.linter import lint
 from repro.check.audit import AllocatorAuditor
 from repro.check.generator import generate_graph
-from repro.check.validate import validate_schedule
 from repro.core.executor import Executor
 from repro.core.observer import TraceObserver
-from repro.errors import KernelError
+from repro.errors import KernelError, ValidationError
 from repro.harness import Report, Scenario
 from repro.resilience import FaultProfile, RetryPolicy
 
@@ -112,26 +111,19 @@ def _run_mode(workers: int, gpus: int, seed: int, mode: str, sc: Scenario) -> No
             violations.append(f"unexpected task failure: {exc!r}")
     finally:
         ex.shutdown()
-    partial = mode in ("fault", "cancel")
-    schedule = validate_schedule(
-        gen.graph,
-        obs.records,
-        passes=passes,
-        num_gpus=gpus,
-        allow_partial=partial,
+    # retry runs recover from the injected fault, so the oracle must
+    # hold exactly as for a clean run
+    checked, num_records = gen.check(
+        obs.records, passes=passes, num_gpus=gpus, completed=mode in ("normal", "retry")
     )
-    violations.extend(str(v) for v in schedule.violations)
-    if mode in ("normal", "retry"):
-        # retry runs recover from the injected fault, so the oracle
-        # must hold exactly as for a clean run
-        violations.extend(gen.verify(passes))
+    violations.extend(checked)
     audit = auditor.finish()
     violations.extend(audit.violations)
     sc.violations.extend(f"{mode}: {v}" for v in violations)
     sc.detail["nodes"] = gen.num_nodes
     for key, val in (
         ("runs", 1),
-        ("records", schedule.num_records),
+        ("records", num_records),
         ("allocs", audit.num_allocs),
         ("frees", audit.num_frees),
     ):
@@ -170,10 +162,11 @@ def run_determinism_check(
     """Run the same host-only graph twice on one worker; compare traces.
 
     Returns ``(identical, order_a, order_b)`` where the orders are the
-    task-name sequences in execution order.  Only host-only graphs on a
-    single worker are deterministic: GPU tasks complete on stream
-    dispatcher threads that race with the worker for queue order (see
-    docs/testing.md).
+    task-name sequences in execution order; a run that fails its run
+    check raises :class:`~repro.errors.ValidationError`.  Only host-only
+    graphs on a single worker are deterministic: GPU tasks complete on
+    stream dispatcher threads that race with the worker for queue order
+    (see docs/testing.md).
     """
     orders: List[List[str]] = []
     for _ in range(2):
@@ -181,10 +174,8 @@ def run_determinism_check(
         obs = TraceObserver()
         with Executor(num_workers=1, num_gpus=0, observers=[obs], seed=seed) as ex:
             ex.run_n(gen.graph, passes).result(timeout=_RESULT_TIMEOUT)
-        validate_schedule(
-            gen.graph, obs.records, passes=passes, num_gpus=0
-        ).raise_if_failed()
-        if gen.verify(passes):
-            raise AssertionError("determinism check graph failed its oracle")
+        violations, _ = gen.check(obs.records, passes=passes, num_gpus=0, completed=True)
+        if violations:
+            raise ValidationError("; ".join(violations))
         orders.append([r.name for r in obs.records])
     return orders[0] == orders[1], orders[0], orders[1]

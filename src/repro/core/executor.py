@@ -145,15 +145,15 @@ _CHUNK = 32
 
 
 class _CompiledPlan:
-    """Executor-side cached plan for one :class:`FrozenTopology`.
+    """One executor's compiled plan of a :class:`FrozenTopology`, kept
+    in ``frozen.plans[executor]``.
 
-    The frozen topology itself is executor-agnostic; the placement
-    grouping and device assignment depend on this executor's GPU count
-    and which devices are still alive, so they cache here, keyed by
-    ``frozen.fid``.  ``alive`` snapshots the live-device set the plan
-    was compiled against — any difference (a device died, or the stale
-    plan was replanned in place during recovery) invalidates the entry
-    and the next submission recompiles.
+    The placement grouping and device assignment depend on the
+    executor's GPU count and which devices are still alive.  ``alive``
+    snapshots the live-device set the plan was compiled against — any
+    difference (a device died, or the stale plan was replanned in place
+    during recovery) invalidates the entry and the next submission
+    recompiles.
     """
 
     __slots__ = ("placement", "pairs", "alive")
@@ -432,9 +432,6 @@ class Executor:
         self._m_sanitized = self.metrics.counter("sanitize.runs")
         self._m_divergences = self.metrics.counter("sanitize.divergences")
 
-        #: frozen.fid -> _CompiledPlan; guarded by the graph FIFO (one
-        #: started topology per graph), so no extra lock is needed
-        self._plan_cache: Dict[int, _CompiledPlan] = {}
         self.metrics.register_callback(
             "service.overload_state", self._overload_state
         )
@@ -1208,7 +1205,9 @@ class Executor:
                 self._m_degraded.inc()
                 topology.event("degraded", at="start", alive=[])
             elif frozen is not None:
-                plan = self._plan_cache.get(frozen.fid)
+                # frozen.plans is guarded by the graph FIFO (one started
+                # topology per graph), so no extra lock is needed
+                plan = frozen.plans.get(self)
                 if plan is not None and plan.alive == alive:
                     self._m_replay_hits.inc()
                 else:
@@ -1221,7 +1220,7 @@ class Executor:
                         snapshot_assignment(nodes),
                         alive,
                     )
-                    self._plan_cache[frozen.fid] = plan
+                    frozen.plans[self] = plan
                 # re-apply the assignment: device ordinals live on the
                 # shared nodes, and a fresh run or a sibling's recovery
                 # pass may have moved them since the plan was compiled

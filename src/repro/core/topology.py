@@ -41,8 +41,8 @@ recovery by :meth:`Topology.rebuild_joins` (docs/runtime.md).
 
 from __future__ import annotations
 
-import itertools
 import threading
+import weakref
 from concurrent.futures import Future, InvalidStateError
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -542,18 +542,15 @@ def kernel_launch(node: "Node") -> KernelLaunch:
     )
 
 
-_frozen_ids = itertools.count()
-
-
 class FrozenTopology(Lowering):
     """Immutable compiled form of a :class:`Heteroflow` graph.
 
     Built by :meth:`Heteroflow.freeze`: the graph's :class:`Lowering`,
-    kept for every replay.  The executor keys its compiled-plan cache
-    (placement grouping, device assignment, buddy-rounded footprint) on
-    :attr:`fid`, so repeated ``run(frozen)`` submissions replay without
-    re-running Algorithm-1 placement or graph validation
-    (docs/runtime.md, "Freeze and replay").
+    kept for every replay.  Each executor keeps its compiled plan
+    (placement grouping, device assignment) in :attr:`plans`, so
+    repeated ``run(frozen)`` submissions replay without re-running
+    Algorithm-1 placement or graph validation (docs/runtime.md, "Freeze
+    and replay").
 
     The compiled state is shared by every replay and never mutated;
     per-submission state (join counters, callables patched by
@@ -564,8 +561,9 @@ class FrozenTopology(Lowering):
         if graph.empty:
             raise GraphError(f"cannot freeze empty graph {graph.name!r}")
         super().__init__(graph)
-        #: plan-cache key: unique per freeze, stable across submissions
-        self.fid = next(_frozen_ids)
+        #: executor -> its compiled plan of this graph, keyed weakly: a
+        #: plan dies with its executor or with this graph
+        self.plans: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         # bindings lookup: host-task name -> slot; duplicate names are
         # poisoned (-1) and rejected at bind time
         host_slots: Dict[str, int] = {}

@@ -48,7 +48,7 @@ from repro.durability.fsck import fsck
 from repro.durability.journal import Journal
 from repro.durability.osshim import FaultyOs
 from repro.errors import JournalCorruptError, JournalWriteError
-from repro.harness import Report, Scenario, cadence, event_loop, unfired
+from repro.harness import Report, Scenario, cadence, counter_mismatches, serving, unfired
 from repro.utils.rng import derive_seed
 
 _RUN_DEADLINE_S = 60.0
@@ -314,13 +314,10 @@ def _run_crash_cycle(index: int, sweep_seed: int,
                 f"key {item['key']} ({item['kind']}) settled "
                 f"{got['outcome']}/{got['reason']!r}"
             )
-    counters = result.get("counters", {})
-    if int(counters.get("journal.dedup_hits", -1)) != pre_accepted:
-        sc.violations.append(
-            f"dedup hits {counters.get('journal.dedup_hits')} != "
-            f"{pre_accepted} keys journaled before the kill"
-        )
-    sc.counts["dedup_hits"] = int(counters.get("journal.dedup_hits", 0))
+    # every key journaled before the kill must dedupe on its replay
+    hits = int(result.get("counters", {}).get("journal.dedup_hits", 0))
+    sc.violations.extend(counter_mismatches([("journal.dedup_hits", hits, pre_accepted)]))
+    sc.counts["dedup_hits"] = hits
 
     post = fsck(jp)
     if not post.clean:
@@ -500,8 +497,7 @@ async def _run_clean_scenario(gw, fh, index: int,
         subs.append((key, gw.submit(target, idempotency_key=key)))
     first = {key: await sub for key, sub in subs}
 
-    appends_before = gw.snapshot()["journal.appends"]
-    dedup_before = gw.snapshot()["journal.dedup_hits"]
+    before = gw.snapshot()
     for key, _sub in subs:
         # replay with a *different* payload: the key must win and the
         # journaled outcome must come back verbatim, zero new appends
@@ -511,17 +507,12 @@ async def _run_clean_scenario(gw, fh, index: int,
                 f"replayed key {key} settled {replay.outcome}, first "
                 f"run settled {first[key].outcome}"
             )
-    snap = gw.snapshot()
-    if snap["journal.appends"] != appends_before:
-        sc.violations.append(
-            f"replaying settled keys appended "
-            f"{snap['journal.appends'] - appends_before:.0f} records"
-        )
-    hits = snap["journal.dedup_hits"] - dedup_before
-    if hits != n:
-        sc.violations.append(
-            f"{hits:.0f} dedup hits for {n} replayed keys"
-        )
+    after = gw.snapshot()
+    hits = after["journal.dedup_hits"] - before["journal.dedup_hits"]
+    sc.violations.extend(counter_mismatches([
+        ("journal.appends", after["journal.appends"] - before["journal.appends"], 0),
+        ("journal.dedup_hits", hits, n),
+    ]))
     sc.counts["dedup_hits"] = int(hits)
     return sc
 
@@ -539,8 +530,7 @@ def scenarios(report: Report, n: int, *, workers: int,
     from repro.gateway.spec import BurstSpec
     from repro.gateway.worker import WorkerConfig
 
-    with tempfile.TemporaryDirectory(prefix="repro-crash-soak-") as root, \
-            event_loop() as loop:
+    with tempfile.TemporaryDirectory(prefix="repro-crash-soak-") as root:
         shared = os.path.join(root, "shared")
         gw = Gateway(
             workers,
@@ -548,8 +538,7 @@ def scenarios(report: Report, n: int, *, workers: int,
             journal=shared,
             name=report.suite,
         )
-        loop.run_until_complete(gw.start())
-        try:
+        with serving(report, gw) as loop:
             fh = loop.run_until_complete(gw.freeze(BurstSpec(width=8)))
             faults = 0
             for i in range(n):
@@ -570,12 +559,6 @@ def scenarios(report: Report, n: int, *, workers: int,
                 yield loop.run_until_complete(loop.run_in_executor(None, *job))
             if not loop.run_until_complete(gw.drain(timeout=60.0)):
                 report.sweep_violations.append("shared gateway failed to drain")
-            report.counters.update(
-                (k, v) for k, v in gw.snapshot().items()
-                if not isinstance(v, dict)
-            )
-        finally:
-            loop.run_until_complete(gw.shutdown())
 
         # the shared journal after shutdown: consistent, fully settled,
         # and recoverable (a reopen must reconstruct it without

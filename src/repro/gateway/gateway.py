@@ -58,7 +58,7 @@ from typing import AsyncIterator, Dict, Iterable, List, Optional, Tuple, Union
 from repro.durability.journal import Journal, JournalEntry
 from repro.errors import GatewayError, JournalError, WorkerDiedError
 from repro.gateway import messages as m
-from repro.gateway.health import HealthConfig, WorkerHealth
+from repro.gateway.health import WorkerHealth
 from repro.gateway.spec import WorkSpec
 from repro.gateway.worker import WorkerConfig, worker_main
 from repro.metrics.registry import MetricsRegistry
@@ -263,7 +263,6 @@ class Gateway:
         heartbeat_misses: int = _HEARTBEAT_MISSES,
         stall_misses: int = _STALL_MISSES,
         drain_grace: float = _DRAIN_GRACE,
-        health: Optional[HealthConfig] = None,
         retry_budget: Optional[RetryBudget] = None,
         breaker_threshold: int = 3,
         breaker_cooldown: float = 1.0,
@@ -292,7 +291,6 @@ class Gateway:
         self.stall_misses = stall_misses
         self.drain_grace = drain_grace
         self.seed = seed
-        self._health_config = health or HealthConfig()
         self._stall_after_s = stall_misses * heartbeat_interval
         self._retry_budget = retry_budget or RetryBudget()
         self._ctx = multiprocessing.get_context("spawn")
@@ -375,11 +373,7 @@ class Gateway:
         )
 
     def _new_health(self, wid: int) -> WorkerHealth:
-        return WorkerHealth(
-            wid,
-            config=self._health_config,
-            stall_after_s=self.stall_misses * self.heartbeat_interval,
-        )
+        return WorkerHealth(wid, stall_after_s=self._stall_after_s)
 
     # -- lifecycle -----------------------------------------------------
     async def __aenter__(self) -> "Gateway":

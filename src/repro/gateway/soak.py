@@ -55,7 +55,7 @@ from repro.gateway.gateway import Gateway, Submission
 from repro.gateway.messages import OUTCOMES
 from repro.gateway.spec import BuiltinSpec, BurstSpec, GeneratedSpec
 from repro.gateway.worker import WorkerConfig
-from repro.harness import Report, Scenario, cadence, event_loop, unfired
+from repro.harness import Report, Scenario, cadence, counter_mismatches, serving, unfired
 from repro.resilience import RetryBudget
 from repro.utils.rng import derive_seed
 
@@ -319,16 +319,10 @@ async def _reconcile(
 
     # gateway counters must agree with the harness exactly
     after = gw.snapshot()
-    d_submits = after["gateway.submits"] - before["gateway.submits"]
-    if d_submits != len(subs):
-        violations.append(
-            f"gateway.submits moved by {d_submits}, harness submitted {len(subs)}"
-        )
-    d_settled = after["gateway.settled"] - before["gateway.settled"]
-    if d_settled != len(results):
-        violations.append(
-            f"gateway.settled moved by {d_settled}, harness settled {len(results)}"
-        )
+    violations.extend(counter_mismatches([
+        (k, after[k] - before[k], want)
+        for k, want in (("gateway.submits", len(subs)), ("gateway.settled", len(results)))
+    ]))
     # every harness submission has settled, so no leg may be left in
     # the gateway's routing state: a live leg here outlived its Result
     if len(results) == len(subs) and after["gateway.inflight"]:
@@ -443,34 +437,27 @@ def scenarios(
         capacity, refill = kwargs["retry_budget"]
         kwargs["retry_budget"] = RetryBudget(capacity, refill_per_success=refill)
     gw = Gateway(workers, worker=config, seed=report.seed, name=report.suite, **kwargs)
-    with event_loop() as loop:
-        loop.run_until_complete(gw.start())
-        try:
-            # a small shared pool of frozen shapes, shipped once
-            pool = [loop.run_until_complete(gw.freeze(BurstSpec(width=w))) for w in frozen]
-            hedge_fh = None
-            if hedge is not None:
-                hedge_fh = loop.run_until_complete(
-                    gw.freeze(BurstSpec(width=hedge[0], sleep_s=hedge[1]))
-                )
-            for i in range(n):
-                yield loop.run_until_complete(_scenario(
-                    gw, report.suite, i, report.seed,
-                    cadence(i, n, families, "serve"), mix, pool, hedge_fh,
-                ))
-            if throughput_per_scenario:
-                report.detail["throughput"] = loop.run_until_complete(_measure_throughput(
-                    gw, config, repeats=throughput_per_scenario * max(n, 10), width=8
-                ))
-            report.counters.update(
-                (k, v) for k, v in gw.snapshot().items() if not isinstance(v, dict)
+    with serving(report, gw) as loop:
+        # a small shared pool of frozen shapes, shipped once
+        pool = [loop.run_until_complete(gw.freeze(BurstSpec(width=w))) for w in frozen]
+        hedge_fh = None
+        if hedge is not None:
+            hedge_fh = loop.run_until_complete(
+                gw.freeze(BurstSpec(width=hedge[0], sleep_s=hedge[1]))
             )
-        finally:
-            loop.run_until_complete(gw.shutdown())
-        if budget_drill:
-            t0 = time.monotonic()
-            drill = loop.run_until_complete(_budget_drill(report.seed))
-            report.detail["budget_drill"] = {**drill, "wall_s": round(time.monotonic() - t0, 4)}
+        for i in range(n):
+            yield loop.run_until_complete(_scenario(
+                gw, report.suite, i, report.seed,
+                cadence(i, n, families, "serve"), mix, pool, hedge_fh,
+            ))
+        if throughput_per_scenario:
+            report.detail["throughput"] = loop.run_until_complete(_measure_throughput(
+                gw, config, repeats=throughput_per_scenario * max(n, 10), width=8
+            ))
+    if budget_drill:
+        t0 = time.monotonic()
+        drill = asyncio.run(_budget_drill(report.seed))
+        report.detail["budget_drill"] = {**drill, "wall_s": round(time.monotonic() - t0, 4)}
 
 
 # -- sweep-level checks (named in the suites' rows) -------------------------

@@ -38,20 +38,30 @@ def pooled_bytes(nbytes: int, min_block: int = DEFAULT_MIN_BLOCK) -> int:
 class DeviceBuffer:
     """A device-pointer analogue: a typed slice of a device heap."""
 
-    __slots__ = ("device", "offset", "nbytes", "dtype", "_view", "_freed")
+    __slots__ = ("device", "offset", "nbytes", "_dtype", "_view", "_freed")
 
     def __init__(self, device: "Device", offset: int, nbytes: int, dtype: np.dtype) -> None:
         self.device = device
         self.offset = offset
         self.nbytes = nbytes
-        self.dtype = np.dtype(dtype)
+        self._dtype = np.dtype(dtype)
         self._view: Optional[np.ndarray] = None
         self._freed = False
 
     @property
+    def dtype(self) -> np.dtype:
+        """Element type of the default :meth:`view`; any spelling numpy
+        accepts (``np.int32``, ``"f8"``) is stored as a ``np.dtype``."""
+        return self._dtype
+
+    @dtype.setter
+    def dtype(self, value) -> None:
+        self._dtype = np.dtype(value)
+
+    @property
     def size(self) -> int:
         """Number of elements of :attr:`dtype` the buffer holds."""
-        return self.nbytes // self.dtype.itemsize
+        return self.nbytes // self._dtype.itemsize
 
     def view(self, dtype: Optional[np.dtype] = None) -> np.ndarray:
         """Typed numpy view of the device bytes (no copy).
@@ -65,8 +75,8 @@ class DeviceBuffer:
             raise DeviceError("use of freed device buffer")
         if dtype is None:
             v = self._view
-            if v is None or v.dtype is not self.dtype:
-                v = self._view = self._typed(self.dtype)
+            if v is None or v.dtype is not self._dtype:
+                v = self._view = self._typed(self._dtype)
             return v
         return self._typed(np.dtype(dtype))
 

@@ -12,6 +12,9 @@ reads.  The table is the only place that holds them.
 ``repro.verify-report/1``, behind ``python -m repro verify <suite>`` and
 the committed ``BENCH_*`` records (docs/testing.md).  A sweep never
 raises on a violation: the report carries them, the CLI exits nonzero.
+The checks that several suites share live here too: counter agreement
+(:func:`counter_mismatches`, :func:`counters_of`) and the
+serving-gateway sweep (:func:`serving`).
 """
 
 from __future__ import annotations
@@ -62,15 +65,48 @@ def unfired(report: "Report", fired: Dict[str, str]) -> List[str]:
     ]
 
 
+def counters_of(snapshot: Dict[str, Any], keys: Iterable[str]) -> Dict[str, int]:
+    """The integer counters named *keys* in a metrics *snapshot*; a name
+    the snapshot lacks is left out."""
+    return {k: snapshot[k] for k in keys if isinstance(snapshot.get(k), int)}
+
+
+def counter_mismatches(
+    rows: Iterable[Tuple[str, float, float]],
+    at_least: Iterable[Tuple[str, float, float]] = (),
+) -> List[str]:
+    """Counter agreement: one violation per ``(counter, got, want)`` row
+    whose counter moved *got* where the harness counted *want*.  A row
+    of *at_least* only needs ``got >= want``: its counter may also tick
+    for an event the harness cannot tell apart (a deadline firing as
+    the run completes anyway)."""
+    out = [f"counter {c} moved {got:g}, the harness counted {want:g}" for c, got, want in rows if got != want]
+    out.extend(
+        f"counter {c} moved {got:g}, fewer than the {want:g} the harness counted"
+        for c, got, want in at_least if got < want
+    )
+    return out
+
+
 @contextmanager
-def event_loop() -> Iterator[Any]:
-    """A private event loop that an async suite's scenario generator
-    drives one scenario at a time (``loop.run_until_complete``)."""
+def serving(report: "Report", gateway: Any) -> Iterator[Any]:
+    """Serve a suite's shared *gateway* on a private event loop, which
+    the scenario generator drives one scenario at a time
+    (``loop.run_until_complete``): start it, yield the loop, copy its
+    counters (not its histograms) into ``report.counters`` once the body
+    is done, and shut it down even if the body raises."""
     import asyncio
 
     loop = asyncio.new_event_loop()
     try:
-        yield loop
+        loop.run_until_complete(gateway.start())
+        try:
+            yield loop
+            report.counters.update(
+                (k, v) for k, v in gateway.snapshot().items() if not isinstance(v, dict)
+            )
+        finally:
+            loop.run_until_complete(gateway.shutdown())
     finally:
         loop.run_until_complete(loop.shutdown_default_executor())
         loop.close()

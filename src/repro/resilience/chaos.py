@@ -31,14 +31,13 @@ a partially-valid trace.  Run with ``python -m repro verify chaos``.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.check.generator import generate_graph
-from repro.check.validate import validate_schedule
 from repro.core.executor import Executor
 from repro.core.observer import TraceObserver
 from repro.errors import TaskFailedError
-from repro.harness import Report, Scenario
+from repro.harness import Report, Scenario, counters_of
 from repro.resilience.faults import FaultProfile
 from repro.resilience.policy import ResiliencePolicy, RetryPolicy
 from repro.utils.rng import derive_seed
@@ -134,7 +133,6 @@ def run_scenario(index: int, seed: int = 0) -> Scenario:
             timeout=_STALL_TIMEOUT,
         )
 
-    snapshot: Dict[str, object] = {}
     obs = TraceObserver()
     ex = Executor(
         num_workers=workers, num_gpus=gpus, observers=[obs], seed=graph_seed
@@ -169,31 +167,22 @@ def run_scenario(index: int, seed: int = 0) -> Scenario:
         report = getattr(fut, "run_report", None)
         if report is not None:
             events = len(report.events)
-        schedule = validate_schedule(
-            gen.graph,
-            obs.records,
-            passes=1,
-            num_gpus=gpus,
-            allow_partial=not completed,
+        # recovered results must be bit-identical to a fault-free run:
+        # the oracle replays the exact chain arithmetic
+        checked, num_records = gen.check(
+            obs.records, passes=1, num_gpus=gpus, completed=completed
         )
-        outcome.violations.extend(str(v) for v in schedule.violations)
-        if completed:
-            # recovered results must be bit-identical to a fault-free
-            # run: the oracle replays the exact chain arithmetic
-            outcome.violations.extend(gen.verify(passes=1))
+        outcome.violations.extend(checked)
         snapshot = ex.metrics.snapshot()
     finally:
         ex.shutdown()
     outcome.counts = {
         "completed": int(completed),
         "failed_as_expected": int(expect_failure and not completed),
-        "records": schedule.num_records,
+        "records": num_records,
         "events": events,
+        **counters_of(snapshot, _COUNTER_KEYS),
     }
-    outcome.counts.update(
-        (k, snapshot[k]) for k in _COUNTER_KEYS
-        if isinstance(snapshot.get(k), int)
-    )
     return outcome
 
 

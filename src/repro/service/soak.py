@@ -46,11 +46,10 @@ from concurrent.futures import CancelledError
 from concurrent.futures import TimeoutError as FutureTimeoutError
 
 from repro.check.generator import GeneratedGraph, generate_graph
-from repro.check.validate import validate_schedule
 from repro.core.executor import Executor
 from repro.core.observer import TraceObserver
 from repro.errors import AdmissionRejectedError
-from repro.harness import Report, Scenario, percentiles
+from repro.harness import Report, Scenario, counter_mismatches, counters_of, percentiles
 from repro.service.admission import POLICIES, AdmissionController
 from repro.utils.rng import derive_seed
 
@@ -309,30 +308,21 @@ def run_scenario(
             f"outcome reconciliation broke: {settled} settled vs "
             f"{admitted} admitted"
         )
-    counters = {
-        key: snapshot[key] for key in _COUNTER_KEYS
-        if isinstance(snapshot.get(key), int)
-    }
-    for key, want in (
-        ("service.admitted", admitted),
-        ("service.rejected", counts["rejected"]),
-        ("service.shed", counts["shed"]),
-    ):
-        got = counters.get(key, 0)
-        if got != want:
-            violations.append(
-                f"counter {key} = {got}, but the harness observed {want}"
-            )
+    counters = counters_of(snapshot, _COUNTER_KEYS)
     # the deadline counter may exceed the classified count: a deadline
     # can fire in the race window where the run is completing anyway
-    if counters.get("service.deadline_exceeded", 0) < counts[
-        "deadline_exceeded"
-    ]:
-        violations.append(
-            f"counter service.deadline_exceeded = "
-            f"{counters.get('service.deadline_exceeded', 0)} < "
-            f"{counts['deadline_exceeded']} classified deadline outcomes"
-        )
+    violations.extend(counter_mismatches(
+        [
+            ("service.admitted", counters.get("service.admitted", 0), admitted),
+            ("service.rejected", counters.get("service.rejected", 0), counts["rejected"]),
+            ("service.shed", counters.get("service.shed", 0), counts["shed"]),
+        ],
+        at_least=[(
+            "service.deadline_exceeded",
+            counters.get("service.deadline_exceeded", 0),
+            counts["deadline_exceeded"],
+        )],
+    ))
 
     # -- per-graph trace validation + oracle --------------------------
     num_records = 0
@@ -343,25 +333,17 @@ def run_scenario(
         subs = by_graph.get(key, [])
         nids = {n.nid for n in gen.graph.nodes}
         records = [r for r in obs.records if r.nid in nids]
-        num_records += len(records)
         expected = sum(
             s.expected_passes for s in subs if s.outcome != "rejected"
         )
-        all_completed = all(s.outcome == "completed" for s in subs)
-        report = validate_schedule(
-            gen.graph,
+        checked, n = gen.check(
             records,
             passes=max(expected, 1),
             num_gpus=gpus,
-            allow_partial=not all_completed,
+            completed=all(s.outcome == "completed" for s in subs),
         )
-        violations.extend(
-            f"graph {key}: {v}" for v in report.violations
-        )
-        if all_completed and expected > 0:
-            violations.extend(
-                f"graph {key}: {v}" for v in gen.verify(passes=expected)
-            )
+        num_records += n
+        violations.extend(f"graph {key}: {v}" for v in checked)
 
     scenario.violations = violations
     scenario.counts = {

@@ -52,6 +52,38 @@ class TestGenerator:
         problems = gen.verify(passes=1)
         assert any("chain 0" in p for p in problems)
 
+    def _traced_run(self, gen):
+        obs = TraceObserver()
+        with Executor(2, 2, observers=[obs]) as ex:
+            ex.run(gen.graph).result(timeout=60)
+        return obs.records
+
+    def test_run_check_flags_a_partial_trace_of_a_completed_run(self):
+        gen = generate_graph(11, num_gpus=2)
+        records = self._traced_run(gen)
+        assert gen.check(records, passes=1, num_gpus=2, completed=True) == ([], len(records))
+        partial = records[:-1]
+        violations, num_records = gen.check(partial, passes=1, num_gpus=2, completed=True)
+        assert num_records == len(partial)
+        assert violations and all(v.startswith("[count]") for v in violations)
+        assert gen.check(partial, passes=1, num_gpus=2, completed=False) == ([], len(partial))
+
+    def test_run_check_flags_a_wrong_chain_result_of_a_completed_run(self):
+        gen = generate_graph(11, num_gpus=2)
+        records = self._traced_run(gen)
+        gen.chains[0].array[:] += 1.0
+        violations, _ = gen.check(records, passes=1, num_gpus=2, completed=True)
+        assert [v for v in violations if v.startswith("chain 0")] == violations != []
+        # the oracle judges completed runs only
+        assert gen.check(records, passes=1, num_gpus=2, completed=False)[0] == []
+
+    def test_reset_lets_the_oracle_judge_the_next_run_alone(self):
+        gen = generate_graph(11, num_gpus=2)
+        self._traced_run(gen)
+        gen.reset()
+        records = self._traced_run(gen)
+        assert gen.check(records, passes=1, num_gpus=2, completed=True) == ([], len(records))
+
     def test_host_only_when_no_gpus(self):
         gen = generate_graph(5, num_gpus=0)
         assert all(n.type.value == "host" for n in gen.graph.nodes)

@@ -29,6 +29,14 @@ class TestDeviceBuffer:
         buf = gpu2.device(0).allocate(64, dtype=np.float64)
         assert buf.size == 8
 
+    @pytest.mark.parametrize("spelling", [np.int32, "i4", np.dtype(np.int32)])
+    def test_assigned_dtype_is_normalized(self, gpu2, spelling):
+        buf = gpu2.device(0).allocate(64, dtype=np.float64)
+        buf.view()  # caches the float64 view
+        buf.dtype = spelling
+        assert buf.dtype == np.dtype(np.int32) and isinstance(buf.dtype, np.dtype)
+        assert buf.view().dtype == np.int32 and buf.view().size == buf.size == 16
+
     def test_use_after_free_raises(self, gpu2):
         buf = gpu2.device(0).allocate(16)
         buf.free()

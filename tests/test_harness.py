@@ -4,12 +4,15 @@ the one report envelope, the chaos cadence and the sweep-level checks
 
 from __future__ import annotations
 
+import asyncio
 import os
 import platform
 
 import pytest
 
-from repro.harness import SCHEMA, SUITES, Report, Scenario, cadence, sweep
+from repro.harness import (
+    SCHEMA, SUITES, Report, Scenario, cadence, counter_mismatches, counters_of, serving, sweep,
+)
 from tests.conftest import SMALLEST
 
 SCENARIO_FIELDS = {
@@ -146,7 +149,6 @@ def test_unclean_final_journal_is_a_violation():
 def test_a_leg_left_after_every_settle_is_a_violation():
     """Once every harness submission has settled, a non-zero
     ``gateway.inflight`` means a leg outlived its submission."""
-    import asyncio
     from types import SimpleNamespace
 
     from repro.gateway.gateway import Result
@@ -168,3 +170,53 @@ def test_a_leg_left_after_every_settle_is_a_violation():
     assert asyncio.run(violations(0)) == []
     leaked = asyncio.run(violations(1))
     assert len(leaked) == 1 and "leaked" in leaked[0]
+
+
+def test_counters_of_picks_the_named_integer_counters():
+    snap = {"service.shed": 3, "service.wait": {"count": 1}, "service.share": 0.5, "other": 7}
+    keys = ("service.shed", "service.wait", "service.share", "service.missing")
+    assert counters_of(snap, keys) == {"service.shed": 3}
+
+
+def test_a_counter_one_short_is_a_violation():
+    assert counter_mismatches(
+        [("service.shed", 3, 3)], at_least=[("service.deadline_exceeded", 5, 4)]
+    ) == []
+    assert counter_mismatches([("service.shed", 2, 3)]) == [
+        "counter service.shed moved 2, the harness counted 3"
+    ]
+    assert counter_mismatches([], at_least=[("service.deadline_exceeded", 3, 4)]) == [
+        "counter service.deadline_exceeded moved 3, fewer than the 4 the harness counted"
+    ]
+
+
+class _FakeGateway:
+    def __init__(self):
+        self.state = "new"
+
+    async def start(self):
+        self.state = "serving"
+
+    async def shutdown(self):
+        self.state = "down"
+
+    def snapshot(self):
+        return {"gateway.submits": 2, "gateway.round_trip_s": {"count": 2}}
+
+
+def test_serving_shuts_the_gateway_down_when_the_body_raises():
+    report, gw = Report("gateway", 0, ""), _FakeGateway()
+    with pytest.raises(RuntimeError, match="boom"):
+        with serving(report, gw):
+            assert gw.state == "serving"
+            raise RuntimeError("boom")
+    assert gw.state == "down"
+    assert report.counters == {}
+
+
+def test_serving_copies_the_gateway_counters():
+    report, gw = Report("gateway", 0, ""), _FakeGateway()
+    with serving(report, gw) as loop:
+        loop.run_until_complete(asyncio.sleep(0))
+    assert gw.state == "down"
+    assert report.counters == {"gateway.submits": 2}

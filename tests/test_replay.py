@@ -15,7 +15,9 @@ Covers the frozen-graph surface end to end:
   and validator-checked on both sides.
 """
 
+import gc
 import threading
+import weakref
 from concurrent.futures import CancelledError
 
 import numpy as np
@@ -278,6 +280,25 @@ class TestReplayExecution:
             snap = ex.metrics.snapshot()
         assert snap["replay.cache_misses"] == 1
         assert snap["replay.cache_hits"] == 3
+
+    def test_a_dropped_frozen_graph_frees_its_arrays(self):
+        """The compiled plan lives on the frozen graph, so a graph the
+        caller dropped is freed while the executor keeps serving; each
+        worker may still hold the last run it executed."""
+        ex = Executor(2, 1)
+        try:
+            arrays = []
+            for _ in range(8):
+                data = np.zeros(1024)
+                arrays.append(weakref.ref(data))
+                ex.run(build_gpu_graph(data)[0].freeze()).result(timeout=30)
+                del data
+            gc.collect()
+            assert sum(a() is not None for a in arrays) <= 2
+        finally:
+            ex.shutdown()
+        gc.collect()
+        assert all(a() is None for a in arrays)
 
     def test_fast_path_task_failure_propagates(self):
         hf = Heteroflow("boom")

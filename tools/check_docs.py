@@ -63,8 +63,29 @@ REQUIRED_API = (
     "repro.durability.fsck",
     "repro.durability.FaultyOs",
     "repro.harness.run",
+    "repro.harness.SUITES",
     "repro.gateway.Gateway.recover",
     "repro.gateway.RecoveryReport",
+    # the gateway operator surface (docs/gateway.md) as the package
+    # exports it
+    "repro.gateway.Gateway",
+    "repro.gateway.WorkerConfig",
+    "repro.gateway.GeneratedSpec",
+    "repro.gateway.BuiltinSpec",
+    "repro.gateway.BurstSpec",
+    "repro.gateway.Result",
+    "repro.gateway.Submission",
+    "repro.gateway.OUTCOMES",
+    "repro.gateway.ChaosProfile",
+    "repro.gateway.HealthConfig",
+    "repro.gateway.WorkerHealth",
+    "repro.gateway.HEALTH_STATES",
+    "repro.durability.FsckReport",
+    "repro.durability.encode_record",
+    "repro.durability.scan_bytes",
+    "repro.errors.JournalError",
+    "repro.errors.JournalCorruptError",
+    "repro.errors.JournalWriteError",
 )
 
 #: [text](target) — target captured up to the closing paren
