@@ -23,7 +23,7 @@ pipeline: block 0 can be at layer 5 while block 3 is still at layer 0
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 

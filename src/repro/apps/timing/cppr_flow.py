@@ -22,12 +22,11 @@ This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
 from repro.apps.timing.cppr import ClockTree
-from repro.apps.timing.paths import trace_critical_path
 from repro.apps.timing.sequential import SequentialDesign, analyze_sequential
 from repro.core.heteroflow import Heteroflow
 from repro.sim.cost import CostModel

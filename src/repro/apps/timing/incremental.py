@@ -21,7 +21,7 @@ repropagation:
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 import numpy as np
 

@@ -19,7 +19,7 @@ the :mod:`~repro.apps.timing.cppr` clock-tree machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 

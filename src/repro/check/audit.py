@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Union
 
 from repro.errors import ValidationError
 from repro.gpu.buddy import BuddyAllocator

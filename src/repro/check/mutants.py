@@ -8,22 +8,21 @@ as soon as its **first** predecessor finishes, instead of its last.
 Each task still runs exactly once (the pass accounting stays intact),
 so the bug is invisible to result-less smoke tests; only a
 happens-before check over the trace can see it.  The bug sits in the
-topology's slot-join step — both :meth:`Topology.release` (the inline
-route) and :meth:`Topology.finish` (the worker loop's routes, a GPU
-slot's stream callback included) — which every route releases
-successors through.
+topology's one slot-join step, :meth:`Topology.join`, which every slot
+completes through: on a worker, or in a GPU slot's stream callback.
 
 :func:`run_mutant_selftest` runs a graph engineered to expose the bug
 deterministically — a diamond whose second predecessor sleeps, so the
 join task provably begins while that predecessor is still running —
 frozen, under both the mutant and the reference executor, once per
-route, and reports whether the validator caught the mutant (it must)
-while passing the reference run (it must, too).  The routes are the
-inline loop (``replay.fast_path`` shows it ran), the ``_Attempt``
-route (forced by a retry policy) and the token-free GPU route: an
-unpolicied GPU diamond whose join kernel the slow kernel's stream
-callback would release and launch on the dispatcher
-(``executor.continued_launches`` shows it ran).
+configuration of the slot loop, and reports whether the validator
+caught the mutant (it must) while passing the reference run (it must,
+too).  The configurations are a host-only unpolicied diamond, whose
+ready slots stay on the finishing worker (``replay.fast_path`` shows
+it), the same diamond under a retry policy (every slot wrapped in an
+``_Attempt``), and an unpolicied GPU diamond, whose join kernel the
+slow kernel's stream callback would release and launch on the
+dispatcher (``executor.continued_launches`` shows it did).
 """
 
 from __future__ import annotations
@@ -42,28 +41,21 @@ from repro.resilience.policy import RetryPolicy
 
 
 class _PrematureReleaseTopology(Topology):
-    def release(self, slot: int) -> Optional[Sequence[int]]:
-        with self._lock:
-            return self._premature(slot)
-
-    def finish(self, slot: int) -> Optional[Sequence[int]]:
-        with self._lock:
-            self.done_nodes.add(self.lowering.nodes[slot].nid)
-            return self._premature(slot)
-
-    def _premature(self, slot: int) -> Optional[Sequence[int]]:
+    def join(self, slot: int) -> Optional[Sequence[int]]:
         ready = None
         join_init = self.lowering.join_init
-        joins = self.joins
-        for t in self.lowering.succ_slots[slot]:
-            joins[t] -= 1
-            # BUG (deliberate): multi-dependency successors are
-            # released one decrement early — after their first
-            # finished predecessor instead of their last
-            if joins[t] == (1 if join_init[t] >= 2 else 0):
-                ready = (ready or []) + [t]
-        self.pending -= 1
-        return PASS_DONE if self.pending == 0 else ready
+        with self._lock:
+            joins = self.joins
+            joins[slot] = -1
+            for t in self.lowering.succ_slots[slot]:
+                joins[t] -= 1
+                # BUG (deliberate): multi-dependency successors are
+                # released one decrement early — after their first
+                # finished predecessor instead of their last
+                if joins[t] == (1 if join_init[t] >= 2 else 0):
+                    ready = (ready or []) + [t]
+            self.pending -= 1
+            return PASS_DONE if self.pending == 0 else ready
 
 
 class MutantExecutor(Executor):
@@ -105,10 +97,11 @@ def _gpu_diamond_graph(delay: float) -> Heteroflow:
     return hf
 
 
-#: the executor routes the self-test covers: route -> (graph builder,
-#: GPU count, run policy); a retry policy forces the _Attempt route,
-#: and an unpolicied GPU graph takes the token-free GPU route
-ROUTES = {
+#: the slot-loop configurations the self-test covers: name -> (graph
+#: builder, GPU count, run policy); a retry policy wraps every slot in
+#: an _Attempt, and an unpolicied GPU graph completes its slots in
+#: their stream callbacks
+CONFIGURATIONS = {
     "inline": (_diamond_graph, 0, None),
     "attempt": (_diamond_graph, 0, RetryPolicy(max_attempts=2)),
     "gpu": (_gpu_diamond_graph, 1, None),
@@ -117,10 +110,11 @@ ROUTES = {
 
 @dataclass
 class SelftestResult:
-    """Validator verdicts keyed ``"<executor>/<route>"``: executor is
-    ``mutant`` or ``reference``, route one of :data:`ROUTES`.
-    *fast_path* holds each run's ``replay.fast_path`` count (1 when
-    the frozen diamond took the inline route, 0 otherwise) and
+    """Validator verdicts keyed ``"<executor>/<configuration>"``:
+    executor is ``mutant`` or ``reference``, configuration one of
+    :data:`CONFIGURATIONS`.  *fast_path* holds each run's
+    ``replay.fast_path`` count (1 when the frozen diamond kept its
+    ready slots on the finishing worker, 0 otherwise) and
     *continued* its ``executor.continued_launches`` total (GPU tasks a
     stream callback launched)."""
 
@@ -130,18 +124,18 @@ class SelftestResult:
 
     @property
     def caught(self) -> bool:
-        """True iff, on every route, the validator flagged the mutant
-        and not the correct executor — the checker demonstrably has
-        teeth."""
+        """True iff, on every configuration, the validator flagged the
+        mutant and not the correct executor — the checker demonstrably
+        has teeth."""
         return all(
-            not self.reports[f"mutant/{r}"].ok and self.reports[f"reference/{r}"].ok
-            for r in ROUTES
+            not self.reports[f"mutant/{c}"].ok and self.reports[f"reference/{c}"].ok
+            for c in CONFIGURATIONS
         )
 
 
 def run_mutant_selftest(delay: float = 0.25) -> SelftestResult:
-    """Run the seeded-bug graphs under both executors on every route
-    and validate.
+    """Run the seeded-bug graphs under both executors on every
+    configuration and validate.
 
     *delay* is the slow predecessor's sleep; the mutant schedules the
     join task immediately after the fast predecessor, so the join's
@@ -151,9 +145,9 @@ def run_mutant_selftest(delay: float = 0.25) -> SelftestResult:
     reports: Dict[str, ScheduleReport] = {}
     fast_path: Dict[str, float] = {}
     continued: Dict[str, float] = {}
-    for route, (build, num_gpus, policy) in ROUTES.items():
+    for name, (build, num_gpus, policy) in CONFIGURATIONS.items():
         for label, cls in (("mutant", MutantExecutor), ("reference", Executor)):
-            key = f"{label}/{route}"
+            key = f"{label}/{name}"
             hf = build(delay)
             obs = TraceObserver()
             with cls(num_workers=2, num_gpus=num_gpus, observers=[obs]) as ex:

@@ -12,8 +12,8 @@ Commands:
 - ``trace OUTPUT.json`` — run saxpy under a trace observer and write a
   chrome://tracing / Perfetto JSON file;
 - ``check`` — the schedule validator's mutant self-test: a
-  deliberately-buggy scheduler must be caught on every route
-  (docs/testing.md);
+  deliberately-buggy scheduler must be caught on every configuration
+  of the slot loop (docs/testing.md);
 - ``verify SUITE [--scenarios N] [--seed S] [--smoke] [--json OUT]`` —
   run one seeded verification suite (``stress``, ``replay``,
   ``sanitize``, ``chaos``, ``soak``, ``gateway``, ``gateway-gray``,
@@ -182,19 +182,19 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.check.mutants import ROUTES, run_mutant_selftest
+    from repro.check.mutants import CONFIGURATIONS, run_mutant_selftest
 
     print("mutant self-test: validating a deliberately-buggy scheduler ...")
     selftest = run_mutant_selftest()
     if selftest.caught:
-        print("  caught on every route")
+        print("  caught on every configuration")
     else:
         print("  FAILED: the validator did not distinguish the buggy "
-              "scheduler from the correct one on every route")
-    for route in ROUTES:
-        mutant = selftest.reports[f"mutant/{route}"]
-        reference = selftest.reports[f"reference/{route}"]
-        print(f"  {route} route: {len(mutant.violations)} violation(s) "
+              "scheduler from the correct one on every configuration")
+    for name in CONFIGURATIONS:
+        mutant = selftest.reports[f"mutant/{name}"]
+        reference = selftest.reports[f"reference/{name}"]
+        print(f"  {name}: {len(mutant.violations)} violation(s) "
               f"flagged on the mutant, {len(reference.violations)} on the "
               f"reference executor")
         for v in mutant.violations[:2]:

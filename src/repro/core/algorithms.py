@@ -8,7 +8,6 @@ redundant-edge detection (transitive reduction), and graph composition.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 

@@ -13,19 +13,20 @@ Reproduces the runtime of paper §III-B/C:
   groups are packed afresh every fresh submission; the whole plan is
   cached for frozen graphs), then enters one **work-stealing** loop
   over chunks of ready slots: each worker drains its local queue and
-  turns thief when empty, stealing from a random victim.  Host-only,
-  unpolicied topologies run their slots inline; in any other
-  topology, unpolicied slots still run in the worker loop without an
-  attempt token (a GPU slot's stream callback completes it), and
-  policied and degraded slots take the ``_Attempt`` route (retries,
-  watchdogs, host fallbacks); a failure builds the token on any
-  route.  Readiness lives on the topology, whose slot-join step
-  releases successors on every route;
+  turns thief when empty, stealing from a random victim.  Every slot
+  of every submission runs through one slot loop (``_invoke``) with
+  one completion step and one failure step; the submission's
+  configuration decides only what wraps a slot's call — the in-flight
+  set for a topology with GPU slots (recovery needs quiescence), and
+  an ``_Attempt`` token only for a retry policy, timeout, sanitizer or
+  degraded device (retries, watchdogs, host fallbacks), or after a
+  failure.  Readiness lives on the topology, whose one slot-join step
+  (:meth:`Topology.join`) releases successors;
 - GPU tasks are invoked under an RAII :class:`ScopedDeviceContext`, on a
   **per-(worker, device) stream**, and complete asynchronously — the
   dispatching worker moves on immediately, and the stream callback
   releases successors (the event-synchronized pattern of Listing 13).
-  On the healthy route the callback launches the ready GPU successors
+  On the healthy path the callback launches the ready GPU successors
   itself, onto the same worker's streams (stream-ordered
   continuation); only host successors go back to the queues.  Each
   kernel's launch is compiled once per lowering
@@ -53,14 +54,16 @@ whenever the future is.
 ``run(..., policy=...)``; tasks override with ``task.retry(...)`` and
 ``task.timeout(...)``.  A failed attempt never commits a trace record —
 the retry loop re-schedules the node, so exact-once validation holds
-across retries.  A :class:`~repro.errors.DeviceFailedError` quarantines
-the device and triggers *quiescence-based recovery*: queued work of the
-topology is invalidated (a generation counter), the last in-flight task
-to drain runs the recovery pass, which retracts committed executions
-whose data lived on the dead device, re-packs their placement groups
-onto surviving GPUs (or degrades every GPU task to its registered
-``.host_fallback`` when none survive), rebuilds the slot joins over the
-remaining slots, and re-dispatches.
+across retries.  A :class:`~repro.errors.DeviceFailedError` from a GPU
+slot's launch or stream callback quarantines the device and triggers
+*quiescence-based recovery* (raised by a host callable, it is an
+ordinary task error): queued work of the topology is invalidated (a
+generation counter), the last in-flight task to drain runs the
+recovery pass, which retracts committed executions whose data lived on
+the dead device, re-packs their placement groups onto surviving GPUs
+(or degrades every GPU task to its registered ``.host_fallback`` when
+none survive), rebuilds the slot joins over the remaining slots, and
+re-dispatches.
 
 **Overload protection** (docs/runtime.md, "Submission lifecycle").
 An :class:`~repro.service.AdmissionController` attached at
@@ -105,7 +108,13 @@ from repro.core.placement import (
     apply_assignment,
     snapshot_assignment,
 )
-from repro.core.topology import PASS_DONE, FrozenTopology, Lowering, Topology
+from repro.core.topology import (
+    PASS_DONE,
+    SLOT_STREAM,
+    FrozenTopology,
+    Lowering,
+    Topology,
+)
 from repro.core.wsq import PriorityOverflowQueue, WorkStealingQueue
 from repro.errors import (
     AdmissionRejectedError,
@@ -137,11 +146,6 @@ WorkItem = Tuple[Topology, Tuple[int, ...], int]
 #: how long a committed sleeper waits before re-polling the queues;
 #: bounds the cost of any lost-wakeup bug without busy spinning
 _SLEEP_TIMEOUT = 0.02
-
-#: slots per work item: large enough to amortize queue and notifier
-#: traffic over many empty host tasks, small enough that thieves still
-#: find stealable chunks on wide graphs
-_CHUNK = 32
 
 
 class _CompiledPlan:
@@ -244,7 +248,7 @@ class _Attempt:
     stream callback and a raise before enqueue exclude each other.
 
     Only policied and degraded slots get one up front; an unpolicied
-    slot gets one when it fails, to take the failure route.
+    slot gets one when it fails, to take the failure step.
     """
 
     __slots__ = (
@@ -341,7 +345,8 @@ class Executor:
         # metric instruments (docs/observability.md): lane counters are
         # indexed by worker id and written by that worker's thread, so
         # the hot-path cost is one list store — no locks; a dispatcher
-        # counting a continued launch for a worker uses inc_sharded
+        # counting a continued launch for a worker writes its own shard
+        # (LaneCounter.cells)
         self.metrics = MetricsRegistry()
         self._m_tasks = self.metrics.lane_counter(
             "executor.tasks_executed", num_workers
@@ -466,7 +471,7 @@ class Executor:
         self._stream_lock = threading.Lock()
         # per-worker launch locks: serialize the launches onto worker
         # i's streams made by worker i and by dispatchers continuing
-        # its lane (_invoke_attempt, _release_ready)
+        # its lane (_invoke)
         self._lane_locks = [threading.Lock() for _ in range(num_workers)]
 
         # device liveness (docs/resilience.md): ordinals not yet failed
@@ -1180,15 +1185,10 @@ class Executor:
         nodes = lowering.nodes
         for obs in self._observers:
             obs.on_topology_begin(topology.graph.name, len(nodes))
-        topology.unpolicied = (
-            topology.retry_policy is None
-            and topology.timeout_s is None
-            and topology.sanitizer is None
-        )
-        topology.inline = lowering.fast_capable and topology.unpolicied
+        topology.configure()
         if lowering.has_gpu:
             topology.launches = lowering.kernel_launches
-        if frozen is not None and topology.inline:
+        if frozen is not None and topology.keep:
             self._m_fast_path.inc()
         try:
             alive = frozenset(self._alive_gpus)
@@ -1201,7 +1201,7 @@ class Executor:
                         f"no GPUs survive and kernel task "
                         f"{missing[0].name!r} has no host fallback"
                     )
-                topology.degraded = True
+                topology.degrade()
                 self._m_degraded.inc()
                 topology.event("degraded", at="start", alive=[])
             elif frozen is not None:
@@ -1307,9 +1307,10 @@ class Executor:
     ) -> None:
         """Enqueue ready slots: local queue when on a worker thread
         (cache-friendly LIFO), shared queue otherwise (submitter or
-        stream-callback threads).  Inline-route slots go in chunks of
-        :data:`_CHUNK`; _Attempt-route slots one per item, so thieves
-        can spread them over the workers.  Items carry *gen* — the
+        stream-callback threads).  A topology that keeps ready slots
+        (:attr:`Topology.keep`) enqueues them in chunks of that size;
+        any other one slot per item, so thieves can spread them over
+        the workers.  Items carry *gen* — the
         generation the scheduling decision was made under (current when
         omitted); recovery bumps the topology generation so stale items
         are dropped.  Callers reacting to a task that ran under an
@@ -1319,10 +1320,9 @@ class Executor:
         reschedules the same slot — a double execution."""
         if gen is None:
             gen = topology.gen
-        if topology.inline:
-            chunks = [
-                tuple(slots[i : i + _CHUNK]) for i in range(0, len(slots), _CHUNK)
-            ]
+        keep = topology.keep
+        if keep:
+            chunks = [tuple(slots[i : i + keep]) for i in range(0, len(slots), keep)]
         else:
             chunks = [(s,) for s in slots]
         notify = self._notifier.notify_one
@@ -1387,157 +1387,200 @@ class Executor:
             self._m_wakeups.inc(wid)
 
     # ------------------------------------------------------------------
-    # task invocation (visitor pattern over task types)
+    # the slot loop (visitor pattern over task types)
     # ------------------------------------------------------------------
     def _invoke(
-        self, wid: int, topology: Topology, slots: Tuple[int, ...], gen: int
+        self,
+        wid: int,
+        topology: Topology,
+        slots: Sequence[int],
+        gen: int,
+        done: int = -1,
+        stream: Optional[Stream] = None,
+        err: Optional[BaseException] = None,
+        fallback: bool = False,
     ) -> None:
-        """Run one work item: a chunk of ready slots.
+        """The one slot loop: run a work item, a chunk of ready slots.
 
-        On the inline route (host-only, no retry/timeout policy, no
-        sanitizer) a slot costs its callable, one :meth:`Topology.release`
-        and a lane counter store; a completed slot's ready successors
-        continue in this loop with no queue or notifier round trip
-        (one chunk stays local, the excess spills as stealable chunk
-        items).  Every other slot goes through :meth:`_invoke_attempt`
-        (GPU visitors, retries, watchdogs and quiescence recovery), with
-        its successors released by :meth:`_task_done`.  A failed or
-        cancelled topology flushes its remaining slots unrun.
+        Every slot takes the same steps; the topology's configuration
+        decides only what wraps the call (:attr:`Topology.wraps`, set
+        once at start).  A GPU topology's slots enter and leave the
+        in-flight set (recovery waits for quiescence).  A plain host
+        slot is called directly, a plain GPU slot is enqueued with this
+        loop as its stream callback, and a policied, sanitized or
+        degraded slot runs under an :class:`_Attempt`.  A slot that
+        completes here, and a slot that completed elsewhere (*done*,
+        with the *stream* and *fallback* of its completion), go through
+        one completion step: ``on_task_end``, :meth:`Topology.join`,
+        the ready successors, and leaving the in-flight set.  Ready
+        successors continue in this loop up to :attr:`Topology.keep`
+        (the excess spills as stealable chunk items), continue on the
+        stream when a GPU slot's callback finished it (stream-ordered
+        continuation: the ready GPU successors launch right here, onto
+        the streams of worker *wid*), and are scheduled otherwise.  Any
+        failure (*err*: the stream callback's) takes one failure step,
+        :meth:`_handle_failure`; a failed or cancelled topology flushes
+        its remaining slots unrun.
         """
-        if gen != topology.gen:
+        if err is not None:
+            # a token-free GPU slot's op failed: its token is built now
+            attempt = _Attempt(topology, done, wid, gen, None)
+            attempt.stream = stream
+            self._handle_failure(attempt, err)
+            return
+        if done < 0 and gen != topology.gen:
             # recovery invalidated this item and rescheduled its slots
             return
-        inline = topology.inline
-        nodes = topology.lowering.nodes
+        lowering = topology.lowering
+        nodes = lowering.nodes
+        wraps = topology.wraps
         callables = topology.callables
-        release = topology.release
+        join = topology.join
+        keep = topology.keep
+        tracked = lowering.has_gpu
         observers = self._observers
-        m_tasks = self._m_tasks
-        todo = list(slots)
+        # a stream dispatcher continues lane wid, which belongs to
+        # another thread: it counts into its own shard of the lanes.
+        # Any other caller is lane wid's worker, or completes one slot
+        # of a topology that keeps no ready slots and runs none here (a
+        # watchdog's timeout, a launch that failed on a dispatcher)
+        owner = stream is None
+        tasks = self._m_tasks.cells(owner)
+        # a slot that finished elsewhere enters at the completion step,
+        # marked by its complement
+        todo = [~done] if done >= 0 else list(slots)
         while todo:
             s = todo.pop()
-            if not inline:
-                self._invoke_attempt(wid, topology, s, gen)
-                continue
-            if topology.error is not None:
-                # fast-cancel: count the slot without running it
-                self._m_flushed.inc(wid)
-            elif observers:
-                node = nodes[s]
-                m_tasks.inc(wid)
-                for obs in observers:
-                    obs.on_task_begin(wid, node)
-                try:
-                    callables[s]()
-                except BaseException as exc:  # noqa: BLE001
-                    self._fail_task(topology, node, exc)
-                for obs in observers:
-                    obs.on_task_end(wid, node)
+            if s < 0:
+                s = ~s
+                if observers:
+                    self._task_end(wid, topology, s, stream, fallback)
             else:
-                m_tasks.inc(wid)
-                try:
-                    callables[s]()
-                except BaseException as exc:  # noqa: BLE001
-                    self._fail_task(topology, nodes[s], exc)
-            ready = release(s)
+                if tracked:
+                    if not topology.enter():
+                        # a device failure awaits quiescence; recovery
+                        # reschedules
+                        continue
+                    if gen != topology.gen:
+                        # recovery slipped in between the gen check and
+                        # enter()
+                        topology.leave()
+                        continue
+                if topology.error is not None:
+                    # fast-cancel: count the slot without running it
+                    self._m_flushed.cells(owner)[wid] += 1
+                else:
+                    tasks[wid] += 1
+                    wrap = wraps[s]
+                    if wrap:
+                        if wrap != SLOT_STREAM:
+                            self._run_attempt(wid, topology, s, gen)
+                            continue
+                        # the stream callback completes the slot; the
+                        # lane lock as in _run_attempt
+                        try:
+                            with self._lane_locks[wid]:
+                                for obs in observers:
+                                    obs.on_task_begin(wid, nodes[s])
+                                self._launch_gpu(wid, topology, nodes[s], s, gen)
+                        except BaseException as exc:  # noqa: BLE001 - routed to policy
+                            self._handle_failure(_Attempt(topology, s, wid, gen, None), exc)
+                        continue
+                    if observers:
+                        for obs in observers:
+                            obs.on_task_begin(wid, nodes[s])
+                    try:
+                        callables[s]()
+                    except BaseException as exc:  # noqa: BLE001 - routed to policy
+                        self._handle_failure(_Attempt(topology, s, wid, gen, None), exc)
+                        continue
+                    if observers:
+                        self._task_end(wid, topology, s, None, False)
+            ready = join(s)
             if ready is None:
-                continue
-            if ready is PASS_DONE:
+                pass
+            elif ready is PASS_DONE:
                 self._pass_done(topology)
-                return
-            todo.extend(ready)
-            extra = len(todo) - _CHUNK
-            if extra > 0:
-                # keep one chunk for inline continuation; spill the
-                # rest so idle workers can steal the fan-out
-                self._schedule(topology, todo[:extra], gen)
-                del todo[:extra]
+            elif keep:
+                todo.extend(ready)
+                extra = len(todo) - keep
+                if extra > 0:
+                    # keep one chunk here; spill the rest so idle
+                    # workers can steal the fan-out
+                    self._schedule(topology, todo[:extra], gen)
+                    del todo[:extra]
+            else:
+                # a GPU slot finished by its stream callback (the only
+                # completion here with a stream and no error) continues
+                # its ready GPU successors in this loop: a launch only
+                # enqueues, so no payload runs on the dispatcher
+                if (
+                    stream is not None
+                    and gen == topology.gen
+                    and topology.error is None
+                    and topology.sanitizer is None
+                    and not self._snapshotting()
+                ):
+                    gpu = lowering.gpu_slots
+                    continued = self._m_continued.cells(owner)
+                    host = []
+                    for t in ready:
+                        if gpu[t]:
+                            continued[wid] += 1
+                            todo.append(t)
+                        else:
+                            host.append(t)
+                    ready = host
+                if ready:
+                    self._schedule(topology, ready, gen)
+            if tracked and topology.leave():
+                self._recover(topology)
 
-    def _invoke_attempt(
+    def _task_end(
         self,
         wid: int,
         topology: Topology,
         slot: int,
-        gen: int,
-        continued: bool = False,
+        stream: Optional[Stream],
+        fallback: bool,
     ) -> None:
-        """The worker loop's route for one slot (visitor over task
-        types).  A plain slot of an unpolicied submission (no retry
-        policy, no deadline, no sanitizer; a GPU slot also not
-        degraded) runs without an attempt token unless it fails: it
-        still enters and leaves the in-flight set, is marked done and
-        fires the task observers.  Every other slot gets an
-        :class:`_Attempt`.
+        """Fire ``on_task_end`` for a slot that ran.  A GPU slot's
+        fires on its stream's dispatcher, so ``ops_executed``
+        identifies the completing op."""
+        node = topology.lowering.nodes[slot]
+        seq = stream.ops_executed if stream is not None else None
+        replayed = node.nid in topology.replayed
+        for obs in self._observers:
+            obs.on_task_end(
+                wid,
+                node,
+                stream=stream,
+                stream_seq=seq,
+                fallback=fallback,
+                replayed=replayed,
+            )
 
-        *continued* marks a launch made by a stream dispatcher on
-        behalf of worker *wid* (stream-ordered continuation, see
-        :meth:`_release_ready`): lane *wid* belongs to another thread,
-        so its counts go to the lane counters' thread-sharded cells."""
-        if not topology.enter():
-            # a device failure awaits quiescence; recovery reschedules
-            return
-        if gen != topology.gen:
-            # recovery slipped in between the gen check and enter()
-            topology.leave()
-            return
-        if topology.error is not None:
-            # fast-cancel: flush remaining slots without running them
-            if continued:
-                self._m_flushed.inc_sharded(wid)
-            else:
-                self._m_flushed.inc(wid)
-            self._release_ready(topology, topology.release(slot), gen)
-            topology.leave()
-            return
-        if continued:
-            self._m_tasks.inc_sharded(wid)
-        else:
-            self._m_tasks.inc(wid)
-        lowering = topology.lowering
-        node = lowering.nodes[slot]
-        host = not lowering.gpu_slots[slot]
-        if (
-            topology.unpolicied
-            and lowering.plain_slots[slot]
-            and (host or not topology.degraded)
-        ):
-            # nothing races the outcome, so only a failure needs an
-            # attempt token (for the failure route)
-            try:
-                if host:
-                    for obs in self._observers:
-                        obs.on_task_begin(wid, node)
-                    topology.callables[slot]()
-                else:
-                    # the stream callback completes the slot
-                    # (_gpu_done); the lane lock as below
-                    with self._lane_locks[wid]:
-                        for obs in self._observers:
-                            obs.on_task_begin(wid, node)
-                        self._launch_gpu(wid, topology, node, slot, gen)
-            except BaseException as exc:  # noqa: BLE001 - routed to policy
-                self._attempt_finished(
-                    _Attempt(topology, slot, wid, gen, None), exc
-                )
-                return
-            if host:
-                self._task_done(wid, topology, slot, gen)
-            return
+    def _run_attempt(self, wid: int, topology: Topology, slot: int, gen: int) -> None:
+        """Run slot *slot* under an :class:`_Attempt`: a retry policy,
+        a deadline watchdog, a sanitizer shim or a host fallback.  The
+        token completes the slot through :meth:`_attempt_finished`."""
+        node = topology.lowering.nodes[slot]
+        observers = self._observers
         timeout_s = node.timeout_s if node.timeout_s is not None else topology.timeout_s
         attempt = _Attempt(topology, slot, wid, gen, timeout_s)
         try:
             if node.type.is_gpu and not topology.degraded:
                 # worker wid's streams are fed by the worker and by the
-                # dispatchers continuing its lane (_release_ready):
-                # stamp and enqueue under the lane lock, so every
-                # stream's dispatch stamps stay in its FIFO order
+                # dispatchers continuing its lane (_invoke): stamp and
+                # enqueue under the lane lock, so every stream's
+                # dispatch stamps stay in its FIFO order
                 with self._lane_locks[wid]:
-                    for obs in self._observers:
+                    for obs in observers:
                         obs.on_task_begin(wid, node)
                     self._arm_deadline(attempt)
                     self._launch_gpu(wid, topology, node, slot, gen, attempt)
                 return
-            for obs in self._observers:
+            for obs in observers:
                 obs.on_task_begin(wid, node)
             if node.type.is_gpu:
                 self._invoke_degraded(attempt)
@@ -1600,15 +1643,15 @@ class Executor:
             _TimerThread.cancel(attempt.timer_entry)
         if err is None:
             # a successful GPU attempt finishes in its stream callback
-            stream = attempt.stream
-            self._task_done(
+            self._invoke(
                 attempt.wid,
                 attempt.topology,
-                attempt.slot,
+                (),
                 attempt.gen,
-                stream,
+                attempt.slot,
+                attempt.stream,
+                None,
                 attempt.fallback,
-                stream is not None,
             )
         else:
             self._handle_failure(attempt, err)
@@ -1617,6 +1660,13 @@ class Executor:
     # failure handling: retry, timeout, quarantine, recovery
     # ------------------------------------------------------------------
     def _handle_failure(self, attempt: _Attempt, err: BaseException) -> None:
+        """The one failure step, on every configuration.  A
+        :class:`~repro.errors.DeviceFailedError` from a GPU slot's
+        launch or stream callback quarantines the device and starts
+        recovery; from any other call (a host callable, a host
+        fallback) it is an ordinary task error.  Retryable errors under
+        a retry policy re-run the slot; anything else fails the
+        topology and completes the slot."""
         topology, node, wid = attempt.topology, attempt.node, attempt.wid
 
         if isinstance(err, TaskTimeoutError):
@@ -1631,7 +1681,11 @@ class Executor:
                     stream=attempt.stream.sid,
                 )
 
-        if isinstance(err, DeviceFailedError):
+        if (
+            isinstance(err, DeviceFailedError)
+            and topology.lowering.gpu_slots[attempt.slot]
+            and not attempt.fallback
+        ):
             topology.record_attempt(node.nid, err)
             self._quarantine_device(err.ordinal)
             topology.event("device_failed", device=err.ordinal, task=node.name)
@@ -1667,7 +1721,7 @@ class Executor:
             dinfo = policy.delay_info(n_attempt, key=node.nid)
             delay = dinfo.seconds
             topology.record_retry_delay(node.nid, dinfo)
-            need_recovery = topology.leave()
+            need_recovery = topology.lowering.has_gpu and topology.leave()
             if need_recovery:
                 # a device failure arrived mid-flight; recovery will
                 # reschedule this node (it is not done)
@@ -1682,28 +1736,8 @@ class Executor:
                 )
             return
 
-        self._fail_task(topology, node, err, history, policy)
-        # a timed-out op never completed on its stream: committing its
-        # ops_executed as a stream_seq would collide with a real op
-        stream = None if isinstance(err, TaskTimeoutError) else attempt.stream
-        self._task_done(wid, topology, attempt.slot, attempt.gen, stream)
-
-    def _fail_task(
-        self,
-        topology: Topology,
-        node: Node,
-        err: BaseException,
-        history: Optional[List[BaseException]] = None,
-        policy: Optional[object] = None,
-    ) -> None:
-        """Terminal task failure on either route: fail the topology
-        with *err*, wrapped in TaskFailedError when resilience was in
-        play, raw otherwise (backward compatible).  *history* is the
-        node's attempt history; None records *err* as its only
-        attempt (the inline route has no retries)."""
-        if history is None:
-            history = topology.record_attempt(node.nid, err)
-        n_attempt = len(history)
+        # terminal: fail the topology with err, wrapped in
+        # TaskFailedError when resilience was in play, raw otherwise
         if policy is not None or isinstance(err, TaskTimeoutError):
             wrapped: BaseException = TaskFailedError(
                 node.name, node.nid, history, topology.attempt_details(node.nid)
@@ -1721,6 +1755,10 @@ class Executor:
             error=type(err).__name__,
         )
         topology.fail(wrapped)
+        # a timed-out op never completed on its stream: committing its
+        # ops_executed as a stream_seq would collide with a real op
+        stream = None if isinstance(err, TaskTimeoutError) else attempt.stream
+        self._invoke(wid, topology, (), attempt.gen, attempt.slot, stream)
 
     def _retry_fire(self, topology: Topology, slot: int, gen: int) -> None:
         """Delayed-retry timer target; drops if recovery superseded it.
@@ -1774,14 +1812,13 @@ class Executor:
                 # retract committed pull/kernel executions whose device
                 # copies died; completed pushes keep their host-side
                 # effect and are not re-run
-                for n in nodes:
+                for slot, n in enumerate(nodes):
                     if (
-                        n.nid in topology.done_nodes
+                        topology.done(slot)
                         and n.type in (TaskType.PULL, TaskType.KERNEL)
                         and (n.device in dead or not alive)
                     ):
-                        topology.replayed.add(n.nid)
-                        topology.done_nodes.discard(n.nid)
+                        topology.retract(slot)
                         self._m_replayed.inc()
                         for obs in self._observers:
                             obs.on_task_replayed(n)
@@ -1816,7 +1853,7 @@ class Executor:
                         )
                         topology.fail(failure)
                     else:
-                        topology.degraded = True
+                        topology.degrade()
                         self._m_degraded.inc()
                         topology.event("degraded", at="recovery", alive=[])
             # rebuild scheduling state over the not-yet-done slots; the
@@ -1831,86 +1868,6 @@ class Executor:
             # pass's own rescheduling
             self._schedule(topology, ready, topology.gen)
             return
-
-    def _task_done(
-        self,
-        wid: int,
-        topology: Topology,
-        slot: int,
-        gen: int,
-        stream: Optional[Stream] = None,
-        fallback: bool = False,
-        on_dispatcher: bool = False,
-    ) -> None:
-        """Commit a finished slot off the inline route: fire
-        ``on_task_end`` (before any successor can begin), mark it done
-        and release its successors under one lock, and leave the
-        in-flight set (running recovery if that reached quiescence)."""
-        observers = self._observers
-        if observers:
-            node = topology.lowering.nodes[slot]
-            # for GPU tasks this runs on the stream dispatcher thread,
-            # so ops_executed is stable and identifies the completing op
-            seq = stream.ops_executed if stream is not None else None
-            replayed = node.nid in topology.replayed
-            for obs in observers:
-                obs.on_task_end(
-                    wid,
-                    node,
-                    stream=stream,
-                    stream_seq=seq,
-                    fallback=fallback,
-                    replayed=replayed,
-                )
-        self._release_ready(
-            topology, topology.finish(slot), gen, wid if on_dispatcher else None
-        )
-        if topology.leave():
-            self._recover(topology)
-
-    def _release_ready(
-        self,
-        topology: Topology,
-        ready: Optional[Sequence[int]],
-        gen: int,
-        lane: Optional[int] = None,
-    ) -> None:
-        """Schedule the successors a slot-join step released (or end
-        the pass).
-
-        *lane* is set when the stream callback of a successful GPU slot
-        finished it, on that stream's dispatcher thread.  On the
-        healthy route — current generation, no sanitizer, no armed
-        fault profile and every GPU alive (so not degraded either) —
-        the ready GPU successors then launch right here, onto the
-        streams of worker *lane*: stream-ordered continuation, so a GPU
-        chain stays on its worker's streams instead of waking a worker
-        through the shared queue after every task.  A launch only
-        enqueues; no payload runs on this thread.  Each successor
-        enters the in-flight set before the finishing slot leaves it,
-        so quiescence stays exact.  Host successors, and every
-        successor off the healthy route (recovery, host fallbacks,
-        sanitized runs), are scheduled as usual."""
-        if ready is PASS_DONE:
-            self._pass_done(topology)
-        elif ready is not None:
-            if (
-                lane is not None
-                and gen == topology.gen
-                and topology.sanitizer is None
-                and not self._snapshotting()
-            ):
-                gpu = topology.lowering.gpu_slots
-                host = []
-                for s in ready:
-                    if gpu[s]:
-                        self._m_continued.inc_sharded(lane)
-                        self._invoke_attempt(lane, topology, s, gen, continued=True)
-                    else:
-                        host.append(s)
-                ready = host
-            if ready:
-                self._schedule(topology, ready, gen)
 
     def _pass_done(self, topology: Topology) -> None:
         if topology.pass_completed():
@@ -1951,8 +1908,8 @@ class Executor:
         for its device (the visitor over pull, push and kernel slots).
         The enqueue is the last thing done here, so a raise means
         nothing was enqueued.  The stream callback completes the slot:
-        through *attempt* when it has one, token-free
-        (:meth:`_gpu_done`) otherwise."""
+        through *attempt* when it has one, through the slot loop
+        (:meth:`_invoke`) otherwise."""
         kind = node.type
         if kind is TaskType.PUSH:
             src = node.source.buffer
@@ -1974,7 +1931,7 @@ class Executor:
             stream = self._stream_for(wid, ordinal)
             if attempt is None:
                 done = functools.partial(
-                    self._gpu_done, topology, slot, wid, gen, stream
+                    self._invoke, wid, topology, (), gen, slot, stream
                 )
             else:
                 attempt.stream = stream
@@ -1989,24 +1946,6 @@ class Executor:
                 self._enqueue_pull(topology, node, device, stream, done)
             else:
                 self._enqueue_push(node, src, stream, done)
-
-    def _gpu_done(
-        self,
-        topology: Topology,
-        slot: int,
-        wid: int,
-        gen: int,
-        stream: Stream,
-        err: Optional[BaseException],
-    ) -> None:
-        """Stream callback of a token-free GPU slot: commit it, or build
-        its attempt token only now, for the failure route."""
-        if err is None:
-            self._task_done(wid, topology, slot, gen, stream, False, True)
-        else:
-            attempt = _Attempt(topology, slot, wid, gen, None)
-            attempt.stream = stream
-            self._attempt_finished(attempt, err)
 
     def _enqueue_pull(self, topology, node, device, stream, done) -> None:
         assert node.span is not None

@@ -35,8 +35,9 @@ ledger bookkeeping (predicted footprint, exactly-once release).
 Readiness is tracked here and nowhere else: every submission runs a
 :class:`Lowering` of its graph (slot order, successor slots, initial
 join counts), and the topology's per-slot join array, reset each pass,
-is released by :meth:`Topology.release` and rebuilt after device
-recovery by :meth:`Topology.rebuild_joins` (docs/runtime.md).
+is stepped by :meth:`Topology.join` (which also marks the slot done)
+and rebuilt after device recovery by :meth:`Topology.rebuild_joins`
+(docs/runtime.md).
 """
 
 from __future__ import annotations
@@ -60,8 +61,19 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.resilience.policy import ResiliencePolicy, RetryPolicy
 
 
-#: :meth:`Topology.release` result for the slot that completed the pass
+#: :meth:`Topology.join` result for the slot that completed the pass
 PASS_DONE: Tuple[int, ...] = ()
+
+#: what wraps a slot's call (:attr:`Topology.wraps`): nothing (a host
+#: callable called directly), a token-free launch that its stream
+#: callback completes (a GPU slot), or an ``_Attempt`` token
+SLOT_PLAIN, SLOT_STREAM, SLOT_ATTEMPT = 0, 1, 2
+
+#: slots per work item of a submission whose slots need no wrap: large
+#: enough to amortize queue and notifier traffic over many empty host
+#: tasks, small enough that thieves still find stealable chunks on
+#: wide graphs
+CHUNK = 32
 
 
 class Topology:
@@ -132,15 +144,13 @@ class Topology:
         #: scheduling generation; recovery bumps it so stale queue
         #: items are dropped by workers
         self.gen = 0
-        #: tasks currently inside _invoke (in-flight)
+        #: slots in flight (GPU topologies only: recovery waits for 0)
         self.active = 0
         #: per-node attempt error history (this pass)
         self.attempts: Dict[int, List[BaseException]] = {}
         #: per-node structured attempt records: error class plus, for
         #: retried attempts, backoff delay / saturation (docs/resilience.md)
         self.attempt_log: Dict[int, List[dict]] = {}
-        #: nids whose task committed (finished) this pass
-        self.done_nodes: Set[int] = set()
         #: nids whose committed execution was invalidated by a device
         #: failure and will run again (trace record retracted)
         self.replayed: Set[int] = set()
@@ -154,13 +164,13 @@ class Topology:
         #: attached :class:`repro.analysis.sanitize.SanitizerSession`
         #: for ``run(..., sanitize=True)`` submissions; None otherwise
         self.sanitizer: Optional[object] = None
-        #: True when the submission has no retry policy, no timeout and
-        #: no sanitizer (set at start): its plain slots (see
-        #: :attr:`Lowering.plain_slots`) run without an attempt token
-        self.unpolicied = False
-        #: True when slots run inline (set at start: host-only and
-        #: unpolicied); False = the worker loop's _Attempt route
-        self.inline = False
+        #: slot -> what wraps its call (``SLOT_*``; set by
+        #: :meth:`configure`, narrowed by :meth:`degrade`)
+        self.wraps: Tuple[int, ...] = ()
+        #: ready slots a finishing worker keeps running itself, and the
+        #: slots per scheduled item (set by :meth:`configure`); 0 = each
+        #: ready slot is scheduled as its own item
+        self.keep = 0
         # -- slot state (docs/runtime.md, "Submission pipeline") --------
         #: the slot form this submission runs (None until lower());
         #: slot order and successor slots are read from it
@@ -233,6 +243,30 @@ class Topology:
 
         return isinstance(self.error, CancelledError)
 
+    # -- slot configuration (docs/runtime.md, "The work-stealing loop") --
+    def configure(self) -> None:
+        """Decide, once at start, what wraps each slot's call: a
+        submission with a retry policy, a timeout or a sanitizer wraps
+        every slot in an attempt token; otherwise the lowering's wraps
+        hold (a token only for a task with its own retry or timeout).
+        A submission whose slots need no wrap keeps :data:`CHUNK` ready
+        slots per worker and per scheduled item."""
+        lowering = self.lowering
+        if self.retry_policy is None and self.timeout_s is None and self.sanitizer is None:
+            self.wraps = lowering.wraps
+            self.keep = CHUNK if lowering.fast_capable else 0
+        else:
+            self.wraps = (SLOT_ATTEMPT,) * len(lowering.nodes)
+            self.keep = 0
+
+    def degrade(self) -> None:
+        """Run GPU slots on host fallbacks from now on (zero
+        survivors): each takes an attempt token."""
+        self.degraded = True
+        self.wraps = tuple(
+            [SLOT_ATTEMPT if w == SLOT_STREAM else w for w in self.wraps]
+        )
+
     # -- pass accounting -------------------------------------------------
     def begin_pass(self) -> None:
         with self._lock:
@@ -240,19 +274,20 @@ class Topology:
             self.joins = list(self.lowering.join_init)
             self.attempts = {}
             self.attempt_log = {}
-            self.done_nodes = set()
             self.replayed = set()
 
-    def release(self, slot: int) -> Optional[Sequence[int]]:
-        """The slot-join step: count *slot* done and release its
-        successors.  Returns the successor slots whose join counter
-        reached zero, None when none did, or :data:`PASS_DONE` when
-        *slot* completed the pass (then no successor is ready: a ready
-        one would still be pending).  One value, not a pair: building
-        and unpacking a tuple per task costs the inline route ~2%."""
+    def join(self, slot: int) -> Optional[Sequence[int]]:
+        """The slot-join step, on every configuration: mark *slot* done
+        (its join counter parks at -1) and release its successors.
+        Returns the successor slots whose join counter reached zero,
+        None when none did, or :data:`PASS_DONE` when *slot* completed
+        the pass (then no successor is ready: a ready one would still
+        be pending).  One value, not a pair: building and unpacking a
+        tuple per task costs the host loop ~2%."""
         ready = None
         with self._lock:
             joins = self.joins
+            joins[slot] = -1
             for t in self.lowering.succ_slots[slot]:
                 n = joins[t] - 1
                 joins[t] = n
@@ -266,41 +301,28 @@ class Topology:
                 return PASS_DONE
             return ready
 
-    def finish(self, slot: int) -> Optional[Sequence[int]]:
-        """:meth:`release` for a slot off the inline route, which also
-        marks its node done (the set recovery retracts from) under the
-        same one lock.  The join loop is written out in both: a call
-        per task costs the inline route."""
-        ready = None
-        lowering = self.lowering
+    def done(self, slot: int) -> bool:
+        """True once *slot* went through :meth:`join` this pass (and
+        was not retracted since)."""
+        return self.joins[slot] < 0
+
+    def retract(self, slot: int) -> None:
+        """Recovery: *slot*'s committed execution was lost with its
+        device; it is no longer done and will run again (replayed)."""
         with self._lock:
-            self.done_nodes.add(lowering.nodes[slot].nid)
-            joins = self.joins
-            for t in lowering.succ_slots[slot]:
-                n = joins[t] - 1
-                joins[t] = n
-                if n == 0:
-                    if ready is None:
-                        ready = [t]
-                    else:
-                        ready.append(t)
-            self.pending -= 1
-            if self.pending == 0:
-                return PASS_DONE
-            return ready
+            self.joins[slot] = 0
+            self.replayed.add(self.lowering.nodes[slot].nid)
 
     def rebuild_joins(self) -> List[int]:
         """Recovery: recount each not-done slot's join counter over its
         not-done predecessors, re-baseline the pass count, and return
         the slots that are ready now.  A done slot (a finished push
         whose pull and kernel were retracted) must not run again: its
-        counter is parked at -1, which a later release only lowers."""
+        counter stays parked below 0, which a later join only lowers."""
         with self._lock:
-            done = self.done_nodes
-            nodes = self.lowering.nodes
             succ_slots = self.lowering.succ_slots
             joins = self.joins
-            joins[:] = [-1 if n.nid in done else 0 for n in nodes]
+            joins[:] = [-1 if j < 0 else 0 for j in joins]
             remaining = [s for s, j in enumerate(joins) if j == 0]
             for s in remaining:
                 for t in succ_slots[s]:
@@ -487,15 +509,21 @@ class Lowering:
         self.callables: Tuple = tuple([n.callable for n in self.nodes])
         #: slot -> True for a pull, push or kernel slot
         self.gpu_slots: Tuple[bool, ...] = tuple([n.type.is_gpu for n in self.nodes])
-        #: slot -> no per-task retry policy or timeout override
-        self.plain_slots: Tuple[bool, ...] = tuple(
-            [n.retry_policy is None and n.timeout_s is None for n in self.nodes]
+        #: slot -> what wraps its call in a submission without a retry
+        #: policy, timeout or sanitizer: an attempt token only for a
+        #: task with its own retry policy or timeout
+        self.wraps: Tuple[int, ...] = tuple(
+            [
+                SLOT_ATTEMPT
+                if n.retry_policy is not None or n.timeout_s is not None
+                else SLOT_STREAM if g else SLOT_PLAIN
+                for n, g in zip(self.nodes, self.gpu_slots)
+            ]
         )
         self.has_gpu = any(self.gpu_slots)
-        #: slots can run inline: host-only, no per-task resilience
-        #: overrides (otherwise every slot takes the worker loop's
-        #: _Attempt route)
-        self.fast_capable = not self.has_gpu and all(self.plain_slots)
+        #: no slot needs a wrap (host-only, no per-task retry or
+        #: timeout): a worker runs ready slots in chunks
+        self.fast_capable = not any(self.wraps)
 
     @property
     def placement_groups(self) -> PlacementGroups:

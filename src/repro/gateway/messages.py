@@ -43,7 +43,7 @@ stream is FIFO per worker but unordered across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.gateway.spec import WorkSpec
 

@@ -38,7 +38,6 @@ from typing import Dict, Optional
 from repro.errors import AdmissionRejectedError
 from repro.gateway import messages as m
 from repro.gateway.chaos import ChaosProfile
-from repro.gateway.spec import WorkSpec
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Set
 from repro._lazy import np
 from repro.errors import DeviceError, DeviceFailedError
 from repro.gpu.memory import DeviceBuffer, DeviceHeap
-from repro.gpu.stream import Event, Stream
+from repro.gpu.stream import Stream
 from repro.metrics.registry import Counter
 
 if TYPE_CHECKING:  # pragma: no cover

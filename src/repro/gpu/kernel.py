@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import inspect
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence, Tuple
 
 from repro._lazy import np

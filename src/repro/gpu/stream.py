@@ -134,6 +134,9 @@ class Stream:
                     callback(err)
                 except BaseException:  # pragma: no cover - callback bug
                     pass
+            # drop the op before blocking in get(): its body holds the
+            # host array and its callback the run's topology
+            item = fn = callback = err = None
 
     # -- host-side API --------------------------------------------------
     @property

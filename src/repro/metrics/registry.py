@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_right
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Sequence, Union
 
 MetricValue = Union[int, float, List[int], List[float], Dict[str, float]]
 
@@ -86,11 +86,21 @@ class LaneCounter:
 
     def inc_sharded(self, lane: int, n: int = 1) -> None:
         """Add *n* to *lane* from any thread."""
+        self.cells(False)[lane] += n
+
+    def cells(self, owner: bool) -> List[int]:
+        """The per-lane list the calling thread adds to directly
+        (``cells[lane] += n``): the lanes' own cells when the thread
+        owns the lanes it will count (the :meth:`inc` store), else this
+        thread's shard (the :meth:`inc_sharded` store).  A loop that
+        counts many times saves a call per increment."""
+        if owner:
+            return self._cells
         tid = threading.get_ident()
         cells = self._shards.get(tid)
         if cells is None:
             cells = self._shards[tid] = [0] * len(self._cells)
-        cells[lane] += n
+        return cells
 
     @property
     def value(self) -> int:

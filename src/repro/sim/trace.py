@@ -10,7 +10,7 @@ shape after :func:`records_from_observer`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.sim.simulator import SimTaskRecord
 

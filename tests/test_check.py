@@ -10,7 +10,7 @@ from repro.check import (
     run_mutant_selftest,
     validate_schedule,
 )
-from repro.check.mutants import ROUTES
+from repro.check.mutants import CONFIGURATIONS
 from repro.check.stress import run_scenario
 from repro.core import Executor, Heteroflow, TraceObserver
 from repro.core.observer import TaskRecord
@@ -270,22 +270,23 @@ class TestAuditor:
 class TestMutantSelftest:
     def test_validator_catches_seeded_scheduler_bug(self):
         """The checker has teeth: a premature-dependency-release mutant
-        is flagged while the reference executor passes — on the inline
-        route, the _Attempt route and the token-free GPU route."""
+        is flagged while the reference executor passes — on each
+        configuration of the slot loop: host-only unpolicied, every slot
+        under an _Attempt, and token-free GPU slots."""
         result = run_mutant_selftest(delay=0.2)
         assert result.caught
-        assert set(ROUTES) == {"inline", "attempt", "gpu"}
-        for route in ROUTES:
-            kinds = {v.kind for v in result.reports[f"mutant/{route}"].violations}
-            assert "happens-before" in kinds, route
-            assert result.reports[f"reference/{route}"].ok, route
-        # the runs really took the route they are named after
+        assert set(CONFIGURATIONS) == {"inline", "attempt", "gpu"}
+        for name in CONFIGURATIONS:
+            kinds = {v.kind for v in result.reports[f"mutant/{name}"].violations}
+            assert "happens-before" in kinds, name
+            assert result.reports[f"reference/{name}"].ok, name
+        # the runs really had the configuration they are named after
         assert result.fast_path == {
             "mutant/inline": 1, "reference/inline": 1,
             "mutant/attempt": 0, "reference/attempt": 0,
             "mutant/gpu": 0, "reference/gpu": 0,
         }
-        # on the GPU route, stream callbacks launched the kernels
+        # on the GPU configuration, stream callbacks launched the kernels
         assert result.continued["reference/gpu"] > 0
         assert result.continued["mutant/gpu"] > 0
         assert result.continued["reference/attempt"] == 0

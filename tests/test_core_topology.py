@@ -19,9 +19,9 @@ class TestTopology:
         t = Topology(self.graph(3), repeats=2)
         t.lower()
         t.begin_pass()
-        assert t.release(0) is None
-        assert t.release(1) is None
-        assert t.release(2) is PASS_DONE  # third node completes the pass
+        assert t.join(0) is None
+        assert t.join(1) is None
+        assert t.join(2) is PASS_DONE  # third node completes the pass
 
     def test_slot_joins_release_and_rebuild(self):
         """The topology owns readiness: a diamond's join slot is ready
@@ -36,16 +36,16 @@ class TestTopology:
         nodes = t.lowering.nodes
         assert [n.name for n in nodes] == ["a", "b", "c", "d"]
         t.begin_pass()
-        # finish() is release() that also marks the slot's node done
-        assert t.finish(0) == [1, 2]
-        assert t.finish(1) is None
-        assert t.done_nodes == {nodes[0].nid, nodes[1].nid}
+        # join() releases the successors and marks the slot done
+        assert t.join(0) == [1, 2]
+        assert t.join(1) is None
+        assert [s for s in range(4) if t.done(s)] == [0, 1]
         # b is done, c is not: d waits on c alone, c is ready now;
         # done slots are parked at -1
         assert t.rebuild_joins() == [2]
         assert t.joins == [-1, -1, 0, 1]
-        assert t.release(2) == [3]
-        assert t.release(3) is PASS_DONE
+        assert t.join(2) == [3]
+        assert t.join(3) is PASS_DONE
 
     def test_rebuild_never_readies_a_done_slot(self):
         """Recovery retracts a finished pull and kernel but keeps the
@@ -62,17 +62,19 @@ class TestTopology:
         assert [n.name for n in nodes] == ["p", "k", "s", "h"]
         t.begin_pass()
         for slot in range(3):
-            t.finish(slot)
+            t.join(slot)
         # p and k retracted (their device died), s stays done; h was
         # released by s but its item went stale, so it is ready again
-        t.done_nodes -= {nodes[0].nid, nodes[1].nid}
+        t.retract(0)
+        t.retract(1)
+        assert t.replayed == {nodes[0].nid, nodes[1].nid}
         assert t.rebuild_joins() == [0, 3]
         assert t.joins == [0, 1, -1, 0]
         assert t.pending == 3
-        assert t.release(3) is None
-        assert t.release(0) == [1]
+        assert t.join(3) is None
+        assert t.join(0) == [1]
         # k's re-run does not release s, and ends the pass
-        assert t.release(1) is PASS_DONE
+        assert t.join(1) is PASS_DONE
         assert t.joins[2] == -2
 
     def test_bindings_require_frozen_graph(self):

@@ -17,6 +17,7 @@ Covers the frozen-graph surface end to end:
 
 import gc
 import threading
+import time
 import weakref
 from concurrent.futures import CancelledError
 
@@ -299,6 +300,32 @@ class TestReplayExecution:
             ex.shutdown()
         gc.collect()
         assert all(a() is None for a in arrays)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_no_run_outlives_its_future(self, workers):
+        """Once a run's future resolved and the graph is dropped, the
+        executor keeps nothing of it: no stream dispatcher holds its
+        last op's body (the host array) or callback (the topology)."""
+        ex = Executor(workers, 1)
+        try:
+            arrays = []
+            for _ in range(10):
+                data = np.zeros(1024)
+                arrays.append(weakref.ref(data))
+                ex.run(build_gpu_graph(data)[0].freeze()).result(timeout=30)
+                del data
+            # the last stream callback resolves the future before it
+            # returns: give its dispatcher a moment to move past it
+            deadline = time.monotonic() + 2.0
+            while True:
+                gc.collect()
+                alive = [a() is not None for a in arrays]
+                if not any(alive) or time.monotonic() > deadline:
+                    break
+                time.sleep(0.01)
+            assert alive == [False] * 10
+        finally:
+            ex.shutdown()
 
     def test_fast_path_task_failure_propagates(self):
         hf = Heteroflow("boom")

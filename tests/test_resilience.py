@@ -390,6 +390,52 @@ def _two_chain_graph():
 
 
 class TestDeviceDeath:
+    @pytest.mark.parametrize(
+        "gpus,policy,ordinal",
+        [
+            (0, None, 0),
+            (0, RetryPolicy(max_attempts=2, base_delay=0.0), 0),
+            (2, None, 0),
+            (2, RetryPolicy(max_attempts=2, base_delay=0.0), 0),
+            (2, None, 7),
+        ],
+        ids=["host", "host-retry", "gpu", "gpu-retry", "gpu-bad-ordinal"],
+    )
+    def test_host_device_failed_error_is_a_task_error(self, gpus, policy, ordinal):
+        """Only a GPU slot's launch or stream callback starts device
+        recovery: a host callable raising DeviceFailedError fails (or
+        is retried) like any task error, quarantines nothing and is
+        never re-run by a recovery pass."""
+        calls = []
+
+        def host():
+            calls.append(1)
+            # bounded, so an executor that re-runs it forever still
+            # ends (and then fails the count below) instead of hanging
+            if len(calls) <= 50:
+                raise DeviceFailedError(ordinal)
+
+        hf = Heteroflow("host-device-error")
+        h = hf.host(host, name="host")
+        if gpus:
+            data = np.zeros(8)
+            pull = hf.pull(data, name="pull")
+            k = hf.kernel(lambda v: None, pull, name="k")
+            h.precede(pull)
+            pull.precede(k)
+        ex = Executor(2, gpus)
+        try:
+            fut = ex.run(hf, policy=policy)
+            with pytest.raises((DeviceFailedError, TaskFailedError)):
+                fut.result(timeout=_T)
+            alive = ex.alive_gpus
+            device_failures = ex.metrics.snapshot()["resilience.device_failures"]
+        finally:
+            ex.shutdown(wait=False)
+        assert len(calls) <= (1 if policy is None else policy.max_attempts)
+        assert alive == list(range(gpus))
+        assert device_failures == 0
+
     def test_migrates_to_surviving_gpu(self):
         hf, arrays = _two_chain_graph()
         expected = [np.arange(32, dtype=np.float64) * 2.0 + 1.0,
