@@ -98,7 +98,7 @@ class SequentialExecutor:
         launch = kernel_launch(node)
         with ScopedDeviceContext(device):
             stream = self._stream(node.device)
-            launch.enqueue(stream, launch.bind(device))
+            launch.enqueue(stream)
             stream.synchronize()
 
     def _invoke_push(self, node: Node) -> None:

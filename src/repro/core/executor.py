@@ -22,14 +22,16 @@ Reproduces the runtime of paper §III-B/C:
   degraded device (retries, watchdogs, host fallbacks), or after a
   failure.  Readiness lives on the topology, whose one slot-join step
   (:meth:`Topology.join`) releases successors;
-- GPU tasks are invoked under an RAII :class:`ScopedDeviceContext`, on a
-  **per-(worker, device) stream**, and complete asynchronously — the
-  dispatching worker moves on immediately, and the stream callback
-  releases successors (the event-synchronized pattern of Listing 13).
-  On the healthy path the callback launches the ready GPU successors
-  itself, onto the same worker's streams (stream-ordered
-  continuation); only host successors go back to the queues.  Each
-  kernel's launch is compiled once per lowering
+- GPU tasks are launched with their device current on the launching
+  thread (the RAII scope of Listing 13), on a **per-(worker, device)
+  stream**, and complete asynchronously — the dispatching worker moves
+  on immediately, and the stream callback releases successors (the
+  event-synchronized pattern of Listing 13).  On the healthy path the
+  loop that completed a slot — a worker's or a stream callback's —
+  launches the ready GPU successors itself, onto the same worker's
+  streams (in-place launch, stream-ordered continuation), handing the
+  first one its in-flight count; only the other successors go back to
+  the queues.  Each kernel's launch is compiled once per lowering
   (:attr:`Lowering.kernel_launches`);
 - per-device **buddy-allocator memory pools** back all pull buffers;
 - ``run`` / ``run_n`` / ``run_until`` are non-blocking; each builds one
@@ -86,7 +88,6 @@ Progress is observable through the ``service.*`` metrics
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import os
@@ -95,6 +96,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import CancelledError, Future
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro._lazy import np
@@ -124,7 +126,7 @@ from repro.errors import (
     TaskFailedError,
     TaskTimeoutError,
 )
-from repro.gpu.device import DEFAULT_MEMORY_BYTES, GpuRuntime, ScopedDeviceContext
+from repro.gpu.device import DEFAULT_MEMORY_BYTES, GpuRuntime, thread_device
 from repro.gpu.stream import Stream
 from repro.metrics.registry import MetricsRegistry
 from repro.resilience.degrade import (
@@ -146,6 +148,40 @@ WorkItem = Tuple[Topology, Tuple[int, ...], int]
 #: how long a committed sleeper waits before re-polling the queues;
 #: bounds the cost of any lost-wakeup bug without busy spinning
 _SLEEP_TIMEOUT = 0.02
+
+# the launch visitor's kinds as module globals: an enum attribute
+# lookup per launch costs more than the rest of the test
+_PULL, _KERNEL = TaskType.PULL, TaskType.KERNEL
+
+
+def _push_source(node: Node):
+    """Push *node*'s source buffer: its pull's, which must have run."""
+    src = node.source.buffer
+    if src is None:
+        raise KernelError(
+            f"push task {node.name!r} ran before its pull task "
+            f"{node.source.name!r}; add the missing dependency"
+        )
+    return src
+
+
+class _LaneCells(threading.local):
+    """The cells one thread counts the executor's lane counters into
+    (``cells[wid] += n``), looked up once per thread instead of once
+    per slot loop: on a worker, the lanes' own cells
+    (:meth:`LaneCounter.cells` with ``owner=True``), written only by
+    that worker; on any other thread (a stream dispatcher continuing a
+    worker's lane, a timer), a private shard of each counter.
+    *launched* counts a GPU successor launched by the loop that
+    completed its predecessor: ``executor.inplace_launches`` on a
+    worker, ``executor.continued_launches`` elsewhere."""
+
+    def __init__(self, tls, tasks, flushed, inplace, continued) -> None:
+        # *tls* holds a worker's id from the start of its loop
+        owner = getattr(tls, "wid", None) is not None
+        self.tasks = tasks.cells(owner)
+        self.flushed = flushed.cells(owner)
+        self.launched = (inplace if owner else continued).cells(owner)
 
 
 class _CompiledPlan:
@@ -346,7 +382,7 @@ class Executor:
         # indexed by worker id and written by that worker's thread, so
         # the hot-path cost is one list store — no locks; a dispatcher
         # counting a continued launch for a worker writes its own shard
-        # (LaneCounter.cells)
+        # (LaneCounter.cells, looked up once per thread by _LaneCells)
         self.metrics = MetricsRegistry()
         self._m_tasks = self.metrics.lane_counter(
             "executor.tasks_executed", num_workers
@@ -368,6 +404,9 @@ class Executor:
         self._m_wakeups = self.metrics.lane_counter("executor.wakeups", num_workers)
         self._m_continued = self.metrics.lane_counter(
             "executor.continued_launches", num_workers
+        )
+        self._m_inplace = self.metrics.lane_counter(
+            "executor.inplace_launches", num_workers
         )
         self.metrics.register_callback(
             "executor.queue_high_water",
@@ -480,6 +519,14 @@ class Executor:
         self._timer = _TimerThread()
 
         self._tls = threading.local()
+        self._lanes = _LaneCells(
+            self._tls, self._m_tasks, self._m_flushed, self._m_inplace, self._m_continued
+        )
+        # ordinals of dead or fault-armed devices (GpuRuntime.guarded):
+        # while it is empty no device died and none has a fault profile
+        # armed, so GPU successors launch in place and pulls capture no
+        # replay snapshot
+        self._guarded = self._gpu.guarded
         self._seed = seed
         self._threads = [
             threading.Thread(
@@ -1260,7 +1307,7 @@ class Executor:
         graph = topology.graph
         if topology.lowering.has_gpu:
             # release pooled pull buffers and degraded-mode shadows
-            for node in topology.lowering.nodes:
+            for node in topology.lowering.pulls:
                 if node.buffer is not None:
                     node.buffer.free()
                     node.buffer = None
@@ -1351,8 +1398,12 @@ class Executor:
         # responsive to the sleep protocol
         n = self._num_workers
         if n > 1:
+            random = rng.random
             for _ in range(2 * n):
-                victim = rng.randrange(n)
+                # uniform over the workers, without randrange's Python
+                # frames: an idle worker's loop runs this while others
+                # hold the interpreter
+                victim = int(random() * n)
                 if victim == wid:
                     continue
                 self._m_steal_try.inc(wid)
@@ -1410,17 +1461,21 @@ class Executor:
         loop as its stream callback, and a policied, sanitized or
         degraded slot runs under an :class:`_Attempt`.  A slot that
         completes here, and a slot that completed elsewhere (*done*,
-        with the *stream* and *fallback* of its completion), go through
-        one completion step: ``on_task_end``, :meth:`Topology.join`,
-        the ready successors, and leaving the in-flight set.  Ready
+        with the *stream* and *fallback* of its completion, which
+        enters straight at the completion step), go through one
+        completion step: ``on_task_end``, :meth:`Topology.join`, the
+        ready successors, and leaving the in-flight set.  Ready
         successors continue in this loop up to :attr:`Topology.keep`
-        (the excess spills as stealable chunk items), continue on the
-        stream when a GPU slot's callback finished it (stream-ordered
-        continuation: the ready GPU successors launch right here, onto
-        the streams of worker *wid*), and are scheduled otherwise.  Any
-        failure (*err*: the stream callback's) takes one failure step,
-        :meth:`_handle_failure`; a failed or cancelled topology flushes
-        its remaining slots unrun.
+        (the excess spills as stealable chunk items).  In a GPU
+        topology, while no device is guarded (dead or fault-armed), the
+        ready token-free GPU successors launch right here, in the loop
+        that completed their predecessor — on a worker (an in-place
+        launch) or on a stream dispatcher (stream-ordered
+        continuation), onto the streams of worker *wid* — and the first
+        of them takes over the finished slot's place in the in-flight
+        set; the other successors are scheduled.  Any failure (*err*: the stream callback's) takes
+        one failure step, :meth:`_handle_failure`; a failed or
+        cancelled topology flushes its remaining slots unrun.
         """
         if err is not None:
             # a token-free GPU slot's op failed: its token is built now
@@ -1428,113 +1483,137 @@ class Executor:
             attempt.stream = stream
             self._handle_failure(attempt, err)
             return
-        if done < 0 and gen != topology.gen:
+        tracked = topology.lowering.has_gpu
+        observers = self._observers
+        if done >= 0:
+            # join first: the locals a run needs are set up only when
+            # a successor is launched here.  A topology that keeps
+            # ready slots completes one elsewhere only after a failure:
+            # its ready successors take the queues, where they flush
+            if observers:
+                self._task_end(wid, topology, done, stream, fallback)
+            keep = 0
+            s = done
+            todo: List[int] = []
+        elif gen != topology.gen:
             # recovery invalidated this item and rescheduled its slots
             return
-        lowering = topology.lowering
-        nodes = lowering.nodes
-        wraps = topology.wraps
-        callables = topology.callables
-        join = topology.join
-        keep = topology.keep
-        tracked = lowering.has_gpu
-        observers = self._observers
-        # a stream dispatcher continues lane wid, which belongs to
-        # another thread: it counts into its own shard of the lanes.
-        # Any other caller is lane wid's worker, or completes one slot
-        # of a topology that keeps no ready slots and runs none here (a
-        # watchdog's timeout, a launch that failed on a dispatcher)
-        owner = stream is None
-        tasks = self._m_tasks.cells(owner)
-        # a slot that finished elsewhere enters at the completion step,
-        # marked by its complement
-        todo = [~done] if done >= 0 else list(slots)
-        while todo:
-            s = todo.pop()
-            if s < 0:
-                s = ~s
-                if observers:
-                    self._task_end(wid, topology, s, stream, fallback)
-            else:
-                if tracked:
-                    if not topology.enter():
-                        # a device failure awaits quiescence; recovery
-                        # reschedules
-                        continue
-                    if gen != topology.gen:
-                        # recovery slipped in between the gen check and
-                        # enter()
-                        topology.leave()
-                        continue
-                if topology.error is not None:
-                    # fast-cancel: count the slot without running it
-                    self._m_flushed.cells(owner)[wid] += 1
-                else:
-                    tasks[wid] += 1
-                    wrap = wraps[s]
-                    if wrap:
-                        if wrap != SLOT_STREAM:
-                            self._run_attempt(wid, topology, s, gen)
-                            continue
-                        # the stream callback completes the slot; the
-                        # lane lock as in _run_attempt
-                        try:
-                            with self._lane_locks[wid]:
-                                for obs in observers:
-                                    obs.on_task_begin(wid, nodes[s])
-                                self._launch_gpu(wid, topology, nodes[s], s, gen)
-                        except BaseException as exc:  # noqa: BLE001 - routed to policy
-                            self._handle_failure(_Attempt(topology, s, wid, gen, None), exc)
-                        continue
-                    if observers:
-                        for obs in observers:
-                            obs.on_task_begin(wid, nodes[s])
-                    try:
-                        callables[s]()
-                    except BaseException as exc:  # noqa: BLE001 - routed to policy
-                        self._handle_failure(_Attempt(topology, s, wid, gen, None), exc)
-                        continue
-                    if observers:
-                        self._task_end(wid, topology, s, None, False)
-            ready = join(s)
-            if ready is None:
-                pass
-            elif ready is PASS_DONE:
-                self._pass_done(topology)
-            elif keep:
-                todo.extend(ready)
-                extra = len(todo) - keep
-                if extra > 0:
-                    # keep one chunk here; spill the rest so idle
-                    # workers can steal the fan-out
-                    self._schedule(topology, todo[:extra], gen)
-                    del todo[:extra]
-            else:
-                # a GPU slot finished by its stream callback (the only
-                # completion here with a stream and no error) continues
-                # its ready GPU successors in this loop: a launch only
-                # enqueues, so no payload runs on the dispatcher
-                if (
-                    stream is not None
+        else:
+            keep = topology.keep
+            s = None
+            todo = list(slots)
+            nodes = topology.lowering.nodes
+            wraps = topology.wraps
+            callables = topology.callables
+            tasks = self._lanes.tasks
+        # True while the last completed slot's in-flight count waits
+        # for the continued successor popped next
+        held = False
+        while True:
+            if s is not None:
+                # the completion step of slot s
+                ready = topology.join(s)
+                if ready is None:
+                    pass
+                elif ready is PASS_DONE:
+                    self._pass_done(topology)
+                elif keep:
+                    todo.extend(ready)
+                    extra = len(todo) - keep
+                    if extra > 0:
+                        # keep one chunk here; spill the rest so idle
+                        # workers can steal the fan-out
+                        self._schedule(topology, todo[:extra], gen)
+                        del todo[:extra]
+                elif (
+                    tracked
                     and gen == topology.gen
                     and topology.error is None
-                    and topology.sanitizer is None
-                    and not self._snapshotting()
+                    and not self._guarded
                 ):
-                    gpu = lowering.gpu_slots
-                    continued = self._m_continued.cells(owner)
-                    host = []
+                    # launch the ready token-free GPU successors in
+                    # place (a launch only enqueues, so no payload runs
+                    # here); policied, sanitized and degraded ones take
+                    # the queue
+                    wraps = topology.wraps
+                    other = None
                     for t in ready:
-                        if gpu[t]:
-                            continued[wid] += 1
+                        if wraps[t] == SLOT_STREAM:
                             todo.append(t)
+                        elif other is None:
+                            other = [t]
                         else:
-                            host.append(t)
-                    ready = host
-                if ready:
+                            other.append(t)
+                    # (a topology that keeps no ready slots runs one
+                    # slot per item, so todo holds only these)
+                    if todo:
+                        held = True
+                        lanes = self._lanes
+                        lanes.launched[wid] += len(todo)
+                        # only GPU slots run from here: no callables
+                        nodes = topology.lowering.nodes
+                        tasks = lanes.tasks
+                    if other is not None:
+                        self._schedule(topology, other, gen)
+                else:
                     self._schedule(topology, ready, gen)
-            if tracked and topology.leave():
-                self._recover(topology)
+                if tracked and not held and topology.leave():
+                    self._recover(topology)
+            if not todo:
+                return
+            s = todo.pop()
+            if tracked:
+                if held:
+                    # the count of the slot completed last passes here
+                    held = False
+                elif not topology.enter():
+                    # a device failure awaits quiescence; recovery
+                    # reschedules
+                    s = None
+                    continue
+                if gen != topology.gen:
+                    # recovery slipped in between the gen check and
+                    # the count
+                    if topology.leave():
+                        self._recover(topology)
+                    s = None
+                    continue
+            if topology.error is not None:
+                # fast-cancel: count the slot without running it
+                self._lanes.flushed[wid] += 1
+                continue
+            tasks[wid] += 1
+            if wraps[s]:
+                if wraps[s] != SLOT_STREAM:
+                    self._run_attempt(wid, topology, s, gen)
+                # the stream callback completes the slot; with observers
+                # the lane lock as in _run_attempt
+                elif observers:
+                    try:
+                        with self._lane_locks[wid]:
+                            for obs in observers:
+                                obs.on_task_begin(wid, nodes[s])
+                            self._launch_gpu(wid, topology, nodes[s], s, gen)
+                    except BaseException as exc:  # noqa: BLE001 - routed to policy
+                        self._handle_failure(_Attempt(topology, s, wid, gen, None), exc)
+                else:
+                    try:
+                        self._launch_gpu(wid, topology, nodes[s], s, gen)
+                    except BaseException as exc:  # noqa: BLE001 - routed to policy
+                        self._handle_failure(_Attempt(topology, s, wid, gen, None), exc)
+                s = None
+                continue
+            if observers:
+                for obs in observers:
+                    obs.on_task_begin(wid, nodes[s])
+            try:
+                callables[s]()
+            except BaseException as exc:  # noqa: BLE001 - routed to policy
+                self._handle_failure(_Attempt(topology, s, wid, gen, None), exc)
+                s = None
+                continue
+            if observers:
+                self._task_end(wid, topology, s, None, False)
 
     def _task_end(
         self,
@@ -1662,11 +1741,13 @@ class Executor:
     def _handle_failure(self, attempt: _Attempt, err: BaseException) -> None:
         """The one failure step, on every configuration.  A
         :class:`~repro.errors.DeviceFailedError` from a GPU slot's
-        launch or stream callback quarantines the device and starts
-        recovery; from any other call (a host callable, a host
-        fallback) it is an ordinary task error.  Retryable errors under
-        a retry policy re-run the slot; anything else fails the
-        topology and completes the slot."""
+        launch or stream callback that names the device the slot ran
+        on quarantines that device and starts recovery; naming any
+        other ordinal (a kernel body raising it), or raised by any
+        other call (a host callable, a host fallback), it is an
+        ordinary task error.  Retryable errors under a retry policy
+        re-run the slot; anything else fails the topology and completes
+        the slot."""
         topology, node, wid = attempt.topology, attempt.node, attempt.wid
 
         if isinstance(err, TaskTimeoutError):
@@ -1685,6 +1766,7 @@ class Executor:
             isinstance(err, DeviceFailedError)
             and topology.lowering.gpu_slots[attempt.slot]
             and not attempt.fallback
+            and err.ordinal == self._device_of(attempt)
         ):
             topology.record_attempt(node.nid, err)
             self._quarantine_device(err.ordinal)
@@ -1759,6 +1841,16 @@ class Executor:
         # ops_executed as a stream_seq would collide with a real op
         stream = None if isinstance(err, TaskTimeoutError) else attempt.stream
         self._invoke(wid, topology, (), attempt.gen, attempt.slot, stream)
+
+    @staticmethod
+    def _device_of(attempt: _Attempt) -> Optional[int]:
+        """The ordinal of the device GPU slot *attempt* ran on: its
+        stream's, or, when the launch raised before it had one, the
+        device the launch targeted."""
+        if attempt.stream is not None:
+            return attempt.stream.device.ordinal
+        node = attempt.node
+        return node.device if node.device is not None else _push_source(node).device.ordinal
 
     def _retry_fire(self, topology: Topology, slot: int, gen: int) -> None:
         """Delayed-retry timer target; drops if recovery superseded it.
@@ -1877,6 +1969,9 @@ class Executor:
 
     # -- GPU task visitors ------------------------------------------
     def _stream_for(self, wid: int, device_ordinal: int) -> Stream:
+        """Worker *wid*'s stream on a device, created on first use (a
+        launch looks its stream up inline and calls this only to
+        create one)."""
         streams = self._streams[wid]
         s = streams.get(device_ordinal)
         if s is None:
@@ -1886,14 +1981,6 @@ class Executor:
                     s = self._gpu.device(device_ordinal).create_stream(f"w{wid}")
                     streams[device_ordinal] = s
         return s
-
-    def _snapshotting(self) -> bool:
-        """Capture pull snapshots only when device failure is possible
-        (a fault profile is armed or a device already died) — replay
-        needs the H2D-time bytes, which a completed push may since have
-        overwritten on the host."""
-        gpu = self._gpu
-        return len(self._alive_gpus) < gpu.device_count or gpu.faults_armed
 
     def _launch_gpu(
         self,
@@ -1905,47 +1992,47 @@ class Executor:
         attempt: Optional[_Attempt] = None,
     ) -> None:
         """Enqueue GPU slot *slot* (*node*) on worker *wid*'s stream
-        for its device (the visitor over pull, push and kernel slots).
-        The enqueue is the last thing done here, so a raise means
-        nothing was enqueued.  The stream callback completes the slot:
-        through *attempt* when it has one, through the slot loop
+        for its device (the visitor over pull, push and kernel slots),
+        with that device current on the calling thread for the launch:
+        a worker is scoped to it and restored after, a dispatcher
+        continuing on its own device already has it.  The enqueue is
+        the last thing done here, so a raise means nothing was
+        enqueued.  The stream callback completes the slot: through
+        *attempt* when it has one, through the slot loop
         (:meth:`_invoke`) otherwise."""
         kind = node.type
-        if kind is TaskType.PUSH:
-            src = node.source.buffer
-            if src is None:
-                raise KernelError(
-                    f"push task {node.name!r} ran before its pull task "
-                    f"{node.source.name!r}; add the missing dependency"
-                )
-            ordinal = node.device if node.device is not None else src.device.ordinal
-        else:
-            ordinal = node.device
+        ordinal = node.device
+        if ordinal is None:
+            # a push placed on no device runs where its pull's data is
+            ordinal = _push_source(node).device.ordinal
         device = self._devices[ordinal]
-        if not device.alive:
+        if device.guarded and not device.alive:
             raise DeviceFailedError(ordinal)
-        if kind is TaskType.KERNEL:
-            launch = topology.launches[slot]
-            args = launch.bind(device)
-        with ScopedDeviceContext(device):
-            stream = self._stream_for(wid, ordinal)
-            if attempt is None:
-                done = functools.partial(
-                    self._invoke, wid, topology, (), gen, slot, stream
-                )
-            else:
-                attempt.stream = stream
-                done = functools.partial(self._attempt_finished, attempt)
-            if kind is TaskType.KERNEL:
-                sanitizer = topology.sanitizer
+        stream = self._streams[wid].get(ordinal) or self._stream_for(wid, ordinal)
+        shim = None
+        if attempt is None:
+            done = partial(self._invoke, wid, topology, (), gen, slot, stream)
+        else:
+            attempt.stream = stream
+            done = partial(self._attempt_finished, attempt)
+            sanitizer = topology.sanitizer
+            if sanitizer is not None and kind is _KERNEL:
                 # the shim substitutes recording views for the span
-                # arguments after buffer-to-view decay (docs/analysis.md)
-                fn = None if sanitizer is None else sanitizer.wrap_kernel(node)
-                launch.enqueue(stream, args, done, fn)
-            elif kind is TaskType.PULL:
+                # arguments after buffer-to-view decay (docs/analysis.md);
+                # a sanitized run wraps every slot in an attempt
+                shim = sanitizer.wrap_kernel(node)
+        previous = thread_device.device
+        if previous is not device:
+            thread_device.device = device
+        try:
+            if kind is _KERNEL:
+                topology.launches[slot].enqueue(stream, done, shim)
+            elif kind is _PULL:
                 self._enqueue_pull(topology, node, device, stream, done)
             else:
-                self._enqueue_push(node, src, stream, done)
+                self._enqueue_push(node, _push_source(node), stream, done)
+        finally:
+            thread_device.device = previous
 
     def _enqueue_pull(self, topology, node, device, stream, done) -> None:
         assert node.span is not None
@@ -1965,7 +2052,10 @@ class Executor:
             node.buffer = buf
         else:
             buf.dtype = host.dtype
-        if self._snapshotting():
+        if self._guarded:
+            # device failure is possible (a fault profile is armed or a
+            # device died): replay needs the H2D-time bytes, which a
+            # completed push may since have overwritten on the host
             finish = done
 
             def done(err: Optional[BaseException]) -> None:

@@ -289,15 +289,14 @@ class Topology:
             joins = self.joins
             joins[slot] = -1
             for t in self.lowering.succ_slots[slot]:
-                n = joins[t] - 1
-                joins[t] = n
-                if n == 0:
+                n = joins[t] = joins[t] - 1
+                if not n:
                     if ready is None:
                         ready = [t]
                     else:
                         ready.append(t)
-            self.pending -= 1
-            if self.pending == 0:
+            pending = self.pending = self.pending - 1
+            if not pending:
                 return PASS_DONE
             return ready
 
@@ -521,6 +520,9 @@ class Lowering:
             ]
         )
         self.has_gpu = any(self.gpu_slots)
+        #: the pull nodes: the only ones holding a device buffer, a
+        #: replay snapshot or a degraded host shadow
+        self.pulls: Tuple = tuple([n for n in self.nodes if n.type is TaskType.PULL])
         #: no slot needs a wrap (host-only, no per-task retry or
         #: timeout): a worker runs ready slots in chunks
         self.fast_capable = not any(self.wraps)

@@ -7,7 +7,9 @@ creates its own runtime so tests and applications are isolated.
 :class:`ScopedDeviceContext` reproduces the RAII mechanism the paper
 describes for scoping task execution under an assigned GPU (Listing
 13): entering the context makes the device "current" for the calling
-thread; exiting restores the previous device.
+thread; exiting restores the previous device.  A stream's dispatcher
+thread is scoped to the stream's device for its whole life, so a
+kernel body sees its own device (:func:`current_device`).
 """
 
 from __future__ import annotations
@@ -29,12 +31,20 @@ if TYPE_CHECKING:  # pragma: no cover
 #: exercise pool exhaustion by shrinking it.
 DEFAULT_MEMORY_BYTES = 64 * 1024 * 1024
 
-_tls = threading.local()
+
+class _ThreadDevice(threading.local):
+    #: the calling thread's current device (None outside any scope)
+    device: Optional["Device"] = None
+
+
+#: per-thread current device: ``thread_device.device``; the executor
+#: sets and restores it around each GPU launch
+thread_device = _ThreadDevice()
 
 
 def current_device() -> Optional["Device"]:
     """The calling thread's current device, or ``None`` outside a scope."""
-    return getattr(_tls, "device", None)
+    return thread_device.device
 
 
 class Device:
@@ -44,16 +54,20 @@ class Device:
         self,
         ordinal: int,
         memory_bytes: int = DEFAULT_MEMORY_BYTES,
-        armed: Optional[Set[int]] = None,
+        guarded: Optional[Set[int]] = None,
     ) -> None:
-        """*armed*: the owning runtime's set of ordinals with a fault
-        profile armed (see :attr:`GpuRuntime.faults_armed`)."""
+        """*guarded*: the owning runtime's set of ordinals whose device
+        died or has a fault profile armed (:attr:`GpuRuntime.guarded`)."""
         self.ordinal = ordinal
         # liveness/fault state must exist before the heap: the heap's
         # allocation path consults pre_alloc()
         self._alive = True
         self._fault_state: Optional["FaultState"] = None
-        self._armed: Set[int] = set() if armed is None else armed
+        self._runtime_guarded: Set[int] = set() if guarded is None else guarded
+        #: True once the device died or while a fault profile is armed:
+        #: only then must an op pass :meth:`pre_op` / :meth:`pre_kernel`
+        #: (one attribute test on the healthy path)
+        self.guarded = False
         self.heap = DeviceHeap(self, memory_bytes)
         self._streams: List[Stream] = []
         self._lock = threading.Lock()
@@ -108,6 +122,8 @@ class Device:
         of running its payload.
         """
         self._alive = False
+        self.guarded = True
+        self._runtime_guarded.add(self.ordinal)
         fs = self._fault_state
         if fs is not None:
             fs.release()
@@ -124,14 +140,17 @@ class Device:
 
         state = FaultState(profile, derive_seed(seed, "gpu", self.ordinal))
         self._fault_state = state
-        self._armed.add(self.ordinal)
+        self.guarded = True
+        self._runtime_guarded.add(self.ordinal)
         return state
 
     def clear_faults(self) -> None:
         """Disarm fault injection (releases any held stall)."""
         fs = self._fault_state
         self._fault_state = None
-        self._armed.discard(self.ordinal)
+        self.guarded = not self._alive
+        if self._alive:
+            self._runtime_guarded.discard(self.ordinal)
         if fs is not None:
             fs.release()
 
@@ -205,12 +224,12 @@ class ScopedDeviceContext:
         self._previous: Optional[Device] = None
 
     def __enter__(self) -> Device:
-        self._previous = getattr(_tls, "device", None)
-        _tls.device = self._device
+        self._previous = thread_device.device
+        thread_device.device = self._device
         return self._device
 
     def __exit__(self, *exc) -> None:
-        _tls.device = self._previous
+        thread_device.device = self._previous
 
 
 class GpuRuntime:
@@ -228,9 +247,12 @@ class GpuRuntime:
     ) -> None:
         if num_devices < 0:
             raise DeviceError("device count must be non-negative")
-        self._armed: Set[int] = set()
+        #: ordinals of the devices that died or have a fault profile
+        #: armed; the set object never changes, so a holder reads it
+        #: with one attribute test
+        self.guarded: Set[int] = set()
         self._devices = [
-            Device(i, memory_bytes, self._armed) for i in range(num_devices)
+            Device(i, memory_bytes, self.guarded) for i in range(num_devices)
         ]
         self._destroyed = False
 
@@ -249,12 +271,6 @@ class GpuRuntime:
     @property
     def devices(self) -> List[Device]:
         return list(self._devices)
-
-    @property
-    def faults_armed(self) -> bool:
-        """True while any device has a fault profile armed; O(1), so
-        the executor can ask on every GPU completion."""
-        return bool(self._armed)
 
     def scoped(self, ordinal: int) -> ScopedDeviceContext:
         """Context manager scoping the caller under device *ordinal*."""

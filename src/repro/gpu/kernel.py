@@ -25,10 +25,10 @@ callables onto a device stream:
 
 from __future__ import annotations
 
-import functools
 import inspect
 import weakref
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Optional, Sequence, Tuple
 
 from repro._lazy import np
@@ -244,56 +244,66 @@ class KernelLaunch:
         self.convert = tuple(
             i for i, a in enumerate(self.args) if i not in taken and isinstance(a, kinds)
         )
-        #: positions holding a device buffer at launch: device-checked
-        self.devptrs = tuple(taken) + tuple(
+        #: positions of the other device buffers: device-checked at
+        #: each launch like the pulls' buffers
+        self.devptrs = tuple(
             i for i in self.convert if isinstance(self.args[i], DeviceBuffer)
         )
         self.wants_ctx = wants_context(fn)
 
-    def bind(self, device) -> list:
-        """This launch's arguments, each pull's buffer in place.  Every
-        device buffer must live on *device* (CUDA's unified-addressing
-        check), else :class:`KernelError` — before anything is enqueued."""
+    def enqueue(self, stream: Stream, callback=None, fn=None) -> None:
+        """Enqueue the op on *stream* (non-blocking), each pull's buffer
+        in place of its handle; *fn* replaces the kernel (the
+        sanitizer's shim, same leading parameters).  Every device
+        buffer must live on the stream's device (CUDA's
+        unified-addressing check), else :class:`KernelError` — before
+        anything is enqueued."""
+        device = stream.device
         args = list(self.args)
         for i, pull in self.pulls:
-            args[i] = pull.buffer
-            if args[i] is None:
+            buf = args[i] = pull.buffer
+            if buf is None:
                 raise KernelError(
                     f"kernel {self.name!r} ran before pull task "
                     f"{pull.name!r}; add the missing dependency"
                 )
-        for i in self.devptrs:
-            if args[i].device is not device:
-                raise KernelError(
-                    f"kernel argument lives on GPU {args[i].device.ordinal} "
-                    f"but the launch targets GPU {device.ordinal}"
-                )
-        return args
-
-    def enqueue(self, stream: Stream, args: list, callback=None, fn=None) -> None:
-        """Enqueue the op over *args* from :meth:`bind` (non-blocking);
-        *fn* replaces the kernel (the sanitizer's shim, same leading
-        parameters)."""
-        device = stream.device
+            if buf.device is not device:
+                self._foreign(buf, device)
+        if self.devptrs:  # usually empty: skip the loop set-up
+            for i in self.devptrs:
+                if args[i].device is not device:
+                    self._foreign(args[i], device)
         device.kernel_launches.inc()
-        run = functools.partial(self.run, device, args, self.fn if fn is None else fn)
-        stream.enqueue(run, callback=callback)
+        stream.enqueue(partial(self.run, device, args, self.fn if fn is None else fn), callback)
+
+    @staticmethod
+    def _foreign(buf: DeviceBuffer, device) -> None:
+        raise KernelError(
+            f"kernel argument lives on GPU {buf.device.ordinal} "
+            f"but the launch targets GPU {device.ordinal}"
+        )
 
     def run(self, device, args: list, fn: Callable) -> None:
         """The op body, on the dispatcher: pull buffers decay to views,
         the other arguments convert (:class:`Late` ones resolve) on
         every launch, then *fn* runs."""
-        # kernel-level fault-injection gate (docs/resilience.md)
-        device.pre_kernel()
+        if device.guarded:
+            # kernel-level fault-injection gate (docs/resilience.md)
+            device.pre_kernel()
         for i, _ in self.pulls:
             args[i] = args[i].view()
-        for i in self.convert:
-            args[i] = convert_argument(args[i])
-        self.call(fn, args, device.ordinal, self.wants_ctx)
+        if self.convert:  # usually empty: skip the loop set-up
+            for i in self.convert:
+                args[i] = convert_argument(args[i])
+        if self.wants_ctx:
+            fn(KernelContext(self.config, device.ordinal), *args)
+        else:
+            fn(*args)
 
     def call(self, fn: Callable, args: list, ordinal: int, wants_ctx: bool) -> None:
-        """Invoke *fn*, given a :class:`KernelContext` first when
-        *wants_ctx* (a host fallback passes its own answer, ordinal -1)."""
+        """Invoke *fn* as :meth:`run` does, given a
+        :class:`KernelContext` first when *wants_ctx* (a host fallback
+        passes its own answer, ordinal -1)."""
         if wants_ctx:
             fn(KernelContext(self.config, ordinal), *args)
         else:
@@ -310,8 +320,7 @@ def launch_async(
     """Enqueue kernel *fn* on *stream* with *config* (non-blocking).
     A device buffer argument on another device raises
     :class:`KernelError` before anything is enqueued."""
-    launch = KernelLaunch(config, fn, args)
-    launch.enqueue(stream, launch.bind(stream.device), callback)
+    KernelLaunch(config, fn, args).enqueue(stream, callback)
 
 
 def launch_sync(stream: Stream, config: LaunchConfig, fn: Callable, *args: Any) -> None:

@@ -104,22 +104,31 @@ class Stream:
 
     # -- dispatcher ---------------------------------------------------
     def _dispatch_loop(self) -> None:
+        from repro.gpu.device import thread_device  # device.py imports this module
+
+        # the dispatcher runs its device's ops for its whole life: a
+        # kernel body sees its own device as current
+        device = thread_device.device = self.device
+        get = self._ops.get
+        clock = time.perf_counter
+        err: Optional[BaseException] = None
         while True:
-            item = self._ops.get()
+            item = get()
             if item is None:  # shutdown sentinel
                 return
             fn, callback = item
-            err: Optional[BaseException] = None
-            t0 = time.perf_counter()
+            t0 = clock()
             try:
                 if self._abandoned:
                     raise DeviceError(
                         f"stream {self.name} quarantined; operation abandoned"
                     )
-                # fault-injection / liveness gate: a dead device rejects
-                # every op, an injected stall blocks here and never runs
-                # the payload (docs/resilience.md)
-                self.device.pre_op()
+                # fault-injection / liveness gate, entered only for a
+                # dead device or an armed fault profile: a dead device
+                # rejects every op, an injected stall blocks here and
+                # never runs the payload (docs/resilience.md)
+                if device.guarded:
+                    device.pre_op()
                 fn()
             except BaseException as exc:  # noqa: BLE001 - deferred to sync
                 err = exc
@@ -127,7 +136,7 @@ class Stream:
                     # no callback to consume the failure: keep it sticky
                     # until the next host synchronize
                     self._error = exc
-            self._busy_seconds += time.perf_counter() - t0
+            self._busy_seconds += clock() - t0
             self._ops_executed += 1
             if callback is not None:
                 try:

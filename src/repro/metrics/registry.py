@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_right
+from threading import get_ident
 from typing import Callable, Dict, List, Sequence, Union
 
 MetricValue = Union[int, float, List[int], List[float], Dict[str, float]]
@@ -50,7 +51,7 @@ class Counter:
 
     def inc(self, n: Union[int, float] = 1) -> None:
         """Add *n* (>= 0); safe to call from any thread."""
-        tid = threading.get_ident()
+        tid = get_ident()
         cells = self._cells
         cells[tid] = cells.get(tid, 0) + n
 
@@ -92,11 +93,13 @@ class LaneCounter:
         """The per-lane list the calling thread adds to directly
         (``cells[lane] += n``): the lanes' own cells when the thread
         owns the lanes it will count (the :meth:`inc` store), else this
-        thread's shard (the :meth:`inc_sharded` store).  A loop that
-        counts many times saves a call per increment."""
+        thread's shard (the :meth:`inc_sharded` store).  Either list
+        stays the thread's for the counter's life, so a thread may look
+        it up once and keep it: a loop that counts many times saves a
+        call per increment."""
         if owner:
             return self._cells
-        tid = threading.get_ident()
+        tid = get_ident()
         cells = self._shards.get(tid)
         if cells is None:
             cells = self._shards[tid] = [0] * len(self._cells)
@@ -141,7 +144,7 @@ class MaxGauge:
         self._cells: Dict[int, float] = {}
 
     def observe(self, v: Union[int, float]) -> None:
-        tid = threading.get_ident()
+        tid = get_ident()
         cells = self._cells
         prev = cells.get(tid)
         if prev is None or v > prev:
@@ -174,7 +177,7 @@ class Histogram:
         self._cells: Dict[int, List[float]] = {}
 
     def observe(self, v: float) -> None:
-        tid = threading.get_ident()
+        tid = get_ident()
         cell = self._cells.get(tid)
         if cell is None:
             cell = [0, 0.0, float("inf"), float("-inf")] + [0] * (len(self.bounds) + 1)

@@ -410,6 +410,7 @@ class TestGpuContinuation:
                 "executor.shared_pops",
                 "executor.local_pops",
                 "executor.continued_launches",
+                "executor.inplace_launches",
             )
         }
 
@@ -421,6 +422,30 @@ class TestGpuContinuation:
         assert c["executor.tasks_executed"] == [self.CHAIN]
         assert c["executor.shared_pops"] == [1]  # the source pull only
         assert c["executor.local_pops"] == [0]
+        assert c["executor.continued_launches"] == [self.CHAIN - 1]
+
+    def test_host_predecessor_launches_its_gpu_successor_in_place(self):
+        """A worker that finishes a host task launches the ready GPU
+        successor itself (an in-place launch), which takes over the host
+        slot's in-flight count: after the host source no item passes
+        through a queue, and the chain continues on the dispatcher."""
+        data = np.arange(64, dtype=np.float64)
+        hf = Heteroflow("host-gpu-chain")
+        src = hf.host(lambda: None, name="src")
+        prev = pull = hf.pull(data, name="pull")
+        src.precede(pull)
+        for i in range(self.CHAIN - 2):
+            k = hf.kernel(_add_one, pull, name=f"k{i}")
+            prev.precede(k)
+            prev = k
+        prev.precede(hf.push(pull, data, name="push"))
+        with Executor(1, 1) as ex:
+            c = self._counts(ex, hf)
+        np.testing.assert_array_equal(data, np.arange(64) + 8.0)
+        assert c["executor.tasks_executed"] == [self.CHAIN + 1]
+        assert c["executor.shared_pops"] == [1]  # the host source only
+        assert c["executor.local_pops"] == [0]
+        assert c["executor.inplace_launches"] == [1]  # the pull
         assert c["executor.continued_launches"] == [self.CHAIN - 1]
 
     def test_armed_fault_profile_takes_the_queue_path(self):

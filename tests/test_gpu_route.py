@@ -18,7 +18,7 @@ from repro.check.validate import validate_schedule
 from repro.core import Executor, Heteroflow
 from repro.core.observer import TraceObserver
 from repro.errors import DeviceError, KernelError
-from repro.gpu.device import GpuRuntime
+from repro.gpu.device import GpuRuntime, current_device
 from repro.gpu.kernel import KernelLaunch
 from repro.resilience import FaultProfile, ResiliencePolicy, RetryPolicy
 from repro.utils.span import Late
@@ -295,3 +295,53 @@ class TestBufferView:
                 buf.view(np.uint8)
         finally:
             rt.destroy()
+
+
+class TestDeviceContext:
+    """A stream's dispatcher has its device current for its whole
+    life, so a kernel body sees its own device; a worker is scoped to
+    a device only for the length of a launch."""
+
+    def test_kernel_body_sees_its_own_device(self):
+        seen = []
+
+        def body(ctx, v):
+            dev = current_device()
+            seen.append((ctx.device_ordinal, None if dev is None else dev.ordinal))
+
+        hf = Heteroflow("two-devices")
+        arrays = [np.zeros(8) for _ in range(4)]
+        for i, a in enumerate(arrays):
+            pull = hf.pull(a, name=f"pull{i}")
+            k = hf.kernel(body, pull, name=f"k{i}")
+            pull.precede(k)
+        with Executor(2, 2) as ex:
+            ex.run(hf).result(timeout=_T)
+        assert len(seen) == 4
+        assert {own for own, _ in seen} == {0, 1}
+        assert all(own == current for own, current in seen)
+        # the submitting thread never had a device
+        assert current_device() is None
+
+    def test_worker_launch_scope_is_restored(self):
+        """With one worker, the worker that launches the pull in place
+        after ``src`` also runs ``side`` and ``tail``: neither sees the
+        device it launched onto."""
+        seen = {}
+        data = np.zeros(8)
+        hf = Heteroflow("scoped-launch")
+        src = hf.host(lambda: seen.update(src=current_device()), name="src")
+        side = hf.host(lambda: seen.update(side=current_device()), name="side")
+        tail = hf.host(lambda: seen.update(tail=current_device()), name="tail")
+        pull = hf.pull(data, name="pull")
+        k = hf.kernel(lambda v: None, pull, name="k")
+        push = hf.push(pull, data, name="push")
+        src.precede(pull, side)
+        pull.precede(k)
+        k.precede(push)
+        push.precede(tail)
+        with Executor(1, 1) as ex:
+            ex.run(hf).result(timeout=_T)
+            inplace = ex.metrics.snapshot()["executor.inplace_launches"]
+        assert inplace == [1]
+        assert seen == {"src": None, "side": None, "tail": None}

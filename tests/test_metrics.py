@@ -256,7 +256,8 @@ class TestExecutorCounters:
 
     def test_gpu_counts_exact_under_concurrency(self):
         """Stream dispatchers count the GPU tasks they continue for a
-        worker without losing an increment: with a 1 us switch interval,
+        worker, and workers the GPU tasks they launch in place, without
+        losing an increment: with a 1 us switch interval,
         50 runs of a two-GPU graph on two workers still count every
         task exactly once, and every per-lane identity holds."""
         import numpy as np
@@ -291,19 +292,24 @@ class TestExecutorCounters:
             assert (a == i + kernels).all()
         executed = snap["executor.tasks_executed"]
         continued = snap["executor.continued_launches"]
+        inplace = snap["executor.inplace_launches"]
         assert sum(executed) == tasks * runs
         assert snap["executor.tasks_flushed"] == [0, 0]
         # the GPU chains did continue on the dispatchers: up to the 3
         # kernels and the push of each chain, per run
         assert 0 < sum(continued) <= chains * (kernels + 1) * runs
+        # every fill's worker launched its chain's pull in place
+        assert sum(inplace) == chains * runs
         for wid in range(2):
-            # every task was obtained by one pop or one continued launch
+            # every task was obtained by one pop, one continued launch
+            # or one in-place launch
             assert (
                 executed[wid]
                 == snap["executor.local_pops"][wid]
                 + snap["executor.shared_pops"][wid]
                 + snap["executor.steals_succeeded"][wid]
                 + continued[wid]
+                + inplace[wid]
             )
             assert (
                 snap["executor.steals_succeeded"][wid]

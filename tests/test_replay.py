@@ -305,25 +305,41 @@ class TestReplayExecution:
     def test_no_run_outlives_its_future(self, workers):
         """Once a run's future resolved and the graph is dropped, the
         executor keeps nothing of it: no stream dispatcher holds its
-        last op's body (the host array) or callback (the topology)."""
+        last op's body (the host array) or callback (the topology).
+        Frozen pull -> kernel -> push graphs, then fresh host -> pull ->
+        kernels -> push graphs, whose pulls the worker launches in place
+        and whose kernels take over their predecessors' in-flight
+        counts."""
+
+        def fresh(data):
+            hf = Heteroflow("host-gpu")
+            fill = hf.host(lambda: data.fill(1.0), name="fill")
+            prev = pull = hf.pull(data, name="pull").succeed(fill)
+            for i in range(3):
+                prev = hf.kernel(lambda x: x.__iadd__(1.0), pull, name=f"k{i}").succeed(prev)
+            hf.push(pull, data, name="push").succeed(prev)
+            return hf
+
         ex = Executor(workers, 1)
         try:
-            arrays = []
-            for _ in range(10):
-                data = np.zeros(1024)
-                arrays.append(weakref.ref(data))
-                ex.run(build_gpu_graph(data)[0].freeze()).result(timeout=30)
-                del data
-            # the last stream callback resolves the future before it
-            # returns: give its dispatcher a moment to move past it
-            deadline = time.monotonic() + 2.0
-            while True:
-                gc.collect()
-                alive = [a() is not None for a in arrays]
-                if not any(alive) or time.monotonic() > deadline:
-                    break
-                time.sleep(0.01)
-            assert alive == [False] * 10
+            for build in (lambda d: build_gpu_graph(d)[0].freeze(), fresh):
+                arrays = []
+                for _ in range(10):
+                    data = np.zeros(1024)
+                    arrays.append(weakref.ref(data))
+                    ex.run(build(data)).result(timeout=30)
+                    del data
+                # the last stream callback resolves the future before it
+                # returns: give its dispatcher a moment to move past it
+                deadline = time.monotonic() + 2.0
+                while True:
+                    gc.collect()
+                    alive = [a() is not None for a in arrays]
+                    if not any(alive) or time.monotonic() > deadline:
+                        break
+                    time.sleep(0.01)
+                assert alive == [False] * 10
+            assert sum(ex.metrics.snapshot()["executor.inplace_launches"]) == 10
         finally:
             ex.shutdown()
 

@@ -436,6 +436,47 @@ class TestDeviceDeath:
         assert alive == list(range(gpus))
         assert device_failures == 0
 
+    @pytest.mark.parametrize(
+        "policy",
+        [None, RetryPolicy(max_attempts=2, base_delay=0.0)],
+        ids=["plain", "retry"],
+    )
+    @pytest.mark.parametrize("named", ["bad-ordinal", "other-gpu"])
+    def test_kernel_device_failed_error_for_another_device_is_a_task_error(
+        self, named, policy
+    ):
+        """A kernel body raising DeviceFailedError starts recovery only
+        when it names the device the kernel ran on: naming a
+        nonexistent ordinal or the other GPU, it fails (or is retried)
+        like any task error, quarantines nothing and is not re-run by a
+        recovery pass."""
+        calls = []
+
+        def body(ctx, v):
+            calls.append(ctx.device_ordinal)
+            # bounded, so an executor that re-runs it forever still
+            # ends (and then fails the count below) instead of hanging
+            if len(calls) <= 50:
+                raise DeviceFailedError(7 if named == "bad-ordinal" else 1 - ctx.device_ordinal)
+
+        data = np.zeros(8)
+        hf = Heteroflow("kernel-device-error")
+        pull = hf.pull(data, name="pull")
+        k = hf.kernel(body, pull, name="k")
+        pull.precede(k)
+        ex = Executor(2, 2)
+        try:
+            fut = ex.run(hf, policy=policy)
+            with pytest.raises((DeviceFailedError, TaskFailedError)):
+                fut.result(timeout=_T)
+            alive = ex.alive_gpus
+            device_failures = ex.metrics.snapshot()["resilience.device_failures"]
+        finally:
+            ex.shutdown(wait=False)
+        assert len(calls) == (1 if policy is None else policy.max_attempts)
+        assert alive == [0, 1]
+        assert device_failures == 0
+
     def test_migrates_to_surviving_gpu(self):
         hf, arrays = _two_chain_graph()
         expected = [np.arange(32, dtype=np.float64) * 2.0 + 1.0,
