@@ -104,7 +104,3 @@ class TimingGraph:
             level_arcs=level_arcs,
             outputs=np.asarray(nl.outputs, dtype=np.int64),
         )
-
-    def fanin_arcs_of(self, node: int) -> np.ndarray:
-        """Indices of arcs whose destination is *node* (path tracing)."""
-        return np.nonzero(self.arc_dst == node)[0]

@@ -156,18 +156,6 @@ class IncrementalTimer:
         self.update_arc_delay(arc, float(self.delays[arc]) * factor)
 
     # -- queries -------------------------------------------------------
-    def arrival_of(self, node: int) -> float:
-        self.update_timing()
-        return float(self.arrival[node])
-
-    def required_of(self, node: int) -> float:
-        self.update_timing()
-        return float(self.required[node])
-
-    def slack_of(self, node: int) -> float:
-        self.update_timing()
-        return float(self.required[node] - self.arrival[node])
-
     @property
     def wns(self) -> float:
         self.update_timing()

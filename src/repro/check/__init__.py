@@ -9,8 +9,8 @@ A race/invariant checker for the executor, GPU runtime, and allocator:
   :class:`~repro.core.observer.TraceObserver` traces;
 - :mod:`repro.check.audit` — allocator auditing (alignment, no-overlap,
   matched frees, zero leaks, full coalescing) via buddy trace hooks;
-- :mod:`repro.check.mutants` — deliberately-buggy executors proving the
-  validator catches real scheduler bugs;
+- :mod:`repro.check.mutants` — a deliberately-buggy executor and
+  simulator proving the validator catches real scheduler bugs;
 - :mod:`repro.check.stress` — the config x seed suite behind
   ``python -m repro verify stress``;
 - :mod:`repro.check.replay` — the fresh-vs-frozen differential suite

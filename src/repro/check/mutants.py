@@ -23,6 +23,13 @@ it), the same diamond under a retry policy (every slot wrapped in an
 ``_Attempt``), and an unpolicied GPU diamond, whose join kernel the
 slow kernel's stream callback would release and launch on the
 dispatcher (``executor.continued_launches`` shows it did).
+
+The simulator gets the same treatment.  :class:`MutantSimExecutor`
+runs a :class:`~repro.sim.simulator.SimMachine` that releases a GPU
+op's successors when the op *starts* on its device instead of when it
+completes; the self-test runs it and the reference simulator on
+fig4's timing graph and fig9a's placement graph (small sizes), and
+the validator must flag only the mutant.
 """
 
 from __future__ import annotations
@@ -38,6 +45,8 @@ from repro.core.observer import TraceObserver
 from repro.core.topology import PASS_DONE, Topology
 from repro.check.validate import ScheduleReport, validate_schedule
 from repro.resilience.policy import RetryPolicy
+from repro.sim.machine import paper_testbed
+from repro.sim.simulator import SimExecutor, SimMachine, _Stream
 
 
 class _PrematureReleaseTopology(Topology):
@@ -66,6 +75,43 @@ class MutantExecutor(Executor):
 
     def _make_topology(self, graph, **kwargs) -> Topology:
         return _PrematureReleaseTopology(graph, **kwargs)
+
+
+class _EarlyReleaseSimMachine(SimMachine):
+    def _advance(self, stream: _Stream) -> None:
+        if stream.active or not stream.ops:
+            return
+        stream.active = True
+        node, duration, worker = stream.ops.popleft()
+        engine = self._engines[node.type][node.device]
+        clock = self._clock
+
+        def start() -> None:
+            begin = clock.now
+            # BUG (deliberate): successors are released as the op starts
+            # on its device, not when it completes
+            self._complete(node)
+
+            def finish() -> None:
+                self.gpu_busy[node.device] += duration
+                stream.done += 1
+                self._record(node, worker, begin, stream)
+                engine.release()
+                stream.active = False
+                self._advance(stream)
+
+            clock.schedule_after(duration, finish)
+
+        engine.acquire(start)
+
+
+class MutantSimExecutor(SimExecutor):
+    """Simulator with a seeded early-release bug on GPU ops.
+
+    Do not use outside the checker self-test.
+    """
+
+    _machine_class = _EarlyReleaseSimMachine
 
 
 def _diamond_graph(delay: float) -> Heteroflow:
@@ -108,11 +154,30 @@ CONFIGURATIONS = {
 }
 
 
+def _timing_flow():
+    from repro.apps.timing import build_timing_flow
+
+    return build_timing_flow(num_views=8, num_gates=60, paths_per_view=8)
+
+
+def _placement_flow():
+    from repro.apps.placement import build_placement_flow
+
+    return build_placement_flow(num_cells=40, iterations=4, num_matchers=32, window_size=1)
+
+
+#: the simulator's self-test graphs, fig4's and fig9a's at small sizes,
+#: run on an 8-core, 2-GPU testbed: name -> flow builder
+SIM_CONFIGURATIONS = {"sim-timing": _timing_flow, "sim-placement": _placement_flow}
+SIM_MACHINE = paper_testbed(8, 2)
+
+
 @dataclass
 class SelftestResult:
     """Validator verdicts keyed ``"<executor>/<configuration>"``:
     executor is ``mutant`` or ``reference``, configuration one of
-    :data:`CONFIGURATIONS`.  *fast_path* holds each run's
+    :data:`CONFIGURATIONS` or :data:`SIM_CONFIGURATIONS`.  For the
+    executor's configurations, *fast_path* holds each run's
     ``replay.fast_path`` count (1 when the frozen diamond kept its
     ready slots on the finishing worker, 0 otherwise) and
     *continued* its ``executor.continued_launches`` total (GPU tasks a
@@ -129,7 +194,7 @@ class SelftestResult:
         has teeth."""
         return all(
             not self.reports[f"mutant/{c}"].ok and self.reports[f"reference/{c}"].ok
-            for c in CONFIGURATIONS
+            for c in (*CONFIGURATIONS, *SIM_CONFIGURATIONS)
         )
 
 
@@ -157,5 +222,12 @@ def run_mutant_selftest(delay: float = 0.25) -> SelftestResult:
             continued[key] = sum(snap["executor.continued_launches"])
             reports[key] = validate_schedule(
                 hf, obs.records, passes=1, num_gpus=num_gpus
+            )
+    for name, build in SIM_CONFIGURATIONS.items():
+        flow = build()
+        for label, sim in (("mutant", MutantSimExecutor), ("reference", SimExecutor)):
+            rep = sim(SIM_MACHINE, flow.cost_model, record_trace=True).run(flow.graph)
+            reports[f"{label}/{name}"] = validate_schedule(
+                flow.graph, rep.trace, passes=1, num_gpus=SIM_MACHINE.num_gpus
             )
     return SelftestResult(reports=reports, fast_path=fast_path, continued=continued)

@@ -2,7 +2,8 @@
 
 Consumes a graph plus the :class:`~repro.core.observer.TaskRecord` list
 a :class:`~repro.core.observer.TraceObserver` collected while the real
-executor ran it, and checks the programming model's execution
+executor ran it (or the ``trace`` of a simulated run, the same records
+in virtual time), and checks the programming model's execution
 invariants:
 
 1. **Exact-once** — every node produced exactly ``passes`` records

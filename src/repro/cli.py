@@ -9,11 +9,10 @@ Commands:
 - ``saxpy`` — run the Listing-1 program on the threaded runtime;
 - ``dot {saxpy,timing,placement,sparsenn}`` — print a workload's task
   graph in GraphViz DOT;
-- ``trace OUTPUT.json`` — run saxpy under a trace observer and write a
-  chrome://tracing / Perfetto JSON file;
 - ``check`` — the schedule validator's mutant self-test: a
   deliberately-buggy scheduler must be caught on every configuration
-  of the slot loop (docs/testing.md);
+  of the slot loop, and a buggy simulator on two figure graphs
+  (docs/testing.md);
 - ``verify SUITE [--scenarios N] [--seed S] [--smoke] [--json OUT]`` —
   run one seeded verification suite (``stress``, ``replay``,
   ``sanitize``, ``chaos``, ``soak``, ``gateway``, ``gateway-gray``,
@@ -166,23 +165,8 @@ def _cmd_gantt(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.core.executor import Executor
-    from repro.core.observer import TraceObserver
-    from repro.core.tracing import write_chrome_trace
-
-    hf, x, y, n = _build_saxpy()
-    obs = TraceObserver()
-    with Executor(num_workers=2, num_gpus=2, observers=[obs]) as ex:
-        ex.run(hf).result()
-    write_chrome_trace(obs, args.output)
-    print(f"wrote {len(obs.records)} events to {args.output} "
-          f"(open in chrome://tracing or Perfetto)")
-    return 0
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.check.mutants import CONFIGURATIONS, run_mutant_selftest
+    from repro.check.mutants import CONFIGURATIONS, SIM_CONFIGURATIONS, run_mutant_selftest
 
     print("mutant self-test: validating a deliberately-buggy scheduler ...")
     selftest = run_mutant_selftest()
@@ -191,12 +175,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
     else:
         print("  FAILED: the validator did not distinguish the buggy "
               "scheduler from the correct one on every configuration")
-    for name in CONFIGURATIONS:
+    for name in (*CONFIGURATIONS, *SIM_CONFIGURATIONS):
         mutant = selftest.reports[f"mutant/{name}"]
         reference = selftest.reports[f"reference/{name}"]
         print(f"  {name}: {len(mutant.violations)} violation(s) "
               f"flagged on the mutant, {len(reference.violations)} on the "
-              f"reference executor")
+              f"reference {'simulator' if name in SIM_CONFIGURATIONS else 'executor'}")
         for v in mutant.violations[:2]:
             print(f"    {v}")
         for v in reference.violations[:4]:
@@ -448,7 +432,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.analysis.corpus import BUILTIN_CORPUS
     from repro.core.executor import Executor
     from repro.core.observer import TraceObserver
-    from repro.metrics import render_report_text
+    from repro.metrics.profiler import render_report_text
 
     hf = BUILTIN_CORPUS[args.workload]()
     obs = TraceObserver() if args.trace else None
@@ -464,7 +448,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if args.trace:
         from repro.core.tracing import write_chrome_trace
 
-        write_chrome_trace(obs, args.trace)
+        write_chrome_trace(obs.records, args.trace)
         print(
             f"wrote {len(obs.records)} events to {args.trace} "
             f"(open in chrome://tracing or Perfetto)",
@@ -507,9 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     dot.add_argument(
         "workload", choices=["saxpy", "timing", "placement", "sparsenn"]
     )
-
-    trace = sub.add_parser("trace", help="write a chrome-trace of a saxpy run")
-    trace.add_argument("output", help="output .json path")
 
     gantt = sub.add_parser(
         "gantt", help="simulate a workload and render an ASCII Gantt chart"
@@ -687,7 +668,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "figures": _cmd_figures,
         "saxpy": _cmd_saxpy,
         "dot": _cmd_dot,
-        "trace": _cmd_trace,
         "gantt": _cmd_gantt,
         "check": _cmd_check,
         "verify": _cmd_verify,

@@ -38,9 +38,6 @@ class GraphPartition:
     cut_edges: int = 0
     total_edges: int = 0
 
-    def node_of(self, node: Node) -> int:
-        return self.assignment[node.nid]
-
     @property
     def cut_fraction(self) -> float:
         return self.cut_edges / self.total_edges if self.total_edges else 0.0

@@ -28,34 +28,23 @@ Every exported counter and report field is documented in
 ``docs/observability.md``.
 """
 
-from repro.metrics.profiler import (
-    RUN_REPORT_SCHEMA,
-    CriticalPathEntry,
-    LaneUtilization,
-    RunReport,
-    build_run_report,
-    render_report_text,
-)
-from repro.metrics.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    LaneCounter,
-    MaxGauge,
-    MetricsRegistry,
-)
+from repro._lazy import attach
 
-__all__ = [
-    "RUN_REPORT_SCHEMA",
-    "Counter",
-    "CriticalPathEntry",
-    "Gauge",
-    "Histogram",
-    "LaneCounter",
-    "LaneUtilization",
-    "MaxGauge",
-    "MetricsRegistry",
-    "RunReport",
-    "build_run_report",
-    "render_report_text",
-]
+# public name -> defining submodule; loaded on first use (PEP 562), so
+# an executor that imports the registry does not load the profiler
+_EXPORTS = {
+    "RUN_REPORT_SCHEMA": "repro.metrics.profiler",
+    "CriticalPathEntry": "repro.metrics.profiler",
+    "LaneUtilization": "repro.metrics.profiler",
+    "RunReport": "repro.metrics.profiler",
+    "build_run_report": "repro.metrics.profiler",
+    "render_report_text": "repro.metrics.profiler",
+    "Counter": "repro.metrics.registry",
+    "Gauge": "repro.metrics.registry",
+    "Histogram": "repro.metrics.registry",
+    "LaneCounter": "repro.metrics.registry",
+    "MaxGauge": "repro.metrics.registry",
+    "MetricsRegistry": "repro.metrics.registry",
+}
+
+__getattr__, __dir__, __all__ = attach(__name__, _EXPORTS)

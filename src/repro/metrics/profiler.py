@@ -5,9 +5,10 @@ The :class:`~repro.core.observer.TraceObserver` leaves behind one
 This module turns that raw evidence into the analysis the paper's
 evaluation reasons about:
 
-- **per-lane utilization** — busy seconds and busy fraction for each
-  worker lane (host tasks) and GPU lane (pull/push/kernel completion),
-  the same lanes the chrome-trace export draws;
+- **per-lane utilization** — task count, busy seconds and busy
+  fraction for each worker lane (host tasks) and GPU lane
+  (pull/push/kernel), from :func:`repro.core.tracing.lane_stats`, the
+  lanes the chrome-trace export draws;
 - **critical path** — the longest path through the *executed* DAG,
   weighted by each task's measured duration (summed across passes).
   Because the executor fires ``on_task_end`` before releasing
@@ -33,6 +34,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+
+from repro.core.tracing import lane_stats
 
 if TYPE_CHECKING:  # pragma: no cover - break metrics <-> core cycle
     from repro.core.heteroflow import Heteroflow
@@ -143,12 +146,6 @@ class RunReport:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
 
 
-def _lane_of(r: TaskRecord) -> str:
-    # same lane mapping as repro.core.tracing.chrome_trace_events:
-    # GPU tasks are charged to their device, host tasks to their worker
-    return f"gpu{r.device}" if r.device is not None else f"worker{r.worker_id}"
-
-
 def build_run_report(
     graph: Heteroflow,
     records: Sequence[TaskRecord],
@@ -166,8 +163,9 @@ def build_run_report(
     *records* may contain entries for other graphs (an executor-wide
     observer on a busy executor); only records whose ``nid`` belongs to
     *graph* are analyzed.  *wall_time* is the caller's submission-to-
-    completion measurement on the same ``time.perf_counter`` clock the
-    records use.  *counters* is an optional
+    completion measurement on the clock the records use (for a
+    simulated run, ``SimReport.trace`` and its makespan).  *counters*
+    is an optional
     :meth:`~repro.metrics.registry.MetricsRegistry.snapshot` dict; the
     per-worker steal summary is extracted from the ``executor.*`` keys
     when present.  *events* is the topology's structured
@@ -196,21 +194,9 @@ def build_run_report(
                 report.tasks_per_device.get(r.device, 0) + 1
             )
 
-    # per-lane utilization
-    busy: Dict[str, float] = {}
-    count: Dict[str, int] = {}
-    for r in recs:
-        lane = _lane_of(r)
-        busy[lane] = busy.get(lane, 0.0) + r.duration
-        count[lane] = count.get(lane, 0) + 1
     report.lanes = [
-        LaneUtilization(
-            lane=lane,
-            tasks=count[lane],
-            busy=busy[lane],
-            utilization=(busy[lane] / wall_time) if wall_time > 0 else 0.0,
-        )
-        for lane in sorted(busy, key=lambda l: (l.startswith("gpu"), l))
+        LaneUtilization(lane, tasks, busy, busy / wall_time if wall_time > 0 else 0.0)
+        for lane, tasks, busy in lane_stats(recs)
     ]
 
     # critical path + slack over the executed DAG, weighted by each

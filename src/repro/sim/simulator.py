@@ -18,7 +18,14 @@
   semantics of the real executor).
 
 The same :class:`~repro.core.placement.DevicePlacement` pass assigns
-devices before the clock starts.
+devices before the clock starts.  The trace is the real executor's
+:class:`~repro.core.observer.TaskRecord`, in virtual seconds: a host
+task's record spans its run on worker ``worker_id``; a GPU op's spans
+its run on the device, with ``worker_id`` the worker that dispatched
+it, ``stream`` a per-machine id of its (slot, device, class) stream
+and ``stream_seq`` its completion index on that stream.  So
+:func:`repro.check.validate_schedule`, :mod:`repro.core.tracing` and
+the run-report profiler read a simulated run as they read a real one.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.heteroflow import Heteroflow
 from repro.core.node import Node, TaskType
+from repro.core.observer import TaskRecord
 from repro.core.placement import DevicePlacement, PlacementResult
 from repro.errors import SimulationError
 from repro.sim.cost import CostModel, TaskCost
@@ -37,21 +45,6 @@ from repro.sim.machine import MachineSpec
 
 #: placement strategy signature: (nodes, num_gpus) -> PlacementResult
 PlacementFn = Callable[[Sequence[Node], int], PlacementResult]
-
-
-@dataclass
-class SimTaskRecord:
-    """One executed task in the virtual-time trace."""
-
-    name: str
-    type: str
-    resource: str
-    start: float
-    end: float
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
 
 
 @dataclass
@@ -64,7 +57,7 @@ class SimReport:
     core_busy: List[float]
     gpu_busy: List[float]
     placement: Optional[PlacementResult] = None
-    trace: List[SimTaskRecord] = field(default_factory=list)
+    trace: List[TaskRecord] = field(default_factory=list)
 
     @property
     def core_utilization(self) -> float:
@@ -115,13 +108,16 @@ class _Server:
 
 
 class _Stream:
-    """In-order op queue bound to one (worker, device) pair."""
+    """In-order op queue bound to one (worker, device) pair; *sid* is
+    its id in the trace and *done* the ops it has completed."""
 
-    __slots__ = ("ops", "active")
+    __slots__ = ("ops", "active", "sid", "done")
 
-    def __init__(self) -> None:
+    def __init__(self, sid: int) -> None:
         self.ops: Deque = deque()
         self.active = False
+        self.sid = sid
+        self.done = 0
 
 
 class SimMachine:
@@ -149,7 +145,7 @@ class SimMachine:
         *,
         lifo: bool = True,
         dedicated_gpu_workers: bool = False,
-        trace: Optional[List[SimTaskRecord]] = None,
+        trace: Optional[List[TaskRecord]] = None,
     ) -> None:
         m = self.machine = machine
         self._cost_model = cost_model
@@ -208,9 +204,16 @@ class SimMachine:
             self._cpu_workers.append(worker)
         self._pump()
 
-    def _record(self, name: str, type_: str, resource: str, start: float) -> None:
+    def _record(
+        self, node: Node, worker: int, begin: float, stream: Optional[_Stream] = None
+    ) -> None:
         if self._trace is not None:
-            self._trace.append(SimTaskRecord(name, type_, resource, start, self._clock.now))
+            rec = TaskRecord(
+                node.name, node.type.value, worker, node.device, begin, self._clock.now, node.nid
+            )
+            if stream is not None:
+                rec.stream, rec.stream_seq = stream.sid, stream.done
+            self._trace.append(rec)
 
     def _start(self, worker: int, node: Node) -> None:
         cost = self._cost_model.cost_of(node)
@@ -221,7 +224,7 @@ class SimMachine:
 
             def host_done() -> None:
                 self.core_busy[worker] += duration
-                self._record(node.name, "host", f"core{worker}", begin)
+                self._record(node, worker, begin)
                 # successors first, then the worker: the freed worker
                 # must see work this task just enabled (the real
                 # executor pushes successors before popping again)
@@ -240,10 +243,7 @@ class SimMachine:
         def dispatched() -> None:
             self.core_busy[worker] += dispatch
             stream = self._pick_stream(dev, klass)
-            self._record(
-                node.name, f"{node.type.value}-enqueued", f"stream-d{dev}-{klass}", clock.now
-            )
-            stream.ops.append((node, duration))
+            stream.ops.append((node, duration, worker))
             self._advance(stream)
             self._release(worker)
 
@@ -263,7 +263,7 @@ class SimMachine:
         for slot in range(self.machine.num_cores):
             s = self._streams.get((slot, dev, klass))
             if s is None:
-                s = self._streams[(slot, dev, klass)] = _Stream()
+                s = self._streams[(slot, dev, klass)] = _Stream(len(self._streams))
             load = len(s.ops) + (1 if s.active else 0)
             if load == 0:
                 return s
@@ -276,7 +276,7 @@ class SimMachine:
         if stream.active or not stream.ops:
             return
         stream.active = True
-        node, duration = stream.ops.popleft()
+        node, duration, worker = stream.ops.popleft()
         dev = node.device
         engine = self._engines[node.type][dev]
         clock = self._clock
@@ -286,7 +286,8 @@ class SimMachine:
 
             def finish() -> None:
                 self.gpu_busy[dev] += duration
-                self._record(node.name, node.type.value, f"gpu{dev}", begin)
+                stream.done += 1
+                self._record(node, worker, begin, stream)
                 self._complete(node)
                 engine.release()
                 stream.active = False
@@ -299,6 +300,9 @@ class SimMachine:
 
 class SimExecutor:
     """Schedules Heteroflow graphs onto one virtual machine."""
+
+    #: the machine model it runs (the checker's mutant swaps in its own)
+    _machine_class = SimMachine
 
     def __init__(
         self,
@@ -352,8 +356,8 @@ class SimExecutor:
                     sim.ready(succ)
 
         clock = EventQueue()
-        trace: List[SimTaskRecord] = []
-        sim = SimMachine(
+        trace: List[TaskRecord] = []
+        sim = self._machine_class(
             m, self.cost_model, clock, complete,
             lifo=self.ready_policy == "lifo",
             dedicated_gpu_workers=self.dedicated_gpu_workers,

@@ -1,74 +1,35 @@
-"""Trace analysis: Gantt rendering, utilization breakdown, bottlenecks.
+"""Trace analysis: Gantt rendering, concurrency, bottlenecks.
 
-Consumes the ``trace`` of a :class:`~repro.sim.simulator.SimReport`
-(``record_trace=True``) or any list of records exposing ``name``,
-``type``, ``resource``, ``start``, ``end`` — the
-:class:`~repro.core.observer.TraceObserver` records satisfy the same
-shape after :func:`records_from_observer`.
+Reads a list of :class:`~repro.core.observer.TaskRecord`: the ``trace``
+of a :class:`~repro.sim.simulator.SimReport` (``record_trace=True``,
+virtual seconds from 0) or a :class:`~repro.core.observer.TraceObserver`'s
+``records``.  Rows are the lanes of :mod:`repro.core.tracing`
+(``worker<N>``, ``gpu<N>``); a chart's time axis starts at the earliest
+record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.sim.simulator import SimTaskRecord
+from repro.core.observer import TaskRecord
+from repro.core.tracing import lane_of, lane_stats
 
 
-def records_from_observer(observer) -> List[SimTaskRecord]:
-    """Adapt :class:`~repro.core.observer.TraceObserver` records.
-
-    Wall-clock stamps are rebased to the earliest record; the resource
-    label is the worker id (host view of execution).
-    """
-    recs = observer.records
-    if not recs:
-        return []
-    t0 = min(r.begin for r in recs)
-    return [
-        SimTaskRecord(
-            name=r.name,
-            type=r.type,
-            resource=f"worker{r.worker_id}" if r.device is None else f"gpu{r.device}",
-            start=r.begin - t0,
-            end=r.end - t0,
-        )
-        for r in recs
-    ]
+def _span(events: Sequence[TaskRecord], makespan: float | None) -> Tuple[float, float]:
+    """``(origin, span)`` of non-empty *events*: the earliest begin, and
+    *makespan* or the time from there to the latest end."""
+    t0 = min(r.begin for r in events)
+    return t0, makespan if makespan is not None else max(r.end for r in events) - t0
 
 
-@dataclass
-class UtilizationRow:
-    resource: str
-    busy: float
-    span: float
-
-    @property
-    def utilization(self) -> float:
-        return self.busy / self.span if self.span > 0 else 0.0
-
-
-def utilization_by_resource(
-    trace: Sequence[SimTaskRecord], makespan: float | None = None
-) -> List[UtilizationRow]:
-    """Busy time and utilization per resource, sorted by name."""
-    events = [r for r in trace if r.end > r.start]
-    if not events:
-        return []
-    span = makespan if makespan is not None else max(r.end for r in events)
-    busy: Dict[str, float] = {}
-    for r in events:
-        busy[r.resource] = busy.get(r.resource, 0.0) + r.duration
-    return [UtilizationRow(res, b, span) for res, b in sorted(busy.items())]
-
-
-def busiest_tasks(trace: Sequence[SimTaskRecord], k: int = 10) -> List[SimTaskRecord]:
+def busiest_tasks(trace: Sequence[TaskRecord], k: int = 10) -> List[TaskRecord]:
     """The *k* longest-running task instances."""
     return sorted(trace, key=lambda r: -r.duration)[:k]
 
 
 def concurrency_profile(
-    trace: Sequence[SimTaskRecord], type_filter: str | None = None
+    trace: Sequence[TaskRecord], type_filter: str | None = None
 ) -> List[Tuple[float, int]]:
     """Step function of in-flight task count over time.
 
@@ -79,8 +40,8 @@ def concurrency_profile(
     for r in trace:
         if type_filter is not None and r.type != type_filter:
             continue
-        if r.end > r.start:
-            events.append((r.start, +1))
+        if r.end > r.begin:
+            events.append((r.begin, +1))
             events.append((r.end, -1))
     events.sort()
     out: List[Tuple[float, int]] = []
@@ -94,34 +55,34 @@ def concurrency_profile(
     return out
 
 
-def peak_concurrency(trace: Sequence[SimTaskRecord], type_filter: str | None = None) -> int:
+def peak_concurrency(trace: Sequence[TaskRecord], type_filter: str | None = None) -> int:
     prof = concurrency_profile(trace, type_filter)
     return max((lvl for _, lvl in prof), default=0)
 
 
 def render_gantt(
-    trace: Sequence[SimTaskRecord],
+    trace: Sequence[TaskRecord],
     *,
     width: int = 80,
     makespan: float | None = None,
 ) -> str:
-    """ASCII Gantt chart: one row per resource, one glyph per time cell.
+    """ASCII Gantt chart: one row per lane, one glyph per time cell.
 
     Glyphs: ``#`` host, ``K`` kernel, ``<`` pull (H2D), ``>`` push
     (D2H), ``*`` mixed occupancy within a cell.
     """
-    events = [r for r in trace if r.end > r.start]
+    events = [r for r in trace if r.end > r.begin]
     if not events:
         return "(empty trace)"
-    span = makespan if makespan is not None else max(r.end for r in events)
+    t0, span = _span(events, makespan)
     if span <= 0:
         return "(zero-length trace)"
     glyph = {"host": "#", "kernel": "K", "pull": "<", "push": ">"}
-    rows: Dict[str, List[str]] = {}
+    rows: Dict[str, List[str]] = {lane: [" "] * width for lane, _, _ in lane_stats(events)}
     for r in events:
-        row = rows.setdefault(r.resource, [" "] * width)
-        lo = min(int(r.start / span * width), width - 1)
-        hi = min(int(r.end / span * width), width - 1)
+        row = rows[lane_of(r)]
+        lo = min(int((r.begin - t0) / span * width), width - 1)
+        hi = min(int((r.end - t0) / span * width), width - 1)
         g = glyph.get(r.type, "?")
         for cell in range(lo, hi + 1):
             row[cell] = g if row[cell] in (" ", g) else "*"
@@ -129,19 +90,18 @@ def render_gantt(
     lines = [
         f"{'resource'.ljust(name_w)} |0{' ' * (width - 12)}{span:>9.3f}s|"
     ]
-    for name in sorted(rows):
-        lines.append(f"{name.ljust(name_w)} |{''.join(rows[name])}|")
+    for name, row in rows.items():
+        lines.append(f"{name.ljust(name_w)} |{''.join(row)}|")
     lines.append("legend: # host   K kernel   < pull   > push   * mixed")
     return "\n".join(lines)
 
 
-def summarize(trace: Sequence[SimTaskRecord], makespan: float | None = None) -> str:
+def summarize(trace: Sequence[TaskRecord], makespan: float | None = None) -> str:
     """One-paragraph textual summary of a trace."""
-    events = [r for r in trace if r.end > r.start]
+    events = [r for r in trace if r.end > r.begin]
     if not events:
         return "empty trace"
-    span = makespan if makespan is not None else max(r.end for r in events)
-    util = utilization_by_resource(events, span)
+    _, span = _span(events, makespan)
     by_type: Dict[str, int] = {}
     for r in events:
         by_type[r.type] = by_type.get(r.type, 0) + 1
@@ -149,6 +109,9 @@ def summarize(trace: Sequence[SimTaskRecord], makespan: float | None = None) -> 
     parts.append("counts: " + ", ".join(f"{t}={n}" for t, n in sorted(by_type.items())))
     parts.append(
         "utilization: "
-        + ", ".join(f"{u.resource}={u.utilization:.0%}" for u in util)
+        + ", ".join(
+            f"{lane}={busy / span if span > 0 else 0.0:.0%}"
+            for lane, _, busy in lane_stats(events)
+        )
     )
     return "; ".join(parts)

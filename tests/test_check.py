@@ -10,7 +10,7 @@ from repro.check import (
     run_mutant_selftest,
     validate_schedule,
 )
-from repro.check.mutants import CONFIGURATIONS
+from repro.check.mutants import CONFIGURATIONS, SIM_CONFIGURATIONS
 from repro.check.stress import run_scenario
 from repro.core import Executor, Heteroflow, TraceObserver
 from repro.core.observer import TaskRecord
@@ -291,6 +291,18 @@ class TestMutantSelftest:
         assert result.continued["mutant/gpu"] > 0
         assert result.continued["reference/attempt"] == 0
 
+    def test_validator_catches_seeded_simulator_bug(self):
+        """A simulator that releases a GPU op's successors when the op
+        starts, not when it completes, is flagged on fig4's timing graph
+        and fig9a's placement graph; the reference simulator is clean."""
+        result = run_mutant_selftest(delay=0.01)
+        assert set(SIM_CONFIGURATIONS) == {"sim-timing", "sim-placement"}
+        for name in SIM_CONFIGURATIONS:
+            mutant = result.reports[f"mutant/{name}"]
+            assert mutant.violations, name
+            assert {v.kind for v in mutant.violations} == {"happens-before"}, name
+            assert result.reports[f"reference/{name}"].ok, name
+
 
 class TestStressHarness:
     def test_small_sweep_is_clean(self, verify_run):
@@ -330,3 +342,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "caught" in out
         assert "check: OK" in out
+        for name in SIM_CONFIGURATIONS:
+            assert f"  {name}: " in out
+            assert "0 on the reference simulator" in out

@@ -79,7 +79,7 @@ class TestCommands:
 
     def test_trace_writes_json(self, tmp_path, capsys):
         out = tmp_path / "trace.json"
-        assert main(["trace", str(out)]) == 0
+        assert main(["profile", "saxpy", "--trace", str(out)]) == 0
         events = json.loads(out.read_text())
         assert len(events) == 7
 

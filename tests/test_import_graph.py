@@ -3,12 +3,12 @@
 Each check runs in a fresh interpreter (the test process has long since
 imported everything), and each is a deterministic statement about
 ``sys.modules`` — no timings.  See docs/programming_model.md: the
-``repro``, ``repro.core``, ``repro.gateway``, ``repro.analysis`` and
-``repro.utils`` package surfaces load their names on first use
-(PEP 562), and neither serving process imports numpy.  Concretely: a
+``repro``, ``repro.core``, ``repro.gateway``, ``repro.analysis``,
+``repro.metrics`` and ``repro.utils`` package surfaces load their names
+on first use (PEP 562), and neither serving process imports numpy.  Concretely: a
 host-only gateway worker loads no numpy, networkx, asyncio or gateway
 front end; the gateway front end with its journal, ``import repro``
-and ``python -m repro --help`` load no numpy; and each of the five lazy
+and ``python -m repro --help`` load no numpy; and each of the six lazy
 surfaces resolves every exported name on first use.  The gate runs in
 the tier-1 suite.
 """
@@ -25,7 +25,9 @@ import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-LAZY_PACKAGES = ("repro", "repro.core", "repro.gateway", "repro.analysis", "repro.utils")
+LAZY_PACKAGES = (
+    "repro", "repro.core", "repro.gateway", "repro.analysis", "repro.metrics", "repro.utils"
+)
 
 #: never needed by a host-only gateway worker process running an
 #: executor (``WorkerConfig(gpus=0)``, which builds no array): the
@@ -50,6 +52,7 @@ WORKER_FORBIDDEN = (
     "repro.core.algorithms",
     "repro.core.patterns",
     "repro.core.serialize",
+    "repro.metrics.profiler",
 )
 
 

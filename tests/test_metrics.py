@@ -469,13 +469,13 @@ class TestStreamBusy:
 # ---------------------------------------------------------------------
 class TestChromeTrace:
     def test_empty_observer(self):
-        assert chrome_trace_events(TraceObserver()) == []
+        assert chrome_trace_events(TraceObserver().records) == []
 
     def test_host_only_run_uses_worker_lanes(self):
         obs = TraceObserver()
         with Executor(num_workers=1, num_gpus=0, observers=[obs]) as ex:
             ex.run(_diamond()).result()
-        events = chrome_trace_events(obs)
+        events = chrome_trace_events(obs.records)
         assert len(events) == 4
         assert all(e["tid"] == "worker0" for e in events)
         assert all(e["ph"] == "X" for e in events)

@@ -268,3 +268,81 @@ def test_more_cores_never_hurt_independent_work(cores, st_seed):
     t1 = SimExecutor(MachineSpec(cores, 0), cm).run(hf).makespan
     t2 = SimExecutor(MachineSpec(cores * 2, 0), cm).run(hf).makespan
     assert t2 <= t1 + 1e-9
+
+
+class TestSimulatedSchedulesValidate:
+    """A simulated run leaves the executor's TaskRecord list, so the
+    runtime's schedule validator, chrome-trace export and run report
+    read it as they read a real run."""
+
+    @staticmethod
+    def _flows():
+        from repro.apps.placement import build_placement_flow
+        from repro.apps.timing import build_timing_flow
+
+        return {
+            "timing": build_timing_flow(num_views=16, num_gates=60, paths_per_view=8),
+            "placement": build_placement_flow(
+                num_cells=40, iterations=4, num_matchers=32, window_size=1
+            ),
+        }
+
+    @pytest.mark.parametrize("cores,gpus", [(4, 1), (8, 2), (40, 4)])
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"ready_policy": "fifo"}, {"dedicated_gpu_workers": True}],
+        ids=["lifo", "fifo", "dedicated"],
+    )
+    def test_figure_graphs_pass_the_validator(self, cores, gpus, options):
+        from repro.check import validate_schedule
+
+        for name, flow in self._flows().items():
+            sim = SimExecutor(
+                paper_testbed(cores, gpus), flow.cost_model, record_trace=True, **options
+            )
+            rep = sim.run(flow.graph)
+            report = validate_schedule(flow.graph, rep.trace, passes=1, num_gpus=gpus)
+            assert report.ok, (name, report.violations[:3])
+            assert report.num_records == len(flow.graph.nodes)
+            assert report.num_edges_checked > 0
+            gpu_recs = [r for r in rep.trace if r.device is not None]
+            assert gpu_recs and all(r.stream is not None for r in gpu_recs)
+            assert all(0 <= r.worker_id < cores for r in rep.trace)
+            if options.get("dedicated_gpu_workers"):
+                assert all(r.worker_id < gpus for r in gpu_recs)
+                assert all(r.worker_id >= gpus for r in rep.trace if r.device is None)
+
+    def test_stream_sequence_counts_each_streams_completions(self):
+        flow = self._flows()["placement"]
+        rep = SimExecutor(paper_testbed(8, 2), flow.cost_model, record_trace=True).run(
+            flow.graph
+        )
+        streams = {}
+        for r in rep.trace:
+            if r.stream is not None:
+                streams.setdefault(r.stream, []).append(r)
+        for recs in streams.values():
+            assert [r.stream_seq for r in recs] == list(range(1, len(recs) + 1))
+            assert len({r.device for r in recs}) == 1
+
+    def test_simulated_run_exports_and_profiles(self):
+        from repro.core.tracing import chrome_trace_events, lane_stats
+        from repro.metrics.profiler import build_run_report
+
+        flow = self._flows()["timing"]
+        rep = SimExecutor(paper_testbed(8, 2), flow.cost_model, record_trace=True).run(
+            flow.graph
+        )
+        events = chrome_trace_events(rep.trace)
+        assert len(events) == len(flow.graph.nodes)
+        assert {e["tid"] for e in events} == {lane for lane, _, _ in lane_stats(rep.trace)}
+        report = build_run_report(
+            flow.graph, rep.trace, wall_time=rep.makespan, num_workers=8, num_gpus=2
+        )
+        assert report.num_records == len(flow.graph.nodes)
+        assert 0 < report.critical_path_length <= rep.makespan
+        busy = {l.lane: l.busy for l in report.lanes}
+        assert sum(v for k, v in busy.items() if k.startswith("gpu")) == pytest.approx(
+            sum(rep.gpu_busy)
+        )
+        assert sum(v for k, v in busy.items() if k.startswith("worker")) <= sum(rep.core_busy)

@@ -1,49 +1,60 @@
-"""Tests for trace analysis and chrome-trace export."""
+"""Tests for trace analysis and chrome-trace export.
+
+Real and simulated runs leave the same :class:`TaskRecord` list, so
+every tool here is fed both.
+"""
 
 import json
 
 import pytest
 
 from repro.core import Executor, TraceObserver
-from repro.core.tracing import chrome_trace_events, dump_chrome_trace, write_chrome_trace
+from repro.core.observer import TaskRecord
+from repro.core.tracing import (
+    chrome_trace_events,
+    dump_chrome_trace,
+    lane_stats,
+    write_chrome_trace,
+)
 from repro.sim import CostModel, MachineSpec, SimExecutor
-from repro.sim.simulator import SimTaskRecord
 from repro.sim.trace import (
     busiest_tasks,
     concurrency_profile,
     peak_concurrency,
-    records_from_observer,
     render_gantt,
     summarize,
-    utilization_by_resource,
 )
 
 
-def rec(name, type_, resource, start, end):
-    return SimTaskRecord(name, type_, resource, start, end)
+def rec(name, type_, worker, device, begin, end):
+    return TaskRecord(name, type_, worker, device, begin, end)
 
 
 SAMPLE = [
-    rec("a", "host", "core0", 0.0, 1.0),
-    rec("b", "host", "core1", 0.0, 2.0),
-    rec("k1", "kernel", "gpu0", 1.0, 3.0),
-    rec("k2", "kernel", "gpu0", 2.0, 4.0),
-    rec("p", "pull", "gpu0", 0.5, 0.75),
+    rec("a", "host", 0, None, 0.0, 1.0),
+    rec("b", "host", 1, None, 0.0, 2.0),
+    rec("k1", "kernel", 0, 0, 1.0, 3.0),
+    rec("k2", "kernel", 1, 0, 2.0, 4.0),
+    rec("p", "pull", 1, 0, 0.5, 0.75),
 ]
 
 
 class TestUtilization:
     def test_busy_accounting(self):
-        rows = {u.resource: u for u in utilization_by_resource(SAMPLE)}
-        assert rows["core0"].busy == pytest.approx(1.0)
-        assert rows["gpu0"].busy == pytest.approx(2.0 + 2.0 + 0.25)
+        rows = {lane: busy for lane, _, busy in lane_stats(SAMPLE)}
+        assert rows["worker0"] == pytest.approx(1.0)
+        assert rows["gpu0"] == pytest.approx(2.0 + 2.0 + 0.25)
 
     def test_utilization_fraction(self):
-        rows = {u.resource: u for u in utilization_by_resource(SAMPLE, makespan=4.0)}
-        assert rows["core1"].utilization == pytest.approx(0.5)
+        assert "worker1=50%" in summarize(SAMPLE, makespan=4.0)
 
     def test_empty(self):
-        assert utilization_by_resource([]) == []
+        assert lane_stats([]) == []
+
+    def test_lane_order_and_counts(self):
+        assert [(lane, n) for lane, n, _ in lane_stats(SAMPLE)] == [
+            ("worker0", 1), ("worker1", 1), ("gpu0", 3),
+        ]
 
 
 class TestConcurrency:
@@ -66,7 +77,7 @@ class TestConcurrency:
 class TestGantt:
     def test_renders_all_resources(self):
         text = render_gantt(SAMPLE, width=40)
-        assert "core0" in text and "gpu0" in text
+        assert "worker0" in text and "gpu0" in text
         assert "K" in text and "#" in text
 
     def test_empty(self):
@@ -88,13 +99,19 @@ class TestObserverAdapters:
         return obs
 
     def test_records_adapt_and_rebase(self, observer):
-        recs = records_from_observer(observer)
-        assert len(recs) == 7
-        assert min(r.start for r in recs) == pytest.approx(0.0)
-        assert any(r.resource.startswith("gpu") for r in recs)
+        """Observer records feed every tool as they are; the chrome
+        trace and the Gantt chart rebase them to the earliest record."""
+        recs = observer.records
+        assert sum(n for _, n, _ in lane_stats(recs)) == 7
+        assert min(e["ts"] for e in chrome_trace_events(recs)) == pytest.approx(0.0)
+        assert any(lane.startswith("gpu") for lane, _, _ in lane_stats(recs))
+        rows = render_gantt(recs).splitlines()[1:-1]
+        assert any(row.startswith("gpu") for row in rows)
+        assert any(row.split("|")[1][0] != " " for row in rows)
+        assert "7 tasks over" in summarize(recs)
 
     def test_chrome_trace_structure(self, observer):
-        events = chrome_trace_events(observer)
+        events = chrome_trace_events(observer.records)
         assert len(events) == 7
         for e in events:
             assert e["ph"] == "X"
@@ -102,17 +119,17 @@ class TestObserverAdapters:
             assert e["cat"] in ("host", "pull", "push", "kernel")
 
     def test_chrome_trace_roundtrips_json(self, observer):
-        parsed = json.loads(dump_chrome_trace(observer))
+        parsed = json.loads(dump_chrome_trace(observer.records))
         assert isinstance(parsed, list) and parsed
 
     def test_write_chrome_trace(self, observer, tmp_path):
         path = tmp_path / "trace.json"
-        write_chrome_trace(observer, str(path))
+        write_chrome_trace(observer.records, str(path))
         assert json.loads(path.read_text())
 
     def test_empty_observer(self):
-        assert chrome_trace_events(TraceObserver()) == []
-        assert records_from_observer(TraceObserver()) == []
+        assert chrome_trace_events(TraceObserver().records) == []
+        assert lane_stats(TraceObserver().records) == []
 
 
 class TestSimTraceEndToEnd:
@@ -129,6 +146,6 @@ class TestSimTraceEndToEnd:
                 prev.precede(t)
             prev = t
         rep = SimExecutor(MachineSpec(2, 0), cm, record_trace=True).run(hf)
-        rows = utilization_by_resource(rep.trace, rep.makespan)
-        assert sum(r.busy for r in rows) == pytest.approx(4.0)
-        assert "core0" in render_gantt(rep.trace)
+        rows = lane_stats(rep.trace)
+        assert sum(busy for _, _, busy in rows) == pytest.approx(4.0)
+        assert "worker0" in render_gantt(rep.trace)
